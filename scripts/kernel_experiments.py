@@ -1,6 +1,6 @@
 """Lattice kernel experiments on the reduced systems.
 
-Three runs, each against a closed form:
+Two runs, each against a closed form:
 
   free     real-time evolution of a smeared source on the bundled free
            lattice; reports the central-window error profile and writes
@@ -8,21 +8,17 @@ Three runs, each against a closed form:
   spectrum imaginary-time transfer matrix for the oscillator; partition
            value against 1/(2 sinh(beta/2)) plus the slice-count error
            sweep (slope -2 for the symmetric splitting).
-  hbar     kernel width against the hbar^(1/2) spreading law.
 
     python3 scripts/kernel_experiments.py --out results/
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 
-from emq.pathint import (
-    hbar_scaling_report, propagate_quantum, trotter_sweep, write_kernel_csv,
-)
+from emq.pathint import propagate_quantum, trotter_sweep, write_kernel_csv
 from emq.reduction import run_reduction
 from emq.sysfile import load_bundled
 
@@ -69,25 +65,13 @@ def run_spectrum(out_dir: str) -> None:
     print(f"  sweep written to {path}")
 
 
-def run_hbar(out_dir: str) -> None:
-    model = load_bundled("free_particle")
-    rs = _reduced(model)
-    print("action rescaling zeta -> zeta/hbar:")
-    for hbar in (1.0, 0.5, 0.1):
-        cfg = dataclasses.replace(model.lattice, hbar=hbar)
-        rep = hbar_scaling_report(rs, cfg, model.params)
-        print(f"  hbar={hbar:4.2f}  action ratio = {rep['ratio']:.6f}"
-              f"   expected {rep['expected_ratio']:.6f}"
-              f"   rel dev {rep['rel_dev']:.2e}")
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", default="results")
-    p.add_argument("--only", choices=("free", "spectrum", "hbar"))
+    p.add_argument("--only", choices=("free", "spectrum"))
     args = p.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
-    runs = {"free": run_free, "spectrum": run_spectrum, "hbar": run_hbar}
+    runs = {"free": run_free, "spectrum": run_spectrum}
     for name, fn in runs.items():
         if args.only in (None, name):
             fn(args.out)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .expr import (DomainError, ExprError, ZERO, evaluate, numeric_compare)
+from .expr import (Add, Const, DomainError, ExprError, Mul, evaluate,
+                   numeric_compare)
 from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_model
 from .symplectic import gauge_pair_check, split_hamiltonian, verify_charges
 from .reduction import jacobi_liouville_check, run_reduction, verify_canonicity
@@ -31,40 +32,15 @@ from .anomaly import (AnomalyError, GeneratingFunction, anomaly_coefficients,
                       sliced_expansion_check)
 
 __all__ = [
-    "SystemFile", "RunReport", "CheckLine",
+    "RunReport", "CheckLine",
     "cmd_verify", "cmd_reduce", "cmd_propagate", "cmd_anomaly",
-    "worker_count", "build_parser", "main",
+    "build_parser", "main",
     "EXIT_OK", "EXIT_CHECK", "EXIT_USAGE",
 ]
-
-# the CLI's unit of work is one loaded system definition file
-SystemFile = Model
 
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
-
-
-def worker_count(env=None) -> int:
-    """Worker cap from EQ_THREADS; unset means one per available CPU."""
-    env = os.environ if env is None else env
-    raw = str(env.get("EQ_THREADS", "")).strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"EQ_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"EQ_THREADS must be positive, got {n}")
-    return n
-
-
-def _apply_thread_cap(n: int) -> None:
-    # BLAS pools read these lazily at the first heavy call; explicit user
-    # settings stay in charge
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +157,6 @@ def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     try:
         split = split_hamiltonian(system, seed=seed)
         rep.check("rho conserved along the flow", True)
-        from .expr import Add, Const, Mul  # local: only this check builds exprs
         diff = Add((split.h_plus, Mul((Const(-1), split.h_minus))))
         cmp = numeric_compare(diff, system.hamiltonian, chart, n=64,
                               tol=1e-9, seed=seed)
@@ -425,12 +400,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; pass through
         return int(exc.code or 0)
-    try:
-        _apply_thread_cap(worker_count())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
     commands = {
         "verify": lambda: cmd_verify(args.file, seed=args.seed),
         "reduce": lambda: cmd_reduce(args.file, seed=args.seed),

@@ -8,9 +8,9 @@ Three layers:
   * quantum: split-step spectral kernels on a periodic grid for the reduced
     quadratic Hamiltonians, imaginary-time transfer-matrix partition
     functions, all compared against closed-form Gaussian references;
-  * scaling: the 1/hbar action identity under coordinate rescaling, and
-    the rough-path statistics (Brownian increment variance, Hoelder-type
-    slopes) separating quantum lattice paths from deterministic flows.
+  * paths: the rough-path statistics (Brownian increment variance,
+    Hoelder-type slopes) separating quantum lattice paths from
+    deterministic flows.
 
 Real-time kernels are probed with a narrow Gaussian source rather than a
 discrete delta: a delta on the grid excites modes up to the Nyquist edge
@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,7 +39,7 @@ __all__ = [
     "classical_flow", "classical_amplitude", "fluctuation_det",
     "fluctuation_det_dense", "bind_reduced_hamiltonian", "smeared_reference",
     "propagate_quantum", "partition_closed_form", "trotter_sweep",
-    "hbar_scaling_report", "brownian_increment_report", "holder_slopes",
+    "brownian_increment_report", "holder_slopes",
     "write_kernel_csv", "FocalPointError", "CoverageError",
 ]
 
@@ -71,7 +71,6 @@ class LatticeConfig:
     length: float
     slices: int
     duration: float
-    mass: float = 1.0
     hbar: float = 1.0
     source_center: float = 0.0
     source_sigma_cells: float = 6.0
@@ -109,18 +108,22 @@ class FlowResult:
         return dict(zip(self.names, self.states[-1]))
 
 
-def _rk4(field: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
-         T: float, steps: int) -> Tuple[np.ndarray, np.ndarray]:
+def _rk4(field: Callable[[float, np.ndarray], np.ndarray],
+         y0: Sequence[float], T: float,
+         steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Classical fourth-order Runge-Kutta for y' = field(t, y) on [0, T];
+    returns the steps+1 sample times and the states at those times."""
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
     out = np.empty((steps + 1, len(y0)))
     y = np.array(y0, dtype=float)
     out[0] = y
     for i in range(steps):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
+        t = i * h
+        k1 = field(t, y)
+        k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = field(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
     return times, out
@@ -135,7 +138,7 @@ def classical_flow(sys: FlowSystem, state0: Mapping[str, float], T: float,
     bound = dict(params or {})
     exprs = hamilton_vector_field(sys.hamiltonian, ps)
 
-    def field_fn(y: np.ndarray) -> np.ndarray:
+    def field_fn(t: float, y: np.ndarray) -> np.ndarray:
         bindings = dict(bound)
         bindings.update(zip(names, y))
         return np.array([evaluate(e, bindings) for e in exprs])
@@ -156,65 +159,33 @@ def classical_flow(sys: FlowSystem, state0: Mapping[str, float], T: float,
     return FlowResult(names, times, states, drifts)
 
 
-def _linearized_q_flow_det(sys: FlowSystem, q_path: np.ndarray,
-                           times: np.ndarray,
-                           params: Mapping[str, float]) -> float:
-    """det of dq(T)/dq(0) by integrating Phi-dot = (df/dq) Phi along the path."""
+def _linearized_q_flow(sys: FlowSystem, q0: np.ndarray, T: float,
+                       steps: int, params: Mapping[str, float]):
+    """q(T) and det dq(T)/dq(0): Phi-dot = (df/dq) Phi rides along q-dot = f."""
     ps = sys.space
     n = ps.dof
-    jac = [[differentiate(f, q) for q in ps.coordinates] for f in sys.velocities]
+    jac = [differentiate(f, q) for f in sys.velocities for q in ps.coordinates]
 
-    def jac_at(qvals: np.ndarray) -> np.ndarray:
+    def field(t: float, y: np.ndarray) -> np.ndarray:
         bindings = dict(params)
-        bindings.update(zip(ps.coordinates, qvals))
-        return np.array([[evaluate(jac[i][j], bindings) for j in range(n)]
-                         for i in range(n)])
+        bindings.update(zip(ps.coordinates, y[:n]))
+        qdot = [evaluate(f, bindings) for f in sys.velocities]
+        J = np.array([evaluate(e, bindings) for e in jac]).reshape(n, n)
+        return np.concatenate([qdot, (J @ y[n:].reshape(n, n)).ravel()])
 
-    # piecewise: interpolate q linearly between stored samples
-    def q_at(t: float) -> np.ndarray:
-        idx = np.searchsorted(times, t)
-        idx = min(max(idx, 1), len(times) - 1)
-        t0, t1 = times[idx - 1], times[idx]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1 - w) * q_path[idx - 1] + w * q_path[idx]
-
-    def field(phi_flat: np.ndarray, t: float) -> np.ndarray:
-        phi = phi_flat.reshape(n, n)
-        return (jac_at(q_at(t)) @ phi).ravel()
-
-    steps = max(200, len(times) // 4)
-    h = times[-1] / steps
-    phi = np.eye(n).ravel()
-    t = 0.0
-    for _ in range(steps):
-        k1 = field(phi, t)
-        k2 = field(phi + 0.5 * h * k1, t + 0.5 * h)
-        k3 = field(phi + 0.5 * h * k2, t + 0.5 * h)
-        k4 = field(phi + h * k3, t + h)
-        phi = phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return float(np.linalg.det(phi.reshape(n, n)))
+    y0 = np.concatenate([q0, np.eye(n).ravel()])
+    _, states = _rk4(field, y0, T, steps)
+    end = states[-1]
+    return end[:n], float(np.linalg.det(end[n:].reshape(n, n)))
 
 
 def fluctuation_det(omega_sq: Union[float, Callable[[float], float]],
                     T: float, steps: int = 4000) -> float:
     """D(T) from D-ddot = -omega^2(t) D, D(0) = 0, D'(0) = 1."""
     w2 = omega_sq if callable(omega_sq) else (lambda t, c=float(omega_sq): c)
-
-    def field(y: np.ndarray, t: float) -> np.ndarray:
-        return np.array([y[1], -w2(t) * y[0]])
-
-    h = T / steps
-    y = np.array([0.0, 1.0])
-    t = 0.0
-    for _ in range(steps):
-        k1 = field(y, t)
-        k2 = field(y + 0.5 * h * k1, t + 0.5 * h)
-        k3 = field(y + 0.5 * h * k2, t + 0.5 * h)
-        k4 = field(y + h * k3, t + h)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return float(y[0])
+    _, states = _rk4(lambda t, y: np.array([y[1], -w2(t) * y[0]]),
+                     (0.0, 1.0), T, steps)
+    return float(states[-1, 0])
 
 
 def fluctuation_det_dense(omega_sq: float, T: float, n: int = 64) -> float:
@@ -248,16 +219,12 @@ def classical_amplitude(sys, q1, q2, T: float,
     """
     params = dict(params or {})
     if isinstance(sys, FlowSystem):
-        ps = sys.space
-        state0 = {m: 0.0 for m in ps.momenta}
-        state0.update({c: float(q1[c]) for c in ps.coordinates})
-        flow = classical_flow(sys, state0, T, steps=steps, params=params)
-        end = flow.final()
-        dist = max(abs(end[c] - float(q2[c])) for c in ps.coordinates)
+        coords = sys.space.coordinates
+        q0 = np.array([float(q1[c]) for c in coords])
+        end, det = _linearized_q_flow(sys, q0, T, steps, params)
+        dist = max(abs(e - float(q2[c])) for e, c in zip(end, coords))
         if dist > support_tol:
             return 0.0
-        q_path = flow.states[:, ps.dof:]
-        det = _linearized_q_flow_det(sys, q_path, flow.times, params)
         if abs(det) < focal_tol:
             raise FocalPointError(
                 f"linearized flow determinant {det:.3e} vanishes at T={T}")
@@ -464,10 +431,6 @@ class PropagatorResult:
     reference: Optional[np.ndarray]
     metrics: Dict[str, float]
 
-    @property
-    def max_rel_err_central(self) -> Optional[float]:
-        return self.metrics.get("max_rel_err_central")
-
 
 def _central_errors(zeta: np.ndarray, psi: np.ndarray, ref: np.ndarray,
                     center: float, length: float):
@@ -517,14 +480,14 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
         }
         return PropagatorResult("real", zeta, psi, ref, metrics)
 
-    # imaginary mode: Z(beta) = tr(S^slices) over the grid operator
-    S = _transfer_matrix(quad, cfg, zeta)
-    eigs = np.linalg.eigvalsh(S)
-    Z = float(np.sum(np.sign(eigs) * np.abs(eigs) ** cfg.slices))
+    # imaginary mode: one eigendecomposition of the grid operator S gives
+    # Z(beta) = tr(S^slices) and the diagonal of S^slices
+    vals, vecs = np.linalg.eigh(_transfer_matrix(quad, cfg, zeta))
+    powered = vals ** cfg.slices
+    Z = float(np.sum(powered))
     Z_ref = partition_closed_form(quad, hbar, cfg.duration)
-    diag = np.array([bare_kernel(quad, hbar, -1j * cfg.duration * hbar, x, x).real
-                     for x in zeta])
-    lattice_diag = np.diag(_matrix_power_sym(S, cfg.slices)) / cfg.dx
+    diag = bare_kernel(quad, hbar, -1j * cfg.duration * hbar, zeta, zeta).real
+    lattice_diag = (vecs ** 2 @ powered) / cfg.dx
     metrics = {
         "partition_value": Z,
         "partition_ref": Z_ref,
@@ -535,12 +498,6 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
                             diag.astype(complex), metrics)
 
 
-def _matrix_power_sym(S: np.ndarray, n: int) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(S)
-    powered = np.sign(vals) ** n * np.abs(vals) ** n
-    return (vecs * powered) @ vecs.T
-
-
 def trotter_sweep(rs: ReducedSystem, cfg: LatticeConfig,
                   params: Mapping[str, float],
                   slice_counts: Sequence[int] = (32, 64, 128, 256, 512)):
@@ -548,12 +505,7 @@ def trotter_sweep(rs: ReducedSystem, cfg: LatticeConfig,
     log-log slope (symmetric splitting: -2 for a genuine potential)."""
     errors = []
     for N in slice_counts:
-        c = LatticeConfig(mode=cfg.mode, n=cfg.n, length=cfg.length,
-                          slices=N, duration=cfg.duration, mass=cfg.mass,
-                          hbar=cfg.hbar, source_center=cfg.source_center,
-                          source_sigma_cells=cfg.source_sigma_cells,
-                          tolerance=cfg.tolerance)
-        res = propagate_quantum(rs, c, params)
+        res = propagate_quantum(rs, replace(cfg, slices=N), params)
         if cfg.mode == "real":
             errors.append(res.metrics["l2_rel_err"])
         else:
@@ -562,44 +514,6 @@ def trotter_sweep(rs: ReducedSystem, cfg: LatticeConfig,
                              np.log(np.array(errors)), 1)[0])
     return {"slice_counts": tuple(slice_counts), "errors": tuple(errors),
             "slope": slope}
-
-
-# ---------------------------------------------------------------------------
-# hbar scaling of the reduced action
-# ---------------------------------------------------------------------------
-
-def hbar_scaling_report(rs: ReducedSystem, cfg: LatticeConfig,
-                        params: Mapping[str, float], seed: int = 0,
-                        n_path: int = 64) -> Dict[str, float]:
-    """Rescaling zeta -> zeta/hbar turns the reduced lattice action into
-    (standard action)/hbar; reports the realized ratio on a random path."""
-    quad = bind_reduced_hamiltonian(rs, params)
-    hbar = cfg.hbar
-    eps = cfg.duration / n_path
-    rng = np.random.default_rng(seed)
-    zeta = rng.normal(0.0, 1.0, n_path + 1)
-    mom = rng.normal(0.0, 1.0, n_path)
-
-    m_q = quad.mass / hbar            # standard mass after rescaling
-    w = quad.omega
-    s_rescaled = 0.0
-    s_standard = 0.0
-    for k in range(n_path):
-        dz = zeta[k + 1] - zeta[k]
-        p = mom[k]
-        s_rescaled += p * dz / hbar - eps * (quad.c_p * p * p
-                                             + quad.c_q * (zeta[k] / hbar) ** 2)
-        s_standard += p * dz - eps * (p * p / (2.0 * m_q)
-                                      + 0.5 * m_q * w * w * zeta[k] ** 2)
-    ratio = s_rescaled / s_standard
-    return {
-        "hbar": hbar,
-        "action_rescaled": s_rescaled,
-        "action_standard": s_standard,
-        "ratio": ratio,
-        "expected_ratio": 1.0 / hbar,
-        "rel_dev": abs(ratio * hbar - 1.0),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -691,28 +605,13 @@ def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
     quantum_slope = float(np.polyfit(np.log(eps_list), np.log(rms_list), 1)[0])
 
     quad = bind_reduced_hamiltonian(rs, params)
-    zeta0, p0 = 0.3, 1.0
-    det_eps, det_inc = [], []
+    # reduced flow: zeta-dot = 2 c_p p, p-dot = -2 c_q zeta
+    A = np.array([[0.0, 2.0 * quad.c_p], [-2.0 * quad.c_q, 0.0]])
+    det_inc = []
     for N in slice_counts:
-        eps = beta / N
-        # reduced flow: zeta-dot = 2 c_p p, p-dot = -2 c_q zeta
-        z, p = zeta0, p0
-        biggest = 0.0
-        for _ in range(N):
-            k1 = (2 * quad.c_p * p, -2 * quad.c_q * z)
-            zm, pm = z + 0.5 * eps * k1[0], p + 0.5 * eps * k1[1]
-            k2 = (2 * quad.c_p * pm, -2 * quad.c_q * zm)
-            zm, pm = z + 0.5 * eps * k2[0], p + 0.5 * eps * k2[1]
-            k3 = (2 * quad.c_p * pm, -2 * quad.c_q * zm)
-            ze, pe = z + eps * k3[0], p + eps * k3[1]
-            k4 = (2 * quad.c_p * pe, -2 * quad.c_q * ze)
-            dz = (eps / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            dp = (eps / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            biggest = max(biggest, abs(dz))
-            z, p = z + dz, p + dp
-        det_eps.append(eps)
-        det_inc.append(biggest)
-    classical_slope = float(np.polyfit(np.log(det_eps), np.log(det_inc), 1)[0])
+        _, states = _rk4(lambda t, y: A @ y, (0.3, 1.0), beta, N)
+        det_inc.append(float(np.max(np.abs(np.diff(states[:, 0])))))
+    classical_slope = float(np.polyfit(np.log(eps_list), np.log(det_inc), 1)[0])
     return {
         "quantum_slope": quantum_slope,
         "classical_slope": classical_slope,

@@ -389,7 +389,6 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
                 length=_parse_float(lat("length", "16.0"), where, lineno),
                 slices=_parse_int(lat("slices", "128"), where, lineno),
                 duration=_parse_float(lat(dur_key), where, lineno),
-                mass=params.get("m", 1.0),
                 hbar=params.get("hbar", 1.0),
                 source_center=_parse_float(lat("source_center", "0.0"),
                                            where, lineno),

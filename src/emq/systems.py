@@ -22,7 +22,3 @@ def harmonic() -> Model:
 
 def free_particle_lambda() -> Model:
     return load_bundled("free_particle_lambda")
-
-
-def all_models() -> tuple:
-    return (free_particle(), harmonic(), free_particle_lambda())

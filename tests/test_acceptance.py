@@ -131,7 +131,7 @@ def test_criterion_06_oscillator_spectrum(ho_model, ho_reduced):
     def delta_limit_sample(sigma):
         n, length = 4096, 50.0
         cfg = LatticeConfig(mode="real", n=n, length=length, slices=512,
-                            duration=T, mass=quad.mass, hbar=1.0,
+                            duration=T, hbar=1.0,
                             source_center=0.0,
                             source_sigma_cells=sigma / (length / n))
         out = propagate_quantum(ho_reduced, cfg, ho_model.params)

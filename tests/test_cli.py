@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main, worker_count
+from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.sysfile import bundled_text
 
 
@@ -12,26 +12,6 @@ def _write(tmp_path, text, name="model.sys"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
-
-
-# ---------------------------------------------------------------------------
-# worker configuration
-# ---------------------------------------------------------------------------
-
-def test_worker_count_parsing():
-    assert worker_count({"EQ_THREADS": "4"}) == 4
-    assert worker_count({"EQ_THREADS": " 2 "}) == 2
-    assert worker_count({}) >= 1
-    with pytest.raises(ValueError, match="integer"):
-        worker_count({"EQ_THREADS": "banana"})
-    with pytest.raises(ValueError, match="positive"):
-        worker_count({"EQ_THREADS": "0"})
-
-
-def test_bad_thread_env_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("EQ_THREADS", "banana")
-    assert main(["verify", "harmonic"]) == EXIT_USAGE
-    assert "EQ_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ from emq.pathint import (
     CoverageError, FocalPointError, LatticeConfig, QuadraticHamiltonian,
     bare_kernel, bind_reduced_hamiltonian, brownian_increment_report,
     classical_amplitude, classical_flow, fluctuation_det,
-    fluctuation_det_dense, hbar_scaling_report, holder_slopes,
+    fluctuation_det_dense, holder_slopes,
     partition_closed_form, propagate_quantum, smeared_reference,
     trotter_sweep, write_kernel_csv,
 )
+from emq.pathint import _transfer_matrix
 from emq.reduction import PhaseSpace, ReducedSystem
 
 
@@ -85,6 +86,9 @@ def test_fluctuation_det_oracles():
     assert fluctuation_det(4.0, 0.7) == pytest.approx(math.sin(2 * 0.7) / 2.0,
                                                       abs=1e-8)
     assert fluctuation_det(0.0, 2.3) == pytest.approx(2.3, abs=1e-10)
+    # omega^2 < 0: D(T) = sinh(|omega| T)/|omega|
+    assert fluctuation_det(-1.0, 1.2) == pytest.approx(math.sinh(1.2),
+                                                       abs=1e-8)
     # time-dependent frequency: ramp checked against a fine reference run
     ramp = lambda t: 1.0 + t
     fine = fluctuation_det(ramp, 1.0, steps=40000)
@@ -210,6 +214,19 @@ def test_imaginary_mode_partition(ho_reduced, ho_model):
         1.0 / (2.0 * math.sinh(0.5)), rel=1e-12)
 
 
+def test_imaginary_mode_matches_dense_matrix_power(ho_reduced, ho_model):
+    cfg = LatticeConfig(mode="imaginary", n=64, length=16.0, slices=16,
+                        duration=1.0)
+    res = propagate_quantum(ho_reduced, cfg, ho_model.params)
+    quad = bind_reduced_hamiltonian(ho_reduced, ho_model.params)
+    S_N = np.linalg.matrix_power(_transfer_matrix(quad, cfg, res.zeta),
+                                 cfg.slices)
+    Z = float(np.trace(S_N))
+    assert res.metrics["partition_value"] == pytest.approx(Z, rel=1e-10)
+    np.testing.assert_allclose(res.psi.real, np.diag(S_N) / cfg.dx,
+                               rtol=1e-10, atol=0.0)
+
+
 def test_classical_mode_and_focal_error(ho_reduced, ho_model):
     cfg = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
                         duration=1.0)
@@ -235,14 +252,6 @@ def test_trotter_slope(ho_reduced, ho_model):
     assert sweep["slope"] == pytest.approx(-2.0, abs=0.1)
     errs = sweep["errors"]
     assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-
-
-def test_hbar_scaling_identity(ho_reduced, ho_model):
-    cfg = LatticeConfig(mode="imaginary", n=64, length=16.0, slices=16,
-                        duration=1.0, hbar=0.5)
-    rep = hbar_scaling_report(ho_reduced, cfg, ho_model.params)
-    assert rep["expected_ratio"] == pytest.approx(2.0)
-    assert rep["rel_dev"] < 1e-10
 
 
 # ---------------------------------------------------------------------------
