@@ -15,7 +15,7 @@ import sys
 
 from emq.anomaly import (
     GeneratingFunction, anomaly_coefficients, correction_scaling,
-    exponentiation_deviation_slope, measure_increments, sliced_expansion_check,
+    sliced_expansion_check,
 )
 from emq.pathint import brownian_increment_report, holder_slopes
 from emq.reduction import run_reduction
@@ -45,7 +45,7 @@ def run(samples: int, seed: int) -> None:
 
     gen = GeneratingFunction.for_chart(model.anomaly_F, model.system.space,
                                        model.darboux)
-    coeffs = anomaly_coefficients(gen, model.darboux)
+    coeffs = anomaly_coefficients(gen)
     print("correction coefficients for the oscillator chart:")
     print(f"  all structurally zero: {coeffs.all_zero} ({coeffs.source})")
 
@@ -61,12 +61,6 @@ def run(samples: int, seed: int) -> None:
 
     fit = correction_scaling(sliced, model.chart, seed=seed)
     print(f"  per-slice contribution slope = {fit.slope:.4f} (expect 1.5)")
-
-    incs = measure_increments(coeffs, model.darboux, model.chart, seed=seed)
-    slope = exponentiation_deviation_slope(seed=seed)
-    print("measure factor:")
-    print(f"  log increments sum to {sum(incs):.3e};"
-          f" product-vs-exp deviation slope {slope:.3f} (expect 2)")
 
 
 def main(argv=None) -> int:

@@ -13,9 +13,8 @@ drop out of the continuum limit).
 
 Every correction term carries a third derivative of F, so for quadratic
 generating functions all four coefficients vanish identically and the check
-is structural.  For the non-quadratic free-particle chart the coefficients
-ship as reference data in the model file; the direct positional assembly is
-kept as a diagnostic (see direct_assembly for why it is not the oracle).
+is structural.  For a non-quadratic F, such as the free-particle chart, the
+gauge-coordinate coefficient ships as reference data in the model file.
 """
 
 from __future__ import annotations
@@ -39,12 +38,10 @@ __all__ = [
     "AnomalyError", "ChartSingularityError",
     "GeneratingFunction", "AnomalyCoeffs",
     "SurfaceEntry", "SurfaceReport", "SlicedTerm", "SlicedExpansionReport",
-    "ScalingFit", "MeasureCheck",
+    "ScalingFit",
     "increment_symbol", "consistency_report", "anomaly_coefficients",
-    "direct_assembly", "constraint_surface_vanishing",
-    "sliced_expansion_check", "correction_scaling",
-    "jacobian_exponentiation_check", "measure_increments",
-    "exponentiation_deviation_slope", "implicit_partials_fd",
+    "constraint_surface_vanishing", "sliced_expansion_check",
+    "correction_scaling", "implicit_partials_fd",
 ]
 
 COEFF_NAMES = ("A_zeta", "A_z", "B_zeta", "B_z")
@@ -161,9 +158,9 @@ class AnomalyCoeffs:
 
     A_zeta and A_z multiply the coordinate increments of the reduced pair and
     the gauge pair; B_zeta and B_z multiply the momentum increments.  source
-    records how the values were obtained ("third-derivative structure",
-    "reference data" or "direct assembly"); notes carry caveats that any
-    report built on top should surface verbatim.
+    records how the values were obtained ("third-derivative structure" or
+    "reference data"); notes carry caveats that any report built on top
+    should surface verbatim.
     """
 
     A_zeta: Expr
@@ -182,16 +179,15 @@ class AnomalyCoeffs:
         return all(e == ZERO for _, e in self.as_pairs())
 
 
-def anomaly_coefficients(gen: GeneratingFunction, map: CanonicalMap,
+def anomaly_coefficients(gen: GeneratingFunction,
                          reference_A_z: Optional[Expr] = None) -> AnomalyCoeffs:
     """Correction coefficients for the sliced transformation generated by F.
 
     Quadratic F: all four coefficients are structurally zero because every
-    correction term carries a third derivative of F.  Non-quadratic F with
-    shipped reference data: the gauge-coordinate coefficient is the reference
-    closed form and the other three vanish on this chart family.  Otherwise
-    fall back to the direct assembly, which is diagnostic rather than
-    authoritative (see direct_assembly).
+    correction term carries a third derivative of F.  Non-quadratic F: the
+    gauge-coordinate coefficient is the shipped reference closed form and the
+    other three vanish on this chart family; without reference data there is
+    nothing to return, so this raises AnomalyError.
     """
     if gen.is_quadratic():
         return AnomalyCoeffs(
@@ -200,104 +196,17 @@ def anomaly_coefficients(gen: GeneratingFunction, map: CanonicalMap,
             notes=("quadratic generating function: every correction term "
                    "carries one of its third derivatives, so all four "
                    "coefficients vanish identically",))
-    if reference_A_z is not None:
-        return AnomalyCoeffs(
-            ZERO, reference_A_z, ZERO, ZERO,
-            source="reference data",
-            notes=("non-quadratic generating function: coefficients taken "
-                   "from shipped reference data for this chart family",
-                   "an end-to-end derivation of the gauge-coordinate "
-                   "coefficient from F alone is not settled here; "
-                   "direct_assembly records the candidate route and where "
-                   "it disagrees"))
-    return direct_assembly(gen, map)
-
-
-def direct_assembly(gen: GeneratingFunction, map: CanonicalMap) -> AnomalyCoeffs:
-    """Positional assembly of the four coefficients from third derivatives of F.
-
-    Bookkeeping: each term is (1/2) * (third partial of F) * (inverse-map
-    partial of an old momentum by the increment direction) * (forward partial
-    of a new coordinate by an old variable), everything pushed to the source
-    chart through the forward map.  For quadratic F the result is zero under
-    any grouping.  For the non-quadratic free-particle chart this grouping
-    reproduces the vanishing gauge-momentum coefficient but not the shipped
-    closed form for A_z: the off-surface third partials of that F are
-    singular where the reference form is finite, so some regrouping has to
-    happen before the surface restriction and the two-term display alone does
-    not pin it down.  Several alternative pairings were tried and none match,
-    hence reference data is preferred whenever present.
-    """
-    if len(gen.momentum_pairs) != 2 or len(gen.coordinate_pairs) != 2:
-        raise UnsupportedPatternError(
-            "direct assembly expects two old pairs and two new pairs")
-    moms = tuple(v for v, _ in gen.momentum_pairs)
-    src_coords = tuple(q for _, q in gen.momentum_pairs)
-    newc = tuple(v for v, _ in gen.coordinate_pairs)
-    newm = tuple(m for _, m in gen.coordinate_pairs)
-    fwd = dict(map.forward)
-    inv = dict(map.inverse)
-    on_shell = {name: fwd[name] for name in newc}
-    all_fwd = {name: fwd[name] for name in map.target_names}
-    half = Const(Fraction(1, 2))
-
-    def push(e: Expr) -> Expr:
-        return normalize(substitute(e, on_shell))
-
-    def f3(a: str, b: str, c: str) -> Expr:
-        d = differentiate(differentiate(differentiate(gen.expr, a), b), c)
-        return push(d)
-
-    def d_inv(mom: str, target: str) -> Expr:
-        # inverse-map partial, pushed back to the source chart
-        return normalize(substitute(differentiate(inv[mom], target), all_fwd))
-
-    def pp_block(direction: str, weights: Sequence[str]) -> list:
-        out = []
-        for b in moms:
-            sb = d_inv(b, direction)
-            if sb == ZERO:
-                continue
-            for ci, c in enumerate(moms):
-                for nu in newc:
-                    third = f3(b, c, nu)
-                    if third == ZERO:
-                        continue
-                    w = differentiate(fwd[nu], weights[ci])
-                    if w == ZERO:
-                        continue
-                    out.append(Mul((half, third, sb, w)))
-        return out
-
-    def qq_block(direction: str) -> list:
-        out = []
-        for bi, b in enumerate(moms):
-            for ni, nu in enumerate(newc):
-                third = f3(b, nu, direction)
-                if third == ZERO:
-                    continue
-                w = differentiate(fwd[newc[bi]], src_coords[ni])
-                if w == ZERO:
-                    continue
-                out.append(Mul((half, third, w)))
-        return out
-
-    def total(terms: list) -> Expr:
-        if not terms:
-            return ZERO
-        if len(terms) == 1:
-            return normalize(terms[0])
-        return normalize(Add(tuple(terms)))
-
-    a_zeta = total(pp_block(newc[0], moms) + qq_block(newc[0]))
-    a_z = total(pp_block(newc[1], moms) + qq_block(newc[1]))
-    b_zeta = total(pp_block(newm[0], src_coords))
-    b_z = total(pp_block(newm[1], src_coords))
+    if reference_A_z is None:
+        raise AnomalyError(
+            "generating function is not quadratic and [anomaly] declares no "
+            "reference_A_z; its correction coefficients need that closed form")
     return AnomalyCoeffs(
-        a_zeta, a_z, b_zeta, b_z,
-        source="direct assembly",
-        notes=("positional grouping; diagnostic only for non-quadratic "
-               "generating functions, prefer shipped reference data",))
+        ZERO, reference_A_z, ZERO, ZERO,
+        source="reference data",
+        notes=("non-quadratic generating function: coefficients taken "
+               "from shipped reference data for this chart family",
+               "an end-to-end derivation of the gauge-coordinate "
+               "coefficient from F alone is not settled here"))
 
 
 # ---------------------------------------------------------------------------
@@ -553,77 +462,6 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
         means.append(eps * float(np.mean(np.abs(vp * dp + vq * dq))))
     slope = float(np.polyfit(np.log(widths), np.log(means), 1)[0])
     return ScalingFit(tuple(widths), tuple(means), slope)
-
-
-# ---------------------------------------------------------------------------
-# measure factor: product versus exponential
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MeasureCheck:
-    product: float
-    exponential: float
-    rel_deviation: float
-
-
-def jacobian_exponentiation_check(increments: Sequence[float]) -> MeasureCheck:
-    """Compare prod_j (1 + s_j) against exp(sum_j s_j).
-
-    The sliced measure produces the product; the continuum argument replaces
-    it by the exponential.  The two agree up to second order in the per-slice
-    corrections, which is what makes coefficients that vanish on the gauge
-    surface harmless.
-    """
-    prod = 1.0
-    total = 0.0
-    for s in increments:
-        prod *= 1.0 + float(s)
-        total += float(s)
-    expo = math.exp(total)
-    scale = max(abs(expo), 1e-300)
-    return MeasureCheck(prod, expo, abs(prod - expo) / scale)
-
-
-def measure_increments(coeffs: AnomalyCoeffs, map: CanonicalMap,
-                       chart: SampleDomain, n_slices: int = 128,
-                       width: float = 1.0 / 128.0,
-                       seed: int = 0) -> Tuple[float, ...]:
-    """Per-slice corrections along a random gauge-surface path.
-
-    The chart variables are frozen at one sampled point with z = p_z = 0;
-    the four increments are Gaussian with standard deviation sqrt(width),
-    except the gauge pair's, which the gauge fixing forces to zero.
-    """
-    point = dict(chart.sample(1, seed=seed)[0])
-    point[map.z] = 0.0
-    point[map.p_z] = 0.0
-    names = [c for c, _ in coeffs.as_pairs()]
-    values = {}
-    for name, e in coeffs.as_pairs():
-        values[name] = evaluate(e, point)
-    rng = np.random.default_rng(seed)
-    sd = math.sqrt(width)
-    out = []
-    for _ in range(n_slices):
-        d_zeta = rng.normal(0.0, sd)
-        d_pzeta = rng.normal(0.0, sd)
-        s = (values[names[0]] * d_zeta + values[names[2]] * d_pzeta)
-        # gauge-pair increments are frozen on the surface, so A_z and B_z
-        # never enter here
-        out.append(width * s)
-    return tuple(out)
-
-
-def exponentiation_deviation_slope(
-        magnitudes: Sequence[float] = (1e-3, 3e-3, 1e-2, 3e-2),
-        n_slices: int = 64, seed: int = 0) -> float:
-    """Log-log slope of the product/exponential deviation, expected near 2."""
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-1.0, 1.0, size=n_slices)
-    devs = []
-    for m in magnitudes:
-        devs.append(jacobian_exponentiation_check(m * base).rel_deviation)
-    return float(np.polyfit(np.log(magnitudes), np.log(devs), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,9 @@ class DomainError(ExprError):
 class Expr:
     __slots__ = ()
 
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
+
     def __add__(self, other):
         return Add((self, _coerce(other)))
 
@@ -161,9 +164,6 @@ class Const(Expr):
             raise TypeError(f"bad constant {value!r}")
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def __eq__(self, other):
         return (isinstance(other, Const) and type(self.value) is type(other.value)
                 and self.value == other.value)
@@ -186,9 +186,6 @@ class Sym(Expr):
             raise ValueError(f"{name!r} is a reserved function name")
         object.__setattr__(self, "name", name)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def __eq__(self, other):
         return isinstance(other, Sym) and self.name == other.name
 
@@ -205,9 +202,6 @@ class Add(Expr):
             raise ValueError("Add needs at least two terms")
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def __eq__(self, other):
         return isinstance(other, Add) and self.terms == other.terms
 
@@ -223,9 +217,6 @@ class Mul(Expr):
         if len(factors) < 2:
             raise ValueError("Mul needs at least two factors")
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def __eq__(self, other):
         return isinstance(other, Mul) and self.factors == other.factors
@@ -245,9 +236,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
     def __eq__(self, other):
         return (isinstance(other, Pow) and self.base == other.base
                 and self.exponent == other.exponent)
@@ -262,9 +250,6 @@ class Div(Expr):
     def __init__(self, num: Expr, den: Expr):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def __eq__(self, other):
         return isinstance(other, Div) and self.num == other.num and self.den == other.den
@@ -284,9 +269,6 @@ class Fun(Expr):
             raise ValueError(f"{name} expects {FUNCTIONS[name]} argument(s)")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     def __eq__(self, other):
         return isinstance(other, Fun) and self.name == other.name and self.args == other.args

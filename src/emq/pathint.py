@@ -232,7 +232,7 @@ def classical_amplitude(sys, q1, q2, T: float,
 
     if isinstance(sys, ReducedSystem):
         quad = bind_reduced_hamiltonian(sys, params)
-        D = fluctuation_det(quad.omega ** 2, T)
+        D = fluctuation_det(quad.omega_sq, T)
         if abs(D) < focal_tol * max(1.0, abs(T)):
             raise FocalPointError(
                 f"fluctuation determinant D({T:g}) = {D:.3e}: focal point, "
@@ -262,8 +262,14 @@ class QuadraticHamiltonian:
         return 1.0 / (2.0 * self.c_p)
 
     @property
+    def omega_sq(self) -> float:
+        # signed: negative for an inverted oscillator (c_q < 0)
+        return 4.0 * self.c_p * self.c_q
+
+    @property
     def omega(self) -> float:
-        return 2.0 * math.sqrt(max(self.c_p * self.c_q, 0.0))
+        # an inverted oscillator has no real frequency and reads 0 here
+        return math.sqrt(max(self.omega_sq, 0.0))
 
 
 def bind_reduced_hamiltonian(rs: ReducedSystem,
@@ -450,7 +456,7 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
     hbar = cfg.hbar
 
     if cfg.mode == "classical":
-        D = fluctuation_det(quad.omega ** 2, cfg.duration)
+        D = fluctuation_det(quad.omega_sq, cfg.duration)
         if abs(D) < 1e-8 * max(1.0, cfg.duration):
             raise FocalPointError(
                 f"fluctuation determinant D({cfg.duration:g}) = {D:.3e}: "
@@ -459,6 +465,14 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
                    "omega": quad.omega, "mass": quad.mass}
         return PropagatorResult("classical", None, None, None, metrics)
 
+    if quad.c_q < 0:
+        raise ExprError(
+            f"{cfg.mode} mode has no closed-form reference for an inverted "
+            f"oscillator (c_q = {quad.c_q:g} < 0)")
+    if cfg.mode == "imaginary":
+        # a free particle (omega = 0) gets the typed error here, before the
+        # coverage estimate divides by omega
+        Z_ref = partition_closed_form(quad, hbar, cfg.duration)
     sigma = cfg.source_sigma_cells * cfg.dx
     _check_coverage(quad, cfg, sigma)
     zeta = _grid(cfg, center=cfg.source_center if cfg.mode == "real" else 0.0)
@@ -485,7 +499,6 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
     vals, vecs = np.linalg.eigh(_transfer_matrix(quad, cfg, zeta))
     powered = vals ** cfg.slices
     Z = float(np.sum(powered))
-    Z_ref = partition_closed_form(quad, hbar, cfg.duration)
     diag = bare_kernel(quad, hbar, -1j * cfg.duration * hbar, zeta, zeta).real
     lattice_diag = (vecs ** 2 @ powered) / cfg.dx
     metrics = {

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 from .expr import (
     Expr, Const, Sym, Add, Mul, Pow, Div, ZERO,
     SampleDomain, differentiate, normalize, numeric_compare, numeric_equal,
-    ExprError,
+    DomainError, ExprError,
 )
 
 __all__ = [
@@ -221,6 +221,7 @@ class HamiltonianSplit:
     h_plus: Expr
     h_minus: Expr
     rho: Expr
+    rho_bracket_err: float      # sampled max scaled |{rho, H}|
 
 
 def split_hamiltonian(sys: FlowSystem, n: int = 64, tol: float = 1e-9,
@@ -236,7 +237,13 @@ def split_hamiltonian(sys: FlowSystem, n: int = 64, tol: float = 1e-9,
     if _structurally_zero(rho):
         raise RhoNotConservedError("rho is identically zero")
     bracket = poisson_bracket(rho, H, sys.space)
-    cmp = numeric_compare(bracket, ZERO, sys.chart, n=n, tol=tol, seed=seed)
+    try:
+        cmp = numeric_compare(bracket, ZERO, sys.chart, n=n, tol=tol,
+                              seed=seed)
+    except DomainError as exc:
+        raise RhoNotConservedError(
+            f"{{rho, H}} = {bracket} cannot be evaluated on the chart: "
+            f"{exc}") from exc
     if not cmp.equal:
         raise RhoNotConservedError(
             f"rho not conserved: {{rho, H}} = {bracket} "
@@ -244,7 +251,8 @@ def split_hamiltonian(sys: FlowSystem, n: int = 64, tol: float = 1e-9,
     four_rho = Mul((Const(4), rho))
     h_plus = normalize(Div(Pow(Add((H, rho)), 2), four_rho))
     h_minus = normalize(Div(Pow(Add((H, Mul((Const(-1), rho)))), 2), four_rho))
-    return HamiltonianSplit(h_plus=h_plus, h_minus=h_minus, rho=rho)
+    return HamiltonianSplit(h_plus=h_plus, h_minus=h_minus, rho=rho,
+                            rho_bracket_err=cmp.max_abs_err)
 
 
 def gauge_pair_check(phi: Expr, chi: Expr, ps: PhaseSpace) -> Expr:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
-from .expr import (Expr, ParseError, SampleDomain, SymbolTable, ZERO, parse,
+from .expr import (Expr, ExprError, SampleDomain, SymbolTable, ZERO, parse,
                    substitute)
 from .symplectic import FlowSystem, PhaseSpace
 from .reduction import CanonicalMap, ConstraintSpec
@@ -126,7 +126,8 @@ def _as_map(entries, where, section, repeatable=()):
 def _parse_expr(text: str, table: SymbolTable, where: str, lineno: int) -> Expr:
     try:
         return parse(text, table)
-    except ParseError as exc:
+    except ExprError as exc:
+        # parse errors and constant folds such as 1/(x - x) alike
         raise SysFileError(f"{where}:{lineno}: {exc}") from exc
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from emq.anomaly import (
     GeneratingFunction, anomaly_coefficients, constraint_surface_vanishing,
-    correction_scaling, direct_assembly, sliced_expansion_check,
+    correction_scaling, sliced_expansion_check,
 )
 from emq.cli import EXIT_CHECK, EXIT_OK, main
 from emq.expr import (
@@ -172,14 +172,12 @@ def test_criterion_08_slicing_corrections(free_model, ho_model):
     gen_ho = GeneratingFunction.for_chart(ho_model.anomaly_F,
                                           ho_model.system.space,
                                           ho_model.darboux)
-    assert anomaly_coefficients(gen_ho, ho_model.darboux).all_zero
-    assert direct_assembly(gen_ho, ho_model.darboux).all_zero
+    assert anomaly_coefficients(gen_ho).all_zero
     for seed in range(20):
         gen = GeneratingFunction.for_chart(_random_quadratic(seed),
                                            ho_model.system.space,
                                            ho_model.darboux)
-        assert anomaly_coefficients(gen, ho_model.darboux).all_zero
-        assert direct_assembly(gen, ho_model.darboux).all_zero
+        assert anomaly_coefficients(gen).all_zero
 
     # free chart: reference coefficient against an independently rebuilt form
     z, pz, pzeta, a1 = Sym("z"), Sym("p_z"), Sym("p_zeta"), Sym("a1")
@@ -196,7 +194,7 @@ def test_criterion_08_slicing_corrections(free_model, ho_model):
     gen_free = GeneratingFunction.for_chart(free_model.anomaly_F,
                                             free_model.system.space,
                                             free_model.darboux)
-    coeffs = anomaly_coefficients(gen_free, free_model.darboux,
+    coeffs = anomaly_coefficients(gen_free,
                                   reference_A_z=free_model.reference_A_z)
     assert constraint_surface_vanishing(coeffs, free_model.darboux,
                                         free_model.chart).all_vanish

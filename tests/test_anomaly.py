@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -6,9 +5,8 @@ import pytest
 from emq.anomaly import (
     COEFF_NAMES, AnomalyError, ChartSingularityError, GeneratingFunction,
     anomaly_coefficients, consistency_report, constraint_surface_vanishing,
-    correction_scaling, direct_assembly, exponentiation_deviation_slope,
-    implicit_partials_fd, increment_symbol, jacobian_exponentiation_check,
-    measure_increments, sliced_expansion_check,
+    correction_scaling, implicit_partials_fd, increment_symbol,
+    sliced_expansion_check,
 )
 from emq.expr import (
     Add, Const, Div, Fraction, Fun, Mul, SampleDomain, Sym, ZERO, ONE,
@@ -84,7 +82,7 @@ def test_bundled_charts_are_consistent_with_their_F(free_model, ho_model):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_F_gives_structural_zeros(ho_model):
-    coeffs = anomaly_coefficients(_gen(ho_model), ho_model.darboux)
+    coeffs = anomaly_coefficients(_gen(ho_model))
     assert coeffs.all_zero
     assert coeffs.source == "third-derivative structure"
 
@@ -95,23 +93,20 @@ def test_twenty_random_quadratics_give_zeros(ho_model):
         F = _random_quadratic(seed)
         gen = GeneratingFunction.for_chart(F, ps, ho_model.darboux)
         assert gen.is_quadratic()
-        assert anomaly_coefficients(gen, ho_model.darboux).all_zero
-        # the mechanical assembly agrees: every term carries a third partial
-        assert direct_assembly(gen, ho_model.darboux).all_zero
+        assert anomaly_coefficients(gen).all_zero
 
 
 def test_reference_route_for_the_free_chart(free_model):
     gen = _gen(free_model)
-    coeffs = anomaly_coefficients(gen, free_model.darboux,
-                                  reference_A_z=free_model.reference_A_z)
+    coeffs = anomaly_coefficients(gen, reference_A_z=free_model.reference_A_z)
     assert coeffs.source == "reference data"
     assert coeffs.A_z == free_model.reference_A_z
     assert coeffs.A_zeta == ZERO and coeffs.B_zeta == ZERO
     assert coeffs.B_z == ZERO
     assert any("not settled" in note for note in coeffs.notes)
 
-    fallback = anomaly_coefficients(gen, free_model.darboux)
-    assert fallback.source == "direct assembly"
+    with pytest.raises(AnomalyError, match=r"\[anomaly\].*reference_A_z"):
+        anomaly_coefficients(gen)
 
 
 def test_reference_A_z_against_a_rebuilt_closed_form(free_model):
@@ -138,8 +133,7 @@ def test_reference_A_z_against_a_rebuilt_closed_form(free_model):
 
 def test_coefficients_vanish_on_the_gauge_surface(free_model, ho_model):
     for m in (free_model, ho_model):
-        coeffs = anomaly_coefficients(_gen(m), m.darboux,
-                                      reference_A_z=m.reference_A_z)
+        coeffs = anomaly_coefficients(_gen(m), reference_A_z=m.reference_A_z)
         rep = constraint_surface_vanishing(coeffs, m.darboux, m.chart)
         assert rep.all_vanish
         assert {e.name for e in rep.entries} == set(COEFF_NAMES)
@@ -206,33 +200,6 @@ def test_correction_scaling_slope(ho_model):
     fit = correction_scaling(rep, ho_model.chart)
     assert fit.slope == pytest.approx(1.5, abs=0.05)
     assert len(fit.widths) == len(fit.means) == 7
-
-
-# ---------------------------------------------------------------------------
-# measure factor
-# ---------------------------------------------------------------------------
-
-def test_exponentiation_check_values():
-    exact = jacobian_exponentiation_check([0.5])
-    assert exact.product == pytest.approx(1.5)
-    assert exact.exponential == pytest.approx(math.exp(0.5))
-    assert exact.rel_deviation == pytest.approx(
-        (math.exp(0.5) - 1.5) / math.exp(0.5), rel=1e-12)
-    small = jacobian_exponentiation_check([1e-9, -2e-9, 3e-9])
-    assert small.rel_deviation < 1e-15
-
-
-def test_surface_measure_is_exact_for_vanishing_coefficients(ho_model):
-    coeffs = anomaly_coefficients(_gen(ho_model), ho_model.darboux)
-    incs = measure_increments(coeffs, ho_model.darboux, ho_model.chart)
-    assert all(s == 0.0 for s in incs)
-    check = jacobian_exponentiation_check(incs)
-    assert check.product == 1.0 and check.rel_deviation == 0.0
-
-
-def test_deviation_slope_is_second_order():
-    slope = exponentiation_deviation_slope()
-    assert slope == pytest.approx(2.0, abs=0.2)
 
 
 # ---------------------------------------------------------------------------

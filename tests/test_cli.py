@@ -38,6 +38,38 @@ def test_verify_names_the_failing_bracket(tmp_path, capsys):
     assert "zeta" in out
 
 
+def test_rho_line_reports_the_bracket_and_can_fail(tmp_path, capsys):
+    assert main(["verify", "harmonic", "--json"]) == EXIT_OK
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["rho conserved along the flow"]["detail"].startswith("max err")
+
+    broken = bundled_text("harmonic").replace(
+        "C2 = x*p_x + y*p_y", "C2 = x*p_x + y*p_y\nC3 = x").replace(
+        "[rho]\nC1 = a1", "[rho]\nC1 = a1\nC3 = 1")
+    assert "C3 = 1" in broken
+    assert main(["verify", _write(tmp_path, broken), "--json"]) == EXIT_CHECK
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    rho = checks["rho conserved along the flow"]
+    assert rho["ok"] is False and "max err" in rho["detail"]
+
+    # a rho whose bracket cannot be evaluated on the chart fails the same line
+    singular = bundled_text("harmonic").replace("[rho]\nC1 = a1",
+                                                "[rho]\nC1 = sqrt(x)")
+    assert main(["verify", _write(tmp_path, singular), "--json"]) == EXIT_CHECK
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    rho = checks["rho conserved along the flow"]
+    assert rho["ok"] is False and "cannot be evaluated" in rho["detail"]
+
+
+def test_constant_fold_in_a_file_is_a_usage_error(tmp_path, capsys):
+    text = bundled_text("harmonic").replace(
+        "guard = a1^2*alpha^2 in 0.0, 0.88", "guard = 1/(x - x) in 0, 1")
+    lineno = text.splitlines().index("guard = 1/(x - x) in 0, 1") + 1
+    path = _write(tmp_path, text)
+    assert main(["verify", path]) == EXIT_USAGE
+    assert f"{path}:{lineno}:" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["verify", "/no/such/file.sys"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -96,9 +128,74 @@ def test_propagate_focal_point_fails_cleanly(tmp_path, capsys):
     assert "focal" in capsys.readouterr().out.lower()
 
 
+def test_propagate_reports_typed_lattice_errors(tmp_path, capsys):
+    text = bundled_text("free_particle").replace(
+        "mode = real", "mode = imaginary").replace("time = 1.0", "beta = 1.0")
+    path = _write(tmp_path, text)
+    assert main(["propagate", path, "--json",
+                 "--out", str(tmp_path / "run")]) == EXIT_CHECK
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    lattice = checks["lattice propagation"]
+    assert lattice["ok"] is False
+    assert lattice["detail"].startswith("ExprError:")
+    assert "confining" in lattice["detail"]
+
+
 # ---------------------------------------------------------------------------
 # anomaly
 # ---------------------------------------------------------------------------
+
+_RELATIONS = [f"relation for {v} consistent with the chart"
+              for v in ("x", "y", "p_zeta", "p_z")]
+_SURFACE = [f"{c} vanishes on the gauge surface"
+            for c in ("A_zeta", "A_z", "B_zeta", "B_z")]
+ANOMALY_CHECKS = {
+    "harmonic": (_RELATIONS + ["all coefficients vanish identically"]
+                 + _SURFACE
+                 + [f"sliced expansion {t} matches reference"
+                    for t in ("constant", "momentum_shift", "coordinate_shift")]
+                 + ["correction contribution scales as width^1.5"]),
+    "free_particle": (_RELATIONS
+                      + ["gauge-coordinate coefficient nonzero off the surface"]
+                      + _SURFACE),
+}
+ANOMALY_METRICS = {"harmonic": {"correction_scaling_slope"},
+                   "free_particle": set()}
+
+
+@pytest.mark.parametrize("name", ["harmonic", "free_particle"])
+def test_anomaly_report_schema(name, capsys):
+    assert main(["anomaly", name, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in payload["checks"]] == ANOMALY_CHECKS[name]
+    assert set(payload["metrics"]) == ANOMALY_METRICS[name]
+
+
+_FREE_REFERENCE = ("reference_A_z = -((1 + 2*a1*z*p_zeta)*cos(z) + "
+                   "(p_z/p_zeta - a1*p_zeta)*sin(z))*sin(z)/2")
+
+
+@pytest.mark.parametrize("reference, flipped", [
+    ("reference_A_z = 0",
+     "gauge-coordinate coefficient nonzero off the surface"),
+    ("reference_A_z = cos(z)", "A_z vanishes on the gauge surface"),
+])
+def test_anomaly_reference_mutations_flip_their_check(reference, flipped,
+                                                       tmp_path, capsys):
+    text = bundled_text("free_particle")
+    assert _FREE_REFERENCE in text
+    path = _write(tmp_path, text.replace(_FREE_REFERENCE, reference))
+    assert main(["anomaly", path, "--json"]) == EXIT_CHECK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == [flipped]
+
+
+def test_anomaly_needs_reference_data_for_a_non_quadratic_F(tmp_path, capsys):
+    text = bundled_text("free_particle").replace(_FREE_REFERENCE, "")
+    path = _write(tmp_path, text)
+    assert main(["anomaly", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert path in err and "reference_A_z" in err
 
 @pytest.mark.parametrize("name", ["free_particle", "harmonic"])
 def test_anomaly_bundled_models(name, capsys):

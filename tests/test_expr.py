@@ -188,6 +188,19 @@ def test_division_by_zero_constant_is_structural():
         normalize(Div(Sym("x"), ZERO))
 
 
+@pytest.mark.parametrize("node, attr", [
+    (Const(2), "value"), (Sym("x"), "name"),
+    (Add((Sym("x"), Sym("y"))), "terms"), (Mul((Sym("x"), Sym("y"))), "factors"),
+    (Pow(Sym("x"), 2), "exponent"), (Div(Sym("x"), Sym("y")), "num"),
+    (Fun("sin", (Sym("x"),)), "args"),
+])
+def test_nodes_are_immutable(node, attr):
+    before = getattr(node, attr)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(node, attr, Sym("a"))
+    assert getattr(node, attr) == before
+
+
 # ---------------------------------------------------------------------------
 # calculus
 # ---------------------------------------------------------------------------

@@ -246,6 +246,23 @@ def test_coverage_error_on_short_grid(ho_reduced, ho_model):
         propagate_quantum(ho_reduced, tiny, ho_model.params)
 
 
+def test_inverted_oscillator_is_not_a_free_particle(ho_model):
+    inverted = _reduced("p_zeta^2/2 - zeta^2/2", ho_model.symbols)
+    quad = bind_reduced_hamiltonian(inverted, {})
+    assert quad.omega_sq == pytest.approx(-1.0)
+    cfg = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
+                        duration=1.2)
+    res = propagate_quantum(inverted, cfg, {})
+    assert res.metrics["fluctuation_det"] == pytest.approx(math.sinh(1.2),
+                                                           abs=1e-8)
+    assert classical_amplitude(inverted, None, None, 1.2) == pytest.approx(
+        1.0 / math.sinh(1.2), rel=1e-8)
+    for mode in ("real", "imaginary"):
+        with pytest.raises(ExprError, match="inverted"):
+            propagate_quantum(inverted, LatticeConfig(
+                mode=mode, n=256, length=16.0, slices=64, duration=1.0), {})
+
+
 def test_trotter_slope(ho_reduced, ho_model):
     sweep = trotter_sweep(ho_reduced, ho_model.lattice, ho_model.params,
                           slice_counts=(32, 64, 128, 256))
