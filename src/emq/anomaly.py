@@ -29,9 +29,9 @@ import numpy as np
 from .expr import (
     Expr, Const, Sym, Add, Mul, Div, ZERO,
     EvalError, ExprError, SampleDomain, ComparisonResult,
-    differentiate, evaluate, normalize, numeric_compare, substitute,
+    columns, differentiate, evaluate, normalize, numeric_compare, substitute,
 )
-from .reduction import CanonicalMap, UnsupportedPatternError
+from .reduction import CanonicalMap, UnsupportedPatternError, fd_jacobian
 from .symplectic import PhaseSpace
 
 __all__ = [
@@ -237,8 +237,7 @@ class SurfaceReport:
 
 
 def constraint_surface_vanishing(coeffs: AnomalyCoeffs, map: CanonicalMap,
-                                 chart: SampleDomain, n: int = 64,
-                                 tol: float = 1e-9,
+                                 chart: SampleDomain,
                                  seed: int = 0) -> SurfaceReport:
     """Restrict each coefficient to z = p_z = 0 and test for zero.
 
@@ -254,7 +253,7 @@ def constraint_surface_vanishing(coeffs: AnomalyCoeffs, map: CanonicalMap,
         if restricted == ZERO:
             entries.append(SurfaceEntry(name, restricted, True, 0.0))
             continue
-        cmp = numeric_compare(restricted, ZERO, chart, n=n, tol=tol, seed=seed)
+        cmp = numeric_compare(restricted, ZERO, chart, seed=seed)
         entries.append(SurfaceEntry(name, restricted, cmp.equal, cmp.max_abs_err))
     return SurfaceReport(tuple(entries))
 
@@ -373,15 +372,14 @@ def sliced_expansion_check(gen: GeneratingFunction, map: CanonicalMap,
 
     # chart regularity at the sample points used below
     points = chart.sample(n, seed=seed)
-    for pt in points:
-        try:
-            value = evaluate(det, pt)
-        except EvalError as exc:
-            raise ChartSingularityError(
-                f"old-momentum solve degenerates at {pt}: {exc}") from exc
-        if abs(value) < 1e-9:
-            raise ChartSingularityError(
-                f"old-momentum solve degenerates at {pt}")
+    try:
+        small = np.abs(evaluate(det, columns(points))) < 1e-9
+    except EvalError as exc:
+        raise ChartSingularityError(
+            f"old-momentum solve degenerates: {exc}") from exc
+    if small.any():
+        raise ChartSingularityError(
+            f"old-momentum solve degenerates at {points[int(small.argmax())]}")
 
     # old-momentum increments through the inverse-map differentials
     inv = dict(map.inverse)
@@ -438,16 +436,16 @@ class ScalingFit:
 
 
 def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
-                       widths: Tuple[float, ...] = tuple(2.0 ** -k
-                                                         for k in range(4, 11)),
-                       n_samples: int = 4000, seed: int = 0) -> ScalingFit:
+                       seed: int = 0) -> ScalingFit:
     """Per-slice contribution of the correction terms versus slice width.
 
     Increments of a thermal path scale like sqrt(width), and the correction
     enters the sliced action multiplied by the width itself, so the mean
     absolute per-slice contribution follows width^(3/2).  The fit returns the
-    log-log slope over the given widths.
+    log-log slope over widths 2^-4 .. 2^-10, 4000 increments each.
     """
+    widths = tuple(2.0 ** -k for k in range(4, 11))
+    n_samples = 4000
     c_p = report.term("momentum_shift").derived
     c_q = report.term("coordinate_shift").derived
     point = chart.sample(1, seed=seed)[0]
@@ -469,8 +467,7 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
 # ---------------------------------------------------------------------------
 
 def implicit_partials_fd(map: CanonicalMap, sources: Sequence[str],
-                         point: Dict[str, float],
-                         h: float = 1e-6) -> Dict[Tuple[str, str], float]:
+                         point: Dict[str, float]) -> Dict[Tuple[str, str], float]:
     """d(source)/d(target) by inverting the differenced forward Jacobian.
 
     point binds every source variable and parameter.  This never touches the
@@ -483,15 +480,8 @@ def implicit_partials_fd(map: CanonicalMap, sources: Sequence[str],
         raise AnomalyError(
             f"need a square Jacobian: {len(sources)} sources, "
             f"{len(targets)} targets")
-    jac = np.empty((len(targets), len(sources)))
-    for j, s in enumerate(sources):
-        up = dict(point)
-        dn = dict(point)
-        up[s] = point[s] + h
-        dn[s] = point[s] - h
-        for i, t in enumerate(targets):
-            e = map.forward_expr(t)
-            jac[i, j] = (evaluate(e, up) - evaluate(e, dn)) / (2.0 * h)
+    jac = fd_jacobian([map.forward_expr(t) for t in targets], sources,
+                      columns([point]))[0]
     det = float(np.linalg.det(jac))
     if not math.isfinite(det) or abs(det) < 1e-12:
         raise AnomalyError(

@@ -14,15 +14,17 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from . import __version__
-from .expr import (Add, Const, DomainError, ExprError, Mul, evaluate,
+from .expr import (Add, Const, ExprError, Mul, columns, evaluate,
                    numeric_compare)
 from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_model
-from .symplectic import (RhoNotConservedError, gauge_pair_check,
-                         split_hamiltonian, verify_charges)
+from .symplectic import poisson_bracket, split_hamiltonian, verify_charges
 from .reduction import jacobi_liouville_check, run_reduction, verify_canonicity
 from .pathint import propagate_quantum, write_kernel_csv
 from .anomaly import (AnomalyError, GeneratingFunction, anomaly_coefficients,
@@ -134,6 +136,16 @@ def _load(spec: str) -> Model:
 # subcommands
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _stage(rep: RunReport, name: str):
+    """Run one sampled stage; an ExprError fails the named check instead of
+    escaping, so an unevaluable chart ends in exit 1, not a traceback."""
+    try:
+        yield
+    except ExprError as exc:
+        rep.check(name, False, f"{type(exc).__name__}: {exc}")
+
+
 def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     """Structural checks: charges, splitting, canonicity, gauge pair, volume."""
     model = _load(path)
@@ -142,59 +154,61 @@ def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     system = model.system
     chart = model.chart
 
-    try:
+    with _stage(rep, "constraint solution solves phi = 0"):
         model.constraint.validate(system, seed=seed)
         rep.check("constraint solution solves phi = 0", True)
-    except DomainError as exc:
-        rep.check("constraint solution solves phi = 0", False, str(exc))
 
-    for entry in verify_charges(system, seed=seed).entries:
-        rep.check(f"charge {entry.name} conserved", entry.conserved,
-                  f"max err {entry.max_err:.2e}")
+    with _stage(rep, "charges conserved"):
+        for entry in verify_charges(system, seed=seed).entries:
+            rep.check(f"charge {entry.name} conserved", entry.conserved,
+                      f"max err {entry.max_err:.2e}")
 
-    try:
+    split = None
+    with _stage(rep, "rho conserved along the flow"):
         split = split_hamiltonian(system, seed=seed)
-    except RhoNotConservedError as exc:
-        rep.check("rho conserved along the flow", False, str(exc))
-    else:
         rep.check("rho conserved along the flow", True,
                   f"max err {split.rho_bracket_err:.2e}")
-        diff = Add((split.h_plus, Mul((Const(-1), split.h_minus))))
-        cmp = numeric_compare(diff, system.hamiltonian, chart, n=64,
-                              tol=1e-9, seed=seed)
-        rep.check("H_plus - H_minus reproduces H", cmp.equal,
-                  f"max err {cmp.max_abs_err:.2e}")
-        worst = 0.0
-        for pt in chart.sample(64, seed=seed):
-            worst = min(worst, evaluate(split.h_plus, pt),
-                        evaluate(split.h_minus, pt))
-        rep.check("both halves nonnegative on the chart", worst >= -1e-10,
-                  f"min value {worst:.2e}")
+    if split is not None:
+        with _stage(rep, "H_plus - H_minus reproduces H"):
+            diff = Add((split.h_plus, Mul((Const(-1), split.h_minus))))
+            cmp = numeric_compare(diff, system.hamiltonian, chart, n=64,
+                                  tol=1e-9, seed=seed)
+            rep.check("H_plus - H_minus reproduces H", cmp.equal,
+                      f"max err {cmp.max_abs_err:.2e}")
+        with _stage(rep, "both halves nonnegative on the chart"):
+            cols = columns(chart.sample(64, seed=seed))
+            worst = min(0.0, float(np.min(evaluate(split.h_plus, cols))),
+                        float(np.min(evaluate(split.h_minus, cols))))
+            rep.check("both halves nonnegative on the chart", worst >= -1e-10,
+                      f"min value {worst:.2e}")
 
-    checks = verify_canonicity(model.darboux, system.space, chart, seed=seed,
-                               raise_on_failure=False)
-    bad = [c for c in checks if not c.ok]
-    if bad:
-        labels = ", ".join(f"{c.label()} = {c.expected}" for c in bad)
-        rep.check("canonical bracket table", False,
-                  f"{len(bad)} of {len(checks)} brackets fail: {labels}")
-    else:
-        rep.check("canonical bracket table", True,
-                  f"{len(checks)} brackets verified")
+    with _stage(rep, "canonical bracket table"):
+        checks = verify_canonicity(model.darboux, system.space, chart,
+                                   seed=seed)
+        bad = [c for c in checks if not c.ok]
+        if bad:
+            labels = ", ".join(f"{c.label()} = {c.expected}" for c in bad)
+            rep.check("canonical bracket table", False,
+                      f"{len(bad)} of {len(checks)} brackets fail: {labels}")
+        else:
+            rep.check("canonical bracket table", True,
+                      f"{len(checks)} brackets verified")
 
     if model.constraint.chi is not None:
-        bracket = gauge_pair_check(model.constraint.phi, model.constraint.chi,
-                                   system.space)
-        low = min(abs(evaluate(bracket, pt))
-                  for pt in chart.sample(32, seed=seed))
-        rep.check("gauge pair second class", low > 1e-6,
-                  f"min |{{phi, chi}}| = {low:.3g}")
+        with _stage(rep, "gauge pair second class"):
+            bracket = poisson_bracket(model.constraint.phi,
+                                      model.constraint.chi, system.space)
+            low = float(np.min(np.abs(evaluate(
+                bracket, columns(chart.sample(32, seed=seed))))))
+            rep.check("gauge pair second class", low > 1e-6,
+                      f"min |{{phi, chi}}| = {low:.3g}")
     else:
         rep.check("gauge pair second class", True, "no gauge function declared")
 
-    ok = jacobi_liouville_check(model.darboux, model.constraint, system,
-                                seed=seed)
-    rep.check("constrained chart volume constant", ok)
+    with _stage(rep, "constrained chart volume constant"):
+        ok = jacobi_liouville_check(model.darboux, model.constraint, system,
+                                    seed=seed)
+        rep.check("constrained chart volume constant", ok)
 
     rep.elapsed_s = time.perf_counter() - t0
     return rep.exit_code, rep
@@ -205,23 +219,18 @@ def cmd_reduce(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     model = _load(path)
     rep = RunReport("reduce", model.name, seed)
     t0 = time.perf_counter()
-    try:
+    with _stage(rep, "reduction pipeline"):
         L_R, form, transformed, result = run_reduction(
             model.system, model.constraint, model.darboux, seed=seed)
-    except ExprError as exc:
-        rep.check("reduction pipeline", False, f"{type(exc).__name__}: {exc}")
-        rep.elapsed_s = time.perf_counter() - t0
-        return rep.exit_code, rep
-
-    rep.check("reduction pipeline", True)
-    rep.notes.append(f"reduced lagrangian: {L_R.lagrangian}")
-    rep.notes.append(f"transformed lagrangian: {transformed.lagrangian}")
-    rep.notes.append(f"gauge condition: {result.chi} = 0")
-    if result.z_solution is not None:
-        rep.notes.append(f"gauge variable fixed at "
-                         f"{model.darboux.z} = {result.z_solution}")
-    rep.notes.append(f"reduced hamiltonian: {result.system.h_star}")
-    rep.provenance.extend(result.system.provenance)
+        rep.check("reduction pipeline", True)
+        rep.notes.append(f"reduced lagrangian: {L_R.lagrangian}")
+        rep.notes.append(f"transformed lagrangian: {transformed.lagrangian}")
+        rep.notes.append(f"gauge condition: {result.chi} = 0")
+        if result.z_solution is not None:
+            rep.notes.append(f"gauge variable fixed at "
+                             f"{model.darboux.z} = {result.z_solution}")
+        rep.notes.append(f"reduced hamiltonian: {result.system.h_star}")
+        rep.provenance.extend(result.system.provenance)
     rep.elapsed_s = time.perf_counter() - t0
     return rep.exit_code, rep
 
@@ -244,24 +253,18 @@ def cmd_propagate(path: str, seed: int = 0,
                            f"nothing to propagate")
     rep = RunReport("propagate", model.name, seed)
     t0 = time.perf_counter()
-    try:
-        _, _, _, result = run_reduction(model.system, model.constraint,
-                                        model.darboux, seed=seed)
-    except ExprError as exc:
-        rep.check("reduction pipeline", False, f"{type(exc).__name__}: {exc}")
-        rep.elapsed_s = time.perf_counter() - t0
-        return rep.exit_code, rep
-    rep.check("reduction pipeline", True)
-
     cfg = model.lattice
-    try:
-        run = propagate_quantum(result.system, cfg, model.params)
-    except ExprError as exc:
-        rep.check("lattice propagation", False,
-                  f"{type(exc).__name__}: {exc}")
+    run = None
+    with _stage(rep, "reduction pipeline"):
+        *_, result = run_reduction(model.system, model.constraint,
+                                   model.darboux, seed=seed)
+        rep.check("reduction pipeline", True)
+        with _stage(rep, "lattice propagation"):
+            run = propagate_quantum(result.system, cfg, model.params)
+            rep.check("lattice propagation", True, f"mode {run.mode}")
+    if run is None:
         rep.elapsed_s = time.perf_counter() - t0
         return rep.exit_code, rep
-    rep.check("lattice propagation", True, f"mode {run.mode}")
     rep.metrics.update({k: float(v) for k, v in run.metrics.items()})
 
     gate = {"real": "max_rel_err_central", "imaginary": "partition_rel_err"}
@@ -302,10 +305,11 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     except AnomalyError as exc:
         raise SysFileError(f"{model.path or model.name}: {exc}") from exc
 
-    for name, cmp in consistency_report(gen, model.darboux, model.chart,
-                                        seed=seed).items():
-        rep.check(f"relation for {name} consistent with the chart", cmp.equal,
-                  f"max err {cmp.max_abs_err:.2e}")
+    with _stage(rep, "relations consistent with the chart"):
+        for name, cmp in consistency_report(gen, model.darboux, model.chart,
+                                            seed=seed).items():
+            rep.check(f"relation for {name} consistent with the chart",
+                      cmp.equal, f"max err {cmp.max_abs_err:.2e}")
 
     rep.notes.append(f"coefficient source: {coeffs.source}")
     for name, e in coeffs.as_pairs():
@@ -315,31 +319,35 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     if coeffs.source == "third-derivative structure":
         rep.check("all coefficients vanish identically", coeffs.all_zero)
     else:
-        high = max(abs(evaluate(coeffs.A_z, pt))
-                   for pt in model.chart.sample(32, seed=seed))
-        rep.check("gauge-coordinate coefficient nonzero off the surface",
-                  high > 1e-9, f"max |A_z| = {high:.3g}")
+        with _stage(rep, "gauge-coordinate coefficient nonzero off the "
+                         "surface"):
+            high = float(np.max(np.abs(evaluate(
+                coeffs.A_z, columns(model.chart.sample(32, seed=seed))))))
+            rep.check("gauge-coordinate coefficient nonzero off the surface",
+                      high > 1e-9, f"max |A_z| = {high:.3g}")
 
-    surf = constraint_surface_vanishing(coeffs, model.darboux, model.chart,
-                                        seed=seed)
-    for entry in surf.entries:
-        rep.check(f"{entry.name} vanishes on the gauge surface",
-                  entry.vanishes, f"max err {entry.max_abs_err:.2e}")
+    with _stage(rep, "coefficients vanish on the gauge surface"):
+        surf = constraint_surface_vanishing(coeffs, model.darboux,
+                                            model.chart, seed=seed)
+        for entry in surf.entries:
+            rep.check(f"{entry.name} vanishes on the gauge surface",
+                      entry.vanishes, f"max err {entry.max_abs_err:.2e}")
 
     if model.sliced_refs is not None:
-        expansion = sliced_expansion_check(gen, model.darboux,
-                                           model.system.hamiltonian,
-                                           model.chart,
-                                           expected=model.sliced_refs,
-                                           seed=seed)
-        for term in expansion.terms:
-            rep.check(f"sliced expansion {term.name} matches reference",
-                      bool(term.matches),
-                      f"max err {term.comparison.max_abs_err:.2e}")
-        fit = correction_scaling(expansion, model.chart, seed=seed)
-        rep.metrics["correction_scaling_slope"] = fit.slope
-        rep.check("correction contribution scales as width^1.5",
-                  abs(fit.slope - 1.5) <= 0.05, f"slope {fit.slope:.4f}")
+        with _stage(rep, "sliced expansion matches reference"):
+            expansion = sliced_expansion_check(gen, model.darboux,
+                                               model.system.hamiltonian,
+                                               model.chart,
+                                               expected=model.sliced_refs,
+                                               seed=seed)
+            for term in expansion.terms:
+                rep.check(f"sliced expansion {term.name} matches reference",
+                          bool(term.matches),
+                          f"max err {term.comparison.max_abs_err:.2e}")
+            fit = correction_scaling(expansion, model.chart, seed=seed)
+            rep.metrics["correction_scaling_slope"] = fit.slope
+            rep.check("correction contribution scales as width^1.5",
+                      abs(fit.slope - 1.5) <= 0.05, f"slope {fit.slope:.4f}")
     else:
         rep.notes.append("no sliced reference data declared; "
                          "expansion check skipped")

@@ -16,9 +16,11 @@ constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
 by sampled numeric comparison (numeric_equal), structural equality by ==.
 
-Evaluation never returns NaN/inf silently; division by zero, even roots of
-negative values and unbound symbols raise distinct exceptions so that chart
-violations surface as errors instead of poisoning downstream numerics.
+evaluate() walks a tree once, for floats or for a batch of points given as
+equal-length numpy columns (see columns()).  It never returns NaN/inf
+silently: division by zero, even roots of negative values, unbound symbols
+and values beyond float range raise distinct exceptions naming the first
+bad point, so chart violations surface as errors, not poisoned numerics.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Expr", "Const", "Sym", "Add", "Mul", "Pow", "Div", "Fun",
@@ -37,7 +41,7 @@ __all__ = [
     "DomainError",
     "SymbolTable", "SampleDomain",
     "parse", "normalize", "expand", "differentiate", "substitute", "evaluate",
-    "numeric_equal", "numeric_compare", "ComparisonResult",
+    "numeric_equal", "numeric_compare", "ComparisonResult", "columns",
     "ZERO", "ONE",
 ]
 
@@ -132,15 +136,6 @@ class Expr:
         _collect_symbols(self, out)
         return frozenset(out)
 
-    def normalized(self) -> "Expr":
-        return normalize(self)
-
-    def diff(self, sym) -> "Expr":
-        return differentiate(self, sym)
-
-    def subs(self, mapping) -> "Expr":
-        return substitute(self, mapping)
-
 
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
@@ -170,10 +165,6 @@ class Const(Expr):
 
     def __hash__(self):
         return hash(("Const", type(self.value).__name__, self.value))
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
 
 
 class Sym(Expr):
@@ -307,13 +298,14 @@ def _collect_symbols(e: Expr, out: set) -> None:
 def sort_key(e: Expr):
     """Total order on expressions; used for deterministic argument ordering."""
     if isinstance(e, Const):
-        return (0, float(e.value), str(e.value))
+        # exact comparison: float() would overflow on huge rationals
+        return (0, e.value, isinstance(e.value, float))
     if isinstance(e, Sym):
         return (1, e.name)
     if isinstance(e, Fun):
         return (2, e.name, tuple(sort_key(a) for a in e.args))
     if isinstance(e, Pow):
-        return (3, sort_key(e.base), float(e.exponent), str(e.exponent))
+        return (3, sort_key(e.base), e.exponent)
     if isinstance(e, Div):
         return (4, sort_key(e.num), sort_key(e.den))
     if isinstance(e, Mul):
@@ -561,7 +553,10 @@ def _exact_rational_power(value: Fraction, exp: Fraction) -> Optional[Fraction]:
 def _iroot(n: int, q: int) -> Optional[int]:
     if n < 0:
         return None
-    r = round(n ** (1.0 / q))
+    try:
+        r = math.isqrt(n) if q == 2 else round(n ** (1.0 / q))
+    except OverflowError:
+        return None
     for cand in (r - 1, r, r + 1):
         if cand >= 0 and cand ** q == n:
             return cand
@@ -866,51 +861,82 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
     return normalize(walk(e))
 
 
-def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """Float evaluation with singularity guards instead of NaN propagation."""
+_NUMPY_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
+                    "atan2": np.arctan2}
+
+
+def evaluate(e: Expr, bindings: Mapping[str, Union[float, np.ndarray]]):
+    """Float evaluation with singularity guards instead of NaN propagation.
+
+    Bindings are floats or equal-length numpy columns (see columns()).  Float
+    bindings give a float; any column gives one value per point, computed in
+    one tree walk.  Errors name the first offending point.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _eval(e, bindings)
+    except OverflowError as exc:
+        raise EvalError(f"value does not fit a float: {exc}") from None
+    batch = [v for v in bindings.values() if isinstance(v, np.ndarray)]
+    if batch and not isinstance(value, np.ndarray):
+        value = np.full(batch[0].shape, value)
+    _check(~np.isfinite(value), EvalError, "non-finite value", e, bindings)
+    return value if batch else float(value)
+
+
+def _check(bad, error, what: str, e: Expr, bindings) -> None:
+    """Raise error if bad holds at any point, naming the first such point."""
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return
+    where = ""
+    if any(isinstance(v, np.ndarray) for v in bindings.values()):
+        i = int(np.argmax(bad))
+        point = {k: float(v[i] if isinstance(v, np.ndarray) else v)
+                 for k, v in bindings.items()}
+        where = f" at {point}"
+    raise error(f"{what} in {e}{where}")
+
+
+def _eval(e: Expr, b):
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Sym):
         try:
-            return float(bindings[e.name])
+            v = b[e.name]
         except KeyError:
             raise UnboundSymbolError(f"symbol {e.name!r} is unbound") from None
+        return v if isinstance(v, np.ndarray) else float(v)
     if isinstance(e, Add):
-        return math.fsum(evaluate(t, bindings) for t in e.terms)
+        out = _eval(e.terms[0], b)
+        for t in e.terms[1:]:
+            out = out + _eval(t, b)
+        return out
     if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, bindings)
+        out = _eval(e.factors[0], b)
+        for f in e.factors[1:]:
+            out = out * _eval(f, b)
         return out
     if isinstance(e, Pow):
-        base = evaluate(e.base, bindings)
+        base = _eval(e.base, b)
         n = e.exponent
-        if isinstance(n, int):
-            if base == 0.0 and n < 0:
-                raise DivisionByZeroError("zero base with negative exponent")
-            return base ** n
-        if base < 0.0:
-            raise NegativeSqrtError("fractional power of a negative value")
-        if base == 0.0 and n < 0:
-            raise DivisionByZeroError("zero base with negative exponent")
-        return base ** float(n)
+        if not isinstance(n, int):
+            _check(base < 0.0, NegativeSqrtError,
+                   "fractional power of a negative value", e, b)
+            n = float(n)
+        if n < 0:
+            _check(base == 0.0, DivisionByZeroError,
+                   "zero base with negative exponent", e, b)
+        return np.power(base, n)
     if isinstance(e, Div):
-        den = evaluate(e.den, bindings)
-        if den == 0.0:
-            raise DivisionByZeroError(f"division by zero in {e}")
-        return evaluate(e.num, bindings) / den
+        den = _eval(e.den, b)
+        _check(den == 0.0, DivisionByZeroError, "division by zero", e, b)
+        return _eval(e.num, b) / den
     if isinstance(e, Fun):
-        vals = [evaluate(a, bindings) for a in e.args]
-        if e.name == "sin":
-            return math.sin(vals[0])
-        if e.name == "cos":
-            return math.cos(vals[0])
+        vals = [_eval(a, b) for a in e.args]
         if e.name == "sqrt":
-            if vals[0] < 0.0:
-                raise NegativeSqrtError(f"sqrt of negative value in {e}")
-            return math.sqrt(vals[0])
-        if e.name == "atan2":
-            return math.atan2(vals[0], vals[1])
+            _check(vals[0] < 0.0, NegativeSqrtError, "sqrt of negative value",
+                   e, b)
+        return _NUMPY_FUNCTIONS[e.name](*vals)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -940,19 +966,8 @@ class SymbolTable:
     def role(self, name: str) -> str:
         return self._roles[name]
 
-    def names(self, role: Optional[str] = None):
-        if role is None:
-            return tuple(self._roles)
-        return tuple(n for n, r in self._roles.items() if r == role)
-
     def __contains__(self, name: str) -> bool:
         return name in self._roles
-
-    def __iter__(self):
-        return iter(self._roles)
-
-    def __len__(self):
-        return len(self._roles)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,11 +1114,15 @@ class _Parser:
 def parse(text: str, table: Optional[SymbolTable] = None) -> Expr:
     """Parse the DSL into a normalized expression tree."""
     parser = _Parser(_tokenize(text), table)
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"trailing input {tail.text!r}", tail.offset)
-    return normalize(node)
+    try:
+        node = parser.parse_expr()
+        tail = parser.peek()
+        if tail.kind != "end":
+            raise ParseError(f"trailing input {tail.text!r}", tail.offset)
+        return normalize(node)
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.peek().offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1137,16 +1156,16 @@ def _render(e: Expr, parent_prec: int) -> str:
         parts = [_render(e.terms[0], _PREC_ADD)]
         for t in e.terms[1:]:
             coeff, rest = _split_coefficient(t)
-            if _negative_number(coeff):
-                flipped = _rebuild_product(_negate_number(coeff), rest)
+            if coeff < 0:
+                flipped = _rebuild_product(-coeff, rest)
                 parts.append(" - " + _render(flipped, _PREC_ADD + 1))
             else:
                 parts.append(" + " + _render(t, _PREC_ADD + 1))
         return _wrap("".join(parts), _PREC_ADD, parent_prec)
     if isinstance(e, Mul):
         coeff, rest = _split_coefficient(e)
-        if _negative_number(coeff) and rest:
-            inner = _rebuild_product(_negate_number(coeff), rest)
+        if coeff < 0 and rest:
+            inner = _rebuild_product(-coeff, rest)
             return _wrap("-" + _render(inner, _PREC_MUL), _PREC_ADD, parent_prec)
         parts = [_render(f, _PREC_MUL + 0 if i == 0 else _PREC_MUL + 1)
                  for i, f in enumerate(e.factors)]
@@ -1183,18 +1202,6 @@ def _wrap(text: str, prec: int, parent_prec: int) -> str:
     return text
 
 
-def _negative_number(value: Number) -> bool:
-    return value < 0
-
-
-def _negate_number(value: Number) -> Number:
-    return -value
-
-
-def render(e: Expr) -> str:
-    return _render(e, 0)
-
-
 # ---------------------------------------------------------------------------
 # sampled numeric comparison
 # ---------------------------------------------------------------------------
@@ -1211,39 +1218,40 @@ class SampleDomain:
     ranges: tuple
     guards: tuple = ()
 
-    def symbols(self):
-        return tuple(name for name, _, _ in self.ranges)
-
     def sample(self, n: int, seed: int = 0, rng: Optional[random.Random] = None):
+        """n accepted points as dicts, drawn in blocks of the number still
+        missing; every seed gives the points a one-at-a-time draw would."""
         if rng is None:
             rng = random.Random(seed)
         points = []
         attempts = 0
         limit = max(1000, 200 * n)
         while len(points) < n:
-            attempts += 1
-            if attempts > limit:
+            take = min(n - len(points), limit - attempts)
+            if take == 0:
                 raise DomainError(
                     f"guard rejection too high: {len(points)} of {n} points "
                     f"after {attempts} attempts")
-            pt = {name: rng.uniform(lo, hi) for name, lo, hi in self.ranges}
-            ok = True
+            attempts += take
+            block = [{name: rng.uniform(lo, hi) for name, lo, hi in self.ranges}
+                     for _ in range(take)]
+            cols = columns(block)
+            keep = np.ones(take, dtype=bool)
             for guard, lo, hi in self.guards:
+                # each guard sees only the points the earlier guards passed
+                idx = np.flatnonzero(keep)
                 try:
-                    val = evaluate(guard, pt)
+                    val = evaluate(guard, {k: v[idx] for k, v in cols.items()})
                 except EvalError as exc:
-                    raise DomainError(f"guard {guard} failed at {pt}: {exc}") from exc
-                if not (lo <= val <= hi):
-                    ok = False
-                    break
-            if ok:
-                points.append(pt)
+                    raise DomainError(f"guard {guard} failed: {exc}") from exc
+                keep[idx] = (lo <= val) & (val <= hi)
+            points.extend(block[i] for i in np.flatnonzero(keep))
         return points
 
-    def extended(self, extra_ranges=(), extra_guards=()):
-        names = {name for name, _, _ in self.ranges}
-        added = tuple(r for r in extra_ranges if r[0] not in names)
-        return SampleDomain(self.ranges + added, self.guards + tuple(extra_guards))
+
+def columns(points: Sequence[Mapping[str, float]]) -> Dict[str, np.ndarray]:
+    """Sample points (dicts over the same names) as one column per name."""
+    return {name: np.array([pt[name] for pt in points]) for name in points[0]}
 
 
 @dataclass(frozen=True)
@@ -1261,23 +1269,19 @@ def numeric_compare(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,
                     tol: float = 1e-9, seed: int = 0) -> ComparisonResult:
     """Sampled comparison: |a-b| <= tol*(1+|a|) at every sampled point."""
     points = domain.sample(n, seed=seed)
-    worst = None
-    worst_err = -1.0
-    equal = True
-    for pt in points:
-        try:
-            va = evaluate(a, pt)
-            vb = evaluate(b, pt)
-        except EvalError as exc:
-            raise DomainError(f"sampling hit a singular point {pt}: {exc}") from exc
-        err = abs(va - vb)
-        scaled = err / (1.0 + abs(va))
-        if scaled > worst_err:
-            worst_err = scaled
-            worst = dict(pt)
-        if err > tol * (1.0 + abs(va)):
-            equal = False
-    return ComparisonResult(equal, worst_err, worst, len(points))
+    cols = columns(points)
+    try:
+        va = evaluate(a, cols)
+        vb = evaluate(b, cols)
+    except EvalError as exc:
+        raise DomainError(f"sampling hit a singular point: {exc}") from exc
+    err = np.abs(va - vb)
+    scale = 1.0 + np.abs(va)
+    scaled = err / scale
+    worst = int(np.argmax(scaled))
+    equal = not np.any(err > tol * scale)
+    return ComparisonResult(equal, float(scaled[worst]), dict(points[worst]),
+                            len(points))
 
 
 def numeric_equal(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,

@@ -147,14 +147,11 @@ def classical_flow(sys: FlowSystem, state0: Mapping[str, float], T: float,
     times, states = _rk4(field_fn, y0, T, steps)
 
     watched = [("H", sys.hamiltonian)] + list(sys.charges)
+    cols = dict(bound)
+    cols.update(zip(names, states.T))
     drifts = {}
     for label, e in watched:
-        vals = []
-        for row in states:
-            bindings = dict(bound)
-            bindings.update(zip(names, row))
-            vals.append(evaluate(e, bindings))
-        vals = np.array(vals)
+        vals = evaluate(e, cols)
         drifts[label] = float(np.max(np.abs(vals - vals[0])))
     return FlowResult(names, times, states, drifts)
 
@@ -206,9 +203,7 @@ def fluctuation_det_dense(omega_sq: float, T: float, n: int = 64) -> float:
 
 
 def classical_amplitude(sys, q1, q2, T: float,
-                        params: Optional[Mapping[str, float]] = None,
-                        steps: int = 2000, support_tol: float = 1e-6,
-                        focal_tol: float = 1e-8):
+                        params: Optional[Mapping[str, float]] = None):
     """Delta-squeezed weight: 0 off the classical flow, else 1/|det|.
 
     For a FlowSystem, q1/q2 are coordinate mappings; the support condition
@@ -217,13 +212,14 @@ def classical_amplitude(sys, q1, q2, T: float,
     Hamiltonian the weight is 1/D(T) from the Jacobi field; D(T) ~ 0 means
     a focal point, where the single-trajectory picture breaks down.
     """
+    focal_tol = 1e-8
     params = dict(params or {})
     if isinstance(sys, FlowSystem):
         coords = sys.space.coordinates
         q0 = np.array([float(q1[c]) for c in coords])
-        end, det = _linearized_q_flow(sys, q0, T, steps, params)
+        end, det = _linearized_q_flow(sys, q0, T, 2000, params)
         dist = max(abs(e - float(q2[c])) for e, c in zip(end, coords))
-        if dist > support_tol:
+        if dist > 1e-6:
             return 0.0
         if abs(det) < focal_tol:
             raise FocalPointError(
@@ -569,9 +565,9 @@ def sample_thermal_paths(n_slices: int, beta: float, mass: float,
 def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
                               mass: float = 1.0, omega: float = 1.0,
                               hbar: float = 1.0, n_samples: int = 100_000,
-                              seed: int = 0,
-                              chunk: int = 20_000) -> Dict[str, float]:
+                              seed: int = 0) -> Dict[str, float]:
     """Empirical per-slice Var(d zeta) against the (hbar/m) eps law."""
+    chunk = 20_000      # paths per draw; bounds the memory of a large run
     eps = beta / n_slices
     rng = np.random.default_rng(seed)
     total = 0.0

@@ -18,7 +18,6 @@ model's sampling chart before any map is used.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -28,7 +27,7 @@ import numpy as np
 from .expr import (
     Expr, Const, Sym, Add, Mul, Pow, Div, ZERO, ONE,
     DomainError, ExprError, SampleDomain,
-    differentiate, evaluate, expand, normalize, numeric_compare,
+    columns, differentiate, evaluate, expand, normalize, numeric_compare,
     numeric_equal, substitute,
 )
 from .symplectic import PhaseSpace, FlowSystem, poisson_bracket
@@ -38,7 +37,8 @@ __all__ = [
     "ReducedLagrangian", "TransformedLagrangian", "ReducedSystem",
     "BracketCheck", "EliminationResult",
     "eliminate_primary", "presymplectic_direct", "verify_canonicity",
-    "apply_darboux", "eliminate_z", "jacobi_liouville_check", "run_reduction",
+    "apply_darboux", "eliminate_z", "fd_jacobian", "jacobi_liouville_check",
+    "run_reduction",
     "CanonicityError", "UnsupportedPatternError", "velocity_symbol",
 ]
 
@@ -69,20 +69,19 @@ class ConstraintSpec:
     solution: Expr
     chi: Optional[Expr] = None
 
-    def validate(self, sys: FlowSystem, n: int = 64, tol: float = 1e-9,
-                 seed: int = 0) -> None:
+    def validate(self, sys: FlowSystem, seed: int = 0) -> None:
         if self.eliminated not in sys.space.xi:
             raise DomainError(f"{self.eliminated!r} is not a phase-space symbol")
         if self.eliminated in self.solution.free_symbols():
             raise DomainError("solution must not contain the eliminated symbol")
         residual = substitute(self.phi, {self.eliminated: self.solution})
-        cmp = numeric_compare(residual, ZERO, sys.chart, n=n, tol=tol, seed=seed)
+        cmp = numeric_compare(residual, ZERO, sys.chart, seed=seed)
         if not cmp.equal:
             raise DomainError(
                 f"solution does not solve phi = 0: residual {residual} "
                 f"(max err {cmp.max_abs_err:.3e})")
         dphi = differentiate(self.phi, self.eliminated)
-        if numeric_equal(dphi, ZERO, sys.chart, n=n, tol=tol, seed=seed):
+        if numeric_equal(dphi, ZERO, sys.chart, seed=seed):
             raise DomainError(
                 f"phi does not depend on {self.eliminated}; cannot eliminate")
 
@@ -100,11 +99,11 @@ class PresymplecticForm:
                 out[i, j] = evaluate(self.matrix[i][j], point)
         return out
 
-    def rank_at(self, point: Dict[str, float], cutoff: float = 1e-9) -> int:
+    def rank_at(self, point: Dict[str, float]) -> int:
         sv = np.linalg.svd(self.evaluate_at(point), compute_uv=False)
         if len(sv) == 0:
             return 0
-        return int(np.sum(sv > cutoff * max(1.0, sv[0])))
+        return int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,7 @@ def _antisymmetrized(one_form: Sequence[Expr], variables: Sequence[str]):
     return tuple(rows)
 
 
-def eliminate_primary(sys: FlowSystem, c: ConstraintSpec,
-                      validate: bool = True):
+def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
     """Substitute the constraint solution into p q-dot - H.
 
     Returns (ReducedLagrangian, PresymplecticForm) on the 2N-1 surviving
@@ -159,8 +157,7 @@ def eliminate_primary(sys: FlowSystem, c: ConstraintSpec,
     velocity by the chain rule; eliminating a momentum needs no extra term
     because momentum velocities are absent from this form of L.
     """
-    if validate:
-        c.validate(sys)
+    c.validate(sys)
     ps = sys.space
     kin_terms = [Mul((Sym(p), Sym(velocity_symbol(q))))
                  for p, q in zip(ps.momenta, ps.coordinates)]
@@ -283,26 +280,17 @@ class BracketCheck:
 
 
 def verify_canonicity(map: CanonicalMap, ps: PhaseSpace, chart: SampleDomain,
-                      n: int = 200, tol: float = 1e-9, seed: int = 0,
-                      raise_on_failure: bool = True):
+                      n: int = 200, tol: float = 1e-9, seed: int = 0):
     """All pairwise target brackets against the canonical table."""
     names = map.target_names
     checks = []
-    failed = None
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             bracket = poisson_bracket(map.forward_expr(a), map.forward_expr(b), ps)
             want = map.expected_bracket(a, b)
             cmp = numeric_compare(bracket, Const(want), chart, n=n, tol=tol,
                                   seed=seed)
-            check = BracketCheck(a, b, want, cmp.max_abs_err, cmp.equal)
-            checks.append(check)
-            if not cmp.equal and failed is None:
-                failed = check
-    if failed is not None and raise_on_failure:
-        raise CanonicityError(
-            f"map rejected: bracket {failed.label()} = {failed.expected} "
-            f"fails (max err {failed.max_err:.3e})")
+            checks.append(BracketCheck(a, b, want, cmp.max_abs_err, cmp.equal))
     return checks
 
 
@@ -317,8 +305,7 @@ class TransformedLagrangian:
 
 
 def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
-                  chart: SampleDomain, n: int = 64, tol: float = 1e-9,
-                  seed: int = 0, canonicity_points: int = 200) -> TransformedLagrangian:
+                  chart: SampleDomain, seed: int = 0) -> TransformedLagrangian:
     """Rewrite L_R in map targets; verify the velocity matrix is canonical.
 
     The constraint momentum p_z vanishes identically on the constrained
@@ -328,7 +315,11 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
     equals the substituted one up to a total time derivative; legitimacy of
     that rewrite is exactly the velocity-matrix check performed here.
     """
-    verify_canonicity(map, ps, chart, n=canonicity_points, tol=tol, seed=seed)
+    for check in verify_canonicity(map, ps, chart, seed=seed):
+        if not check.ok:
+            raise CanonicityError(
+                f"map rejected: bracket {check.label()} = {check.expected} "
+                f"fails (max err {check.max_err:.3e})")
 
     eta = map.eta
     surface_inverse = {name: substitute(e, {map.p_z: 0})
@@ -353,8 +344,7 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
                 want = 1          # (momentum, its coordinate) slot
             elif j < s and i == s + j:
                 want = -1
-            cmp = numeric_compare(f[i][j], Const(want), chart, n=n, tol=tol,
-                                  seed=seed)
+            cmp = numeric_compare(f[i][j], Const(want), chart, seed=seed)
             if not cmp.equal:
                 raise CanonicityError(
                     f"velocity matrix entry ({vi}, {vj}) = {f[i][j]} "
@@ -390,7 +380,7 @@ class EliminationResult:
 
 
 def eliminate_z(H_prime: Expr, map: CanonicalMap, chart: SampleDomain,
-                n: int = 64, tol: float = 1e-9, seed: int = 0,
+                seed: int = 0,
                 provenance: Tuple[str, ...] = ()) -> EliminationResult:
     """Remove the gauge variable from the transformed Hamiltonian.
 
@@ -399,7 +389,7 @@ def eliminate_z(H_prime: Expr, map: CanonicalMap, chart: SampleDomain,
     substitute.  Anything else is outside the supported class.
     """
     z = map.z
-    zero_ok = lambda e: numeric_equal(e, ZERO, chart, n=n, tol=tol, seed=seed)
+    zero_ok = lambda e: numeric_equal(e, ZERO, chart, seed=seed)
 
     # expansion collapses the cross terms the factored chart form carries, so
     # chi and h_star come out in closed form
@@ -443,17 +433,40 @@ def eliminate_z(H_prime: Expr, map: CanonicalMap, chart: SampleDomain,
     return EliminationResult(chi=chi_reported, z_solution=z_solution, system=rs)
 
 
+FD_STEP = 1e-6
+
+
+def fd_jacobian(exprs: Sequence[Expr], names: Sequence[str],
+                cols: Dict[str, np.ndarray]) -> np.ndarray:
+    """Central-difference d(exprs)/d(names) at every point of the columns.
+
+    Returns a stack of shape (points, len(exprs), len(names)).
+    """
+    n_points = len(next(iter(cols.values())))
+    jac = np.empty((n_points, len(exprs), len(names)))
+    for j, v in enumerate(names):
+        up = dict(cols)
+        dn = dict(cols)
+        up[v] = cols[v] + FD_STEP
+        dn[v] = cols[v] - FD_STEP
+        for i, e in enumerate(exprs):
+            jac[:, i, j] = (evaluate(e, up) - evaluate(e, dn)) / (2.0 * FD_STEP)
+    return jac
+
+
 def jacobi_liouville_check(map: CanonicalMap, c: ConstraintSpec,
-                           sys: FlowSystem, n: int = 25, tol: float = 1e-7,
-                           seed: int = 0, h: float = 1e-6) -> bool:
+                           sys: FlowSystem, tol: float = 1e-7,
+                           seed: int = 0) -> bool:
     """Jacobian of the constrained chart map against the constraint slope.
 
     det d(eta)/d(xi-hat) multiplied by dphi/dxi1 (at xi1 = g) must be a
     chart-wide constant of unit magnitude.  The sign is an orientation
     convention of the particular map, so it is pinned at the first sample
     point and required to persist.  Finite-difference Jacobians, central
-    steps.
+    steps.  Too many singular Jacobians raise DomainError, unless an
+    orientation mismatch comes first in sample order.
     """
+    n = 25
     ps = sys.space
     reduced_vars = tuple(v for v in ps.xi if v != c.eliminated)
     surface_targets = [substitute(map.forward_expr(t),
@@ -462,44 +475,35 @@ def jacobi_liouville_check(map: CanonicalMap, c: ConstraintSpec,
     dphi = substitute(differentiate(c.phi, c.eliminated),
                       {c.eliminated: c.solution})
 
-    points = sys.chart.sample(n, seed=seed)
-    orientation = None
-    singular = 0
-    for pt in points:
-        dim = len(reduced_vars)
-        J = np.empty((dim, dim))
-        for jcol, v in enumerate(reduced_vars):
-            hi = dict(pt); hi[v] = pt[v] + h
-            lo = dict(pt); lo[v] = pt[v] - h
-            for irow, target in enumerate(surface_targets):
-                J[irow, jcol] = (evaluate(target, hi) - evaluate(target, lo)) / (2 * h)
-        det = float(np.linalg.det(J))
-        if abs(det) < 1e-12:
-            singular += 1
-            if singular > max(3, n // 5):
-                raise DomainError("persistently singular Jacobian on the chart")
-            continue
-        product = det * evaluate(dphi, pt)
-        if orientation is None:
-            orientation = math.copysign(1.0, product)
-        if abs(product - orientation) > tol * (1.0 + abs(product)):
-            return False
-    return orientation is not None
+    cols = columns(sys.chart.sample(n, seed=seed))
+    dets = np.linalg.det(fd_jacobian(surface_targets, reduced_vars, cols))
+    singular = np.abs(dets) < 1e-12
+    limit = max(3, n // 5)
+    # sample index at which more than `limit` singular points have been seen
+    give_up = np.flatnonzero(singular)[limit] if singular.sum() > limit else n
+    regular = np.flatnonzero(~singular)
+    product = dets[regular] * evaluate(
+        dphi, {k: v[regular] for k, v in cols.items()})
+    orientation = np.copysign(1.0, product[:1])
+    mismatch = regular[np.abs(product - orientation)
+                       > tol * (1.0 + np.abs(product))]
+    first_mismatch = mismatch[0] if len(mismatch) else n
+    if give_up < first_mismatch:
+        raise DomainError("persistently singular Jacobian on the chart")
+    return bool(len(regular) > 0 and first_mismatch == n)
 
 
 def run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
-                  seed: int = 0, canonicity_points: int = 200,
-                  tol: float = 1e-9):
+                  seed: int = 0):
     """Full pipeline with a provenance log; returns the pieces and the log."""
     steps = []
     L_R, f = eliminate_primary(sys, c)
     steps.append(f"eliminated {c.eliminated} = {c.solution}")
     steps.append(f"presymplectic rank at chart points: "
                  f"{f.rank_at(sys.chart.sample(1, seed=seed)[0])} of {len(f.variables)}")
-    transformed = apply_darboux(L_R, map, sys.space, sys.chart, seed=seed,
-                                tol=tol, canonicity_points=canonicity_points)
+    transformed = apply_darboux(L_R, map, sys.space, sys.chart, seed=seed)
     steps.append(f"canonical chart ({', '.join(map.eta)}) verified; "
                  f"velocity matrix in normal form")
     result = eliminate_z(transformed.hamiltonian, map, sys.chart, seed=seed,
-                         tol=tol, provenance=tuple(steps))
+                         provenance=tuple(steps))
     return L_R, f, transformed, result

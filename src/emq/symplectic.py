@@ -24,7 +24,7 @@ __all__ = [
     "PhaseSpace", "FlowSystem", "HamiltonianSplit",
     "ChargeReport", "ChargeEntry",
     "poisson_bracket", "hamilton_vector_field", "split_hamiltonian",
-    "verify_charges", "gauge_pair_check",
+    "verify_charges",
     "StructureError", "RhoNotConservedError",
 ]
 
@@ -253,8 +253,3 @@ def split_hamiltonian(sys: FlowSystem, n: int = 64, tol: float = 1e-9,
     h_minus = normalize(Div(Pow(Add((H, Mul((Const(-1), rho)))), 2), four_rho))
     return HamiltonianSplit(h_plus=h_plus, h_minus=h_minus, rho=rho,
                             rho_bracket_err=cmp.max_abs_err)
-
-
-def gauge_pair_check(phi: Expr, chi: Expr, ps: PhaseSpace) -> Expr:
-    """Bracket {phi, chi}; the caller decides non-vanishing on the surface."""
-    return poisson_bracket(phi, chi, ps)

@@ -70,6 +70,56 @@ def test_constant_fold_in_a_file_is_a_usage_error(tmp_path, capsys):
     assert f"{path}:{lineno}:" in capsys.readouterr().err
 
 
+_UNEVALUABLE = {
+    "forward map": ("p_zeta = (p_y + a1*x - y/alpha)/sqrt(2)",
+                    "p_zeta = sqrt(x)"),
+    "guard": ("guard = a1^2*alpha^2 in 0.0, 0.88",
+              "guard = a1^2*alpha^2 in 0.0, 0.88\nguard = sqrt(x) in 0.0, 9.0"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce", "anomaly"])
+@pytest.mark.parametrize("where", sorted(_UNEVALUABLE))
+def test_unevaluable_chart_fails_with_a_typed_error(where, command, tmp_path,
+                                                    capsys):
+    old, new = _UNEVALUABLE[where]
+    text = bundled_text("harmonic")
+    assert old in text
+    assert main([command, _write(tmp_path, text.replace(old, new))]) in (
+        EXIT_CHECK, EXIT_USAGE)
+    captured = capsys.readouterr()
+    lines = [line for line in captured.out.splitlines() if "[FAIL]" in line]
+    lines += [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert any("DomainError" in line or "NegativeSqrtError" in line
+               for line in lines)
+    assert "Traceback" not in captured.err
+
+
+def test_deep_nesting_is_a_usage_error_with_its_line(tmp_path, capsys):
+    deep = "(" * 3000 + "-y" + ")" * 3000
+    text = bundled_text("harmonic").replace("f_x = -y", f"f_x = {deep}")
+    lineno = text.splitlines().index(f"f_x = {deep}") + 1
+    path = _write(tmp_path, text)
+    assert main(["verify", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}:" in err and "nested too deeply" in err
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("constant", [_HUGE, f"sqrt({_HUGE}{_HUGE})"],
+                         ids=["plain", "sqrt"])
+def test_constants_beyond_float_range_fail_typed(constant, tmp_path, capsys):
+    text = bundled_text("harmonic").replace(
+        "C1 = x^2 + y^2", f"C1 = x^2 + y^2 + {constant}")
+    assert main(["verify", _write(tmp_path, text), "--json"]) == EXIT_CHECK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [c["detail"] for c in checks if not c["ok"]]
+    assert failed and all("Error: " in d and "float" in d for d in failed)
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["verify", "/no/such/file.sys"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

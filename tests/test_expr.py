@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from emq.expr import (
     Add, Const, Div, DivisionByZeroError, DomainError, EvalError, Fun, Mul,
     NegativeSqrtError, ParseError, Pow, SampleDomain, Sym, SymbolTable,
-    UnboundSymbolError, UnknownIdentifierError, ZERO, differentiate, evaluate,
-    expand, normalize, numeric_compare, numeric_equal, parse, substitute,
+    UnboundSymbolError, UnknownIdentifierError, ZERO, columns, differentiate,
+    evaluate, expand, normalize, numeric_compare, numeric_equal, parse,
+    substitute,
 )
 
 NAMES = ("a", "b", "x", "y")
@@ -252,9 +255,69 @@ def test_evaluate_error_classes():
         evaluate(parse("sqrt(x)", TABLE), {"x": -1.0})
 
 
+_RNG = random.Random(5)
+COLUMN_POINTS = [{name: _RNG.uniform(-2.0, 2.0) for name in NAMES}
+                 for _ in range(16)]
+
+
+@given(_trees())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_column_evaluation_matches_pointwise(e):
+    values, errors = [], set()
+    for pt in COLUMN_POINTS:
+        try:
+            values.append(evaluate(e, pt))
+        except EvalError as exc:
+            errors.add(type(exc))
+    try:
+        col = evaluate(e, columns(COLUMN_POINTS))
+    except EvalError as exc:
+        # the batch stops at the first singular node; some point hit it too
+        assert type(exc) in errors
+        assert " at {" in str(exc) or type(exc) is EvalError
+        return
+    assert not errors
+    assert all(isinstance(v, float) for v in values)
+    assert col.shape == (len(COLUMN_POINTS),)
+    np.testing.assert_array_max_ulp(col, np.array(values), maxulp=4)
+
+
+def test_column_errors_name_the_first_offending_point():
+    pts = [{"x": 1.0, "y": 2.0}, {"x": -4.0, "y": 0.5}, {"x": -1.0, "y": 0.0}]
+    with pytest.raises(NegativeSqrtError, match="'x': -4.0"):
+        evaluate(parse("sqrt(x)", TABLE), columns(pts))
+    with pytest.raises(DivisionByZeroError, match="'y': 0.0"):
+        evaluate(parse("x/y", TABLE), columns(pts))
+    with pytest.raises(UnboundSymbolError):
+        evaluate(parse("x + a", TABLE), columns(pts))
+    # a constant still gives one value per point
+    assert evaluate(parse("2", TABLE), columns(pts)).tolist() == [2.0] * 3
+
+
 # ---------------------------------------------------------------------------
 # sampling and comparison
 # ---------------------------------------------------------------------------
+
+def _sample_one_at_a_time(dom, n, seed):
+    """Reference sampler: one candidate per draw, guards tried in order."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < n:
+        pt = {name: rng.uniform(lo, hi) for name, lo, hi in dom.ranges}
+        if all(lo <= evaluate(g, pt) <= hi for g, lo, hi in dom.guards):
+            points.append(pt)
+    return points
+
+
+def test_block_sampling_matches_one_at_a_time():
+    # the first guard rejects about half the candidates; the second is
+    # singular (sqrt of a negative) exactly where the first rejects
+    dom = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", 0.5, 2.0)),
+                       guards=((parse("x", TABLE), 0.0, 1.0),
+                               (parse("sqrt(x)*y", TABLE), 0.0, 1.5)))
+    for n, seed in ((1, 0), (7, 3), (64, 11)):
+        assert dom.sample(n, seed=seed) == _sample_one_at_a_time(dom, n, seed)
+
 
 def test_sample_domain_bounds_and_determinism():
     dom = SampleDomain(ranges=(("x", -1.0, 2.0), ("y", 0.5, 0.6)))

@@ -108,11 +108,11 @@ def test_canonicity_passes_and_sign_flip_fails(ho_model):
         if k == "zeta" else (k, v)
         for k, v in ho_model.darboux.forward)
     broken = dataclasses.replace(ho_model.darboux, forward=flipped_fwd)
-    with pytest.raises(CanonicityError, match="zeta"):
-        verify_canonicity(broken, sys.space, sys.chart)
-    soft = verify_canonicity(broken, sys.space, sys.chart,
-                             raise_on_failure=False)
+    soft = verify_canonicity(broken, sys.space, sys.chart)
     assert any(not c.ok for c in soft)
+    L_R, _ = eliminate_primary(sys, ho_model.constraint)
+    with pytest.raises(CanonicityError, match="zeta"):
+        apply_darboux(L_R, broken, sys.space, sys.chart)
 
 
 # ---------------------------------------------------------------------------
