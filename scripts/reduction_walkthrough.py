@@ -29,7 +29,7 @@ def walkthrough(name: str, seed: int) -> None:
     rep = verify_charges(sys_, n=100, tol=1e-12, seed=seed)
     for e in rep.entries:
         tag = "conserved" if e.conserved else "NOT conserved"
-        print(f"  {{{e.name}, H}}: {tag} (max err {e.max_err:.2e})")
+        print(f"  {{{e.name}, H}}: {tag} (max scaled err {e.max_err:.2e})")
 
     split = split_hamiltonian(sys_, seed=seed)
     diff = normalize(Add((split.h_plus, Mul((Const(-1), split.h_minus)))))
@@ -38,8 +38,8 @@ def walkthrough(name: str, seed: int) -> None:
     bracket = poisson_bracket(split.h_plus, split.h_minus, sys_.space)
     cmp_brk = numeric_compare(bracket, ZERO, model.chart, n=100, tol=1e-9,
                               seed=seed)
-    print(f"  H_plus - H_minus - H : max err {cmp_sum.max_abs_err:.2e}")
-    print(f"  {{H_plus, H_minus}}    : max err {cmp_brk.max_abs_err:.2e}")
+    print(f"  H_plus - H_minus - H : max scaled err {cmp_sum.max_scaled_err:.2e}")
+    print(f"  {{H_plus, H_minus}}    : max scaled err {cmp_brk.max_scaled_err:.2e}")
 
     L_R, form, transformed, result = run_reduction(
         sys_, model.constraint, model.darboux, seed=seed)

@@ -218,7 +218,7 @@ class SurfaceEntry:
     name: str
     restricted: Expr
     vanishes: bool
-    max_abs_err: float
+    max_scaled_err: float
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ def constraint_surface_vanishing(coeffs: AnomalyCoeffs, map: CanonicalMap,
             entries.append(SurfaceEntry(name, restricted, True, 0.0))
             continue
         cmp = numeric_compare(restricted, ZERO, chart, seed=seed)
-        entries.append(SurfaceEntry(name, restricted, cmp.equal, cmp.max_abs_err))
+        entries.append(SurfaceEntry(name, restricted, cmp.equal, cmp.max_scaled_err))
     return SurfaceReport(tuple(entries))
 
 
@@ -371,15 +371,17 @@ def sliced_expansion_check(gen: GeneratingFunction, map: CanonicalMap,
     }
 
     # chart regularity at the sample points used below
-    points = chart.sample(n, seed=seed)
+    cols = chart.sample_columns(n, seed=seed)
     try:
-        small = np.abs(evaluate(det, columns(points))) < 1e-9
+        small = np.abs(evaluate(det, cols)) < 1e-9
     except EvalError as exc:
         raise ChartSingularityError(
             f"old-momentum solve degenerates: {exc}") from exc
     if small.any():
+        i = int(small.argmax())
+        point = {k: float(v[i]) for k, v in cols.items()}
         raise ChartSingularityError(
-            f"old-momentum solve degenerates at {points[int(small.argmax())]}")
+            f"old-momentum solve degenerates at {point}")
 
     # old-momentum increments through the inverse-map differentials
     inv = dict(map.inverse)

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .expr import (Add, Const, ExprError, Mul, columns, evaluate,
-                   numeric_compare)
+from .expr import Add, Const, ExprError, Mul, evaluate, numeric_compare
 from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_model
 from .symplectic import poisson_bracket, split_hamiltonian, verify_charges
 from .reduction import jacobi_liouville_check, run_reduction, verify_canonicity
@@ -161,22 +160,22 @@ def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     with _stage(rep, "charges conserved"):
         for entry in verify_charges(system, seed=seed).entries:
             rep.check(f"charge {entry.name} conserved", entry.conserved,
-                      f"max err {entry.max_err:.2e}")
+                      f"max scaled err {entry.max_err:.2e}")
 
     split = None
     with _stage(rep, "rho conserved along the flow"):
         split = split_hamiltonian(system, seed=seed)
         rep.check("rho conserved along the flow", True,
-                  f"max err {split.rho_bracket_err:.2e}")
+                  f"max scaled err {split.rho_bracket_err:.2e}")
     if split is not None:
         with _stage(rep, "H_plus - H_minus reproduces H"):
             diff = Add((split.h_plus, Mul((Const(-1), split.h_minus))))
             cmp = numeric_compare(diff, system.hamiltonian, chart, n=64,
                                   tol=1e-9, seed=seed)
             rep.check("H_plus - H_minus reproduces H", cmp.equal,
-                      f"max err {cmp.max_abs_err:.2e}")
+                      f"max scaled err {cmp.max_scaled_err:.2e}")
         with _stage(rep, "both halves nonnegative on the chart"):
-            cols = columns(chart.sample(64, seed=seed))
+            cols = chart.sample_columns(64, seed=seed)
             worst = min(0.0, float(np.min(evaluate(split.h_plus, cols))),
                         float(np.min(evaluate(split.h_minus, cols))))
             rep.check("both halves nonnegative on the chart", worst >= -1e-10,
@@ -199,7 +198,7 @@ def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
             bracket = poisson_bracket(model.constraint.phi,
                                       model.constraint.chi, system.space)
             low = float(np.min(np.abs(evaluate(
-                bracket, columns(chart.sample(32, seed=seed))))))
+                bracket, chart.sample_columns(32, seed=seed)))))
             rep.check("gauge pair second class", low > 1e-6,
                       f"min |{{phi, chi}}| = {low:.3g}")
     else:
@@ -309,7 +308,7 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
         for name, cmp in consistency_report(gen, model.darboux, model.chart,
                                             seed=seed).items():
             rep.check(f"relation for {name} consistent with the chart",
-                      cmp.equal, f"max err {cmp.max_abs_err:.2e}")
+                      cmp.equal, f"max scaled err {cmp.max_scaled_err:.2e}")
 
     rep.notes.append(f"coefficient source: {coeffs.source}")
     for name, e in coeffs.as_pairs():
@@ -322,7 +321,7 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
         with _stage(rep, "gauge-coordinate coefficient nonzero off the "
                          "surface"):
             high = float(np.max(np.abs(evaluate(
-                coeffs.A_z, columns(model.chart.sample(32, seed=seed))))))
+                coeffs.A_z, model.chart.sample_columns(32, seed=seed)))))
             rep.check("gauge-coordinate coefficient nonzero off the surface",
                       high > 1e-9, f"max |A_z| = {high:.3g}")
 
@@ -331,7 +330,7 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
                                             model.chart, seed=seed)
         for entry in surf.entries:
             rep.check(f"{entry.name} vanishes on the gauge surface",
-                      entry.vanishes, f"max err {entry.max_abs_err:.2e}")
+                      entry.vanishes, f"max scaled err {entry.max_scaled_err:.2e}")
 
     if model.sliced_refs is not None:
         with _stage(rep, "sliced expansion matches reference"):
@@ -343,7 +342,7 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
             for term in expansion.terms:
                 rep.check(f"sliced expansion {term.name} matches reference",
                           bool(term.matches),
-                          f"max err {term.comparison.max_abs_err:.2e}")
+                          f"max scaled err {term.comparison.max_scaled_err:.2e}")
             fit = correction_scaling(expansion, model.chart, seed=seed)
             rep.metrics["correction_scaling_slope"] = fit.slope
             rep.check("correction contribution scales as width^1.5",

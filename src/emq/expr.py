@@ -16,6 +16,12 @@ constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
 by sampled numeric comparison (numeric_equal), structural equality by ==.
 
+Every node keeps its structural hash, so normalize() and differentiate()
+are memoized per process: an equal subtree, however it was built, is worked
+out once.  Each memo holds at most _MEMO_LIMIT entries and is emptied when
+full; a call that raises stores nothing, so it raises again next time.
+SampleDomain.sample_columns() likewise draws each (domain, n, seed) once.
+
 evaluate() walks a tree once, for floats or for a batch of points given as
 equal-length numpy columns (see columns()).  It never returns NaN/inf
 silently: division by zero, even roots of negative values, unbound symbols
@@ -90,10 +96,31 @@ class DomainError(ExprError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    __slots__ = ()
+    # every node computes its structural hash once, from its children's
+    __slots__ = ("_hash",)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        # an explicit stack, not recursion: a memo lookup may compare a long
+        # parsed sum (one nesting level per term) with an equal rebuilt one
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            label_a, kids_a = a._parts()
+            label_b, kids_b = b._parts()
+            if label_a != label_b or len(kids_a) != len(kids_b):
+                return False
+            pending.extend(zip(kids_a, kids_b))
+        return True
 
     def __add__(self, other):
         return Add((self, _coerce(other)))
@@ -158,13 +185,14 @@ class Const(Expr):
         elif not isinstance(value, (Fraction, float)):
             raise TypeError(f"bad constant {value!r}")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash",
+                           hash(("Const", type(value).__name__, value)))
 
-    def __eq__(self, other):
-        return (isinstance(other, Const) and type(self.value) is type(other.value)
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash(("Const", type(self.value).__name__, self.value))
+    def _parts(self):
+        v = self.value
+        # 1 and 1.0 differ, and so do 0.0 and -0.0: atan2 and the printed
+        # form tell the signed zeros apart
+        return (type(v), v, math.copysign(1.0, v) if type(v) is float else 0), ()
 
 
 class Sym(Expr):
@@ -176,12 +204,10 @@ class Sym(Expr):
         if name in FUNCTIONS:
             raise ValueError(f"{name!r} is a reserved function name")
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("Sym", name)))
 
-    def __eq__(self, other):
-        return isinstance(other, Sym) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Sym", self.name))
+    def _parts(self):
+        return self.name, ()
 
 
 class Add(Expr):
@@ -192,12 +218,10 @@ class Add(Expr):
         if len(terms) < 2:
             raise ValueError("Add needs at least two terms")
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", hash(("Add", terms)))
 
-    def __eq__(self, other):
-        return isinstance(other, Add) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(("Add", self.terms))
+    def _parts(self):
+        return None, self.terms
 
 
 class Mul(Expr):
@@ -208,12 +232,10 @@ class Mul(Expr):
         if len(factors) < 2:
             raise ValueError("Mul needs at least two factors")
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_hash", hash(("Mul", factors)))
 
-    def __eq__(self, other):
-        return isinstance(other, Mul) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(("Mul", self.factors))
+    def _parts(self):
+        return None, self.factors
 
 
 class Pow(Expr):
@@ -226,13 +248,10 @@ class Pow(Expr):
             raise TypeError("exponent must be an integer or Fraction")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "_hash", hash(("Pow", base, exponent)))
 
-    def __eq__(self, other):
-        return (isinstance(other, Pow) and self.base == other.base
-                and self.exponent == other.exponent)
-
-    def __hash__(self):
-        return hash(("Pow", self.base, self.exponent))
+    def _parts(self):
+        return self.exponent, (self.base,)
 
 
 class Div(Expr):
@@ -241,12 +260,10 @@ class Div(Expr):
     def __init__(self, num: Expr, den: Expr):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_hash", hash(("Div", num, den)))
 
-    def __eq__(self, other):
-        return isinstance(other, Div) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash(("Div", self.num, self.den))
+    def _parts(self):
+        return None, (self.num, self.den)
 
 
 class Fun(Expr):
@@ -260,12 +277,10 @@ class Fun(Expr):
             raise ValueError(f"{name} expects {FUNCTIONS[name]} argument(s)")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash(("Fun", name, args)))
 
-    def __eq__(self, other):
-        return isinstance(other, Fun) and self.name == other.name and self.args == other.args
-
-    def __hash__(self):
-        return hash(("Fun", self.name, self.args))
+    def _parts(self):
+        return self.name, self.args
 
 
 ZERO = Const(0)
@@ -275,20 +290,8 @@ ONE = Const(1)
 def _collect_symbols(e: Expr, out: set) -> None:
     if isinstance(e, Sym):
         out.add(e.name)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_symbols(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_symbols(f, out)
-    elif isinstance(e, Pow):
-        _collect_symbols(e.base, out)
-    elif isinstance(e, Div):
-        _collect_symbols(e.num, out)
-        _collect_symbols(e.den, out)
-    elif isinstance(e, Fun):
-        for a in e.args:
-            _collect_symbols(a, out)
+    for kid in e._parts()[1]:
+        _collect_symbols(kid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -700,44 +703,68 @@ def _normalize_fun(name: str, args) -> Expr:
     return Fun(name, tuple(args))
 
 
+# per-process memos (see the module docstring), each emptied when full
+_MEMO_LIMIT = 1 << 16
+_NORMAL_FORMS: Dict[Expr, Expr] = {}
+_DERIVATIVES: Dict[tuple, Expr] = {}
+# sample columns are larger, so fewer (domain, n, seed) sets are kept
+_SAMPLE_LIMIT = 1 << 6
+_SAMPLES: Dict[tuple, Dict[str, np.ndarray]] = {}
+
+
+def _remember(memo: dict, key, value, limit: int):
+    if len(memo) >= limit:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 def normalize(e: Expr) -> Expr:
     """Canonical form: flattened, constant-merged, deterministically ordered."""
     if isinstance(e, (Const, Sym)):
         return e
+    out = _NORMAL_FORMS.get(e)
+    if out is not None:
+        return out
     if isinstance(e, Add):
-        return _normalize_add([normalize(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return _normalize_mul([normalize(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return _normalize_pow(normalize(e.base), e.exponent)
-    if isinstance(e, Div):
-        num = normalize(e.num)
-        den = normalize(e.den)
-        if isinstance(den, Const):
-            if den.value == 0:
-                raise DivisionByZeroError("division by a zero constant")
-            if isinstance(den.value, Fraction):
-                return _normalize_mul([num, Const(Fraction(1) / den.value)])
-            return _normalize_mul([num, Const(1.0 / den.value)])
-        if _is_zero(num):
-            return num
-        if num == den:
-            # valid off the zero set of den; charts exclude it anyway
-            return ONE
-        if isinstance(num, Div):
-            return normalize(Div(num.num, Mul((num.den, den))))
-        if isinstance(den, Div):
-            return normalize(Div(Mul((num, den.den)), den.num))
-        rationalized = _rationalize(num, den)
-        if rationalized is not None:
-            return rationalized
-        reduced = _cancel_quotient(num, den)
-        if reduced is not None:
-            return reduced
-        return Div(num, den)
-    if isinstance(e, Fun):
-        return _normalize_fun(e.name, [normalize(a) for a in e.args])
-    raise TypeError(f"not an Expr: {e!r}")
+        out = _normalize_add([normalize(t) for t in e.terms])
+    elif isinstance(e, Mul):
+        out = _normalize_mul([normalize(f) for f in e.factors])
+    elif isinstance(e, Pow):
+        out = _normalize_pow(normalize(e.base), e.exponent)
+    elif isinstance(e, Div):
+        out = _normalize_div(normalize(e.num), normalize(e.den))
+    elif isinstance(e, Fun):
+        out = _normalize_fun(e.name, [normalize(a) for a in e.args])
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    # an input already in normal form is stored as its own value: one copy
+    return _remember(_NORMAL_FORMS, e, e if out == e else out, _MEMO_LIMIT)
+
+
+def _normalize_div(num: Expr, den: Expr) -> Expr:
+    if isinstance(den, Const):
+        if den.value == 0:
+            raise DivisionByZeroError("division by a zero constant")
+        if isinstance(den.value, Fraction):
+            return _normalize_mul([num, Const(Fraction(1) / den.value)])
+        return _normalize_mul([num, Const(1.0 / den.value)])
+    if _is_zero(num):
+        return num
+    if num == den:
+        # valid off the zero set of den; charts exclude it anyway
+        return ONE
+    if isinstance(num, Div):
+        return normalize(Div(num.num, Mul((num.den, den))))
+    if isinstance(den, Div):
+        return normalize(Div(Mul((num, den.den)), den.num))
+    rationalized = _rationalize(num, den)
+    if rationalized is not None:
+        return rationalized
+    reduced = _cancel_quotient(num, den)
+    if reduced is not None:
+        return reduced
+    return Div(num, den)
 
 
 def _expand_node(e: Expr) -> Expr:
@@ -829,9 +856,14 @@ def _diff(e: Expr, name: str) -> Expr:
 
 def differentiate(e: Expr, sym: Union[str, Sym]) -> Expr:
     name = sym.name if isinstance(sym, Sym) else sym
-    # normalize first: the raw power rule would build base^-1 from literal
-    # constructions like 0^0 that normalization folds away
-    return normalize(_diff(normalize(e), name))
+    key = (e, name)
+    out = _DERIVATIVES.get(key)
+    if out is None:
+        # normalize first: the raw power rule would build base^-1 from literal
+        # constructions like 0^0 that normalization folds away
+        out = _remember(_DERIVATIVES, key,
+                        normalize(_diff(normalize(e), name)), _MEMO_LIMIT)
+    return out
 
 
 def substitute(e: Expr, mapping: Mapping) -> Expr:
@@ -1248,6 +1280,18 @@ class SampleDomain:
             points.extend(block[i] for i in np.flatnonzero(keep))
         return points
 
+    def sample_columns(self, n: int, seed: int = 0) -> Dict[str, np.ndarray]:
+        """columns(self.sample(n, seed)), drawn once per process for each
+        (domain, n, seed); the arrays are read-only."""
+        key = (self, n, seed)
+        cols = _SAMPLES.get(key)
+        if cols is None:
+            cols = columns(self.sample(n, seed=seed))
+            for col in cols.values():
+                col.flags.writeable = False
+            _remember(_SAMPLES, key, cols, _SAMPLE_LIMIT)
+        return dict(cols)
+
 
 def columns(points: Sequence[Mapping[str, float]]) -> Dict[str, np.ndarray]:
     """Sample points (dicts over the same names) as one column per name."""
@@ -1257,7 +1301,7 @@ def columns(points: Sequence[Mapping[str, float]]) -> Dict[str, np.ndarray]:
 @dataclass(frozen=True)
 class ComparisonResult:
     equal: bool
-    max_abs_err: float
+    max_scaled_err: float
     worst_point: Optional[dict]
     n_points: int
 
@@ -1267,9 +1311,11 @@ class ComparisonResult:
 
 def numeric_compare(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,
                     tol: float = 1e-9, seed: int = 0) -> ComparisonResult:
-    """Sampled comparison: |a-b| <= tol*(1+|a|) at every sampled point."""
-    points = domain.sample(n, seed=seed)
-    cols = columns(points)
+    """Sampled comparison: |a-b| <= tol*(1+|a|) at every sampled point.
+
+    max_scaled_err is the largest |a-b|/(1+|a|), taken at worst_point.
+    """
+    cols = domain.sample_columns(n, seed=seed)
     try:
         va = evaluate(a, cols)
         vb = evaluate(b, cols)
@@ -1280,8 +1326,8 @@ def numeric_compare(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,
     scaled = err / scale
     worst = int(np.argmax(scaled))
     equal = not np.any(err > tol * scale)
-    return ComparisonResult(equal, float(scaled[worst]), dict(points[worst]),
-                            len(points))
+    return ComparisonResult(equal, float(scaled[worst]),
+                            {k: float(v[worst]) for k, v in cols.items()}, n)
 
 
 def numeric_equal(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,

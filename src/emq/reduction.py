@@ -27,7 +27,7 @@ import numpy as np
 from .expr import (
     Expr, Const, Sym, Add, Mul, Pow, Div, ZERO, ONE,
     DomainError, ExprError, SampleDomain,
-    columns, differentiate, evaluate, expand, normalize, numeric_compare,
+    differentiate, evaluate, expand, normalize, numeric_compare,
     numeric_equal, substitute,
 )
 from .symplectic import PhaseSpace, FlowSystem, poisson_bracket
@@ -79,7 +79,7 @@ class ConstraintSpec:
         if not cmp.equal:
             raise DomainError(
                 f"solution does not solve phi = 0: residual {residual} "
-                f"(max err {cmp.max_abs_err:.3e})")
+                f"(max scaled err {cmp.max_scaled_err:.3e})")
         dphi = differentiate(self.phi, self.eliminated)
         if numeric_equal(dphi, ZERO, sys.chart, seed=seed):
             raise DomainError(
@@ -290,7 +290,7 @@ def verify_canonicity(map: CanonicalMap, ps: PhaseSpace, chart: SampleDomain,
             want = map.expected_bracket(a, b)
             cmp = numeric_compare(bracket, Const(want), chart, n=n, tol=tol,
                                   seed=seed)
-            checks.append(BracketCheck(a, b, want, cmp.max_abs_err, cmp.equal))
+            checks.append(BracketCheck(a, b, want, cmp.max_scaled_err, cmp.equal))
     return checks
 
 
@@ -319,7 +319,7 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
         if not check.ok:
             raise CanonicityError(
                 f"map rejected: bracket {check.label()} = {check.expected} "
-                f"fails (max err {check.max_err:.3e})")
+                f"fails (max scaled err {check.max_err:.3e})")
 
     eta = map.eta
     surface_inverse = {name: substitute(e, {map.p_z: 0})
@@ -348,7 +348,7 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
             if not cmp.equal:
                 raise CanonicityError(
                     f"velocity matrix entry ({vi}, {vj}) = {f[i][j]} "
-                    f"!= {want} (max err {cmp.max_abs_err:.3e}); "
+                    f"!= {want} (max scaled err {cmp.max_scaled_err:.3e}); "
                     f"transform is not canonical up to a total derivative")
 
     kin_terms = []
@@ -475,7 +475,7 @@ def jacobi_liouville_check(map: CanonicalMap, c: ConstraintSpec,
     dphi = substitute(differentiate(c.phi, c.eliminated),
                       {c.eliminated: c.solution})
 
-    cols = columns(sys.chart.sample(n, seed=seed))
+    cols = sys.chart.sample_columns(n, seed=seed)
     dets = np.linalg.det(fd_jacobian(surface_targets, reduced_vars, cols))
     singular = np.abs(dets) < 1e-12
     limit = max(3, n // 5)

@@ -210,7 +210,7 @@ def verify_charges(sys: FlowSystem, n: int = 100, tol: float = 1e-12,
         entries.append(ChargeEntry(
             name=name,
             conserved=cmp.equal,
-            max_err=cmp.max_abs_err,
+            max_err=cmp.max_scaled_err,
             momentum_free=_is_momentum_free(C, sys.space),
         ))
     return ChargeReport(tuple(entries))
@@ -247,9 +247,9 @@ def split_hamiltonian(sys: FlowSystem, n: int = 64, tol: float = 1e-9,
     if not cmp.equal:
         raise RhoNotConservedError(
             f"rho not conserved: {{rho, H}} = {bracket} "
-            f"(max err {cmp.max_abs_err:.3e} at {cmp.worst_point})")
+            f"(max scaled err {cmp.max_scaled_err:.3e} at {cmp.worst_point})")
     four_rho = Mul((Const(4), rho))
     h_plus = normalize(Div(Pow(Add((H, rho)), 2), four_rho))
     h_minus = normalize(Div(Pow(Add((H, Mul((Const(-1), rho)))), 2), four_rho))
     return HamiltonianSplit(h_plus=h_plus, h_minus=h_minus, rho=rho,
-                            rho_bracket_err=cmp.max_abs_err)
+                            rho_bracket_err=cmp.max_scaled_err)

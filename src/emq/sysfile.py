@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .expr import (Expr, ExprError, SampleDomain, SymbolTable, ZERO, parse,
                    substitute)
-from .symplectic import FlowSystem, PhaseSpace
+from .symplectic import FlowSystem, PhaseSpace, StructureError
 from .reduction import CanonicalMap, ConstraintSpec
 from .pathint import LatticeConfig
 
@@ -131,6 +131,15 @@ def _parse_expr(text: str, table: SymbolTable, where: str, lineno: int) -> Expr:
         raise SysFileError(f"{where}:{lineno}: {exc}") from exc
 
 
+def _require_momentum_free(e: Expr, space: PhaseSpace, what: str, where: str,
+                           lineno: int) -> None:
+    """The [system] rule FlowSystem enforces, reported at its line."""
+    found = sorted(e.free_symbols() & set(space.momenta))
+    if found:
+        raise SysFileError(f"{where}:{lineno}: {what} = {e} depends on "
+                           f"momentum {', '.join(found)}")
+
+
 def _parse_float(text: str, where: str, lineno: int) -> float:
     try:
         return float(text)
@@ -185,7 +194,10 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
     coords = tuple(c.strip() for c in coord_value.split(","))
     if any(not c for c in coords):
         raise SysFileError(f"{where}:{coord_line}: bad coordinates list")
-    space = PhaseSpace.from_coordinates(coords)
+    try:
+        space = PhaseSpace.from_coordinates(coords)
+    except StructureError as exc:
+        raise SysFileError(f"{where}:{coord_line}: {exc}") from exc
 
     source_table = SymbolTable()
     for c in space.coordinates:
@@ -199,6 +211,7 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
     if "potential" in system_map:
         lineno, value = system_map.pop("potential")
         potential = _parse_expr(value, source_table, where, lineno)
+        _require_momentum_free(potential, space, "potential", where, lineno)
 
     velocities = []
     for c in coords:
@@ -206,7 +219,9 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
         if key not in system_map:
             raise SysFileError(f"{where}: [system] missing velocity {key}")
         lineno, value = system_map.pop(key)
-        velocities.append(_parse_expr(value, source_table, where, lineno))
+        velocity = _parse_expr(value, source_table, where, lineno)
+        _require_momentum_free(velocity, space, f"velocity {key}", where, lineno)
+        velocities.append(velocity)
     if system_map:
         stray = next(iter(system_map))
         raise SysFileError(f"{where}:{system_map[stray][0]}: unknown [system] "

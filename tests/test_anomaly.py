@@ -137,7 +137,7 @@ def test_coefficients_vanish_on_the_gauge_surface(free_model, ho_model):
         rep = constraint_surface_vanishing(coeffs, m.darboux, m.chart)
         assert rep.all_vanish
         assert {e.name for e in rep.entries} == set(COEFF_NAMES)
-        assert rep.entry("A_z").max_abs_err == 0.0  # structural after sin(0)
+        assert rep.entry("A_z").max_scaled_err == 0.0  # structural after sin(0)
 
 
 # ---------------------------------------------------------------------------

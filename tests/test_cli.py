@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from emq import expr
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
+from emq.expr import SampleDomain, columns
 from emq.sysfile import bundled_text
 
 
@@ -41,7 +43,8 @@ def test_verify_names_the_failing_bracket(tmp_path, capsys):
 def test_rho_line_reports_the_bracket_and_can_fail(tmp_path, capsys):
     assert main(["verify", "harmonic", "--json"]) == EXIT_OK
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks["rho conserved along the flow"]["detail"].startswith("max err")
+    rho = checks["rho conserved along the flow"]
+    assert rho["detail"].startswith("max scaled err")
 
     broken = bundled_text("harmonic").replace(
         "C2 = x*p_x + y*p_y", "C2 = x*p_x + y*p_y\nC3 = x").replace(
@@ -50,7 +53,7 @@ def test_rho_line_reports_the_bracket_and_can_fail(tmp_path, capsys):
     assert main(["verify", _write(tmp_path, broken), "--json"]) == EXIT_CHECK
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     rho = checks["rho conserved along the flow"]
-    assert rho["ok"] is False and "max err" in rho["detail"]
+    assert rho["ok"] is False and "max scaled err" in rho["detail"]
 
     # a rho whose bracket cannot be evaluated on the chart fails the same line
     singular = bundled_text("harmonic").replace("[rho]\nC1 = a1",
@@ -94,6 +97,52 @@ def test_unevaluable_chart_fails_with_a_typed_error(where, command, tmp_path,
     assert any("DomainError" in line or "NegativeSqrtError" in line
                for line in lines)
     assert "Traceback" not in captured.err
+
+
+_STRUCTURE = {
+    "velocity": ("f_x = -y", "f_x = -y*p_x"),
+    "potential": ("f_y = x", "f_y = x\npotential = p_y^2"),
+    "coordinates": ("coordinates = x, y", "coordinates = x, p_x"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce", "anomaly"])
+@pytest.mark.parametrize("where", sorted(_STRUCTURE))
+def test_structure_errors_are_usage_errors_with_their_line(where, command,
+                                                           tmp_path, capsys):
+    old, new = _STRUCTURE[where]
+    text = bundled_text("harmonic")
+    assert old in text
+    text = text.replace(old, new)
+    lineno = text.splitlines().index(new.splitlines()[-1]) + 1
+    path = _write(tmp_path, text)
+    assert main([command, path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}:" in err and "Traceback" not in err
+
+
+def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
+    draws = []
+    sample = SampleDomain.sample
+
+    def counting(self, n, seed=0, rng=None):
+        draws.append((n, seed))
+        return sample(self, n, seed=seed, rng=rng)
+
+    monkeypatch.setattr(SampleDomain, "sample", counting)
+    expr._SAMPLES.clear()
+    assert main(["reduce", "harmonic", "--json"]) == EXIT_OK
+    cached = json.loads(capsys.readouterr().out)
+    assert sorted(draws) == [(1, 0), (64, 0), (200, 0)]
+
+    # the same report when every comparison draws its points afresh
+    monkeypatch.setattr(SampleDomain, "sample_columns",
+                        lambda self, n, seed=0: columns(self.sample(n, seed)))
+    assert main(["reduce", "harmonic", "--json"]) == EXIT_OK
+    fresh = json.loads(capsys.readouterr().out)
+    assert len(draws) > 10
+    assert cached["checks"] == fresh["checks"]
+    assert cached["metrics"] == fresh["metrics"]
 
 
 def test_deep_nesting_is_a_usage_error_with_its_line(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from emq import expr as expr_module
 from emq.expr import (
     Add, Const, Div, DivisionByZeroError, DomainError, EvalError, Fun, Mul,
     NegativeSqrtError, ParseError, Pow, SampleDomain, Sym, SymbolTable,
@@ -61,6 +62,25 @@ def _normalized_or_discard(e):
         return normalize(e)
     except DivisionByZeroError:
         assume(False)
+
+
+def _clear_memos():
+    expr_module._NORMAL_FORMS.clear()
+    expr_module._DERIVATIVES.clear()
+
+
+def _subtrees(e):
+    yield e
+    for kid in e._parts()[1]:
+        yield from _subtrees(kid)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the typed error it raised."""
+    try:
+        return fn(*args)
+    except (DivisionByZeroError, NegativeSqrtError) as exc:
+        return type(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +156,7 @@ def test_symbol_table_rules():
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_normalize_is_idempotent(e):
     n = _normalized_or_discard(e)
+    _clear_memos()  # normalize(n) must recompute, not find e's entry
     assert normalize(n) == n
 
 
@@ -202,6 +223,113 @@ def test_nodes_are_immutable(node, attr):
     with pytest.raises(AttributeError, match="immutable"):
         setattr(node, attr, Sym("a"))
     assert getattr(node, attr) == before
+
+
+# ---------------------------------------------------------------------------
+# memoized normal forms and derivatives
+# ---------------------------------------------------------------------------
+
+@given(_trees(), st.lists(_trees(), max_size=3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_warm_memo_gives_the_cold_normal_form(e, others):
+    _clear_memos()
+    cold = _outcome(normalize, e)
+    _clear_memos()
+    # warm the memo with trees that share e's subtrees
+    for sub in _subtrees(e):
+        for o in others:
+            _outcome(normalize, Add((o, sub)))
+            _outcome(normalize, Mul((sub, o)))
+        _outcome(normalize, sub)
+    warm = _outcome(normalize, e)
+    assert warm == cold and str(warm) == str(cold)
+
+
+@given(_trees(), st.sampled_from(NAMES), st.lists(_trees(), max_size=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_warm_memo_gives_the_cold_derivative(e, name, others):
+    _clear_memos()
+    cold = _outcome(differentiate, e, name)
+    _clear_memos()
+    for sub in _subtrees(e):
+        for o in others:
+            _outcome(differentiate, Mul((sub, o)), name)
+        for other in NAMES:
+            _outcome(differentiate, sub, other)
+        _outcome(normalize, sub)
+    warm = _outcome(differentiate, e, name)
+    assert warm == cold and str(warm) == str(cold)
+
+
+def test_memo_keeps_exact_and_float_constants_apart():
+    x = Sym("x")
+    cases = [
+        # 1*x is x, but 1.0*x keeps its float coefficient
+        [Mul((Const(1), x)), Mul((Const(1.0), x))],
+        # (+-0.0)^3 keeps the sign, which atan2 then sees
+        [Fun("atan2", (Pow(Const(0.0), 3), Const(-1))),
+         Fun("atan2", (Pow(Const(-0.0), 3), Const(-1)))],
+    ]
+    for pair in cases:
+        cold = []
+        for e in pair:
+            _clear_memos()
+            cold.append(normalize(e))
+        assert str(cold[0]) != str(cold[1])
+        for order in (pair, pair[::-1]):
+            _clear_memos()
+            for e in order:
+                assert str(normalize(e)) == str(cold[pair.index(e)])
+    assert evaluate(normalize(cases[1][0]), {}) == pytest.approx(math.pi)
+    assert evaluate(normalize(cases[1][1]), {}) == pytest.approx(-math.pi)
+
+
+def test_typed_errors_raise_on_every_call():
+    for e, error in ((Div(Sym("x"), ZERO), DivisionByZeroError),
+                     (Mul((Sym("x"), Fun("sqrt", (Const(-1),)))),
+                      NegativeSqrtError),
+                     (Pow(Add((Sym("x"), Mul((Const(-1), Sym("x"))))), -1),
+                      DivisionByZeroError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                normalize(e)
+        with pytest.raises(error):
+            differentiate(e, "x")
+        with pytest.raises(error):
+            differentiate(e, "x")
+
+
+def test_memo_refills_after_reaching_its_bound():
+    _clear_memos()
+    x = Sym("x")
+    square = normalize(Mul((x, x)))
+    cube_slope = differentiate(Pow(x, 3), "x")
+    limit = expr_module._MEMO_LIMIT
+    for i in range(limit + 10):
+        normalize(Fun("sin", (Const(i),)))
+        differentiate(Sym(f"v{i}"), "x")
+    assert 0 < len(expr_module._NORMAL_FORMS) <= limit
+    assert 0 < len(expr_module._DERIVATIVES) <= limit
+    assert normalize(Mul((x, x))) == square == Pow(x, 2)
+    assert differentiate(Pow(x, 3), "x") == cube_slope == normalize(
+        Mul((Const(3), Pow(x, 2))))
+    assert normalize(Fun("sin", (Const(0),))) == ZERO
+    assert normalize(Fun("sin", (Const(limit),))) == Fun("sin", (Const(limit),))
+
+
+def test_deep_trees_compare_without_recursion():
+    def chain(depth, last):
+        e = Sym("x")
+        for i in range(depth):
+            e = Add((e, Const(i)))
+        return Add((e, last))
+
+    assert chain(3000, Sym("y")) == chain(3000, Sym("y"))
+    assert chain(3000, Sym("y")) != chain(3000, Sym("a"))
+    # a long parsed sum nests one level per term; parsing it again finds
+    # the first parse's memo entry through that comparison
+    text = " + ".join(f"x^{i % 5 + 1}" for i in range(450))
+    assert parse(text, TABLE) == parse(text, TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +470,46 @@ def test_sample_domain_impossible_guard():
         dom.sample(5, seed=0)
 
 
+def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):
+    dom = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", 0.5, 2.0)),
+                       guards=((parse("x*y", TABLE), -0.5, 1.0),))
+    fresh = dom.sample(30, seed=4)
+    draws = []
+    sample = SampleDomain.sample
+
+    def counting(self, n, seed=0, rng=None):
+        draws.append((n, seed))
+        return sample(self, n, seed=seed, rng=rng)
+
+    monkeypatch.setattr(SampleDomain, "sample", counting)
+    expr_module._SAMPLES.clear()
+    a, b = parse("x*y", TABLE), parse("x*y + x^3/1000", TABLE)
+    results = [numeric_compare(a, b, dom, n=30, seed=4) for _ in range(3)]
+    assert draws == [(30, 4)]
+    # the worst point and error are those of a fresh draw
+    va, vb = (evaluate(e, columns(fresh)) for e in (a, b))
+    scaled = np.abs(va - vb) / (1.0 + np.abs(va))
+    for res in results:
+        assert res.worst_point == fresh[int(np.argmax(scaled))]
+        assert res.max_scaled_err == float(np.max(scaled))
+        assert not res.equal and res.n_points == 30
+    cols = dom.sample_columns(30, seed=4)
+    assert draws == [(30, 4)]
+    assert all(cols[k].tolist() == [pt[k] for pt in fresh] for k in ("x", "y"))
+    with pytest.raises(ValueError):
+        cols["x"][0] = 0.0
+    # a caller's own generator always draws
+    assert dom.sample(30, rng=random.Random(4)) == fresh
+    assert len(draws) == 2
+    assert dom.sample_columns(30, seed=5)["x"].tolist() != cols["x"].tolist()
+
+
 def test_numeric_compare_reports_worst_point():
     dom = SampleDomain(ranges=(("x", 0.0, 1.0),))
     res = numeric_compare(parse("x", TABLE), parse("x + 0.001", TABLE), dom,
                           n=20, tol=1e-9)
     assert not res.equal
     assert res.worst_point is not None
-    assert res.max_abs_err > 1e-4
+    assert res.max_scaled_err > 1e-4
     assert numeric_equal(parse("(x+1)^2", TABLE),
                          parse("x^2 + 2*x + 1", TABLE), dom)
