@@ -1074,27 +1074,29 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {what!r}", tok.offset)
         return self.advance()
 
+    # a +/- chain becomes one n-ary Add and a * run one n-ary Mul, so a
+    # long flat sum or product is one level deep, not one level per term
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
+        terms = [self.parse_term()]
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.parse_term()
-            if op.kind == "+":
-                node = Add((node, rhs))
-            else:
-                node = Add((node, Mul((Const(-1), rhs))))
-        return node
+            terms.append(rhs if op.kind == "+" else Mul((Const(-1), rhs)))
+        return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
+        factors = [self.parse_factor()]
         while self.peek().kind in ("*", "/"):
             op = self.advance()
             rhs = self.parse_factor()
             if op.kind == "*":
-                node = Mul((node, rhs))
+                factors.append(rhs)
             else:
-                node = Div(node, rhs)
-        return node
+                # Div stays binary and left-associative: a*b/c*d is
+                # ((a*b)/c)*d
+                lhs = factors[0] if len(factors) == 1 else Mul(tuple(factors))
+                factors = [Div(lhs, rhs)]
+        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def parse_factor(self) -> Expr:
         node = self.parse_atom()

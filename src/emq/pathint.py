@@ -6,8 +6,11 @@ Three layers:
     drift diagnostics), delta-supported classical amplitudes weighted by
     an initial-value Jacobi-field determinant D(T);
   * quantum: split-step spectral kernels on a periodic grid for the reduced
-    quadratic Hamiltonians, imaginary-time transfer-matrix partition
-    functions, all compared against closed-form Gaussian references;
+    quadratic Hamiltonians, and imaginary-time partition functions from
+    the transfer matrix split by zeta -> -zeta parity into an even and an
+    odd real block, each built from the circulant kinetic row and
+    diagonalized on its own; all compared against closed-form Gaussian
+    references;
   * paths: the rough-path statistics (Brownian increment variance,
     Hoelder-type slopes) separating quantum lattice paths from
     deterministic flows.
@@ -176,11 +179,30 @@ def _linearized_q_flow(sys: FlowSystem, q0: np.ndarray, T: float,
     return end[:n], float(np.linalg.det(end[n:].reshape(n, n)))
 
 
+def _rk4_matrix(A: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of the linear flow y' = A y, as a matrix.
+
+    For constant A an RK4 step is exactly y -> R(hA) y with the stability
+    polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so powers of this
+    matrix reproduce _rk4 (the same discretization, not the exact flow).
+    """
+    Z = h * A
+    R = np.eye(len(A))
+    term = R
+    for k in (1, 2, 3, 4):
+        term = term @ Z / k
+        R = R + term
+    return R
+
+
 def fluctuation_det(omega_sq: Union[float, Callable[[float], float]],
                     T: float, steps: int = 4000) -> float:
     """D(T) from D-ddot = -omega^2(t) D, D(0) = 0, D'(0) = 1."""
-    w2 = omega_sq if callable(omega_sq) else (lambda t, c=float(omega_sq): c)
-    _, states = _rk4(lambda t, y: np.array([y[1], -w2(t) * y[0]]),
+    if not callable(omega_sq):
+        A = np.array([[0.0, 1.0], [-float(omega_sq), 0.0]])
+        R = np.linalg.matrix_power(_rk4_matrix(A, T / steps), steps)
+        return float(R[0, 1])
+    _, states = _rk4(lambda t, y: np.array([y[1], -omega_sq(t) * y[0]]),
                      (0.0, 1.0), T, steps)
     return float(states[-1, 0])
 
@@ -415,14 +437,38 @@ def _evolve(psi: np.ndarray, kin: np.ndarray, pot_half: np.ndarray,
     return psi, drift
 
 
-def _transfer_matrix(quad: QuadraticHamiltonian, cfg: LatticeConfig,
-                     zeta: np.ndarray) -> np.ndarray:
+def _parity_blocks(quad: QuadraticHamiltonian, cfg: LatticeConfig,
+                   zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of the imaginary-time transfer matrix.
+
+    S = P C P with P = diag(pot_half) and C[i, j] = c[(i - j) mod n], where
+    c = ifft(kin) is the real circulant row.  H* is even in zeta (linear and
+    cross terms are rejected when it is bound) and zeta = 0 sits at index
+    n/2, so the reflection j -> (n - j) mod n commutes with S.  In the
+    basis (e_j + e_{n-j})/sqrt(2), (e_j - e_{n-j})/sqrt(2) S splits into
+    an even block on indices 0..n/2 (fixed points 0 and n/2 scaled by
+    1/sqrt(2)) and an odd block on indices 1..n/2-1.
+    """
     kin, pot_half = _split_step_factors(quad, cfg, zeta)
-    S = np.diag(pot_half.astype(complex))
-    S = np.fft.ifft(kin[:, None] * np.fft.fft(S, axis=0), axis=0)
-    S = pot_half[:, None] * S
-    S = S.real
-    return 0.5 * (S + S.T)
+    n = cfg.n
+    c = np.fft.ifft(kin).real
+    idx = np.arange(n // 2 + 1)
+    near = c[np.abs(idx[:, None] - idx)]
+    far = c[(idx[:, None] + idx) % n]
+    weight = pot_half[:n // 2 + 1].copy()
+    weight[[0, -1]] *= math.sqrt(0.5)
+    even = weight[:, None] * (near + far) * weight
+    inner = slice(1, n // 2)
+    odd = (weight[inner, None] * (near[inner, inner] - far[inner, inner])
+           * weight[inner])
+    return even, odd
+
+
+def _power_trace_and_diagonal(block: np.ndarray, power: int):
+    """tr(B^power) and diag(B^power) of a symmetric block, from one eigh."""
+    vals, vecs = np.linalg.eigh(block)
+    powered = vals ** power
+    return np.sum(powered), vecs ** 2 @ powered
 
 
 @dataclass(frozen=True)
@@ -490,13 +536,21 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
         }
         return PropagatorResult("real", zeta, psi, ref, metrics)
 
-    # imaginary mode: one eigendecomposition of the grid operator S gives
-    # Z(beta) = tr(S^slices) and the diagonal of S^slices
-    vals, vecs = np.linalg.eigh(_transfer_matrix(quad, cfg, zeta))
-    powered = vals ** cfg.slices
-    Z = float(np.sum(powered))
+    # imaginary mode: S^slices from its even and odd parity blocks.
+    # Z(beta) = tr(S^slices) sums both spectra.  On the diagonal a fixed
+    # point (0 or n/2) carries only its even weight; an interior point j,
+    # like its mirror n - j, half the even and half the odd weight.
+    (even_Z, even_diag), (odd_Z, odd_diag) = (
+        _power_trace_and_diagonal(block, cfg.slices)
+        for block in _parity_blocks(quad, cfg, zeta))
+    Z = float(even_Z + odd_Z)
+    half = cfg.n // 2
+    lattice_diag = np.empty(cfg.n)
+    lattice_diag[:half + 1] = even_diag
+    lattice_diag[1:half] = 0.5 * (even_diag[1:half] + odd_diag)
+    lattice_diag[half + 1:] = lattice_diag[half - 1:0:-1]
+    lattice_diag /= cfg.dx
     diag = bare_kernel(quad, hbar, -1j * cfg.duration * hbar, zeta, zeta).real
-    lattice_diag = (vecs ** 2 @ powered) / cfg.dx
     metrics = {
         "partition_value": Z,
         "partition_ref": Z_ref,
@@ -542,12 +596,14 @@ def sample_thermal_paths(n_slices: int, beta: float, mass: float,
 
     Sampling is exact: the circulant precision matrix diagonalizes in the
     Fourier basis, so modes are drawn independently and transformed back.
+    Real paths have a Hermitian spectrum, so only modes 0..N/2 are stored
+    and irfft supplies their conjugates.
     """
     eps = beta / n_slices
     lam = _mode_eigenvalues(n_slices, eps, mass, omega)
     # ifft normalization 1/N: path = ifft(modes); Var(|mode_j|^2) = hbar N / lam_j
     half = n_slices // 2
-    modes = np.zeros((n_samples, n_slices), dtype=complex)
+    modes = np.zeros((n_samples, half + 1), dtype=complex)
     scale = np.sqrt(hbar * n_slices / lam)
     modes[:, 0] = rng.normal(0.0, 1.0, n_samples) * scale[0]
     if n_slices % 2 == 0:
@@ -558,8 +614,7 @@ def sample_thermal_paths(n_slices: int, beta: float, mass: float,
     re = rng.normal(0.0, 1.0, (n_samples, len(idx)))
     im = rng.normal(0.0, 1.0, (n_samples, len(idx)))
     modes[:, idx] = (re + 1j * im) * (scale[idx] / math.sqrt(2.0))
-    modes[:, n_slices - idx] = np.conj(modes[:, idx])
-    return np.fft.ifft(modes, axis=1).real
+    return np.fft.irfft(modes, n=n_slices, axis=1)
 
 
 def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,

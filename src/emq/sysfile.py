@@ -154,6 +154,15 @@ def _parse_int(text: str, where: str, lineno: int) -> int:
         raise SysFileError(f"{where}:{lineno}: bad integer {text!r}") from exc
 
 
+def _register(table: SymbolTable, name: str, role: str, where: str,
+              lineno: int) -> None:
+    # a bad identifier, a function name or a role clash is the file's fault
+    try:
+        table.add(name, role)
+    except ValueError as exc:
+        raise SysFileError(f"{where}:{lineno}: {exc}") from exc
+
+
 def _split_pair(value: str, where: str, lineno: int) -> Tuple[str, str]:
     if ":" not in value:
         raise SysFileError(f"{where}:{lineno}: expected '<coord> : <mom>', "
@@ -201,11 +210,11 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
 
     source_table = SymbolTable()
     for c in space.coordinates:
-        source_table.add(c, "coordinate")
+        _register(source_table, c, "coordinate", where, coord_line)
     for m in space.momenta:
-        source_table.add(m, "momentum")
-    for p in params:
-        source_table.add(p, "parameter")
+        _register(source_table, m, "momentum", where, coord_line)
+    for p, (lineno, _) in params_map.items():
+        _register(source_table, p, "parameter", where, lineno)
 
     potential = None
     if "potential" in system_map:
@@ -278,14 +287,14 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
     for lineno, value in dar_rep["reduced"]:
         coord, mom = _split_pair(value, where, lineno)
         pairs.append((coord, mom))
-        full_table.add(coord, "coordinate")
-        full_table.add(mom, "momentum")
+        _register(full_table, coord, "coordinate", where, lineno)
+        _register(full_table, mom, "momentum", where, lineno)
     if "gauge" not in dar_map:
         raise SysFileError(f"{where}: [darboux] needs a gauge pair line")
     g_lineno, g_value = dar_map.pop("gauge")
     gauge = _split_pair(g_value, where, g_lineno)
-    full_table.add(gauge[0], "coordinate")
-    full_table.add(gauge[1], "momentum")
+    _register(full_table, gauge[0], "coordinate", where, g_lineno)
+    _register(full_table, gauge[1], "momentum", where, g_lineno)
 
     guards = []
     for lineno, value in dom_rep["guard"]:

@@ -121,6 +121,29 @@ def test_structure_errors_are_usage_errors_with_their_line(where, command,
     assert f"{path}:{lineno}:" in err and "Traceback" not in err
 
 
+_BAD_NAMES = {
+    "coordinate": ("coordinates = x, y", "coordinates = x, 1y"),
+    "function": ("coordinates = x, y", "coordinates = x, sin"),
+    "parameter": ("a1 = 1.0", "1a = 1.0"),
+    "reduced": ("reduced = zeta : p_zeta", "reduced = 1zeta : p_zeta"),
+    "clash": ("gauge = z : p_z", "gauge = a1 : p_z"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_BAD_NAMES))
+def test_bad_declared_names_are_usage_errors_with_their_line(where, tmp_path,
+                                                             capsys):
+    old, new = _BAD_NAMES[where]
+    text = bundled_text("harmonic")
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    lineno = text.splitlines().index(new) + 1
+    path = _write(tmp_path, text)
+    assert main(["verify", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}:" in err and "Traceback" not in err
+
+
 def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     draws = []
     sample = SampleDomain.sample

@@ -94,6 +94,24 @@ def test_precedence_and_associativity():
         0.7 - (-1.3) - 0.4)
     assert evaluate(parse("a/b/x", TABLE), POINT) == pytest.approx(
         0.7 / (-1.3) / 0.4)
+    assert evaluate(parse("a*b/x*y", TABLE), POINT) == pytest.approx(
+        0.7 * (-1.3) / 0.4 * 1.9)
+
+
+def test_flat_chains_parse_at_any_length():
+    # a +/- chain is one n-ary Add, so its depth does not grow with length
+    def power_sum(count):
+        return " + ".join(f"x^{k}" for k in range(1, count + 1))
+
+    long_sum = parse(power_sum(2000), TABLE)
+    extended = normalize(Add((parse(power_sum(10), TABLE),)
+                             + tuple(Pow(Sym("x"), k)
+                                     for k in range(11, 2001))))
+    assert long_sum == extended
+    assert evaluate(long_sum, {"x": 0.5}) == pytest.approx(1.0)
+    assert parse(" - ".join(["x"] * 2001), TABLE) == normalize(
+        Mul((Const(-1999), Sym("x"))))
+    assert parse("*".join(["x"] * 2000), TABLE) == Pow(Sym("x"), 2000)
 
 
 def test_unary_minus_binds_inside_the_power():

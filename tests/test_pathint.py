@@ -11,10 +11,12 @@ from emq.pathint import (
     bare_kernel, bind_reduced_hamiltonian, brownian_increment_report,
     classical_amplitude, classical_flow, fluctuation_det,
     fluctuation_det_dense, holder_slopes,
-    partition_closed_form, propagate_quantum, smeared_reference,
-    trotter_sweep, write_kernel_csv,
+    partition_closed_form, propagate_quantum, sample_thermal_paths,
+    smeared_reference, trotter_sweep, write_kernel_csv,
 )
-from emq.pathint import _transfer_matrix
+from emq.pathint import (
+    _mode_eigenvalues, _parity_blocks, _rk4, _split_step_factors,
+)
 from emq.reduction import PhaseSpace, ReducedSystem
 
 
@@ -94,6 +96,16 @@ def test_fluctuation_det_oracles():
     fine = fluctuation_det(ramp, 1.0, steps=40000)
     assert fluctuation_det(ramp, 1.0, steps=4000) == pytest.approx(fine,
                                                                    abs=1e-9)
+
+
+@pytest.mark.parametrize("w2", [1.0, 4.0, 0.0, -1.0])
+@pytest.mark.parametrize("T", [1.5, math.pi - 1e-3, math.pi])
+def test_constant_frequency_det_is_the_rk4_loop(w2, T):
+    # a float omega^2 takes the RK4 step matrix; the step loop is the oracle
+    _, states = _rk4(lambda t, y: np.array([y[1], -w2 * y[0]]), (0.0, 1.0),
+                     T, 4000)
+    loop = float(states[-1, 0])
+    assert abs(fluctuation_det(w2, T) - loop) <= 1e-12 * max(1.0, abs(loop))
 
 
 def test_dense_lattice_determinant_cross_check():
@@ -214,6 +226,16 @@ def test_imaginary_mode_partition(ho_reduced, ho_model):
         1.0 / (2.0 * math.sinh(0.5)), rel=1e-12)
 
 
+def _transfer_matrix(quad, cfg, zeta):
+    """Dense oracle: the full n x n transfer matrix from complex FFTs."""
+    kin, pot_half = _split_step_factors(quad, cfg, zeta)
+    S = np.diag(pot_half.astype(complex))
+    S = np.fft.ifft(kin[:, None] * np.fft.fft(S, axis=0), axis=0)
+    S = pot_half[:, None] * S
+    S = S.real
+    return 0.5 * (S + S.T)
+
+
 def test_imaginary_mode_matches_dense_matrix_power(ho_reduced, ho_model):
     cfg = LatticeConfig(mode="imaginary", n=64, length=16.0, slices=16,
                         duration=1.0)
@@ -225,6 +247,34 @@ def test_imaginary_mode_matches_dense_matrix_power(ho_reduced, ho_model):
     assert res.metrics["partition_value"] == pytest.approx(Z, rel=1e-10)
     np.testing.assert_allclose(res.psi.real, np.diag(S_N) / cfg.dx,
                                rtol=1e-10, atol=0.0)
+
+
+def test_parity_blocks_carry_the_dense_spectrum(ho_reduced, ho_model):
+    params = dict(ho_model.params, a1=1.3)
+    quad = bind_reduced_hamiltonian(ho_reduced, params)
+    cfg = LatticeConfig(mode="imaginary", n=128, length=16.0, slices=32,
+                        duration=1.0)
+    zeta = np.linspace(-8.0, 8.0, 128, endpoint=False)
+    even, odd = _parity_blocks(quad, cfg, zeta)
+    assert even.shape == (65, 65) and odd.shape == (63, 63)
+    split = np.sort(np.concatenate([np.linalg.eigvalsh(even),
+                                    np.linalg.eigvalsh(odd)]))
+    dense = np.linalg.eigvalsh(_transfer_matrix(quad, cfg, zeta))
+    np.testing.assert_allclose(split, dense, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(dense)))
+
+
+def test_imaginary_diagonal_at_fixed_and_interior_points(ho_reduced, ho_model):
+    params = dict(ho_model.params, a1=1.3)
+    cfg = LatticeConfig(mode="imaginary", n=128, length=16.0, slices=32,
+                        duration=1.0)
+    res = propagate_quantum(ho_reduced, cfg, params)
+    quad = bind_reduced_hamiltonian(ho_reduced, params)
+    want = np.diag(np.linalg.matrix_power(
+        _transfer_matrix(quad, cfg, res.zeta), cfg.slices)) / cfg.dx
+    # 0 and 64 are the fixed points of j -> 128 - j; 37 and 91 mirror
+    for j in (0, 64, 37, 91):
+        assert res.psi[j].real == pytest.approx(want[j], rel=1e-10)
 
 
 def test_classical_mode_and_focal_error(ho_reduced, ho_model):
@@ -274,6 +324,34 @@ def test_trotter_slope(ho_reduced, ho_model):
 # ---------------------------------------------------------------------------
 # path statistics
 # ---------------------------------------------------------------------------
+
+def _full_spectrum_paths(n_slices, beta, mass, omega, hbar, n_samples, rng):
+    """Oracle: every Fourier mode stored, conjugates filled by hand, ifft."""
+    lam = _mode_eigenvalues(n_slices, beta / n_slices, mass, omega)
+    half = n_slices // 2
+    modes = np.zeros((n_samples, n_slices), dtype=complex)
+    scale = np.sqrt(hbar * n_slices / lam)
+    modes[:, 0] = rng.normal(0.0, 1.0, n_samples) * scale[0]
+    if n_slices % 2 == 0:
+        modes[:, half] = rng.normal(0.0, 1.0, n_samples) * scale[half]
+        idx = np.arange(1, half)
+    else:
+        idx = np.arange(1, half + 1)
+    re = rng.normal(0.0, 1.0, (n_samples, len(idx)))
+    im = rng.normal(0.0, 1.0, (n_samples, len(idx)))
+    modes[:, idx] = (re + 1j * im) * (scale[idx] / math.sqrt(2.0))
+    modes[:, n_slices - idx] = np.conj(modes[:, idx])
+    return np.fft.ifft(modes, axis=1).real
+
+
+@pytest.mark.parametrize("n_slices", [64, 9])
+def test_thermal_paths_match_the_full_spectrum(n_slices):
+    # same draws in the same order; only the inverse transform differs
+    args = (n_slices, 1.2, 0.8, 1.0, 1.0, 500)
+    got = sample_thermal_paths(*args, np.random.default_rng(4))
+    want = _full_spectrum_paths(*args, np.random.default_rng(4))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
 
 def test_brownian_increment_variance():
     rep = brownian_increment_report(n_slices=64, beta=1.0, n_samples=30_000)
