@@ -13,7 +13,13 @@ Three layers:
     references;
   * paths: the rough-path statistics (Brownian increment variance,
     Hoelder-type slopes) separating quantum lattice paths from
-    deterministic flows.
+    deterministic flows.  Thermal-path draws are written straight into
+    the real and imaginary parts of one half-spectrum array, both
+    statistics share one periodic-increment sum, and the deterministic
+    reduced flow is stepped with its RK4 matrix.
+
+Real-time split steps run in place: the potential and kinetic factors and
+both FFTs overwrite the one complex array being evolved.
 
 Real-time kernels are probed with a narrow Gaussian source rather than a
 discrete delta: a delta on the grid excites modes up to the Nyquist edge
@@ -26,7 +32,6 @@ complex-Gaussian integral).
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -427,12 +432,16 @@ def _split_step_factors(quad: QuadraticHamiltonian, cfg: LatticeConfig,
 
 def _evolve(psi: np.ndarray, kin: np.ndarray, pot_half: np.ndarray,
             slices: int) -> Tuple[np.ndarray, float]:
+    """Symmetric split steps, overwriting psi: pass a complex array the
+    caller does not need again (propagate_quantum passes a fresh copy)."""
     norm0 = float(np.linalg.norm(psi))
     drift = 0.0
     for _ in range(slices):
-        psi = pot_half * psi
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
-        psi = pot_half * psi
+        psi *= pot_half
+        np.fft.fft(psi, out=psi)
+        psi *= kin
+        np.fft.ifft(psi, out=psi)
+        psi *= pot_half
         drift = max(drift, abs(float(np.linalg.norm(psi)) - norm0))
     return psi, drift
 
@@ -608,13 +617,22 @@ def sample_thermal_paths(n_slices: int, beta: float, mass: float,
     modes[:, 0] = rng.normal(0.0, 1.0, n_samples) * scale[0]
     if n_slices % 2 == 0:
         modes[:, half] = rng.normal(0.0, 1.0, n_samples) * scale[half]
-        idx = np.arange(1, half)
+        top = half
     else:
-        idx = np.arange(1, half + 1)
-    re = rng.normal(0.0, 1.0, (n_samples, len(idx)))
-    im = rng.normal(0.0, 1.0, (n_samples, len(idx)))
-    modes[:, idx] = (re + 1j * im) * (scale[idx] / math.sqrt(2.0))
+        top = half + 1
+    shape = (n_samples, top - 1)
+    side = scale[1:top] / math.sqrt(2.0)
+    np.multiply(rng.normal(0.0, 1.0, shape), side, out=modes.real[:, 1:top])
+    np.multiply(rng.normal(0.0, 1.0, shape), side, out=modes.imag[:, 1:top])
     return np.fft.irfft(modes, n=n_slices, axis=1)
+
+
+def _sum_sq_increments(paths: np.ndarray) -> Tuple[float, int]:
+    """Sum of squared periodic increments over all paths (the wrap from the
+    last slice back to the first included), and how many there are."""
+    incs = np.diff(paths, axis=1)
+    wrap = paths[:, 0] - paths[:, -1]
+    return float(np.vdot(incs, incs) + np.vdot(wrap, wrap)), paths.size
 
 
 def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
@@ -632,9 +650,9 @@ def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
         take = min(chunk, n_samples - done)
         paths = sample_thermal_paths(n_slices, beta, mass, omega, hbar,
                                      take, rng)
-        incs = np.diff(np.concatenate([paths, paths[:, :1]], axis=1), axis=1)
-        total += float(np.sum(incs ** 2))
-        count += incs.size
+        sq, n = _sum_sq_increments(paths)
+        total += sq
+        count += n
         done += take
     var = total / count
     expected = hbar * eps / mass
@@ -663,9 +681,9 @@ def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
     eps_list, rms_list = [], []
     for N in slice_counts:
         paths = sample_thermal_paths(N, beta, mass, omega, hbar, n_samples, rng)
-        incs = np.diff(np.concatenate([paths, paths[:, :1]], axis=1), axis=1)
+        sq, n = _sum_sq_increments(paths)
         eps_list.append(beta / N)
-        rms_list.append(float(np.sqrt(np.mean(incs ** 2))))
+        rms_list.append(math.sqrt(sq / n))
     quantum_slope = float(np.polyfit(np.log(eps_list), np.log(rms_list), 1)[0])
 
     quad = bind_reduced_hamiltonian(rs, params)
@@ -673,8 +691,12 @@ def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
     A = np.array([[0.0, 2.0 * quad.c_p], [-2.0 * quad.c_q, 0.0]])
     det_inc = []
     for N in slice_counts:
-        _, states = _rk4(lambda t, y: A @ y, (0.3, 1.0), beta, N)
-        det_inc.append(float(np.max(np.abs(np.diff(states[:, 0])))))
+        R = _rk4_matrix(A, beta / N)
+        states = [np.array([0.3, 1.0])]
+        for _ in range(N):
+            states.append(R @ states[-1])
+        zeta = np.array(states)[:, 0]
+        det_inc.append(float(np.max(np.abs(np.diff(zeta)))))
     classical_slope = float(np.polyfit(np.log(eps_list), np.log(det_inc), 1)[0])
     return {
         "quantum_slope": quantum_slope,
@@ -692,10 +714,13 @@ def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
 def write_kernel_csv(result: PropagatorResult, path: str) -> None:
     if result.zeta is None:
         raise ValueError(f"{result.mode} mode has no grid data to write")
+    psi, ref = result.psi, result.reference
+    # csv.writer's dialect: comma-separated, \r\n line ends, and no field
+    # here needs quoting
+    rows = zip(result.zeta.tolist(), psi.real.tolist(), psi.imag.tolist(),
+               ref.real.tolist(), ref.imag.tolist(),
+               np.abs(psi - ref).tolist())
+    line = "%.10g,%.12g,%.12g,%.12g,%.12g,%.6g\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["zeta", "re_K", "im_K", "re_ref", "im_ref", "abs_err"])
-        for x, k, r in zip(result.zeta, result.psi, result.reference):
-            writer.writerow([f"{x:.10g}", f"{k.real:.12g}", f"{k.imag:.12g}",
-                             f"{r.real:.12g}", f"{r.imag:.12g}",
-                             f"{abs(k - r):.6g}"])
+        fh.write("zeta,re_K,im_K,re_ref,im_ref,abs_err\r\n"
+                 + "".join([line % row for row in rows]))

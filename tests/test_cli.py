@@ -64,6 +64,25 @@ def test_rho_line_reports_the_bracket_and_can_fail(tmp_path, capsys):
     assert rho["ok"] is False and "cannot be evaluated" in rho["detail"]
 
 
+@pytest.mark.parametrize("old, new, flipped", [
+    ("[rho]\nC1 = a1", "[rho]\nC1 = -a1",
+     ["both halves nonnegative on the chart"]),
+    ("chi = p_y - y/alpha - a1*x", "chi = p_x - x/alpha + a1*y",
+     ["gauge pair second class"]),
+    ("solution = x/alpha - a1*y", "solution = x/alpha + a1*y",
+     ["constraint solution solves phi = 0",
+      "constrained chart volume constant"]),
+])
+def test_verify_mutations_flip_their_checks(old, new, flipped, tmp_path,
+                                            capsys):
+    text = bundled_text("harmonic")
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new))
+    assert main(["verify", path, "--json"]) == EXIT_CHECK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == flipped
+
+
 def test_constant_fold_in_a_file_is_a_usage_error(tmp_path, capsys):
     text = bundled_text("harmonic").replace(
         "guard = a1^2*alpha^2 in 0.0, 0.88", "guard = 1/(x - x) in 0, 1")

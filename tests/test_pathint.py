@@ -15,7 +15,8 @@ from emq.pathint import (
     smeared_reference, trotter_sweep, write_kernel_csv,
 )
 from emq.pathint import (
-    _mode_eigenvalues, _parity_blocks, _rk4, _split_step_factors,
+    PropagatorResult, _evolve, _mode_eigenvalues, _parity_blocks, _rk4,
+    _split_step_factors,
 )
 from emq.reduction import PhaseSpace, ReducedSystem
 
@@ -218,6 +219,35 @@ def test_real_mode_free_kernel(free_reduced, free_model):
     assert res.metrics["norm_drift"] < 1e-10
 
 
+def _allocating_evolve(psi, kin, pot_half, slices):
+    """Oracle: the split-step loop with a fresh array for every factor."""
+    norm0 = float(np.linalg.norm(psi))
+    drift = 0.0
+    for _ in range(slices):
+        psi = pot_half * psi
+        psi = np.fft.ifft(kin * np.fft.fft(psi))
+        psi = pot_half * psi
+        drift = max(drift, abs(float(np.linalg.norm(psi)) - norm0))
+    return psi, drift
+
+
+def test_in_place_split_step_matches_the_allocating_loop():
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, coordinate="zeta",
+                                momentum="p_zeta")
+    cfg = LatticeConfig(mode="real", n=1024, length=16.0, slices=256,
+                        duration=1.0)
+    zeta = np.linspace(-8.0, 8.0, cfg.n, endpoint=False)
+    kin, pot_half = _split_step_factors(quad, cfg, zeta)
+    psi0 = np.exp(-(zeta - 0.5) ** 2 / 0.18).astype(complex)
+    want, want_drift = _allocating_evolve(psi0.copy(), kin, pot_half,
+                                          cfg.slices)
+    psi = psi0.copy()
+    got, drift = _evolve(psi, kin, pot_half, cfg.slices)
+    assert got is psi           # _evolve owns and overwrites its argument
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert abs(drift - want_drift) <= 1e-14
+
+
 def test_imaginary_mode_partition(ho_reduced, ho_model):
     res = propagate_quantum(ho_reduced, ho_model.lattice, ho_model.params)
     assert res.mode == "imaginary"
@@ -344,6 +374,32 @@ def _full_spectrum_paths(n_slices, beta, mass, omega, hbar, n_samples, rng):
     return np.fft.ifft(modes, axis=1).real
 
 
+def _fancy_indexed_paths(n_slices, beta, mass, omega, hbar, n_samples, rng):
+    """Oracle: complex mode blocks built from temporaries, then scattered."""
+    lam = _mode_eigenvalues(n_slices, beta / n_slices, mass, omega)
+    half = n_slices // 2
+    modes = np.zeros((n_samples, half + 1), dtype=complex)
+    scale = np.sqrt(hbar * n_slices / lam)
+    modes[:, 0] = rng.normal(0.0, 1.0, n_samples) * scale[0]
+    if n_slices % 2 == 0:
+        modes[:, half] = rng.normal(0.0, 1.0, n_samples) * scale[half]
+        idx = np.arange(1, half)
+    else:
+        idx = np.arange(1, half + 1)
+    re = rng.normal(0.0, 1.0, (n_samples, len(idx)))
+    im = rng.normal(0.0, 1.0, (n_samples, len(idx)))
+    modes[:, idx] = (re + 1j * im) * (scale[idx] / math.sqrt(2.0))
+    return np.fft.irfft(modes, n=n_slices, axis=1)
+
+
+@pytest.mark.parametrize("n_slices", [64, 9, 16, 256, 7])
+def test_in_place_draws_give_identical_paths(n_slices):
+    args = (n_slices, 1.2, 0.8, 1.0, 1.0, 500)
+    got = sample_thermal_paths(*args, np.random.default_rng(4))
+    want = _fancy_indexed_paths(*args, np.random.default_rng(4))
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("n_slices", [64, 9])
 def test_thermal_paths_match_the_full_spectrum(n_slices):
     # same draws in the same order; only the inverse transform differs
@@ -366,6 +422,17 @@ def test_holder_slopes(ho_reduced, ho_model):
     assert hs["classical_slope"] == pytest.approx(1.0, abs=0.05)
 
 
+def test_holder_flow_is_the_rk4_loop(ho_reduced, ho_model):
+    params = dict(ho_model.params, a1=1.3)
+    hs = holder_slopes(ho_reduced, params, n_samples=100)
+    quad = bind_reduced_hamiltonian(ho_reduced, params)
+    A = np.array([[0.0, 2.0 * quad.c_p], [-2.0 * quad.c_q, 0.0]])
+    for N, got in zip((16, 32, 64, 128, 256), hs["classical_increments"]):
+        _, states = _rk4(lambda t, y: A @ y, (0.3, 1.0), 1.0, N)
+        want = float(np.max(np.abs(np.diff(states[:, 0]))))
+        assert abs(got - want) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
@@ -382,6 +449,35 @@ def test_kernel_csv_columns(free_reduced, free_model, tmp_path):
     z0, rk, ik, rr, ir, err = map(float, rows[1])
     assert abs(complex(rk, ik) - complex(rr, ir)) == pytest.approx(err,
                                                                    rel=1e-4)
+
+
+def _csv_writer_kernel_csv(result, path):
+    """Oracle: the row-by-row csv.writer form of write_kernel_csv."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["zeta", "re_K", "im_K", "re_ref", "im_ref", "abs_err"])
+        for x, k, r in zip(result.zeta, result.psi, result.reference):
+            writer.writerow([f"{x:.10g}", f"{k.real:.12g}", f"{k.imag:.12g}",
+                             f"{r.real:.12g}", f"{r.imag:.12g}",
+                             f"{abs(k - r):.6g}"])
+
+
+def test_kernel_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 1024
+    magnitude = 10.0 ** rng.uniform(-300, 300, (5, n))
+    zeta, re_k, im_k, re_r, im_r = rng.normal(size=(5, n)) * magnitude
+    zeta[:3] = (-0.0, 5e-324, 1.7e308)
+    re_k[:4] = (-0.0, 1e-310, -1e300, 0.0)
+    im_r[:2] = (-0.0, 2.5e-320)
+    re_r[3] = 0.0
+    res = PropagatorResult("real", zeta, re_k + 1j * im_k, re_r + 1j * im_r,
+                           {})
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_kernel_csv(res, str(got))
+    _csv_writer_kernel_csv(res, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\r\n") == n + 1
 
 
 def test_kernel_csv_rejects_gridless_results(ho_reduced, ho_model):
