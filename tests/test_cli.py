@@ -282,6 +282,27 @@ def test_propagate_reports_typed_lattice_errors(tmp_path, capsys):
     assert "confining" in lattice["detail"]
 
 
+@pytest.mark.parametrize("name, old, new, key", [
+    # 4 slices leave a Trotter error of 2.8e-3 against the 1e-3 tolerance
+    ("harmonic", "slices = 512", "slices = 4", "partition_rel_err"),
+    # at T = 0.25 the window's edge sits 1e-19 below the kernel's peak,
+    # where FFT rounding alone is a relative error of ~2e2 against 1e-4
+    ("free_particle", "time = 1.0", "time = 0.25", "max_rel_err_central"),
+])
+def test_propagate_mutations_flip_the_tolerance_check(name, old, new, key,
+                                                      tmp_path, capsys):
+    text = bundled_text(name)
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new))
+    assert main(["propagate", path, "--json",
+                 "--out", str(tmp_path / "run")]) == EXIT_CHECK
+    report = json.loads(capsys.readouterr().out)
+    failed = [c for c in report["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["error within declared tolerance"]
+    assert failed[0]["detail"].startswith(f"{key} = ")
+    assert report["metrics"][key] > 1e-4
+
+
 # ---------------------------------------------------------------------------
 # anomaly
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import cmath
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,50 @@ def test_in_place_split_step_matches_the_allocating_loop():
     assert abs(drift - want_drift) <= 1e-14
 
 
+def _per_slice_psi(quad, cfg, res):
+    """The full slice-by-slice loop from the run's own source and grid."""
+    sigma = res.metrics["sigma"]
+    psi0 = np.exp(-(res.zeta - cfg.source_center) ** 2 / (2.0 * sigma ** 2))
+    kin, pot_half = _split_step_factors(quad, cfg, res.zeta)
+    return _allocating_evolve(psi0.astype(complex), kin, pot_half,
+                              cfg.slices)[0]
+
+
+@pytest.mark.parametrize("cfg", [
+    None,       # the bundled free-particle lattice
+    LatticeConfig(mode="real", n=4096, length=80.0, slices=512,
+                  duration=1.0, source_center=0.37),
+], ids=["bundled", "off_centre"])
+def test_potential_free_run_is_the_per_slice_loop(cfg, free_reduced,
+                                                  free_model):
+    cfg = cfg or free_model.lattice
+    quad = bind_reduced_hamiltonian(free_reduced, free_model.params)
+    assert quad.c_q == 0.0
+    res = propagate_quantum(free_reduced, cfg, free_model.params)
+    want = _per_slice_psi(quad, cfg, res)
+    assert np.max(np.abs(res.psi - want)) <= 1e-12
+    # one exact kinetic step: the slice count does not change the result
+    two = propagate_quantum(free_reduced, replace(cfg, slices=2),
+                            free_model.params)
+    np.testing.assert_array_equal(two.psi, res.psi)
+    assert res.metrics["norm_drift"] < 1e-14
+
+
+def test_real_run_with_a_potential_keeps_the_slice_loop(ho_reduced,
+                                                        ho_model):
+    cfg = LatticeConfig(mode="real", n=1024, length=40.0, slices=256,
+                        duration=1.0, source_center=0.37)
+    quad = bind_reduced_hamiltonian(ho_reduced, ho_model.params)
+    assert quad.c_q > 0.0
+    res = propagate_quantum(ho_reduced, cfg, ho_model.params)
+    want = _per_slice_psi(quad, cfg, res)
+    assert np.max(np.abs(res.psi - want)) <= 1e-13
+    # the slices do matter here: a coarser run differs by its Trotter error
+    coarse = propagate_quantum(ho_reduced, replace(cfg, slices=8),
+                               ho_model.params)
+    assert np.max(np.abs(coarse.psi - res.psi)) > 1e-6
+
+
 def test_imaginary_mode_partition(ho_reduced, ho_model):
     res = propagate_quantum(ho_reduced, ho_model.lattice, ho_model.params)
     assert res.mode == "imaginary"
@@ -333,6 +378,8 @@ def test_inverted_oscillator_is_not_a_free_particle(ho_model):
     cfg = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
                         duration=1.2)
     res = propagate_quantum(inverted, cfg, {})
+    assert res.metrics["omega_sq"] == pytest.approx(-1.0)
+    assert "omega" not in res.metrics
     assert res.metrics["fluctuation_det"] == pytest.approx(math.sinh(1.2),
                                                            abs=1e-8)
     assert classical_amplitude(inverted, None, None, 1.2) == pytest.approx(
