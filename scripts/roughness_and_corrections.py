@@ -1,6 +1,7 @@
 """Rough-path statistics and slicing-correction checks for the oscillator.
 
-Part one samples thermal lattice paths and measures increment scaling:
+Part one samples thermal lattice paths, as their Fourier mode draws, and
+measures increment scaling:
 Var(d zeta) per slice against the (hbar/m) eps law, and the log-log
 exponents of rms increments for thermal (~1/2) versus deterministic (~1)
 paths.  Part two expands the gauge-fixed slice Hamiltonian in increments,

@@ -13,10 +13,14 @@ Three layers:
     references;
   * paths: the rough-path statistics (Brownian increment variance,
     Hoelder-type slopes) separating quantum lattice paths from
-    deterministic flows.  Thermal-path draws are written straight into
-    the real and imaginary parts of one half-spectrum array, both
-    statistics share one periodic-increment sum, and the deterministic
-    reduced flow is stepped with its RK4 matrix.
+    deterministic flows.  Both statistics need only the sum of squared
+    periodic increments, which by Parseval is a weighted sum of the
+    squared normal mode draws: the paths are never transformed back.
+    Seeded results are fixed by how the draws are grouped, which is why
+    brownian_increment_report keeps its chunks of paths.
+    sample_thermal_paths makes the same draws and does transform them
+    back, into the real and imaginary parts of one half-spectrum array.
+    The deterministic reduced flow is stepped with its RK4 matrix.
 
 Real-time split steps run in place: the potential and kinetic factors and
 both FFTs overwrite the one complex array being evolved.  Without a
@@ -62,7 +66,9 @@ class FocalPointError(ExprError):
 
 
 class CoverageError(ExprError):
-    """Grid too small for the reference envelope at the requested time."""
+    """Grid does not fit the reference envelope at the requested time: too
+    short to hold it, or so wide that the reference underflows to zero in
+    the central window the error is measured on."""
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +506,13 @@ class PropagatorResult:
 def _central_errors(zeta: np.ndarray, psi: np.ndarray, ref: np.ndarray,
                     center: float, length: float):
     mask = np.abs(zeta - center) <= length / 4.0
-    diff = np.abs(psi[mask] - ref[mask])
-    rel = diff / np.abs(ref[mask])
+    scale = np.abs(ref[mask])
+    if not np.all(scale > 0.0):
+        raise CoverageError(
+            f"reference underflows to 0 in the central window "
+            f"(|zeta - {center:g}| <= {length / 4.0:g}); the grid is too "
+            f"long for the envelope at this time")
+    rel = np.abs(psi[mask] - ref[mask]) / scale
     l2 = float(np.sqrt(np.sum(np.abs(psi - ref) ** 2))
                / np.sqrt(np.sum(np.abs(ref) ** 2)))
     return float(np.max(rel)), l2
@@ -612,6 +623,25 @@ def _mode_eigenvalues(n_slices: int, eps: float, mass: float,
     return (2.0 * mass / eps) * (1.0 - np.cos(theta)) + eps * mass * omega ** 2
 
 
+def _mode_draws(n_slices: int, n_samples: int, rng: np.random.Generator):
+    """The thermal sampler's standard normal draws, in its order: mode 0, the
+    Nyquist mode (even n_slices only), then the real and the imaginary parts
+    of modes 1..top-1, n_slices draws per path in all.  One call fills them
+    with the same numbers, and leaves rng in the same state, as one
+    rng.normal(0, 1, ...) call per block would.
+
+    Returns (zero, nyquist or None, re, im), views of that one buffer: two
+    columns of n_samples and two (n_samples, top - 1) blocks.
+    """
+    even = n_slices % 2 == 0
+    draws = rng.standard_normal(n_samples * n_slices)
+    zero = draws[:n_samples]
+    nyquist = draws[n_samples:2 * n_samples] if even else None
+    start = (2 if even else 1) * n_samples
+    re, im = draws[start:].reshape(2, n_samples, (n_slices - 1) // 2)
+    return zero, nyquist, re, im
+
+
 def sample_thermal_paths(n_slices: int, beta: float, mass: float,
                          omega: float, hbar: float, n_samples: int,
                          rng: np.random.Generator) -> np.ndarray:
@@ -628,25 +658,48 @@ def sample_thermal_paths(n_slices: int, beta: float, mass: float,
     half = n_slices // 2
     modes = np.zeros((n_samples, half + 1), dtype=complex)
     scale = np.sqrt(hbar * n_slices / lam)
-    modes[:, 0] = rng.normal(0.0, 1.0, n_samples) * scale[0]
-    if n_slices % 2 == 0:
-        modes[:, half] = rng.normal(0.0, 1.0, n_samples) * scale[half]
-        top = half
-    else:
-        top = half + 1
-    shape = (n_samples, top - 1)
+    zero, nyquist, re, im = _mode_draws(n_slices, n_samples, rng)
+    modes[:, 0] = zero * scale[0]
+    if nyquist is not None:
+        modes[:, half] = nyquist * scale[half]
+    top = re.shape[1] + 1
     side = scale[1:top] / math.sqrt(2.0)
-    np.multiply(rng.normal(0.0, 1.0, shape), side, out=modes.real[:, 1:top])
-    np.multiply(rng.normal(0.0, 1.0, shape), side, out=modes.imag[:, 1:top])
+    np.multiply(re, side, out=modes.real[:, 1:top])
+    np.multiply(im, side, out=modes.imag[:, 1:top])
     return np.fft.irfft(modes, n=n_slices, axis=1)
 
 
-def _sum_sq_increments(paths: np.ndarray) -> Tuple[float, int]:
-    """Sum of squared periodic increments over all paths (the wrap from the
-    last slice back to the first included), and how many there are."""
-    incs = np.diff(paths, axis=1)
-    wrap = paths[:, 0] - paths[:, -1]
-    return float(np.vdot(incs, incs) + np.vdot(wrap, wrap)), paths.size
+def _increment_weights(n_slices: int, eps: float, mass: float, omega: float,
+                       hbar: float) -> np.ndarray:
+    """2 (1 - cos theta_k) hbar / lam_k: what one squared draw of mode k adds
+    to the sum of squared periodic increments of its path."""
+    theta = 2.0 * math.pi * np.arange(n_slices) / n_slices
+    lam = _mode_eigenvalues(n_slices, eps, mass, omega)
+    return 2.0 * (1.0 - np.cos(theta)) * hbar / lam
+
+
+def _thermal_increment_sum(n_slices: int, beta: float, mass: float,
+                           omega: float, hbar: float, n_samples: int,
+                           rng: np.random.Generator) -> Tuple[float, int]:
+    """Sum of squared periodic increments over n_samples thermal paths (the
+    wrap from the last slice back to the first included), and how many
+    there are.
+
+    The draws are sample_thermal_paths', but the paths are never formed.
+    By Parseval the sum is sum_k 2 (1 - cos theta_k) |X_k|^2 / N over the
+    full spectrum, which in the sampler's draws is sum_k w_k z_k^2 with
+    w = _increment_weights: mode 0 adds nothing, the Nyquist mode counts
+    once, and each other stored mode once for its real and once for its
+    imaginary draw (its conjugate doubles |X_k|^2 / 2 back to |X_k|^2).
+    """
+    weight = _increment_weights(n_slices, beta / n_slices, mass, omega, hbar)
+    _, nyquist, re, im = _mode_draws(n_slices, n_samples, rng)
+    side = weight[1:re.shape[1] + 1]
+    total = (np.einsum("ij,ij->j", re, re) @ side
+             + np.einsum("ij,ij->j", im, im) @ side)
+    if nyquist is not None:
+        total += weight[n_slices // 2] * np.vdot(nyquist, nyquist)
+    return float(total), n_samples * n_slices
 
 
 def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
@@ -654,7 +707,7 @@ def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
                               hbar: float = 1.0, n_samples: int = 100_000,
                               seed: int = 0) -> Dict[str, float]:
     """Empirical per-slice Var(d zeta) against the (hbar/m) eps law."""
-    chunk = 20_000      # paths per draw; bounds the memory of a large run
+    chunk = 20_000      # paths per draw; this grouping fixes seeded results
     eps = beta / n_slices
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -662,18 +715,17 @@ def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
     done = 0
     while done < n_samples:
         take = min(chunk, n_samples - done)
-        paths = sample_thermal_paths(n_slices, beta, mass, omega, hbar,
-                                     take, rng)
-        sq, n = _sum_sq_increments(paths)
+        sq, n = _thermal_increment_sum(n_slices, beta, mass, omega, hbar,
+                                       take, rng)
         total += sq
         count += n
         done += take
     var = total / count
     expected = hbar * eps / mass
-    lam = _mode_eigenvalues(n_slices, eps, mass, omega)
-    theta = 2.0 * math.pi * np.arange(n_slices) / n_slices
-    exact_lattice = float(hbar / n_slices
-                          * np.sum(2.0 * (1.0 - np.cos(theta)) / lam))
+    # the exact lattice variance: one unit-variance draw per mode of the
+    # full spectrum, each weighted as in _thermal_increment_sum
+    exact_lattice = float(np.sum(_increment_weights(n_slices, eps, mass,
+                                                    omega, hbar)) / n_slices)
     return {
         "var": var,
         "expected_continuum": expected,
@@ -694,8 +746,8 @@ def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
     rng = np.random.default_rng(seed)
     eps_list, rms_list = [], []
     for N in slice_counts:
-        paths = sample_thermal_paths(N, beta, mass, omega, hbar, n_samples, rng)
-        sq, n = _sum_sq_increments(paths)
+        sq, n = _thermal_increment_sum(N, beta, mass, omega, hbar,
+                                       n_samples, rng)
         eps_list.append(beta / N)
         rms_list.append(math.sqrt(sq / n))
     quantum_slope = float(np.polyfit(np.log(eps_list), np.log(rms_list), 1)[0])

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -301,6 +302,29 @@ def test_propagate_mutations_flip_the_tolerance_check(name, old, new, key,
     assert [c["name"] for c in failed] == ["error within declared tolerance"]
     assert failed[0]["detail"].startswith(f"{key} = ")
     assert report["metrics"][key] > 1e-4
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_propagate_underflowed_reference_fails_typed(tmp_path, capsys):
+    # at T = 0.01 the reference underflows to 0 inside the central window,
+    # where a relative error cannot be taken
+    path = _write(tmp_path, bundled_text("free_particle").replace(
+        "time = 1.0", "time = 0.01"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["propagate", path, "--json",
+                     "--out", str(tmp_path / "run")])
+    assert caught == []
+    assert code == EXIT_CHECK
+    report = json.loads(capsys.readouterr().out,
+                        parse_constant=_reject_constant)
+    failed = [c for c in report["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["lattice propagation"]
+    assert failed[0]["detail"].startswith("CoverageError:")
+    assert "underflows" in failed[0]["detail"]
 
 
 # ---------------------------------------------------------------------------

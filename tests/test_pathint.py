@@ -17,7 +17,7 @@ from emq.pathint import (
 )
 from emq.pathint import (
     PropagatorResult, _evolve, _mode_eigenvalues, _parity_blocks, _rk4,
-    _split_step_factors,
+    _split_step_factors, _thermal_increment_sum,
 )
 from emq.reduction import PhaseSpace, ReducedSystem
 
@@ -439,7 +439,7 @@ def _fancy_indexed_paths(n_slices, beta, mass, omega, hbar, n_samples, rng):
     return np.fft.irfft(modes, n=n_slices, axis=1)
 
 
-@pytest.mark.parametrize("n_slices", [64, 9, 16, 256, 7])
+@pytest.mark.parametrize("n_slices", [64, 9, 16, 256, 7, 2, 3])
 def test_in_place_draws_give_identical_paths(n_slices):
     args = (n_slices, 1.2, 0.8, 1.0, 1.0, 500)
     got = sample_thermal_paths(*args, np.random.default_rng(4))
@@ -454,6 +454,69 @@ def test_thermal_paths_match_the_full_spectrum(n_slices):
     got = sample_thermal_paths(*args, np.random.default_rng(4))
     want = _full_spectrum_paths(*args, np.random.default_rng(4))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def _sum_sq_increments(paths):
+    """Oracle: the sum of squared periodic increments over all paths (the
+    wrap from the last slice back to the first included), and their count,
+    taken from the paths themselves."""
+    incs = np.diff(paths, axis=1)
+    wrap = paths[:, 0] - paths[:, -1]
+    return float(np.vdot(incs, incs) + np.vdot(wrap, wrap)), paths.size
+
+
+_ROUTE_SLICES = [64, 9, 16, 256, 7, 2, 3]
+
+
+@pytest.mark.parametrize("n_slices", _ROUTE_SLICES)
+def test_spectral_increment_sum_is_the_path_route(n_slices):
+    args = (n_slices, 1.2, 0.8, 1.3, 0.7, 500)
+    got, count = _thermal_increment_sum(*args, np.random.default_rng(4))
+    want, want_count = _sum_sq_increments(
+        sample_thermal_paths(*args, np.random.default_rng(4)))
+    assert count == want_count == 500 * n_slices
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_slices", _ROUTE_SLICES)
+def test_spectral_increment_sum_consumes_the_sampler_draws(n_slices):
+    # the fancy-indexed oracle makes its draws block by block with
+    # rng.normal, independently of the shared draw helper
+    args = (n_slices, 1.2, 0.8, 1.3, 0.7, 300)
+    states = []
+    for route in (_thermal_increment_sum, sample_thermal_paths,
+                  _fancy_indexed_paths):
+        rng = np.random.default_rng(9)
+        route(*args, rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1] == states[2]
+
+
+def test_brownian_report_is_the_path_route_in_chunks():
+    # 45 001 paths: two full 20 000-path chunks and a partial one
+    n_slices, n_samples, seed = 64, 45_001, 3
+    rng = np.random.default_rng(seed)
+    total, count, done = 0.0, 0, 0
+    while done < n_samples:
+        take = min(20_000, n_samples - done)
+        sq, n = _sum_sq_increments(
+            sample_thermal_paths(n_slices, 1.0, 1.0, 1.0, 1.0, take, rng))
+        total, count, done = total + sq, count + n, done + take
+    rep = brownian_increment_report(n_slices=n_slices, n_samples=n_samples,
+                                    seed=seed)
+    assert rep["var"] == pytest.approx(total / count, rel=1e-12, abs=0.0)
+
+
+def test_holder_rms_is_the_path_route(ho_reduced, ho_model):
+    counts, n_samples = (16, 32, 64, 128, 256), 1500
+    hs = holder_slopes(ho_reduced, ho_model.params, beta=1.1, mass=0.9,
+                       omega=1.2, slice_counts=counts, n_samples=n_samples,
+                       seed=6)
+    rng = np.random.default_rng(6)
+    for N, got in zip(counts, hs["quantum_rms"]):
+        sq, n = _sum_sq_increments(
+            sample_thermal_paths(N, 1.1, 0.9, 1.2, 1.0, n_samples, rng))
+        assert got == pytest.approx(math.sqrt(sq / n), rel=1e-12, abs=0.0)
 
 
 def test_brownian_increment_variance():
