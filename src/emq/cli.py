@@ -10,6 +10,7 @@ report is reproducible given the same file and --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -388,9 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # main() only reads the parser, so one per process serves every call
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; pass through
         return int(exc.code or 0)

@@ -16,10 +16,13 @@ constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
 by sampled numeric comparison (numeric_equal), structural equality by ==.
 
-Every node keeps its structural hash, so normalize() and differentiate()
-are memoized per process: an equal subtree, however it was built, is worked
-out once.  Each memo holds at most _MEMO_LIMIT entries and is emptied when
-full; a call that raises stores nothing, so it raises again next time.
+Every node keeps its structural hash, so parse(), normalize(),
+differentiate() and substitute() are memoized per process: an equal subtree,
+however it was built, is worked out once, and a text parsed again against
+the same names gives back the identical tree, so later memo hits on it are
+found by identity.  Each memo holds at most _MEMO_LIMIT (2^16) entries and is
+emptied when full; a call that raises stores nothing, so it raises again
+next time.
 SampleDomain.sample_columns() likewise draws each (domain, n, seed) once.
 
 evaluate() walks a tree once, for floats or for a batch of points given as
@@ -705,8 +708,10 @@ def _normalize_fun(name: str, args) -> Expr:
 
 # per-process memos (see the module docstring), each emptied when full
 _MEMO_LIMIT = 1 << 16
+_PARSED: Dict[tuple, Expr] = {}
 _NORMAL_FORMS: Dict[Expr, Expr] = {}
 _DERIVATIVES: Dict[tuple, Expr] = {}
+_SUBSTITUTED: Dict[tuple, Expr] = {}
 # sample columns are larger, so fewer (domain, n, seed) sets are kept
 _SAMPLE_LIMIT = 1 << 6
 _SAMPLES: Dict[tuple, Dict[str, np.ndarray]] = {}
@@ -870,8 +875,13 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
     """Simultaneous substitution of symbols, then normalization."""
     table = {}
     for k, v in mapping.items():
-        key = k.name if isinstance(k, Sym) else k
-        table[key] = _coerce(v)
+        name = k.name if isinstance(k, Sym) else k
+        table[name] = _coerce(v)
+    # coerced values key the memo: 1, 1.0 and -0.0 are distinct constants
+    key = (e, tuple(sorted(table.items())))
+    out = _SUBSTITUTED.get(key)
+    if out is not None:
+        return out
 
     def walk(node: Expr) -> Expr:
         if isinstance(node, Const):
@@ -890,7 +900,7 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
             return Fun(node.name, tuple(walk(a) for a in node.args))
         raise TypeError(f"not an Expr: {node!r}")
 
-    return normalize(walk(e))
+    return _remember(_SUBSTITUTED, key, normalize(walk(e)), _MEMO_LIMIT)
 
 
 _NUMPY_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
@@ -1147,13 +1157,19 @@ class _Parser:
 
 def parse(text: str, table: Optional[SymbolTable] = None) -> Expr:
     """Parse the DSL into a normalized expression tree."""
+    # the table decides only which identifiers are known, so its names key
+    # the memo; a text that fails to parse is not stored and fails again
+    key = (text, None if table is None else frozenset(table._roles))
+    out = _PARSED.get(key)
+    if out is not None:
+        return out
     parser = _Parser(_tokenize(text), table)
     try:
         node = parser.parse_expr()
         tail = parser.peek()
         if tail.kind != "end":
             raise ParseError(f"trailing input {tail.text!r}", tail.offset)
-        return normalize(node)
+        return _remember(_PARSED, key, normalize(node), _MEMO_LIMIT)
     except RecursionError:
         raise ParseError("expression nested too deeply",
                          parser.peek().offset) from None

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from emq import expr
+from emq import __version__, cli, expr
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.expr import SampleDomain, columns
 from emq.sysfile import bundled_text
@@ -426,3 +426,85 @@ def test_json_anomaly_metrics(capsys):
 def test_usage_exit_for_unknown_subcommand(capsys):
     assert main(["transmogrify", "harmonic"]) == EXIT_USAGE
     assert "invalid choice" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# warm process: memoized front end and the reused argument parser
+# ---------------------------------------------------------------------------
+
+_MEMOS = ("_PARSED", "_SUBSTITUTED", "_NORMAL_FORMS", "_DERIVATIVES",
+          "_SAMPLES")
+
+
+def _report_and_artifacts(argv, capsys):
+    code = main(argv + ["--json"])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("elapsed_s")
+    artifacts = {label: open(path).read()
+                 for label, path in report["outputs"].items()}
+    return code, report, artifacts
+
+
+def test_warm_and_cold_runs_give_the_same_reports(tmp_path, monkeypatch,
+                                                  capsys):
+    tokenized = []
+    tokenize = expr._tokenize
+
+    def counting(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(expr, "_tokenize", counting)
+    for name in ("harmonic", "free_particle", "free_particle_lambda"):
+        for command in ("verify", "reduce", "propagate", "anomaly"):
+            argv = [command, name]
+            if command == "propagate":
+                argv += ["--out", str(tmp_path / name)]
+            first = _report_and_artifacts(argv, capsys)
+            tokenized.clear()
+            warm = _report_and_artifacts(argv, capsys)
+            assert tokenized == [], f"{command} {name} parsed again"
+            assert warm == first
+            for memo in _MEMOS:
+                getattr(expr, memo).clear()
+            cold = _report_and_artifacts(argv, capsys)
+            assert tokenized, "the cleared memos were not parsed afresh"
+            assert cold == first, f"{command} {name}"
+
+
+def test_a_file_edited_between_calls_is_read_again(tmp_path, capsys):
+    path = _write(tmp_path, bundled_text("harmonic"))
+    assert main(["verify", path]) == EXIT_OK
+    broken = bundled_text("harmonic").replace(
+        "zeta = -(p_x - x/alpha - a1*y)/(sqrt(2)*a1)",
+        "zeta = (p_x - x/alpha - a1*y)/(sqrt(2)*a1)")
+    _write(tmp_path, broken)
+    assert main(["verify", path]) == EXIT_CHECK
+    assert "{p_zeta, zeta}" in capsys.readouterr().out
+    _write(tmp_path, bundled_text("harmonic"))
+    assert main(["verify", path]) == EXIT_OK
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_the_reused_parser_starts_every_call_afresh(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    for _ in range(2):
+        assert main(["bogus"]) == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["--version"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == f"emq {__version__}"
+
+    copy = tmp_path / "report.json"
+    assert main(["verify", "harmonic", "--json", "--seed", "7",
+                 "--out", str(copy)]) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads(copy.read_text())["seed"] == 7
+    copy.unlink()
+    # no --out, --json or --seed: none of the last call's values carry over
+    assert main(["verify", "harmonic"]) == EXIT_OK
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out.startswith(
+        f"emq verify harmonic (seed 0, v{__version__})")

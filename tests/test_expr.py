@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,6 +334,109 @@ def test_memo_refills_after_reaching_its_bound():
         Mul((Const(3), Pow(x, 2))))
     assert normalize(Fun("sin", (Const(0),))) == ZERO
     assert normalize(Fun("sin", (Const(limit),))) == Fun("sin", (Const(limit),))
+
+
+# ---------------------------------------------------------------------------
+# memoized parse and substitute
+# ---------------------------------------------------------------------------
+
+def _clear_every_memo():
+    _clear_memos()
+    expr_module._PARSED.clear()
+    expr_module._SUBSTITUTED.clear()
+
+
+def _table(names, role="parameter"):
+    table = SymbolTable()
+    for name in names:
+        table.add(name, role)
+    return table
+
+
+def test_parse_memo_hands_out_the_identical_tree():
+    _clear_every_memo()
+    text = "a*x^2 + sin(b*y)/2"
+    first = parse(text, TABLE)
+    assert parse(text, TABLE) is first
+    # the names key the entry, not the table object or its roles
+    assert parse(text, _table(NAMES, role="coordinate")) is first
+    untabled = parse(text)
+    assert untabled == first and parse(text) is untabled
+    assert len(expr_module._PARSED) == 2
+    # a table that lacks a name still rejects the text it once accepted
+    for table in (_table(("a", "b", "x")), SymbolTable()):
+        with pytest.raises(UnknownIdentifierError, match="'y'|'a'"):
+            parse(text, table)
+    assert len(expr_module._PARSED) == 2
+
+
+def test_parse_errors_raise_on_every_call():
+    _clear_every_memo()
+    deep = "(" * 3000 + "x" + ")" * 3000
+    for text, error in (("a +", ParseError), ("x*(y", ParseError),
+                        ("2 $ 3", ParseError), ("sin(x, y)", ParseError),
+                        ("q + x", UnknownIdentifierError),
+                        ("1/(x - x)", DivisionByZeroError),
+                        (deep, ParseError)):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                parse(text, TABLE)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+    assert expr_module._PARSED == {}
+
+
+def test_parse_and_substitute_memos_empty_when_full(monkeypatch):
+    _clear_every_memo()
+    monkeypatch.setattr(expr_module, "_MEMO_LIMIT", 4)
+    parsed = [parse(f"x + {i}", TABLE) for i in range(4)]
+    assert len(expr_module._PARSED) == 4
+    assert parse("x + 4", TABLE) == normalize(Add((Sym("x"), Const(4))))
+    assert len(expr_module._PARSED) == 1
+    again = parse("x + 0", TABLE)
+    assert again == parsed[0] and again is not parsed[0]
+
+    e = parse("a*x + y", TABLE)
+    results = [substitute(e, {"x": i}) for i in range(4)]
+    assert len(expr_module._SUBSTITUTED) == 4
+    substitute(e, {"x": 4})
+    assert len(expr_module._SUBSTITUTED) == 1
+    assert substitute(e, {"x": 0}) == results[0] == Sym("y")
+
+
+def test_substitute_memo_keys_coerced_values():
+    _clear_every_memo()
+    e = parse("atan2(x, -1) + x*y", TABLE)
+    two = substitute(e, {Sym("x"): 2})
+    assert substitute(e, {"x": Const(2)}) is two
+    assert substitute(e, {"x": Fraction(2)}) is two
+    assert len(expr_module._SUBSTITUTED) == 1
+    # 1 and 1.0, 0.0 and -0.0 are distinct constants, so distinct entries
+    values = (1, 1.0, 0.0, -0.0)
+    results = [substitute(e, {"x": v}) for v in values]
+    assert len(expr_module._SUBSTITUTED) == 1 + len(values)
+    assert len({str(r) for r in results}) == len(values)
+    assert evaluate(results[2], {}) == pytest.approx(math.pi)
+    assert evaluate(results[3], {}) == pytest.approx(-math.pi)
+    for v, warm in zip(values, results):
+        _clear_every_memo()
+        cold = substitute(e, {"x": v})
+        assert cold == warm and str(cold) == str(warm)
+
+
+@given(_trees(), st.sampled_from(NAMES), _trees())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_warm_memo_gives_the_cold_substitution(e, name, value):
+    _clear_every_memo()
+    cold = _outcome(substitute, e, {name: value})
+    # warm every memo on pieces of the same work, then ask again
+    for sub in _subtrees(e):
+        _outcome(substitute, sub, {name: value})
+        _outcome(substitute, sub, {Sym(name): value, "b": Const(-1)})
+    _outcome(parse, str(e), TABLE)
+    warm = _outcome(substitute, e, {Sym(name): value})
+    assert warm == cold and str(warm) == str(cold)
 
 
 def test_deep_trees_compare_without_recursion():
