@@ -26,10 +26,11 @@ def walkthrough(name: str, seed: int) -> None:
     for cname, expr in sys_.charges:
         print(f"  {cname}   = {expr}")
 
-    rep = verify_charges(sys_, n=100, tol=1e-12, seed=seed)
-    for e in rep.entries:
-        tag = "conserved" if e.conserved else "NOT conserved"
-        print(f"  {{{e.name}, H}}: {tag} (max scaled err {e.max_err:.2e})")
+    charges = verify_charges(sys_, n=100, tol=1e-12, seed=seed)
+    for cname, cmp in charges.items():
+        tag = "conserved" if cmp.equal else "NOT conserved"
+        print(f"  {{{cname}, H}}: {tag} "
+              f"(max scaled err {cmp.max_scaled_err:.2e})")
 
     split = split_hamiltonian(sys_, seed=seed)
     diff = normalize(Add((split.h_plus, Mul((Const(-1), split.h_minus)))))
@@ -47,10 +48,10 @@ def walkthrough(name: str, seed: int) -> None:
     print(f"  presymplectic rank   : {form.rank_at(pt)}"
           f" of {len(form.variables)} retained variables")
 
-    checks = verify_canonicity(model.darboux, sys_.space, model.chart,
-                               n=200, tol=1e-9, seed=seed)
-    worst = max(c.max_err for c in checks)
-    print(f"  bracket table        : {len(checks)} brackets,"
+    brackets = verify_canonicity(model.darboux, sys_.space, model.chart,
+                                 n=200, tol=1e-9, seed=seed)
+    worst = max(cmp.max_scaled_err for cmp in brackets.values())
+    print(f"  bracket table        : {len(brackets)} brackets,"
           f" worst err {worst:.2e}")
 
     rs = result.system

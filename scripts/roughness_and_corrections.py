@@ -54,11 +54,12 @@ def run(samples: int, seed: int) -> None:
                                     model.system.hamiltonian, model.chart,
                                     expected=model.sliced_refs, seed=seed)
     print("sliced expansion:")
-    for term in sliced.terms:
-        tag = "matches reference" if term.matches else "NO MATCH"
+    for (name, cmp), want in zip(sliced.comparisons.items(),
+                                 model.sliced_refs):
+        tag = "matches reference" if cmp.equal else "NO MATCH"
         # derived forms come out of the solver unsimplified; the stored
         # references are the readable versions of the same functions
-        print(f"  {term.name:16s} {tag}: {term.expected}")
+        print(f"  {name:16s} {tag}: {want}")
 
     fit = correction_scaling(sliced, model.chart, seed=seed)
     print(f"  per-slice contribution slope = {fit.slope:.4f} (expect 1.5)")

@@ -6,8 +6,7 @@ Modules:
     reduction   constraint elimination, Darboux charts, reduced dynamics
     pathint     classical/lattice propagators, partition functions, paths
     anomaly     generating functions and discretization anomaly checks
-    sysfile     the .sys model-description file format
-    systems     bundled model definitions
+    sysfile     the .sys model-description file format and bundled models
     cli         command-line entry point
 """
 

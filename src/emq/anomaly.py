@@ -37,7 +37,7 @@ from .symplectic import PhaseSpace
 __all__ = [
     "AnomalyError", "ChartSingularityError",
     "GeneratingFunction", "AnomalyCoeffs",
-    "SurfaceEntry", "SurfaceReport", "SlicedTerm", "SlicedExpansionReport",
+    "SlicedExpansionReport",
     "ScalingFit",
     "increment_symbol", "consistency_report", "anomaly_coefficients",
     "constraint_surface_vanishing", "sliced_expansion_check",
@@ -213,49 +213,25 @@ def anomaly_coefficients(gen: GeneratingFunction,
 # gauge-surface restriction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceEntry:
-    name: str
-    restricted: Expr
-    vanishes: bool
-    max_scaled_err: float
-
-
-@dataclass(frozen=True)
-class SurfaceReport:
-    entries: Tuple[SurfaceEntry, ...]
-
-    @property
-    def all_vanish(self) -> bool:
-        return all(e.vanishes for e in self.entries)
-
-    def entry(self, name: str) -> SurfaceEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-
 def constraint_surface_vanishing(coeffs: AnomalyCoeffs, map: CanonicalMap,
-                                 chart: SampleDomain,
-                                 seed: int = 0) -> SurfaceReport:
-    """Restrict each coefficient to z = p_z = 0 and test for zero.
+                                 chart: SampleDomain, seed: int = 0
+                                 ) -> Dict[str, ComparisonResult]:
+    """Restrict each coefficient to z = p_z = 0 and compare it with zero.
 
-    Structural zeros are reported with error 0; anything else is sampled on
-    the chart.  The physical statement is that the corrections are pure gauge:
-    they multiply increments of variables the gauge fixing freezes, or vanish
-    once the frozen values are substituted.
+    Structural zeros are reported as ComparisonResult(True, 0.0, None, 0),
+    with no point sampled; anything else is sampled on the chart.  The
+    physical statement is that the corrections are pure gauge: they multiply
+    increments of variables the gauge fixing freezes, or vanish once the
+    frozen values are substituted.
     """
     surface = {map.z: ZERO, map.p_z: ZERO}
-    entries = []
+    out = {}
     for name, e in coeffs.as_pairs():
         restricted = normalize(substitute(e, surface))
-        if restricted == ZERO:
-            entries.append(SurfaceEntry(name, restricted, True, 0.0))
-            continue
-        cmp = numeric_compare(restricted, ZERO, chart, seed=seed)
-        entries.append(SurfaceEntry(name, restricted, cmp.equal, cmp.max_scaled_err))
-    return SurfaceReport(tuple(entries))
+        out[name] = (ComparisonResult(True, 0.0, None, 0)
+                     if restricted == ZERO
+                     else numeric_compare(restricted, ZERO, chart, seed=seed))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +239,13 @@ def constraint_surface_vanishing(coeffs: AnomalyCoeffs, map: CanonicalMap,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SlicedTerm:
-    name: str
-    derived: Expr
-    expected: Optional[Expr]
-    comparison: Optional[ComparisonResult]
-
-    @property
-    def matches(self) -> Optional[bool]:
-        return None if self.comparison is None else self.comparison.equal
-
-
-@dataclass(frozen=True)
 class SlicedExpansionReport:
-    terms: Tuple[SlicedTerm, ...]
-    determinant: Expr
+    """derived: each term's form, keyed constant, momentum_shift,
+    coordinate_shift; comparisons: the same keys against the expected
+    forms, empty when none were given."""
 
-    @property
-    def all_match(self) -> bool:
-        checked = [t for t in self.terms if t.comparison is not None]
-        return bool(checked) and all(t.comparison.equal for t in checked)
-
-    def term(self, name: str) -> SlicedTerm:
-        for t in self.terms:
-            if t.name == name:
-                return t
-        raise KeyError(name)
+    derived: Dict[str, Expr]
+    comparisons: Dict[str, ComparisonResult]
 
 
 def _midpoint_shift(e: Expr, block: Sequence[str]) -> Expr:
@@ -414,16 +371,14 @@ def sliced_expansion_check(gen: GeneratingFunction, map: CanonicalMap,
     coeff_p = normalize(substitute(differentiate(h_surface, dp), no_delta))
     coeff_q = normalize(substitute(differentiate(h_surface, dq), no_delta))
 
-    derived = (("constant", constant), ("momentum_shift", coeff_p),
-               ("coordinate_shift", coeff_q))
-    terms = []
-    for i, (name, e) in enumerate(derived):
-        want = expected[i] if expected is not None else None
-        cmp = None
-        if want is not None:
-            cmp = numeric_compare(e, want, chart, n=n, tol=tol, seed=seed)
-        terms.append(SlicedTerm(name, e, want, cmp))
-    return SlicedExpansionReport(tuple(terms), det)
+    derived = {"constant": constant, "momentum_shift": coeff_p,
+               "coordinate_shift": coeff_q}
+    comparisons = {}
+    if expected is not None:
+        comparisons = {name: numeric_compare(e, want, chart, n=n, tol=tol,
+                                             seed=seed)
+                       for (name, e), want in zip(derived.items(), expected)}
+    return SlicedExpansionReport(derived, comparisons)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +403,8 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
     """
     widths = tuple(2.0 ** -k for k in range(4, 11))
     n_samples = 4000
-    c_p = report.term("momentum_shift").derived
-    c_q = report.term("coordinate_shift").derived
+    c_p = report.derived["momentum_shift"]
+    c_q = report.derived["coordinate_shift"]
     point = chart.sample(1, seed=seed)[0]
     vp = evaluate(c_p, point)
     vq = evaluate(c_q, point)

@@ -14,7 +14,7 @@ Decimal literals are converted to exact fractions; floats only appear if a
 caller constructs them directly.  normalize() flattens sums/products, merges
 constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
-by sampled numeric comparison (numeric_equal), structural equality by ==.
+by sampled numeric comparison (numeric_compare), structural equality by ==.
 
 Every node keeps its structural hash, so parse(), normalize(),
 differentiate() and substitute() are memoized per process: an equal subtree,
@@ -50,7 +50,7 @@ __all__ = [
     "DomainError",
     "SymbolTable", "SampleDomain",
     "parse", "normalize", "expand", "differentiate", "substitute", "evaluate",
-    "numeric_equal", "numeric_compare", "ComparisonResult", "columns",
+    "numeric_compare", "ComparisonResult", "columns",
     "ZERO", "ONE",
 ]
 
@@ -1346,8 +1346,3 @@ def numeric_compare(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,
     equal = not np.any(err > tol * scale)
     return ComparisonResult(equal, float(scaled[worst]),
                             {k: float(v[worst]) for k, v in cols.items()}, n)
-
-
-def numeric_equal(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,
-                  tol: float = 1e-9, seed: int = 0) -> bool:
-    return numeric_compare(a, b, domain, n=n, tol=tol, seed=seed).equal

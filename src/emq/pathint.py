@@ -82,7 +82,9 @@ class LatticeConfig:
     mode: 'real' (kernel column), 'imaginary' (partition trace) or
     'classical' (delta-squeezed weight).  duration is T in real/classical
     mode and beta in imaginary mode.  source_sigma_cells sets the Gaussian
-    source width in units of the grid spacing.
+    source width in units of the grid spacing.  A rejected value raises
+    ValueError(message, field name), so a file reader can point at the line
+    that set the field.
     """
 
     mode: str
@@ -97,11 +99,11 @@ class LatticeConfig:
 
     def __post_init__(self):
         if self.mode not in ("real", "imaginary", "classical"):
-            raise ValueError(f"unknown lattice mode {self.mode!r}")
+            raise ValueError(f"unknown lattice mode {self.mode!r}", "mode")
         if self.n & (self.n - 1) or self.n <= 0:
-            raise ValueError("grid point count must be a power of two")
+            raise ValueError("grid point count must be a power of two", "n")
         if self.slices < 2:
-            raise ValueError("need at least two time slices")
+            raise ValueError("need at least two time slices", "slices")
 
     @property
     def dx(self) -> float:

@@ -27,15 +27,15 @@ import numpy as np
 from .expr import (
     Expr, Const, Sym, Add, Mul, Pow, Div, ZERO, ONE,
     DomainError, ExprError, SampleDomain,
-    differentiate, evaluate, expand, normalize, numeric_compare,
-    numeric_equal, substitute,
+    ComparisonResult, differentiate, evaluate, expand, normalize,
+    numeric_compare, substitute,
 )
 from .symplectic import PhaseSpace, FlowSystem, poisson_bracket
 
 __all__ = [
     "ConstraintSpec", "CanonicalMap", "PresymplecticForm",
     "ReducedLagrangian", "TransformedLagrangian", "ReducedSystem",
-    "BracketCheck", "EliminationResult",
+    "EliminationResult",
     "eliminate_primary", "presymplectic_direct", "verify_canonicity",
     "apply_darboux", "eliminate_z", "fd_jacobian", "jacobi_liouville_check",
     "run_reduction",
@@ -81,7 +81,7 @@ class ConstraintSpec:
                 f"solution does not solve phi = 0: residual {residual} "
                 f"(max scaled err {cmp.max_scaled_err:.3e})")
         dphi = differentiate(self.phi, self.eliminated)
-        if numeric_equal(dphi, ZERO, sys.chart, seed=seed):
+        if numeric_compare(dphi, ZERO, sys.chart, seed=seed).equal:
             raise DomainError(
                 f"phi does not depend on {self.eliminated}; cannot eliminate")
 
@@ -155,9 +155,9 @@ def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
     Returns (ReducedLagrangian, PresymplecticForm) on the 2N-1 surviving
     variables, momenta first.  Eliminating a coordinate rewrites its
     velocity by the chain rule; eliminating a momentum needs no extra term
-    because momentum velocities are absent from this form of L.
+    because momentum velocities are absent from this form of L.  The
+    constraint is taken as given: run_reduction validates it first.
     """
-    c.validate(sys)
     ps = sys.space
     kin_terms = [Mul((Sym(p), Sym(velocity_symbol(q))))
                  for p, q in zip(ps.momenta, ps.coordinates)]
@@ -267,31 +267,17 @@ class CanonicalMap:
         return 0
 
 
-@dataclass(frozen=True)
-class BracketCheck:
-    left: str
-    right: str
-    expected: int
-    max_err: float
-    ok: bool
-
-    def label(self) -> str:
-        return f"{{{self.left}, {self.right}}}"
-
-
 def verify_canonicity(map: CanonicalMap, ps: PhaseSpace, chart: SampleDomain,
-                      n: int = 200, tol: float = 1e-9, seed: int = 0):
-    """All pairwise target brackets against the canonical table."""
+                      n: int = 200, tol: float = 1e-9, seed: int = 0
+                      ) -> Dict[Tuple[str, str], ComparisonResult]:
+    """All pairwise target brackets against map.expected_bracket, keyed by
+    (left, right) in target_names order."""
     names = map.target_names
-    checks = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            bracket = poisson_bracket(map.forward_expr(a), map.forward_expr(b), ps)
-            want = map.expected_bracket(a, b)
-            cmp = numeric_compare(bracket, Const(want), chart, n=n, tol=tol,
-                                  seed=seed)
-            checks.append(BracketCheck(a, b, want, cmp.max_scaled_err, cmp.equal))
-    return checks
+    return {(a, b): numeric_compare(
+                poisson_bracket(map.forward_expr(a), map.forward_expr(b), ps),
+                Const(map.expected_bracket(a, b)), chart, n=n, tol=tol,
+                seed=seed)
+            for i, a in enumerate(names) for b in names[i + 1:]}
 
 
 @dataclass(frozen=True)
@@ -315,11 +301,12 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
     equals the substituted one up to a total time derivative; legitimacy of
     that rewrite is exactly the velocity-matrix check performed here.
     """
-    for check in verify_canonicity(map, ps, chart, seed=seed):
-        if not check.ok:
+    for (a, b), cmp in verify_canonicity(map, ps, chart, seed=seed).items():
+        if not cmp.equal:
             raise CanonicityError(
-                f"map rejected: bracket {check.label()} = {check.expected} "
-                f"fails (max scaled err {check.max_err:.3e})")
+                f"map rejected: bracket {{{a}, {b}}} = "
+                f"{map.expected_bracket(a, b)} fails "
+                f"(max scaled err {cmp.max_scaled_err:.3e})")
 
     eta = map.eta
     surface_inverse = {name: substitute(e, {map.p_z: 0})
@@ -389,7 +376,7 @@ def eliminate_z(H_prime: Expr, map: CanonicalMap, chart: SampleDomain,
     substitute.  Anything else is outside the supported class.
     """
     z = map.z
-    zero_ok = lambda e: numeric_equal(e, ZERO, chart, seed=seed)
+    zero_ok = lambda e: numeric_compare(e, ZERO, chart, seed=seed).equal
 
     # expansion collapses the cross terms the factored chart form carries, so
     # chi and h_star come out in closed form
@@ -497,6 +484,7 @@ def run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
                   seed: int = 0):
     """Full pipeline with a provenance log; returns the pieces and the log."""
     steps = []
+    c.validate(sys, seed=seed)
     L_R, f = eliminate_primary(sys, c)
     steps.append(f"eliminated {c.eliminated} = {c.solution}")
     steps.append(f"presymplectic rank at chart points: "

@@ -12,17 +12,16 @@ with both halves nonnegative wherever rho > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .expr import (
     Expr, Const, Sym, Add, Mul, Pow, Div, ZERO,
-    SampleDomain, differentiate, normalize, numeric_compare, numeric_equal,
+    ComparisonResult, SampleDomain, differentiate, normalize, numeric_compare,
     DomainError, ExprError,
 )
 
 __all__ = [
     "PhaseSpace", "FlowSystem", "HamiltonianSplit",
-    "ChargeReport", "ChargeEntry",
     "poisson_bracket", "hamilton_vector_field", "split_hamiltonian",
     "verify_charges",
     "StructureError", "RhoNotConservedError",
@@ -176,44 +175,13 @@ class FlowSystem:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class ChargeEntry:
-    name: str
-    conserved: bool
-    max_err: float
-    momentum_free: bool
-
-
-@dataclass(frozen=True)
-class ChargeReport:
-    entries: Tuple[ChargeEntry, ...]
-
-    @property
-    def all_conserved(self) -> bool:
-        return all(e.conserved for e in self.entries)
-
-    def entry(self, name: str) -> ChargeEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-
 def verify_charges(sys: FlowSystem, n: int = 100, tol: float = 1e-12,
-                   seed: int = 0) -> ChargeReport:
-    """Check {C, H} = 0 for each declared charge; flag momentum-free ones."""
+                   seed: int = 0) -> Dict[str, ComparisonResult]:
+    """Compare {C, H} with 0 for each declared charge, keyed by charge name."""
     H = sys.hamiltonian
-    entries = []
-    for name, C in sys.charges:
-        bracket = poisson_bracket(C, H, sys.space)
-        cmp = numeric_compare(bracket, ZERO, sys.chart, n=n, tol=tol, seed=seed)
-        entries.append(ChargeEntry(
-            name=name,
-            conserved=cmp.equal,
-            max_err=cmp.max_scaled_err,
-            momentum_free=_is_momentum_free(C, sys.space),
-        ))
-    return ChargeReport(tuple(entries))
+    return {name: numeric_compare(poisson_bracket(C, H, sys.space), ZERO,
+                                  sys.chart, n=n, tol=tol, seed=seed)
+            for name, C in sys.charges}
 
 
 @dataclass(frozen=True)

@@ -396,33 +396,36 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
             if key not in _LATTICE_KEYS:
                 raise SysFileError(f"{where}:{lineno}: unknown [lattice] "
                                    f"key {key!r}")
-        def lat(key, default=None):
-            if key in lat_map:
-                return lat_map[key][1]
-            return default
-        mode = lat("mode", "real")
+        def lat(key, default, convert):
+            # each value is read, and reported, at its own line
+            if key not in lat_map:
+                return default
+            lineno, value = lat_map[key]
+            return convert(value, where, lineno)
+        mode = lat_map.get("mode", (0, "real"))[1]
         if "time" in lat_map and "beta" in lat_map:
             raise SysFileError(f"{where}: [lattice] sets both time and beta")
         dur_key = "beta" if mode == "imaginary" else "time"
         if dur_key not in lat_map:
             raise SysFileError(f"{where}: [lattice] missing {dur_key}")
-        lineno = lat_map[dur_key][0]
         try:
             lattice = LatticeConfig(
                 mode=mode,
-                n=_parse_int(lat("n", "256"), where, lineno),
-                length=_parse_float(lat("length", "16.0"), where, lineno),
-                slices=_parse_int(lat("slices", "128"), where, lineno),
-                duration=_parse_float(lat(dur_key), where, lineno),
+                n=lat("n", 256, _parse_int),
+                length=lat("length", 16.0, _parse_float),
+                slices=lat("slices", 128, _parse_int),
+                duration=lat(dur_key, None, _parse_float),
                 hbar=params.get("hbar", 1.0),
-                source_center=_parse_float(lat("source_center", "0.0"),
-                                           where, lineno),
-                source_sigma_cells=_parse_float(lat("source_sigma_cells", "6.0"),
-                                                where, lineno),
-                tolerance=_parse_float(lat("tolerance", "1e-4"), where, lineno),
+                source_center=lat("source_center", 0.0, _parse_float),
+                source_sigma_cells=lat("source_sigma_cells", 6.0,
+                                       _parse_float),
+                tolerance=lat("tolerance", 1e-4, _parse_float),
             )
         except ValueError as exc:
-            raise SysFileError(f"{where}: bad [lattice] settings: {exc}") from exc
+            # the defaults are valid, so the rejected field is in the file
+            message, key = exc.args
+            raise SysFileError(f"{where}:{lat_map[key][0]}: bad [lattice] "
+                               f"settings: {message}") from exc
 
     # --- [anomaly]
     anomaly_F = None

@@ -1,22 +1,22 @@
 import pytest
 
 from emq.reduction import run_reduction
-from emq.systems import free_particle, free_particle_lambda, harmonic
+from emq.sysfile import load_bundled
 
 
 @pytest.fixture(scope="session")
 def free_model():
-    return free_particle()
+    return load_bundled("free_particle")
 
 
 @pytest.fixture(scope="session")
 def ho_model():
-    return harmonic()
+    return load_bundled("harmonic")
 
 
 @pytest.fixture(scope="session")
 def lam_model():
-    return free_particle_lambda()
+    return load_bundled("free_particle_lambda")
 
 
 @pytest.fixture(scope="session")

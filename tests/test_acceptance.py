@@ -17,7 +17,7 @@ from emq.anomaly import (
 from emq.cli import EXIT_CHECK, EXIT_OK, main
 from emq.expr import (
     Add, Const, Div, Fraction, Fun, Mul, ONE, SampleDomain, Sym, ZERO,
-    evaluate, normalize, numeric_equal, parse, substitute,
+    evaluate, normalize, numeric_compare, parse, substitute,
 )
 from emq.pathint import (
     FocalPointError, LatticeConfig, bare_kernel, bind_reduced_hamiltonian,
@@ -41,9 +41,9 @@ def test_criterion_01_charge_conservation(free_model, ho_model):
     for m in (free_model, ho_model):
         rep = verify_charges(m.system, n=100, tol=1e-12)
         for name in ("C1", "C2"):
-            e = rep.entry(name)
-            assert e.conserved, (f"{m.name}: {{{name}, H}} fails at 1e-12 "
-                                 f"(max err {e.max_err:.2e})")
+            cmp = rep[name]
+            assert cmp.equal, (f"{m.name}: {{{name}, H}} fails at 1e-12 "
+                               f"(max err {cmp.max_scaled_err:.2e})")
     _line(1, "{C1, H} and {C2, H} vanish at 1e-12 over 100 chart points")
 
 
@@ -59,10 +59,12 @@ def test_criterion_02_splitting_and_information_loss(free_model, ho_model):
         H = m.system.hamiltonian
         diff = normalize(Add((split.h_plus,
                               Mul((Const(-1), split.h_minus)))))
-        assert numeric_equal(diff, H, m.chart, n=100, tol=1e-9), \
+        assert numeric_compare(diff, H, m.chart, n=100,
+                               tol=1e-9).equal, \
             f"{m.name}: H_plus - H_minus != H"
         bracket = poisson_bracket(split.h_plus, split.h_minus, m.system.space)
-        assert numeric_equal(bracket, ZERO, m.chart, n=100, tol=1e-9), \
+        assert numeric_compare(bracket, ZERO, m.chart, n=100,
+                               tol=1e-9).equal, \
             f"{m.name}: {{H_plus, H_minus}} != 0"
 
         h_minus = substitute(split.h_minus,
@@ -71,7 +73,8 @@ def test_criterion_02_splitting_and_information_loss(free_model, ho_model):
             # chi = 0 solved for p_y completes the second-class restriction
             h_minus = substitute(
                 h_minus, {"p_y": parse("y/alpha + a1*x", m.symbols)})
-        assert numeric_equal(h_minus, ZERO, m.chart, n=100, tol=1e-9), \
+        assert numeric_compare(h_minus, ZERO, m.chart, n=100,
+                               tol=1e-9).equal, \
             f"{m.name}: H_minus does not vanish on the constraint surface"
     _line(2, "H_plus - H_minus = H, {H_plus, H_minus} = 0, and H_minus = 0 "
              "on the constraint surface at 1e-9")
@@ -81,7 +84,8 @@ def test_criterion_03_canonicity_and_volume(free_model, ho_model, lam_model):
     for m in (free_model, ho_model, lam_model):
         checks = verify_canonicity(m.darboux, m.system.space, m.chart,
                                    n=200, tol=1e-9)
-        assert all(c.ok for c in checks), f"{m.name}: bracket table fails"
+        assert all(cmp.equal for cmp in checks.values()), \
+            f"{m.name}: bracket table fails"
         assert jacobi_liouville_check(m.darboux, m.constraint, m.system,
                                       tol=1e-7), \
             f"{m.name}: chart volume factor drifts beyond 1e-7"
@@ -99,7 +103,8 @@ def test_criterion_04_reduced_closed_forms(free_model, ho_model, lam_model,
     )
     for model, rs, text in cases:
         want = normalize(parse(text, model.symbols))
-        assert numeric_equal(rs.h_star, want, model.chart, n=64, tol=1e-10), \
+        assert numeric_compare(rs.h_star, want, model.chart, n=64,
+                               tol=1e-10).equal, \
             f"{model.name}: H* != {text}"
     _line(4, "H* matches the closed forms at 1e-10, including the "
              "potential-term variant a1 -> a1 + lam")
@@ -188,22 +193,25 @@ def test_criterion_08_slicing_corrections(free_model, ho_model):
     )), sin_z)))
     dom = SampleDomain(ranges=(("z", -1.2, 1.2), ("p_z", -1.5, 1.5),
                                ("p_zeta", 0.5, 3.0), ("a1", 0.2, 1.2)))
-    assert numeric_equal(oracle, free_model.reference_A_z, dom, n=100,
-                         tol=1e-10)
+    assert numeric_compare(oracle, free_model.reference_A_z, dom, n=100,
+                           tol=1e-10).equal
     assert normalize(substitute(free_model.reference_A_z, {"z": ZERO})) == ZERO
     gen_free = GeneratingFunction.for_chart(free_model.anomaly_F,
                                             free_model.system.space,
                                             free_model.darboux)
     coeffs = anomaly_coefficients(gen_free,
                                   reference_A_z=free_model.reference_A_z)
-    assert constraint_surface_vanishing(coeffs, free_model.darboux,
-                                        free_model.chart).all_vanish
+    surface = constraint_surface_vanishing(coeffs, free_model.darboux,
+                                           free_model.chart)
+    assert all(cmp.equal for cmp in surface.values())
 
     rep = sliced_expansion_check(gen_ho, ho_model.darboux,
                                  ho_model.system.hamiltonian, ho_model.chart,
                                  expected=ho_model.sliced_refs,
                                  n=100, tol=1e-8)
-    assert rep.all_match, "sliced expansion disagrees with reference forms"
+    assert rep.comparisons and all(
+        cmp.equal for cmp in rep.comparisons.values()), \
+        "sliced expansion disagrees with reference forms"
     fit = correction_scaling(rep, ho_model.chart)
     assert abs(fit.slope - 1.5) < 0.05, f"scaling slope {fit.slope:.3f}"
     _line(8, f"correction coefficients vanish for 21 quadratic generating "

@@ -9,8 +9,9 @@ from emq.anomaly import (
     sliced_expansion_check,
 )
 from emq.expr import (
-    Add, Const, Div, Fraction, Fun, Mul, SampleDomain, Sym, ZERO, ONE,
-    evaluate, normalize, numeric_equal, parse, substitute,
+    Add, ComparisonResult, Const, Div, Fraction, Fun, Mul, SampleDomain, Sym,
+    ZERO, ONE,
+    evaluate, normalize, numeric_compare, parse, substitute,
 )
 from emq.reduction import UnsupportedPatternError
 from emq.symplectic import PhaseSpace
@@ -120,8 +121,8 @@ def test_reference_A_z_against_a_rebuilt_closed_form(free_model):
     oracle = normalize(Mul((Const(Fraction(-1, 2)), bracket, sin_z)))
     dom = SampleDomain(ranges=(("z", -1.2, 1.2), ("p_z", -1.5, 1.5),
                                ("p_zeta", 0.5, 3.0), ("a1", 0.2, 1.2)))
-    assert numeric_equal(oracle, free_model.reference_A_z, dom, n=100,
-                         tol=1e-10)
+    assert numeric_compare(oracle, free_model.reference_A_z, dom, n=100,
+                           tol=1e-10).equal
 
     probe = {"z": 0.3, "p_zeta": 1.0, "p_z": 0.0, "a1": 0.5}
     val = evaluate(free_model.reference_A_z, probe)
@@ -135,9 +136,10 @@ def test_coefficients_vanish_on_the_gauge_surface(free_model, ho_model):
     for m in (free_model, ho_model):
         coeffs = anomaly_coefficients(_gen(m), reference_A_z=m.reference_A_z)
         rep = constraint_surface_vanishing(coeffs, m.darboux, m.chart)
-        assert rep.all_vanish
-        assert {e.name for e in rep.entries} == set(COEFF_NAMES)
-        assert rep.entry("A_z").max_scaled_err == 0.0  # structural after sin(0)
+        assert all(cmp.equal for cmp in rep.values())
+        assert tuple(rep) == COEFF_NAMES
+        # structural after sin(0): nothing sampled
+        assert rep["A_z"] == ComparisonResult(True, 0.0, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +161,22 @@ def test_sliced_expansion_matches_reference_forms(ho_model):
     rep = sliced_expansion_check(_gen(ho_model), ho_model.darboux,
                                  ho_model.system.hamiltonian, ho_model.chart,
                                  expected=_expected(ho_model), n=100, tol=1e-8)
-    assert rep.all_match
-    assert tuple(t.name for t in rep.terms) == ("constant", "momentum_shift",
-                                                "coordinate_shift")
+    assert all(cmp.equal for cmp in rep.comparisons.values())
+    assert tuple(rep.derived) == tuple(rep.comparisons) == (
+        "constant", "momentum_shift", "coordinate_shift")
     # the shipped data file carries the same three forms
     assert ho_model.sliced_refs is not None
     for shipped, local in zip(ho_model.sliced_refs, _expected(ho_model)):
-        assert numeric_equal(shipped, local, ho_model.chart, n=40, tol=1e-12)
+        assert numeric_compare(shipped, local, ho_model.chart, n=40,
+                               tol=1e-12).equal
 
 
 def test_sliced_constant_is_the_reduced_hamiltonian(ho_model, ho_reduced):
     rep = sliced_expansion_check(_gen(ho_model), ho_model.darboux,
                                  ho_model.system.hamiltonian, ho_model.chart)
-    assert numeric_equal(rep.term("constant").derived, ho_reduced.h_star,
-                         ho_model.chart, n=60, tol=1e-10)
-    assert rep.term("constant").matches is None  # nothing was expected
+    assert numeric_compare(rep.derived["constant"], ho_reduced.h_star,
+                           ho_model.chart, n=60, tol=1e-10).equal
+    assert rep.comparisons == {}  # nothing was expected
 
 
 def test_sliced_expansion_flags_chart_degeneracy(ho_model):

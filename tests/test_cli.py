@@ -41,6 +41,17 @@ def test_verify_names_the_failing_bracket(tmp_path, capsys):
     assert "zeta" in out
 
 
+def test_verify_without_chi_has_no_gauge_pair_line(tmp_path, capsys):
+    chi = "chi = p_y - y/alpha - a1*x\n"
+    text = bundled_text("harmonic")
+    assert text.count(chi) == 1
+    path = _write(tmp_path, text.replace(chi, ""))
+    assert main(["verify", path, "--json"]) == EXIT_OK
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert "canonical bracket table" in names
+    assert "gauge pair second class" not in names
+
+
 def test_rho_line_reports_the_bracket_and_can_fail(tmp_path, capsys):
     assert main(["verify", "harmonic", "--json"]) == EXIT_OK
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -173,10 +184,14 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
         return sample(self, n, seed=seed, rng=rng)
 
     monkeypatch.setattr(SampleDomain, "sample", counting)
-    expr._SAMPLES.clear()
-    assert main(["reduce", "harmonic", "--json"]) == EXIT_OK
-    cached = json.loads(capsys.readouterr().out)
-    assert sorted(draws) == [(1, 0), (64, 0), (200, 0)]
+    # --seed reaches every sampled check, the constraint validation included
+    for s in (5, 0):
+        draws.clear()
+        expr._SAMPLES.clear()
+        assert main(["reduce", "harmonic", "--json", "--seed", str(s)]) \
+            == EXIT_OK
+        cached = json.loads(capsys.readouterr().out)
+        assert sorted(draws) == [(1, s), (64, s), (200, s)]
 
     # the same report when every comparison draws its points afresh
     monkeypatch.setattr(SampleDomain, "sample_columns",

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from emq.expr import (
-    DomainError, SampleDomain, Sym, ZERO, expand, normalize, numeric_equal,
+    DomainError, SampleDomain, Sym, ZERO, expand, normalize, numeric_compare,
     parse,
 )
 from emq.reduction import (
@@ -63,8 +63,8 @@ def test_presymplectic_matches_direct_formula(free_model, ho_model):
         dim = len(f.variables)
         for i in range(dim):
             for j in range(dim):
-                assert numeric_equal(f.matrix[i][j], g.matrix[i][j],
-                                     m.system.chart, n=40, tol=1e-9)
+                assert numeric_compare(f.matrix[i][j], g.matrix[i][j],
+                                       m.system.chart, n=40, tol=1e-9).equal
 
 
 def test_presymplectic_is_antisymmetric(ho_model):
@@ -100,8 +100,11 @@ def test_map_requires_all_forward_expressions(ho_model):
 def test_canonicity_passes_and_sign_flip_fails(ho_model):
     sys = ho_model.system
     checks = verify_canonicity(ho_model.darboux, sys.space, sys.chart)
-    assert all(c.ok for c in checks)
-    assert len(checks) == 6  # 4 targets choose 2
+    assert all(cmp.equal for cmp in checks.values())
+    names = ho_model.darboux.target_names
+    # 4 targets choose 2, in target order
+    assert list(checks) == [(a, b) for i, a in enumerate(names)
+                            for b in names[i + 1:]]
 
     flipped_fwd = tuple(
         (k, normalize(parse("-(" + str(v) + ")", ho_model.symbols)))
@@ -109,7 +112,7 @@ def test_canonicity_passes_and_sign_flip_fails(ho_model):
         for k, v in ho_model.darboux.forward)
     broken = dataclasses.replace(ho_model.darboux, forward=flipped_fwd)
     soft = verify_canonicity(broken, sys.space, sys.chart)
-    assert any(not c.ok for c in soft)
+    assert not soft[("p_zeta", "zeta")].equal
     L_R, _ = eliminate_primary(sys, ho_model.constraint)
     with pytest.raises(CanonicityError, match="zeta"):
         apply_darboux(L_R, broken, sys.space, sys.chart)
@@ -138,7 +141,8 @@ def test_reduced_hamiltonian_closed_forms(free_model, ho_model, lam_model):
         want = _h(model, text)
         assert res.system.h_star == want
         dom = model.system.chart
-        assert numeric_equal(res.system.h_star, want, dom, n=60, tol=1e-10)
+        assert numeric_compare(res.system.h_star, want, dom, n=60,
+                               tol=1e-10).equal
 
 
 def test_gauge_branches(free_model, ho_model):

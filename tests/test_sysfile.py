@@ -1,5 +1,6 @@
 import pytest
 
+from emq.cli import EXIT_USAGE, main
 from emq.sysfile import (
     Model, SysFileError, bundled_names, bundled_text, load_bundled,
     load_model, loads_model,
@@ -178,6 +179,22 @@ def test_lattice_unknown_key():
 
 def test_lattice_missing_duration():
     _expect(_mutated("time = 1.0\n", ""), "[lattice] missing time")
+
+
+@pytest.mark.parametrize("old, new, fragment", [
+    ("n = 1024", "n = abc", "bad integer 'abc'"),
+    ("n = 1024", "n = 1000", "power of two"),
+    ("mode = real", "mode = bogus", "unknown lattice mode 'bogus'"),
+])
+def test_lattice_errors_name_the_line_of_their_key(old, new, fragment,
+                                                   tmp_path, capsys):
+    text = _mutated(old, new)
+    lineno = text.splitlines().index(new) + 1
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}:" in err and fragment in err
 
 
 def test_anomaly_stray_key():
