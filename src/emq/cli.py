@@ -238,18 +238,10 @@ def cmd_reduce(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     return rep.exit_code, rep
 
 
-def _artifact_paths(out: Optional[str], model_name: str,
-                    mode: str) -> Tuple[str, str]:
-    if out:
-        base = out[:-4] if out.endswith(".csv") else out
-    else:
-        base = f"{model_name}_{mode}"
-    return base + ".csv", base + "_metrics.json"
-
-
 def cmd_propagate(path: str, seed: int = 0,
                   out: Optional[str] = None) -> Tuple[int, RunReport]:
-    """Lattice run against the closed-form reference; CSV plus metrics JSON."""
+    """Lattice run against the closed-form reference; with out, a CSV plus
+    metrics JSON."""
     model = _load(path)
     if model.lattice is None:
         raise SysFileError(f"{model.name}: no [lattice] section, "
@@ -277,18 +269,20 @@ def cmd_propagate(path: str, seed: int = 0,
         rep.check("error within declared tolerance", err <= cfg.tolerance,
                   f"{key} = {err:.3e}, tolerance {cfg.tolerance:g}")
 
-    csv_path, metrics_path = _artifact_paths(out, model.name, run.mode)
-    if run.zeta is not None:
-        write_kernel_csv(run, csv_path)
-        rep.outputs["kernel_csv"] = csv_path
-    payload = {"model": model.name, "mode": run.mode, "seed": seed,
-               "slices": cfg.slices, "n": cfg.n, "length": cfg.length,
-               "duration": cfg.duration, "tolerance": cfg.tolerance,
-               "metrics": rep.metrics}
-    with open(metrics_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    rep.outputs["metrics_json"] = metrics_path
+    if out:
+        # artifacts only on request: <out>.csv and <out>_metrics.json
+        base = out[:-4] if out.endswith(".csv") else out
+        if run.zeta is not None:
+            write_kernel_csv(run, base + ".csv")
+            rep.outputs["kernel_csv"] = base + ".csv"
+        payload = {"model": model.name, "mode": run.mode, "seed": seed,
+                   "slices": cfg.slices, "n": cfg.n, "length": cfg.length,
+                   "duration": cfg.duration, "tolerance": cfg.tolerance,
+                   "metrics": rep.metrics}
+        with open(base + "_metrics.json", "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        rep.outputs["metrics_json"] = base + "_metrics.json"
     rep.elapsed_s = time.perf_counter() - t0
     return rep.exit_code, rep
 

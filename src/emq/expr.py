@@ -16,7 +16,7 @@ constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
 by sampled numeric comparison (numeric_compare), structural equality by ==.
 
-Every node keeps its structural hash, so parse(), normalize(),
+Every node keeps its structural hash, so parse(), normalize(), expand(),
 differentiate() and substitute() are memoized per process: an equal subtree,
 however it was built, is worked out once, and a text parsed again against
 the same names gives back the identical tree, so later memo hits on it are
@@ -710,6 +710,7 @@ def _normalize_fun(name: str, args) -> Expr:
 _MEMO_LIMIT = 1 << 16
 _PARSED: Dict[tuple, Expr] = {}
 _NORMAL_FORMS: Dict[Expr, Expr] = {}
+_EXPANDED: Dict[Expr, Expr] = {}
 _DERIVATIVES: Dict[tuple, Expr] = {}
 _SUBSTITUTED: Dict[tuple, Expr] = {}
 # sample columns are larger, so fewer (domain, n, seed) sets are kept
@@ -813,7 +814,10 @@ def expand(e: Expr) -> Expr:
     what symbolic intermediates want); expansion is the opt-in step that
     collapses cross-term cancellations down to closed forms.
     """
-    return _expand_node(normalize(e))
+    out = _EXPANDED.get(e)
+    if out is None:
+        out = _remember(_EXPANDED, e, _expand_node(normalize(e)), _MEMO_LIMIT)
+    return out
 
 
 # ---------------------------------------------------------------------------

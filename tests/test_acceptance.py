@@ -236,13 +236,14 @@ def test_criterion_09_path_roughness(ho_reduced, ho_model):
 
 
 def test_criterion_10_cli_contract(tmp_path, monkeypatch, capsys):
-    # propagate without --out writes its artifacts into cwd
+    # no command writes a file without --out; run in a scratch cwd anyway
     monkeypatch.chdir(tmp_path)
     for name in ("free_particle", "harmonic"):
         for command in ("verify", "reduce", "propagate", "anomaly"):
             code = main([command, name, "--seed", "0"])
             assert code == EXIT_OK, f"emq {command} {name} exited {code}"
     capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
 
     broken = bundled_text("harmonic").replace(
         "zeta = -(p_x - x/alpha - a1*y)/(sqrt(2)*a1)",

@@ -261,10 +261,13 @@ def test_propagate_writes_artifacts(tmp_path, capsys):
 
 
 def test_propagate_partition_mode(tmp_path, monkeypatch, capsys):
-    # default artifact paths land in cwd, keep that out of the repo
+    # without --out propagate writes no artifact and reports none
     monkeypatch.chdir(tmp_path)
-    assert main(["propagate", "harmonic"]) == EXIT_OK
-    assert "partition" in capsys.readouterr().out
+    assert main(["propagate", "harmonic", "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "partition" in out
+    assert json.loads(out)["outputs"] == {}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_propagate_needs_a_lattice_section(tmp_path, capsys):
@@ -448,7 +451,7 @@ def test_usage_exit_for_unknown_subcommand(capsys):
 # ---------------------------------------------------------------------------
 
 _MEMOS = ("_PARSED", "_SUBSTITUTED", "_NORMAL_FORMS", "_DERIVATIVES",
-          "_SAMPLES")
+          "_EXPANDED", "_SAMPLES")
 
 
 def _report_and_artifacts(argv, capsys):

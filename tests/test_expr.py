@@ -344,6 +344,7 @@ def _clear_every_memo():
     _clear_memos()
     expr_module._PARSED.clear()
     expr_module._SUBSTITUTED.clear()
+    expr_module._EXPANDED.clear()
 
 
 def _table(names, role="parameter"):
@@ -436,6 +437,48 @@ def test_warm_memo_gives_the_cold_substitution(e, name, value):
         _outcome(substitute, sub, {Sym(name): value, "b": Const(-1)})
     _outcome(parse, str(e), TABLE)
     warm = _outcome(substitute, e, {Sym(name): value})
+    assert warm == cold and str(warm) == str(cold)
+
+
+def test_expand_memo_hands_out_the_identical_tree(monkeypatch):
+    _clear_every_memo()
+    e = parse("(x + y)^2 - (x - y)^2", TABLE)
+    first = expand(e)
+    assert first == normalize(parse("4*x*y", TABLE))
+    assert expand(e) is first
+    # keyed by the tree, so an equal tree parsed from another text hits it
+    assert expand(parse("(x+y)^2-(x-y)^2", TABLE)) is first
+    assert len(expr_module._EXPANDED) == 1
+    # a raising call stores nothing and raises again
+    bad = Div(Mul((Sym("x"), Add((Sym("x"), Sym("y"))))), Add((
+        Sym("x"), Mul((Const(-1), Sym("x"))))))
+    for _ in range(2):
+        with pytest.raises(DivisionByZeroError):
+            expand(bad)
+    assert len(expr_module._EXPANDED) == 1
+
+    monkeypatch.setattr(expr_module, "_MEMO_LIMIT", 4)
+    expanded = [expand(parse(f"(x + {i})^2", TABLE)) for i in (1, 2, 3)]
+    assert len(expr_module._EXPANDED) == 4
+    expand(parse("(x + 4)^2", TABLE))
+    assert len(expr_module._EXPANDED) == 1
+    again = expand(parse("(x + 1)^2", TABLE))
+    assert again == expanded[0] == normalize(parse("x^2 + 2*x + 1", TABLE))
+    assert again is not expanded[0]
+
+
+@given(_trees(), st.lists(_trees(), max_size=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_warm_memo_gives_the_cold_expansion(e, others):
+    _clear_every_memo()
+    cold = _outcome(expand, e)
+    _clear_every_memo()
+    # warm every memo on pieces of the same work, then ask again
+    for sub in _subtrees(e):
+        for o in others:
+            _outcome(expand, Mul((sub, o)))
+        _outcome(expand, sub)
+    warm = _outcome(expand, e)
     assert warm == cold and str(warm) == str(cold)
 
 

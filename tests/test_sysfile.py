@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from emq.cli import EXIT_USAGE, main
@@ -117,6 +119,19 @@ def test_rho_unknown_charge():
     _expect(_mutated("[rho]\nC1", "[rho]\nC9"), "unknown charge 'C9'")
 
 
+def test_repeated_rho_key_is_rejected_at_its_line(tmp_path, capsys):
+    # summing both lines would double rho and move the surface H = rho
+    text = bundled_text("harmonic")
+    assert text.count("[rho]\nC1 = a1\n") == 1
+    text = text.replace("[rho]\nC1 = a1\n", "[rho]\nC1 = a1\nC1 = a1\n")
+    lineno = text.splitlines().index("C1 = a1") + 2
+    path = tmp_path / "rho_twice.sys"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}: duplicate key 'C1' in [rho]" in err
+
+
 def test_expression_errors_carry_position():
     msg = _expect(_mutated("f_x = -y", "f_x = -y +"), "<t>:")
     assert any(ch.isdigit() for ch in msg.split("<t>:")[1][:4])
@@ -208,3 +223,48 @@ def test_sliced_refs_are_all_or_nothing():
             "sliced_delta_p = zeta\nsliced_delta_q = p_zeta\n")
     m = loads_model(full, name="t")
     assert m.sliced_refs is not None and len(m.sliced_refs) == 3
+
+
+# ---------------------------------------------------------------------------
+# every one-line deletion and duplication of the bundled files
+# ---------------------------------------------------------------------------
+
+# Key lines (neither blank nor comment) whose deletion leaves a loadable
+# file: optional keys, lattice keys with defaults, charges and parameters no
+# expression needs, ranges of symbols outside the source phase space, guards
+# and the lone [rho] entry.  Any other deletion raises.
+_DELETABLE = {
+    "free_particle": {12, 15, 19, 20, 26, 46, 47, 48, 49, 50, 51, 54, 55, 56,
+                      57, 59, 60, 61, 64, 65},
+    "harmonic": {13, 16, 21, 22, 28, 48, 49, 50, 51, 52, 53, 54, 58, 59, 60,
+                 62, 65},
+    "free_particle_lambda": {10, 16, 21, 22, 28, 47, 48, 49, 50, 51, 52, 53,
+                             56, 57, 58, 59, 61, 62, 63, 66, 67},
+}
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_one_line_edits_load_or_name_their_line(name):
+    lines = bundled_text(name).splitlines()
+    for i, line in enumerate(lines):
+        content = line.partition("#")[0].strip()
+        # a duplicated key line loads only for the repeatable guard
+        edits = (("deleted", lines[:i] + lines[i + 1:],
+                  not content or i + 1 in _DELETABLE[name]),
+                 ("duplicated", lines[:i + 1] + lines[i:],
+                  not content or content.startswith("guard =")))
+        for what, edited, loads in edits:
+            case = f"{name} line {i + 1} {what}"
+            try:
+                loads_model("\n".join(edited) + "\n", name="t")
+            except SysFileError as exc:
+                msg = str(exc)
+                assert not loads, f"{case}: {msg}"
+                if msg.startswith("<t>: "):
+                    # no line to name: the deleted header's section is gone
+                    assert what == "deleted", f"{case}: {msg}"
+                    assert msg == f"<t>: missing required section {content}"
+                else:
+                    assert re.match(r"<t>:\d+: ", msg), f"{case}: {msg}"
+            else:
+                assert loads, f"{case} loaded"
