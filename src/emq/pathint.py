@@ -10,7 +10,11 @@ Three layers:
     the transfer matrix split by zeta -> -zeta parity into an even and an
     odd real block, each built from the circulant kinetic row and
     diagonalized on its own; all compared against closed-form Gaussian
-    references;
+    references.  The blocks cover only the window |zeta| <= sqrt(80) s,
+    s the thermal width, outside which the diagonal is below e^-40 of its
+    peak and written as 0.  The trace is also compared with the exact
+    N-slice value Z_N, which leaves out the time-slicing error that
+    partition_rel_err carries;
   * paths: the rough-path statistics (Brownian increment variance,
     Hoelder-type slopes) separating quantum lattice paths from
     deterministic flows.  Both statistics need only the sum of squared
@@ -55,7 +59,8 @@ __all__ = [
     "LatticeConfig", "FlowResult", "PropagatorResult", "QuadraticHamiltonian",
     "classical_flow", "classical_amplitude", "fluctuation_det",
     "fluctuation_det_dense", "bind_reduced_hamiltonian", "smeared_reference",
-    "propagate_quantum", "partition_closed_form", "trotter_sweep",
+    "propagate_quantum", "partition_closed_form",
+    "partition_slice_closed_form", "trotter_sweep",
     "brownian_increment_report", "holder_slopes",
     "write_kernel_csv", "FocalPointError", "CoverageError",
 ]
@@ -400,6 +405,19 @@ def partition_closed_form(quad: QuadraticHamiltonian, hbar: float,
     return 1.0 / (2.0 * math.sinh(0.5 * beta * hbar * quad.omega))
 
 
+def partition_slice_closed_form(quad: QuadraticHamiltonian, hbar: float,
+                                beta: float, slices: int) -> float:
+    """Z_N = 1/(2 sinh(N theta/2)), cosh theta = 1 + (eps hbar omega)^2/2,
+    eps = beta/N: the exact trace of the primitive N-slice lattice action in
+    continuum space (Creutz & Freedman, Ann. Phys. 132, 427 (1981)).  It
+    tends to partition_closed_form as N grows; sinh(theta/2) = eps hbar
+    omega/2 gives theta without the cancellation in arccosh(1 + x)."""
+    if quad.omega == 0.0:
+        raise ExprError("partition function needs a confining quadratic term")
+    half_theta = math.asinh(0.5 * beta / slices * hbar * quad.omega)
+    return 1.0 / (2.0 * math.sinh(slices * half_theta))
+
+
 # ---------------------------------------------------------------------------
 # split-step propagation
 # ---------------------------------------------------------------------------
@@ -408,10 +426,13 @@ def _grid(cfg: LatticeConfig, center: float = 0.0) -> np.ndarray:
     return center - cfg.length / 2.0 + cfg.dx * np.arange(cfg.n)
 
 
-def _check_coverage(quad: QuadraticHamiltonian, cfg: LatticeConfig,
-                    sigma: float) -> None:
+def _check_coverage(quad: QuadraticHamiltonian, cfg: LatticeConfig) -> float:
+    """Raise CoverageError unless the grid holds 8 envelope widths; return
+    the width, a standard deviation.  In imaginary mode it is the thermal
+    one, s^2 = hbar/(2 M omega) coth(beta hbar omega/2)."""
     hbar = cfg.hbar
     M = quad.mass
+    sigma = cfg.source_sigma_cells * cfg.dx
     if cfg.mode == "real" and quad.omega == 0.0:
         spread = sigma * math.sqrt(1.0 + (hbar * cfg.duration / (M * sigma ** 2)) ** 2)
     elif cfg.mode == "imaginary":
@@ -427,6 +448,7 @@ def _check_coverage(quad: QuadraticHamiltonian, cfg: LatticeConfig,
         raise CoverageError(
             f"grid length {cfg.length:g} covers only "
             f"{cfg.length / spread:.1f} envelope widths (need >= 8)")
+    return spread
 
 
 def _split_step_factors(quad: QuadraticHamiltonian, cfg: LatticeConfig,
@@ -464,7 +486,8 @@ def _evolve(psi: np.ndarray, kin: np.ndarray, pot_half: np.ndarray,
 
 def _parity_blocks(quad: QuadraticHamiltonian, cfg: LatticeConfig,
                    zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of the imaginary-time transfer matrix.
+    """Even and odd blocks of the imaginary-time transfer matrix, on the
+    window |zeta| <= zeta_w where the thermal state lives.
 
     S = P C P with P = diag(pot_half) and C[i, j] = c[(i - j) mod n], where
     c = ifft(kin) is the real circulant row.  H* is even in zeta (linear and
@@ -473,17 +496,26 @@ def _parity_blocks(quad: QuadraticHamiltonian, cfg: LatticeConfig,
     basis (e_j + e_{n-j})/sqrt(2), (e_j - e_{n-j})/sqrt(2) S splits into
     an even block on indices 0..n/2 (fixed points 0 and n/2 scaled by
     1/sqrt(2)) and an odd block on indices 1..n/2-1.
+
+    Only the principal window lo..n/2 of each block is built, with
+    zeta_w = sqrt(80) s for the thermal width s of _check_coverage: beyond
+    it the diagonal of S^N is below e^-40 of its peak.  C has the
+    eigenvalues kin > 0, so S is positive definite and, by Cauchy
+    interlacing, the window's trace is a lower bound on tr(S^N).  A window
+    that reaches the grid edge clamps to lo = 0, the whole half grid.
     """
     kin, pot_half = _split_step_factors(quad, cfg, zeta)
     n = cfg.n
+    half = n // 2
+    reach = int(math.sqrt(80.0) * _check_coverage(quad, cfg) / cfg.dx)
+    idx = np.arange(max(half - reach, 0), half + 1)
     c = np.fft.ifft(kin).real
-    idx = np.arange(n // 2 + 1)
     near = c[np.abs(idx[:, None] - idx)]
     far = c[(idx[:, None] + idx) % n]
-    weight = pot_half[:n // 2 + 1].copy()
-    weight[[0, -1]] *= math.sqrt(0.5)
+    weight = pot_half[idx]
+    weight[(idx == 0) | (idx == half)] *= math.sqrt(0.5)
     even = weight[:, None] * (near + far) * weight
-    inner = slice(1, n // 2)
+    inner = slice(1 if idx[0] == 0 else 0, -1)
     odd = (weight[inner, None] * (near[inner, inner] - far[inner, inner])
            * weight[inner])
     return even, odd
@@ -546,11 +578,11 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
         # a free particle (omega = 0) gets the typed error here, before the
         # coverage estimate divides by omega
         Z_ref = partition_closed_form(quad, hbar, cfg.duration)
-    sigma = cfg.source_sigma_cells * cfg.dx
-    _check_coverage(quad, cfg, sigma)
     zeta = _grid(cfg, center=cfg.source_center if cfg.mode == "real" else 0.0)
 
     if cfg.mode == "real":
+        _check_coverage(quad, cfg)
+        sigma = cfg.source_sigma_cells * cfg.dx
         psi0 = np.exp(-(zeta - cfg.source_center) ** 2 / (2.0 * sigma ** 2))
         # no potential (c_q = 0): the half-potential factors are 1 and the
         # kinetic factors commute, so the slice product is exactly one
@@ -572,25 +604,32 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
         }
         return PropagatorResult("real", zeta, psi, ref, metrics)
 
-    # imaginary mode: S^slices from its even and odd parity blocks.
+    # imaginary mode: S^slices from its even and odd parity blocks, built by
+    # _parity_blocks (which also checks coverage) on the window lo..n/2.
     # Z(beta) = tr(S^slices) sums both spectra.  On the diagonal a fixed
     # point (0 or n/2) carries only its even weight; an interior point j,
-    # like its mirror n - j, half the even and half the odd weight.
+    # like its mirror n - j, half the even and half the odd weight.  Off
+    # the window the diagonal is below e^-40 of its peak and written as 0.
     (even_Z, even_diag), (odd_Z, odd_diag) = (
         _power_trace_and_diagonal(block, cfg.slices)
         for block in _parity_blocks(quad, cfg, zeta))
     Z = float(even_Z + odd_Z)
     half = cfg.n // 2
-    lattice_diag = np.empty(cfg.n)
-    lattice_diag[:half + 1] = even_diag
-    lattice_diag[1:half] = 0.5 * (even_diag[1:half] + odd_diag)
+    lattice_diag = np.zeros(cfg.n)
+    lattice_diag[half + 1 - len(even_diag):half + 1] = even_diag
+    inner = slice(half - len(odd_diag), half)
+    lattice_diag[inner] = 0.5 * (lattice_diag[inner] + odd_diag)
     lattice_diag[half + 1:] = lattice_diag[half - 1:0:-1]
     lattice_diag /= cfg.dx
     diag = bare_kernel(quad, hbar, -1j * cfg.duration * hbar, zeta, zeta).real
+    Z_slices = partition_slice_closed_form(quad, hbar, cfg.duration,
+                                           cfg.slices)
     metrics = {
         "partition_value": Z,
         "partition_ref": Z_ref,
         "partition_rel_err": abs(Z - Z_ref) / abs(Z_ref),
+        "partition_slice_ref": Z_slices,
+        "partition_slice_rel_err": abs(Z - Z_slices) / Z_slices,
         "mass": quad.mass, "omega": quad.omega,
     }
     return PropagatorResult("imaginary", zeta, lattice_diag.astype(complex),

@@ -191,7 +191,11 @@ def _guard(text: str, table: SymbolTable) -> Tuple[Expr, float, float]:
     expr_text, sep, bounds = text.rpartition(" in ")
     if not sep:
         raise ValueError("guard needs '<expr> in <lo>, <hi>'")
-    return (parse(expr_text.strip(), table),) + _bounds(bounds)
+    expr_text = expr_text.strip()
+    lo, hi = _bounds(bounds)
+    if not lo < hi:
+        raise ValueError(f"empty range for guard {expr_text!r}")
+    return parse(expr_text, table), lo, hi
 
 
 def _declare(tables, role: str, *names: str) -> None:
@@ -220,6 +224,11 @@ def _pair(text: str, full, target) -> Tuple[str, str]:
     coord, mom = coord.strip(), mom.strip()
     if not (sep and coord and mom):
         raise ValueError(f"expected '<coord> : <mom>', got {text!r}")
+    # target holds only parameters and the pairs declared so far
+    for name in (coord, mom):
+        if name in target and target.role(name) != "parameter":
+            raise ValueError(f"duplicate reduced pair: {name!r} is already "
+                             f"paired")
     _declare((full, target), "coordinate", coord)
     _declare((full, target), "momentum", mom)
     return coord, mom
@@ -268,6 +277,8 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
         if key not in chsec.lines:
             raise rhosec.error(f"[rho] references unknown charge {key!r}", key)
         rho_coeffs.append((key, rhosec.take(key, parse, source)))
+    if not rho_coeffs:
+        raise rhosec.error("[rho] needs a coefficient for at least one charge")
 
     # --- [darboux] pairs, before guards and chi mention the targets
     dar = sections["darboux"]

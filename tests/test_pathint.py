@@ -12,12 +12,14 @@ from emq.pathint import (
     bare_kernel, bind_reduced_hamiltonian, brownian_increment_report,
     classical_amplitude, classical_flow, fluctuation_det,
     fluctuation_det_dense, holder_slopes,
-    partition_closed_form, propagate_quantum, sample_thermal_paths,
+    partition_closed_form, partition_slice_closed_form, propagate_quantum,
+    sample_thermal_paths,
     smeared_reference, trotter_sweep, write_kernel_csv,
 )
 from emq.pathint import (
-    PropagatorResult, _evolve, _mode_eigenvalues, _parity_blocks, _rk4,
-    _split_step_factors, _thermal_increment_sum,
+    PropagatorResult, _evolve, _grid, _mode_eigenvalues, _parity_blocks,
+    _power_trace_and_diagonal, _rk4, _split_step_factors,
+    _thermal_increment_sum,
 )
 from emq.reduction import PhaseSpace, ReducedSystem
 
@@ -208,6 +210,26 @@ def test_partition_closed_form():
         partition_closed_form(free, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("slices", [4, 64, 512])
+def test_partition_slice_closed_form_is_the_mode_product(slices):
+    # the primitive N-slice action's Gaussian integral, mode by mode:
+    # Z_N = prod_k sqrt(M / (eps lam_k)) over the periodic lattice spectrum
+    quad = QuadraticHamiltonian(c_p=0.5 / 1.3, c_q=0.65, coordinate="zeta",
+                                momentum="p_zeta")
+    beta = 0.9
+    eps = beta / slices
+    lam = _mode_eigenvalues(slices, eps, quad.mass, quad.omega)
+    want = math.exp(-0.5 * float(np.sum(np.log(eps * lam / quad.mass))))
+    assert partition_slice_closed_form(quad, 1.0, beta, slices) == \
+        pytest.approx(want, rel=1e-12)
+    # many slices approach the continuum value
+    assert partition_slice_closed_form(quad, 1.0, beta, 1 << 20) == \
+        pytest.approx(partition_closed_form(quad, 1.0, beta), rel=1e-11)
+    free = replace(quad, c_q=0.0)
+    with pytest.raises(ExprError, match="confining"):
+        partition_slice_closed_form(free, 1.0, beta, slices)
+
+
 # ---------------------------------------------------------------------------
 # lattice propagation
 # ---------------------------------------------------------------------------
@@ -350,6 +372,76 @@ def test_imaginary_diagonal_at_fixed_and_interior_points(ho_reduced, ho_model):
     # 0 and 64 are the fixed points of j -> 128 - j; 37 and 91 mirror
     for j in (0, 64, 37, 91):
         assert res.psi[j].real == pytest.approx(want[j], rel=1e-10)
+
+
+def _full_parity_blocks(quad, cfg, zeta):
+    """The even and odd blocks on the whole half grid, folded from the rows
+    0..n/2 of the dense transfer matrix by the reflection j -> (n - j) mod n."""
+    kin, pot_half = _split_step_factors(quad, cfg, zeta)
+    n, half = cfg.n, cfg.n // 2
+    c = np.fft.ifft(kin).real
+    rows = np.arange(half + 1)
+    cols = np.arange(n)
+    S = pot_half[rows, None] * c[(rows[:, None] - cols) % n] * pot_half
+    mirror = (n - rows) % n
+    fixed = np.where((rows == 0) | (rows == half), math.sqrt(0.5), 1.0)
+    even = fixed[:, None] * (S[:, rows] + S[:, mirror]) * fixed
+    inner = rows[1:-1]
+    odd = S[np.ix_(inner, inner)] - S[np.ix_(inner, mirror[inner])]
+    return even, odd
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_window_matches_the_full_grid(ho_reduced, ho_model, n):
+    cfg = LatticeConfig(mode="imaginary", n=n, length=n / 16.0, slices=512,
+                        duration=1.0)
+    res = propagate_quantum(ho_reduced, cfg, ho_model.params)
+    quad = bind_reduced_hamiltonian(ho_reduced, ho_model.params)
+    even, odd = _parity_blocks(quad, cfg, res.zeta)
+    half = n // 2
+    assert len(even) < half // 2          # the window, not the half grid
+    (even_Z, even_diag), (odd_Z, odd_diag) = (
+        _power_trace_and_diagonal(block, cfg.slices)
+        for block in _full_parity_blocks(quad, cfg, res.zeta))
+    Z = even_Z + odd_Z
+    assert res.metrics["partition_value"] == pytest.approx(Z, rel=1e-12)
+    diag = np.empty(n)
+    diag[:half + 1] = even_diag
+    diag[1:half] = 0.5 * (even_diag[1:half] + odd_diag)
+    diag[half + 1:] = diag[half - 1:0:-1]
+    diag /= cfg.dx
+    peak = np.max(diag)
+    np.testing.assert_allclose(res.psi.real, diag, rtol=0.0,
+                               atol=1e-12 * peak)
+    # off the window the diagonal is written as 0, where it is below e^-40
+    # of its peak
+    off = res.psi.real == 0.0
+    assert np.count_nonzero(off) == n - (2 * len(even) - 1)
+    assert np.all(diag[off] < math.exp(-40.0) * peak)
+
+
+def test_bundled_window_is_the_whole_grid(ho_reduced, ho_model):
+    cfg = ho_model.lattice
+    quad = bind_reduced_hamiltonian(ho_reduced, ho_model.params)
+    even, odd = _parity_blocks(quad, cfg, _grid(cfg))
+    assert even.shape == (cfg.n // 2 + 1,) * 2
+    assert odd.shape == (cfg.n // 2 - 1,) * 2
+
+
+# Below n = 64 at length 16 the grid spacing itself limits the trace: it is
+# 7e-2 off Z_N at n = 4, 6e-4 at n = 16 and 2e-9 at n = 32.  That is spatial
+# discretization error, not window error, so those sizes are left out.
+@pytest.mark.parametrize("n", [64, 256, 1024, 2048])
+@pytest.mark.parametrize("slices", [4, 64, 512])
+def test_partition_matches_the_n_slice_value(ho_reduced, ho_model, n, slices):
+    cfg = LatticeConfig(mode="imaginary", n=n, length=max(16.0, n / 16.0),
+                        slices=slices, duration=1.0)
+    res = propagate_quantum(ho_reduced, cfg, ho_model.params)
+    assert res.metrics["partition_slice_ref"] == \
+        partition_slice_closed_form(
+            bind_reduced_hamiltonian(ho_reduced, ho_model.params), 1.0, 1.0,
+            slices)
+    assert res.metrics["partition_slice_rel_err"] < 1e-10
 
 
 def test_classical_mode_and_focal_error(ho_reduced, ho_model):

@@ -132,6 +132,51 @@ def test_repeated_rho_key_is_rejected_at_its_line(tmp_path, capsys):
     assert f"{path}:{lineno}: duplicate key 'C1' in [rho]" in err
 
 
+def _cli_error(tmp_path, capsys, text, lineno):
+    """Exit code 2 from `emq verify` on text, with a message that names the
+    file and lineno; returns the message."""
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}: " in err
+    return err
+
+
+def test_empty_rho_is_rejected_at_its_header(tmp_path, capsys):
+    # an empty [rho] would load as rho = 0, which only verify would notice
+    text = bundled_text("harmonic").replace("[rho]\nC1 = a1\n", "[rho]\n")
+    lineno = text.splitlines().index("[rho]") + 1
+    err = _cli_error(tmp_path, capsys, text, lineno)
+    assert "[rho] needs a coefficient for at least one charge" in err
+    for command in ("reduce", "anomaly"):
+        assert main([command, str(tmp_path / "bad.sys")]) == EXIT_USAGE
+    assert main(["propagate", str(tmp_path / "bad.sys"),
+                 "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    assert not list(tmp_path.glob("run*"))
+
+
+def test_reversed_guard_is_rejected_at_its_line(tmp_path, capsys):
+    old = "guard = a1^2*alpha^2 in 0.0, 0.88"
+    new = "guard = a1^2*alpha^2 in 0.88, 0.0"
+    text = bundled_text("harmonic").replace(old, new)
+    lineno = text.splitlines().index(new) + 1
+    err = _cli_error(tmp_path, capsys, text, lineno)
+    assert "empty range for guard 'a1^2*alpha^2'" in err
+    _expect(_mutated("in 0.25, 9.0", "in 9.0, 9.0"), "empty range for guard")
+
+
+def test_repeated_reduced_pair_is_reported_at_its_line(tmp_path, capsys):
+    pair = "reduced = zeta : p_zeta"
+    text = bundled_text("harmonic").replace(pair, f"{pair}\n{pair}")
+    # the repeat is the line after the first
+    lineno = text.splitlines().index(pair) + 2
+    err = _cli_error(tmp_path, capsys, text, lineno)
+    assert "duplicate reduced pair: 'zeta' is already paired" in err
+    _expect(_mutated("gauge = z : p_z", "gauge = z : p_zeta"),
+            "duplicate reduced pair: 'p_zeta' is already paired")
+
+
 def test_expression_errors_carry_position():
     msg = _expect(_mutated("f_x = -y", "f_x = -y +"), "<t>:")
     assert any(ch.isdigit() for ch in msg.split("<t>:")[1][:4])
@@ -231,14 +276,15 @@ def test_sliced_refs_are_all_or_nothing():
 
 # Key lines (neither blank nor comment) whose deletion leaves a loadable
 # file: optional keys, lattice keys with defaults, charges and parameters no
-# expression needs, ranges of symbols outside the source phase space, guards
-# and the lone [rho] entry.  Any other deletion raises.
+# expression needs, ranges of symbols outside the source phase space and
+# guards.  Any other deletion raises, the lone [rho] entry's too: it would
+# leave rho = 0.
 _DELETABLE = {
-    "free_particle": {12, 15, 19, 20, 26, 46, 47, 48, 49, 50, 51, 54, 55, 56,
+    "free_particle": {12, 19, 20, 26, 46, 47, 48, 49, 50, 51, 54, 55, 56,
                       57, 59, 60, 61, 64, 65},
-    "harmonic": {13, 16, 21, 22, 28, 48, 49, 50, 51, 52, 53, 54, 58, 59, 60,
+    "harmonic": {13, 21, 22, 28, 48, 49, 50, 51, 52, 53, 54, 58, 59, 60,
                  62, 65},
-    "free_particle_lambda": {10, 16, 21, 22, 28, 47, 48, 49, 50, 51, 52, 53,
+    "free_particle_lambda": {10, 21, 22, 28, 47, 48, 49, 50, 51, 52, 53,
                              56, 57, 58, 59, 61, 62, 63, 66, 67},
 }
 
