@@ -125,36 +125,6 @@ class Expr:
             pending.extend(zip(kids_a, kids_b))
         return True
 
-    def __add__(self, other):
-        return Add((self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Add((_coerce(other), self))
-
-    def __sub__(self, other):
-        return Add((self, Mul((Const(-1), _coerce(other)))))
-
-    def __rsub__(self, other):
-        return Add((_coerce(other), Mul((Const(-1), self))))
-
-    def __mul__(self, other):
-        return Mul((self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Mul((_coerce(other), self))
-
-    def __truediv__(self, other):
-        return Div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return Div(_coerce(other), self)
-
-    def __pow__(self, exponent):
-        return Pow(self, exponent)
-
-    def __neg__(self):
-        return Mul((Const(-1), self))
-
     def __str__(self):
         return _render(self, 0)
 

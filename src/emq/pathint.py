@@ -47,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,7 +126,6 @@ class LatticeConfig:
 @dataclass(frozen=True)
 class FlowResult:
     names: Tuple[str, ...]
-    times: np.ndarray
     states: np.ndarray            # shape (steps+1, 2N), xi ordering
     drifts: Dict[str, float]
 
@@ -135,12 +134,10 @@ class FlowResult:
 
 
 def _rk4(field: Callable[[float, np.ndarray], np.ndarray],
-         y0: Sequence[float], T: float,
-         steps: int) -> Tuple[np.ndarray, np.ndarray]:
+         y0: Sequence[float], T: float, steps: int) -> np.ndarray:
     """Classical fourth-order Runge-Kutta for y' = field(t, y) on [0, T];
-    returns the steps+1 sample times and the states at those times."""
+    returns the states at the steps+1 equally spaced times."""
     h = T / steps
-    times = np.linspace(0.0, T, steps + 1)
     out = np.empty((steps + 1, len(y0)))
     y = np.array(y0, dtype=float)
     out[0] = y
@@ -152,7 +149,7 @@ def _rk4(field: Callable[[float, np.ndarray], np.ndarray],
         k4 = field(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
-    return times, out
+    return out
 
 
 def classical_flow(sys: FlowSystem, state0: Mapping[str, float], T: float,
@@ -170,7 +167,7 @@ def classical_flow(sys: FlowSystem, state0: Mapping[str, float], T: float,
         return np.array([evaluate(e, bindings) for e in exprs])
 
     y0 = np.array([float(state0[n]) for n in names])
-    times, states = _rk4(field_fn, y0, T, steps)
+    states = _rk4(field_fn, y0, T, steps)
 
     watched = [("H", sys.hamiltonian)] + list(sys.charges)
     cols = dict(bound)
@@ -179,7 +176,7 @@ def classical_flow(sys: FlowSystem, state0: Mapping[str, float], T: float,
     for label, e in watched:
         vals = evaluate(e, cols)
         drifts[label] = float(np.max(np.abs(vals - vals[0])))
-    return FlowResult(names, times, states, drifts)
+    return FlowResult(names, states, drifts)
 
 
 def _linearized_q_flow(sys: FlowSystem, q0: np.ndarray, T: float,
@@ -197,8 +194,7 @@ def _linearized_q_flow(sys: FlowSystem, q0: np.ndarray, T: float,
         return np.concatenate([qdot, (J @ y[n:].reshape(n, n)).ravel()])
 
     y0 = np.concatenate([q0, np.eye(n).ravel()])
-    _, states = _rk4(field, y0, T, steps)
-    end = states[-1]
+    end = _rk4(field, y0, T, steps)[-1]
     return end[:n], float(np.linalg.det(end[n:].reshape(n, n)))
 
 
@@ -218,16 +214,23 @@ def _rk4_matrix(A: np.ndarray, h: float) -> np.ndarray:
     return R
 
 
-def fluctuation_det(omega_sq: Union[float, Callable[[float], float]],
-                    T: float, steps: int = 4000) -> float:
-    """D(T) from D-ddot = -omega^2(t) D, D(0) = 0, D'(0) = 1."""
-    if not callable(omega_sq):
-        A = np.array([[0.0, 1.0], [-float(omega_sq), 0.0]])
-        R = np.linalg.matrix_power(_rk4_matrix(A, T / steps), steps)
-        return float(R[0, 1])
-    _, states = _rk4(lambda t, y: np.array([y[1], -omega_sq(t) * y[0]]),
-                     (0.0, 1.0), T, steps)
-    return float(states[-1, 0])
+def fluctuation_det(omega_sq: float, T: float, steps: int = 4000) -> float:
+    """D(T) from D-ddot = -omega^2 D, D(0) = 0, D'(0) = 1, for a constant
+    (signed) omega^2: the RK4 step matrix raised to the power steps."""
+    A = np.array([[0.0, 1.0], [-float(omega_sq), 0.0]])
+    R = np.linalg.matrix_power(_rk4_matrix(A, T / steps), steps)
+    return float(R[0, 1])
+
+
+def _jacobi_det(quad: QuadraticHamiltonian, T: float) -> float:
+    """D(T) of the reduced quadratic flow; FocalPointError where it
+    vanishes, since the single-path weight 1/D is undefined there."""
+    D = fluctuation_det(quad.omega_sq, T)
+    if abs(D) < 1e-8 * max(1.0, abs(T)):
+        raise FocalPointError(
+            f"fluctuation determinant D({T:g}) = {D:.3e}: focal point, "
+            f"the endpoint-ray family degenerates")
+    return D
 
 
 def fluctuation_det_dense(omega_sq: float, T: float, n: int = 64) -> float:
@@ -257,7 +260,6 @@ def classical_amplitude(sys, q1, q2, T: float,
     Hamiltonian the weight is 1/D(T) from the Jacobi field; D(T) ~ 0 means
     a focal point, where the single-trajectory picture breaks down.
     """
-    focal_tol = 1e-8
     params = dict(params or {})
     if isinstance(sys, FlowSystem):
         coords = sys.space.coordinates
@@ -266,21 +268,15 @@ def classical_amplitude(sys, q1, q2, T: float,
         dist = max(abs(e - float(q2[c])) for e, c in zip(end, coords))
         if dist > 1e-6:
             return 0.0
-        if abs(det) < focal_tol:
+        if abs(det) < 1e-8:
             raise FocalPointError(
                 f"linearized flow determinant {det:.3e} vanishes at T={T}")
         return 1.0 / abs(det)
 
     if isinstance(sys, ReducedSystem):
-        quad = bind_reduced_hamiltonian(sys, params)
-        D = fluctuation_det(quad.omega_sq, T)
-        if abs(D) < focal_tol * max(1.0, abs(T)):
-            raise FocalPointError(
-                f"fluctuation determinant D({T:g}) = {D:.3e}: focal point, "
-                f"the endpoint-ray family degenerates")
         # quadratic flow reaches every endpoint pair away from focal times,
         # so the support condition is automatic here
-        return 1.0 / D
+        return 1.0 / _jacobi_det(bind_reduced_hamiltonian(sys, params), T)
     raise TypeError(f"unsupported system type {type(sys).__name__}")
 
 
@@ -560,11 +556,7 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
     hbar = cfg.hbar
 
     if cfg.mode == "classical":
-        D = fluctuation_det(quad.omega_sq, cfg.duration)
-        if abs(D) < 1e-8 * max(1.0, cfg.duration):
-            raise FocalPointError(
-                f"fluctuation determinant D({cfg.duration:g}) = {D:.3e}: "
-                f"focal point reached")
+        D = _jacobi_det(quad, cfg.duration)
         # signed: an inverted oscillator reads omega_sq < 0, not omega = 0
         metrics = {"fluctuation_det": D, "weight": 1.0 / D,
                    "omega_sq": quad.omega_sq, "mass": quad.mass}
@@ -713,10 +705,12 @@ def sample_thermal_paths(n_slices: int, beta: float, mass: float,
 def _increment_weights(n_slices: int, eps: float, mass: float, omega: float,
                        hbar: float) -> np.ndarray:
     """2 (1 - cos theta_k) hbar / lam_k: what one squared draw of mode k adds
-    to the sum of squared periodic increments of its path."""
-    theta = 2.0 * math.pi * np.arange(n_slices) / n_slices
-    lam = _mode_eigenvalues(n_slices, eps, mass, omega)
-    return 2.0 * (1.0 - np.cos(theta)) * hbar / lam
+    to the sum of squared periodic increments of its path.  Mode 0 shifts
+    the whole path and adds none; its weight is 0 by construction, also at
+    omega = 0, where lam_0 = 0 too."""
+    theta = 2.0 * math.pi * np.arange(1, n_slices) / n_slices
+    lam = _mode_eigenvalues(n_slices, eps, mass, omega)[1:]
+    return np.concatenate(([0.0], 2.0 * (1.0 - np.cos(theta)) * hbar / lam))
 
 
 def _thermal_increment_sum(n_slices: int, beta: float, mass: float,
@@ -778,22 +772,27 @@ def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
 
 
 def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
-                  beta: float = 1.0, mass: float = 1.0, omega: float = 1.0,
-                  hbar: float = 1.0,
+                  beta: float = 1.0,
                   slice_counts: Sequence[int] = (16, 32, 64, 128, 256),
                   n_samples: int = 20_000, seed: int = 0) -> Dict[str, object]:
     """Increment-scaling exponents: ~1/2 for thermal lattice paths, ~1 for
-    the deterministic reduced flow."""
+    the deterministic reduced flow.
+
+    Both halves describe the one H* bound from params: the thermal paths
+    take its mass and omega, and hbar is params["hbar"] (default 1)."""
+    quad = bind_reduced_hamiltonian(rs, params)
+    if quad.c_q < 0:
+        raise ExprError(f"thermal paths need c_q >= 0, got {quad.c_q:g}")
+    hbar = params.get("hbar", 1.0)
     rng = np.random.default_rng(seed)
     eps_list, rms_list = [], []
     for N in slice_counts:
-        sq, n = _thermal_increment_sum(N, beta, mass, omega, hbar,
+        sq, n = _thermal_increment_sum(N, beta, quad.mass, quad.omega, hbar,
                                        n_samples, rng)
         eps_list.append(beta / N)
         rms_list.append(math.sqrt(sq / n))
     quantum_slope = float(np.polyfit(np.log(eps_list), np.log(rms_list), 1)[0])
 
-    quad = bind_reduced_hamiltonian(rs, params)
     # reduced flow: zeta-dot = 2 c_p p, p-dot = -2 c_q zeta
     A = np.array([[0.0, 2.0 * quad.c_p], [-2.0 * quad.c_q, 0.0]])
     det_inc = []

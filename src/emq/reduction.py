@@ -255,9 +255,6 @@ class CanonicalMap:
     def forward_expr(self, name: str) -> Expr:
         return dict(self.forward)[name]
 
-    def inverse_expr(self, name: str) -> Expr:
-        return dict(self.inverse)[name]
-
     def expected_bracket(self, a: str, b: str) -> int:
         for coord, mom in self.pairs + (self.gauge,):
             if (a, b) == (coord, mom):
@@ -287,7 +284,6 @@ class TransformedLagrangian:
     variables: Tuple[str, ...]
     lagrangian: Expr
     hamiltonian: Expr
-    velocity_matrix: Tuple[Tuple[Expr, ...], ...]
 
 
 def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
@@ -345,7 +341,7 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
         kin_terms.append(Mul((Const(Fraction(-1, 2)), Sym(coord),
                               Sym(velocity_symbol(mom)))))
     L_canon = normalize(Add(tuple(kin_terms) + (Mul((Const(-1), H_prime)),)))
-    return TransformedLagrangian(eta, L_canon, H_prime, f)
+    return TransformedLagrangian(eta, L_canon, H_prime)
 
 
 @dataclass(frozen=True)

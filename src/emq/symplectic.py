@@ -72,11 +72,6 @@ class PhaseSpace:
             return -1
         return 0
 
-    def omega(self) -> Tuple[Tuple[int, ...], ...]:
-        dim = 2 * self.dof
-        return tuple(tuple(self.omega_entry(i, j) for j in range(dim))
-                     for i in range(dim))
-
     def conjugate_momentum(self, coordinate: str) -> str:
         return self.momenta[self.coordinates.index(coordinate)]
 
@@ -167,12 +162,6 @@ class FlowSystem:
         if len(terms) == 1:
             return normalize(terms[0])
         return normalize(Add(tuple(terms)))
-
-    def charge(self, name: str) -> Expr:
-        for n, c in self.charges:
-            if n == name:
-                return c
-        raise KeyError(name)
 
 
 def verify_charges(sys: FlowSystem, n: int = 100, tol: float = 1e-12,

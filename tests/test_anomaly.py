@@ -218,9 +218,10 @@ def test_fd_partials_match_the_shipped_inverse(ho_model):
                     for t in m.target_names}
     target_point.update({k: point[k] for k in ("a1", "alpha")})
     from emq.expr import differentiate
+    inverse = dict(m.inverse)
     for s in ps.xi:
         for t in m.target_names:
-            sym = evaluate(differentiate(m.inverse_expr(s), t), target_point)
+            sym = evaluate(differentiate(inverse[s], t), target_point)
             assert fd[(s, t)] == pytest.approx(sym, abs=5e-6)
 
 

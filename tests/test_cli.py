@@ -2,10 +2,11 @@ import csv
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from emq import __version__, cli, expr
+from emq import __version__, cli, expr, symplectic
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.expr import SampleDomain, columns
 from emq.sysfile import bundled_text
@@ -84,6 +85,7 @@ def test_rho_line_reports_the_bracket_and_can_fail(tmp_path, capsys):
     ("solution = x/alpha - a1*y", "solution = x/alpha + a1*y",
      ["constraint solution solves phi = 0",
       "constrained chart volume constant"]),
+    ("C2 = x*p_x + y*p_y", "C2 = x*p_x", ["charge C2 conserved"]),
 ])
 def test_verify_mutations_flip_their_checks(old, new, flipped, tmp_path,
                                             capsys):
@@ -93,6 +95,24 @@ def test_verify_mutations_flip_their_checks(old, new, flipped, tmp_path,
     assert main(["verify", path, "--json"]) == EXIT_CHECK
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["name"] for c in checks if not c["ok"]] == flipped
+
+
+def test_a_faulty_normal_form_fails_the_split_identity(monkeypatch, capsys):
+    # H_plus - H_minus = H is an identity of the exact core; a normal form
+    # that scales every quotient's denominator by 101/100 breaks it
+    exact = symplectic.normalize
+
+    def skewed(e):
+        if isinstance(e, expr.Div):
+            e = expr.Div(e.num, expr.Mul((expr.Const(Fraction(101, 100)),
+                                          e.den)))
+        return exact(e)
+
+    monkeypatch.setattr(symplectic, "normalize", skewed)
+    assert main(["verify", "harmonic", "--json"]) == EXIT_CHECK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == [
+        "H_plus - H_minus reproduces H"]
 
 
 def test_constant_fold_in_a_file_is_a_usage_error(tmp_path, capsys):
@@ -353,11 +373,11 @@ _RELATIONS = [f"relation for {v} consistent with the chart"
               for v in ("x", "y", "p_zeta", "p_z")]
 _SURFACE = [f"{c} vanishes on the gauge surface"
             for c in ("A_zeta", "A_z", "B_zeta", "B_z")]
+_SLICED = [f"sliced expansion {t} matches reference"
+           for t in ("constant", "momentum_shift", "coordinate_shift")]
 ANOMALY_CHECKS = {
     "harmonic": (_RELATIONS + ["all coefficients vanish identically"]
-                 + _SURFACE
-                 + [f"sliced expansion {t} matches reference"
-                    for t in ("constant", "momentum_shift", "coordinate_shift")]
+                 + _SURFACE + _SLICED
                  + ["correction contribution scales as width^1.5"]),
     "free_particle": (_RELATIONS
                       + ["gauge-coordinate coefficient nonzero off the surface"]
@@ -392,6 +412,28 @@ def test_anomaly_reference_mutations_flip_their_check(reference, flipped,
     assert main(["anomaly", path, "--json"]) == EXIT_CHECK
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["name"] for c in checks if not c["ok"]] == [flipped]
+
+
+@pytest.mark.parametrize("old, new, flipped", [
+    ("sliced_constant = p_zeta^2/(2*a1) + (a1/2)*zeta^2",
+     "sliced_constant = p_zeta^2/(2*a1) + (a1/2)*zeta^2 + zeta/10",
+     _SLICED[:1]),
+    ("sliced_delta_p = -(alpha*p_zeta + zeta)/(4*a1*alpha)",
+     "sliced_delta_p = (alpha*p_zeta + zeta)/(4*a1*alpha)", _SLICED[1:2]),
+    ("sliced_delta_q = a1*zeta/4", "sliced_delta_q = a1*zeta/5",
+     _SLICED[2:]),
+    # F's denominator times 1.01: the chart relations and the sliced terms
+    ("/(2*(a1^2*alpha^2 - 1))", "/(2.02*(a1^2*alpha^2 - 1))",
+     _RELATIONS + _SLICED),
+])
+def test_anomaly_harmonic_mutations_flip_their_checks(old, new, flipped,
+                                                      tmp_path, capsys):
+    text = bundled_text("harmonic")
+    assert text.count(old) == 1
+    path = _write(tmp_path, text.replace(old, new))
+    assert main(["anomaly", path, "--json"]) == EXIT_CHECK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == flipped
 
 
 def test_anomaly_needs_reference_data_for_a_non_quadratic_F(tmp_path, capsys):

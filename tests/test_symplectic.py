@@ -58,13 +58,13 @@ def test_xi_ordering_is_momenta_first():
 
 
 def test_omega_block_structure():
-    om = PS2.omega()
+    om = PS2.omega_entry
     dim = 4
     # antisymmetric, and omega^2 = -identity
     for i in range(dim):
         for j in range(dim):
-            assert om[i][j] == -om[j][i]
-            sq = sum(om[i][k] * om[k][j] for k in range(dim))
+            assert om(i, j) == -om(j, i)
+            sq = sum(om(i, k) * om(k, j) for k in range(dim))
             assert sq == (-1 if i == j else 0)
 
 
@@ -165,9 +165,8 @@ def test_hamiltonian_assembly_is_momentum_linear():
     assert numeric_compare(H, parse("x*p_y - y*p_x", _table()),
                            sys.chart).equal
     assert sys.rho == normalize(parse("a1*(x^2 + y^2)", _table()))
-    assert sys.charge("radius") == normalize(parse("x^2 + y^2", _table()))
-    with pytest.raises(KeyError):
-        sys.charge("nope")
+    assert dict(sys.charges)["radius"] == normalize(parse("x^2 + y^2",
+                                                          _table()))
 
 
 def test_structure_errors():
