@@ -1,12 +1,13 @@
 """Rough-path statistics and slicing-correction checks for the oscillator.
 
-Part one samples thermal lattice paths, as their Fourier mode draws, and
-measures increment scaling:
-Var(d zeta) per slice against the (hbar/m) eps law, and the log-log
-exponents of rms increments for thermal (~1/2) versus deterministic (~1)
-paths.  Part two expands the gauge-fixed slice Hamiltonian in increments,
-compares the correction coefficients against the stored reference forms,
-and fits the width^(3/2) law for the per-slice correction contribution.
+Part one samples the increments of thermal lattice paths, one chi-square
+draw per Fourier mode over all --samples paths, and measures increment
+scaling: Var(d zeta) per slice against the (hbar/m) eps law, and the
+log-log exponents of rms increments for thermal (~1/2) versus
+deterministic (~1) paths.  Part two expands the gauge-fixed slice
+Hamiltonian in increments, compares the correction coefficients against
+the stored reference forms, and fits the width^(3/2) law for the
+per-slice correction contribution.
 
     python3 scripts/roughness_and_corrections.py --samples 100000
 """
@@ -38,8 +39,7 @@ def run(samples: int, seed: int) -> None:
     print(f"  exact lattice value  = {rep['exact_lattice']:.6e}"
           f"   rel dev {lattice_dev:.2%}")
 
-    hs = holder_slopes(rs, model.params, n_samples=min(samples, 20_000),
-                       seed=seed)
+    hs = holder_slopes(rs, model.params, n_samples=samples, seed=seed)
     print("increment scaling exponents:")
     print(f"  thermal paths       : {hs['quantum_slope']:.3f} (expect 0.5)")
     print(f"  deterministic flow  : {hs['classical_slope']:.3f} (expect 1.0)")
@@ -70,6 +70,8 @@ def main(argv=None) -> int:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
+    if args.samples < 1:
+        p.error(f"--samples must be at least 1, got {args.samples}")
     run(args.samples, args.seed)
     return 0
 

@@ -19,12 +19,11 @@ Three layers:
     Hoelder-type slopes) separating quantum lattice paths from
     deterministic flows.  Both statistics need only the sum of squared
     periodic increments, which by Parseval is a weighted sum of the
-    squared normal mode draws: the paths are never transformed back.
-    Seeded results are fixed by how the draws are grouped, which is why
-    brownian_increment_report keeps its chunks of paths.
-    sample_thermal_paths makes the same draws and does transform them
-    back, into the real and imaginary parts of one half-spectrum array.
-    The deterministic reduced flow is stepped with its RK4 matrix.
+    squared normal mode draws; summed over the paths, one mode's squares
+    are one chi-square draw, so no path or normal draw is formed.
+    sample_thermal_paths makes the normal draws and transforms them back
+    into paths, the oracle for those sums.  The deterministic reduced
+    flow is stepped with its RK4 matrix.
 
 Real-time split steps run in place: the potential and kinetic factors and
 both FFTs overwrite the one complex array being evolved.  Without a
@@ -214,11 +213,14 @@ def _rk4_matrix(A: np.ndarray, h: float) -> np.ndarray:
     return R
 
 
-def fluctuation_det(omega_sq: float, T: float, steps: int = 4000) -> float:
+_DET_STEPS = 4000      # RK4 steps of the Jacobi field in fluctuation_det
+
+
+def fluctuation_det(omega_sq: float, T: float) -> float:
     """D(T) from D-ddot = -omega^2 D, D(0) = 0, D'(0) = 1, for a constant
-    (signed) omega^2: the RK4 step matrix raised to the power steps."""
+    (signed) omega^2: the RK4 step matrix raised to the power _DET_STEPS."""
     A = np.array([[0.0, 1.0], [-float(omega_sq), 0.0]])
-    R = np.linalg.matrix_power(_rk4_matrix(A, T / steps), steps)
+    R = np.linalg.matrix_power(_rk4_matrix(A, T / _DET_STEPS), _DET_STEPS)
     return float(R[0, 1])
 
 
@@ -656,25 +658,6 @@ def _mode_eigenvalues(n_slices: int, eps: float, mass: float,
     return (2.0 * mass / eps) * (1.0 - np.cos(theta)) + eps * mass * omega ** 2
 
 
-def _mode_draws(n_slices: int, n_samples: int, rng: np.random.Generator):
-    """The thermal sampler's standard normal draws, in its order: mode 0, the
-    Nyquist mode (even n_slices only), then the real and the imaginary parts
-    of modes 1..top-1, n_slices draws per path in all.  One call fills them
-    with the same numbers, and leaves rng in the same state, as one
-    rng.normal(0, 1, ...) call per block would.
-
-    Returns (zero, nyquist or None, re, im), views of that one buffer: two
-    columns of n_samples and two (n_samples, top - 1) blocks.
-    """
-    even = n_slices % 2 == 0
-    draws = rng.standard_normal(n_samples * n_slices)
-    zero = draws[:n_samples]
-    nyquist = draws[n_samples:2 * n_samples] if even else None
-    start = (2 if even else 1) * n_samples
-    re, im = draws[start:].reshape(2, n_samples, (n_slices - 1) // 2)
-    return zero, nyquist, re, im
-
-
 def sample_thermal_paths(n_slices: int, beta: float, mass: float,
                          omega: float, hbar: float, n_samples: int,
                          rng: np.random.Generator) -> np.ndarray:
@@ -683,22 +666,25 @@ def sample_thermal_paths(n_slices: int, beta: float, mass: float,
     Sampling is exact: the circulant precision matrix diagonalizes in the
     Fourier basis, so modes are drawn independently and transformed back.
     Real paths have a Hermitian spectrum, so only modes 0..N/2 are stored
-    and irfft supplies their conjugates.
+    and irfft supplies their conjugates.  Mode 0 shifts the whole path: at
+    omega = 0 (lam_0 = 0) it has no Gaussian weight and gets amplitude 0,
+    but is still drawn, so the stream does not depend on omega.
     """
     eps = beta / n_slices
     lam = _mode_eigenvalues(n_slices, eps, mass, omega)
     # ifft normalization 1/N: path = ifft(modes); Var(|mode_j|^2) = hbar N / lam_j
     half = n_slices // 2
+    top = (n_slices + 1) // 2
     modes = np.zeros((n_samples, half + 1), dtype=complex)
-    scale = np.sqrt(hbar * n_slices / lam)
-    zero, nyquist, re, im = _mode_draws(n_slices, n_samples, rng)
-    modes[:, 0] = zero * scale[0]
-    if nyquist is not None:
-        modes[:, half] = nyquist * scale[half]
-    top = re.shape[1] + 1
+    scale = np.sqrt(np.divide(hbar * n_slices, lam, out=np.zeros(n_slices),
+                              where=lam > 0))
+    modes[:, 0] = rng.standard_normal(n_samples) * scale[0]
+    if n_slices % 2 == 0:
+        modes[:, half] = rng.standard_normal(n_samples) * scale[half]
     side = scale[1:top] / math.sqrt(2.0)
-    np.multiply(re, side, out=modes.real[:, 1:top])
-    np.multiply(im, side, out=modes.imag[:, 1:top])
+    for part in (modes.real, modes.imag):
+        np.multiply(rng.standard_normal((n_samples, top - 1)), side,
+                    out=part[:, 1:top])
     return np.fft.irfft(modes, n=n_slices, axis=1)
 
 
@@ -720,21 +706,20 @@ def _thermal_increment_sum(n_slices: int, beta: float, mass: float,
     wrap from the last slice back to the first included), and how many
     there are.
 
-    The draws are sample_thermal_paths', but the paths are never formed.
-    By Parseval the sum is sum_k 2 (1 - cos theta_k) |X_k|^2 / N over the
-    full spectrum, which in the sampler's draws is sum_k w_k z_k^2 with
-    w = _increment_weights: mode 0 adds nothing, the Nyquist mode counts
-    once, and each other stored mode once for its real and once for its
-    imaginary draw (its conjugate doubles |X_k|^2 / 2 back to |X_k|^2).
+    By Parseval the sum is sum_k w_k z_k^2 over sample_thermal_paths'
+    draws, w = _increment_weights: mode 0 adds nothing, the Nyquist mode
+    counts once, and each other stored mode once for its real and once
+    for its imaginary draw.  Over the paths, one mode's squared draws sum
+    to a chi-square variable with 2 n_samples degrees of freedom
+    (n_samples for the Nyquist mode), so each mode takes one such draw.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    half = n_slices // 2
     weight = _increment_weights(n_slices, beta / n_slices, mass, omega, hbar)
-    _, nyquist, re, im = _mode_draws(n_slices, n_samples, rng)
-    side = weight[1:re.shape[1] + 1]
-    total = (np.einsum("ij,ij->j", re, re) @ side
-             + np.einsum("ij,ij->j", im, im) @ side)
-    if nyquist is not None:
-        total += weight[n_slices // 2] * np.vdot(nyquist, nyquist)
-    return float(total), n_samples * n_slices
+    dof = np.full(half, 2.0 * n_samples)
+    dof[(n_slices - 1) // 2:] = n_samples  # the Nyquist mode, even N only
+    return float(weight[1:half + 1] @ rng.chisquare(dof)), n_samples * n_slices
 
 
 def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
@@ -742,23 +727,13 @@ def brownian_increment_report(n_slices: int = 64, beta: float = 1.0,
                               hbar: float = 1.0, n_samples: int = 100_000,
                               seed: int = 0) -> Dict[str, float]:
     """Empirical per-slice Var(d zeta) against the (hbar/m) eps law."""
-    chunk = 20_000      # paths per draw; this grouping fixes seeded results
     eps = beta / n_slices
     rng = np.random.default_rng(seed)
-    total = 0.0
-    count = 0
-    done = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        sq, n = _thermal_increment_sum(n_slices, beta, mass, omega, hbar,
-                                       take, rng)
-        total += sq
-        count += n
-        done += take
+    total, count = _thermal_increment_sum(n_slices, beta, mass, omega, hbar,
+                                          n_samples, rng)
     var = total / count
     expected = hbar * eps / mass
-    # the exact lattice variance: one unit-variance draw per mode of the
-    # full spectrum, each weighted as in _thermal_increment_sum
+    # the exact lattice variance: the weights' mean, as every E z_k^2 = 1
     exact_lattice = float(np.sum(_increment_weights(n_slices, eps, mass,
                                                     omega, hbar)) / n_slices)
     return {

@@ -1,6 +1,7 @@
 import cmath
 import csv
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,9 +18,9 @@ from emq.pathint import (
     smeared_reference, trotter_sweep, write_kernel_csv,
 )
 from emq.pathint import (
-    PropagatorResult, _evolve, _grid, _mode_eigenvalues, _parity_blocks,
-    _power_trace_and_diagonal, _rk4, _split_step_factors,
-    _thermal_increment_sum,
+    PropagatorResult, _DET_STEPS, _evolve, _grid, _increment_weights,
+    _mode_eigenvalues, _parity_blocks, _power_trace_and_diagonal, _rk4,
+    _split_step_factors, _thermal_increment_sum,
 )
 from emq.reduction import PhaseSpace, ReducedSystem
 
@@ -102,7 +103,7 @@ def test_fluctuation_det_oracles():
 def test_constant_frequency_det_is_the_rk4_loop(w2, T):
     # fluctuation_det takes the RK4 step matrix; the step loop is the oracle
     states = _rk4(lambda t, y: np.array([y[1], -w2 * y[0]]), (0.0, 1.0),
-                  T, 4000)
+                  T, _DET_STEPS)
     loop = float(states[-1, 0])
     assert abs(fluctuation_det(w2, T) - loop) <= 1e-12 * max(1.0, abs(loop))
 
@@ -552,49 +553,103 @@ def _sum_sq_increments(paths):
     return float(np.vdot(incs, incs) + np.vdot(wrap, wrap)), paths.size
 
 
-_ROUTE_SLICES = [64, 9, 16, 256, 7, 2, 3]
+class _UnitDraws:
+    """A stand-in generator whose every normal draw is 1 and whose
+    chi-square draws are their means, the degrees of freedom; it records
+    which draws were asked for."""
+
+    def __init__(self):
+        self.calls = []
+
+    def standard_normal(self, size):
+        self.calls.append("standard_normal")
+        return np.ones(size)
+
+    def chisquare(self, df):
+        self.calls.append("chisquare")
+        return np.asarray(df, dtype=float)
 
 
-@pytest.mark.parametrize("n_slices", _ROUTE_SLICES)
+@pytest.mark.parametrize("n_slices", [64, 9, 16, 256, 7, 2, 3])
 def test_spectral_increment_sum_is_the_path_route(n_slices):
+    # with unit draws both routes are deterministic: the chi-square route
+    # sums w_k dof_k, the paths carry every normal draw of mode k as a 1
     args = (n_slices, 1.2, 0.8, 1.3, 0.7, 500)
-    got, count = _thermal_increment_sum(*args, np.random.default_rng(4))
+    rng = _UnitDraws()
+    got, count = _thermal_increment_sum(*args, rng)
+    assert rng.calls == ["chisquare"]
     want, want_count = _sum_sq_increments(
-        sample_thermal_paths(*args, np.random.default_rng(4)))
+        sample_thermal_paths(*args, _UnitDraws()))
     assert count == want_count == 500 * n_slices
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("n_slices", _ROUTE_SLICES)
-def test_spectral_increment_sum_consumes_the_sampler_draws(n_slices):
-    # the fancy-indexed oracle makes its draws block by block with
-    # rng.normal, independently of the shared draw helper
-    args = (n_slices, 1.2, 0.8, 1.3, 0.7, 300)
-    states = []
-    for route in (_thermal_increment_sum, sample_thermal_paths,
-                  _fancy_indexed_paths):
-        rng = np.random.default_rng(9)
-        route(*args, rng)
-        states.append(rng.bit_generator.state)
-    assert states[0] == states[1] == states[2]
+def _chisquare_dof(n_slices, n_samples):
+    """Degrees of freedom of modes 1..N/2 over n_samples paths: two normal
+    draws per path for a complex mode, one for the Nyquist mode."""
+    modes = np.arange(1, n_slices // 2 + 1)
+    return np.where(2 * modes == n_slices, n_samples, 2 * n_samples)
 
 
-def test_brownian_report_is_the_path_route_in_chunks():
-    # 45 001 paths: two full 20 000-path chunks and a partial one
+@pytest.mark.parametrize("n_slices,omega", [(2, 1.3), (3, 1.3), (9, 1.3),
+                                            (64, 1.3), (64, 0.0), (16, 0.0)])
+def test_increment_sums_land_on_the_exact_lattice_variance(n_slices, omega):
+    # over 400 seeds both routes estimate exact_lattice with the chi-square
+    # spread sigma = sqrt(sum_k w_k^2 2 dof_k) / (n N)
+    beta, mass, hbar, n_samples, n_seeds = 1.2, 0.8, 0.7, 300, 400
+    args = (n_slices, beta, mass, omega, hbar, n_samples)
+    exact = brownian_increment_report(n_slices=n_slices, beta=beta, mass=mass,
+                                      omega=omega, hbar=hbar,
+                                      n_samples=1)["exact_lattice"]
+    w = _increment_weights(n_slices, beta / n_slices, mass, omega, hbar)
+    dof = _chisquare_dof(n_slices, n_samples)
+    sigma = (math.sqrt(np.sum(w[1:n_slices // 2 + 1] ** 2 * 2.0 * dof))
+             / (n_samples * n_slices))
+    routes = {
+        "chisquare": lambda rng: _thermal_increment_sum(*args, rng),
+        "paths": lambda rng: _sum_sq_increments(
+            sample_thermal_paths(*args, rng)),
+    }
+    for name, route in routes.items():
+        est = np.array([total / count for total, count in (
+            route(np.random.default_rng(seed)) for seed in range(n_seeds))])
+        assert abs(est.mean() - exact) < 5.0 * sigma / math.sqrt(n_seeds), name
+        assert est.std() == pytest.approx(sigma, rel=0.15), name
+
+
+def test_zero_frequency_paths_are_finite_and_keep_the_stream():
+    # at omega = 0 the zero mode has no Gaussian weight: amplitude 0, but
+    # its draws are still made
+    rngs = [np.random.default_rng(2), np.random.default_rng(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = sample_thermal_paths(8, 1.0, 1.0, 0.0, 1.0, 50, rngs[0])
+    assert np.all(np.isfinite(paths))
+    np.testing.assert_allclose(paths.mean(axis=1), 0.0, atol=1e-14)
+    sample_thermal_paths(8, 1.0, 1.0, 1.3, 1.0, 50, rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_non_positive_sample_counts_are_rejected(n_samples, ho_reduced,
+                                                 ho_model):
+    with pytest.raises(ValueError, match="n_samples"):
+        brownian_increment_report(n_samples=n_samples)
+    with pytest.raises(ValueError, match="n_samples"):
+        holder_slopes(ho_reduced, ho_model.params, n_samples=n_samples)
+
+
+def test_brownian_report_is_one_increment_sum():
     n_slices, n_samples, seed = 64, 45_001, 3
-    rng = np.random.default_rng(seed)
-    total, count, done = 0.0, 0, 0
-    while done < n_samples:
-        take = min(20_000, n_samples - done)
-        sq, n = _sum_sq_increments(
-            sample_thermal_paths(n_slices, 1.0, 1.0, 1.0, 1.0, take, rng))
-        total, count, done = total + sq, count + n, done + take
+    total, count = _thermal_increment_sum(n_slices, 1.0, 1.0, 1.0, 1.0,
+                                          n_samples,
+                                          np.random.default_rng(seed))
     rep = brownian_increment_report(n_slices=n_slices, n_samples=n_samples,
                                     seed=seed)
-    assert rep["var"] == pytest.approx(total / count, rel=1e-12, abs=0.0)
+    assert rep["var"] == total / count
 
 
-def test_holder_rms_is_the_path_route(ho_reduced, ho_model):
+def test_holder_rms_is_the_increment_sum(ho_reduced, ho_model):
     counts, n_samples = (16, 32, 64, 128, 256), 1500
     params = dict(ho_model.params, a1=0.9)
     hs = holder_slopes(ho_reduced, params, beta=1.1, slice_counts=counts,
@@ -602,11 +657,12 @@ def test_holder_rms_is_the_path_route(ho_reduced, ho_model):
     # the thermal half takes the bound H*: mass a1, omega 1
     quad = bind_reduced_hamiltonian(ho_reduced, params)
     assert (quad.mass, quad.omega) == pytest.approx((0.9, 1.0), rel=1e-14)
+    # one generator across the slice counts
     rng = np.random.default_rng(6)
     for N, got in zip(counts, hs["quantum_rms"]):
-        sq, n = _sum_sq_increments(sample_thermal_paths(
-            N, 1.1, quad.mass, quad.omega, 1.0, n_samples, rng))
-        assert got == pytest.approx(math.sqrt(sq / n), rel=1e-12, abs=0.0)
+        sq, n = _thermal_increment_sum(N, 1.1, quad.mass, quad.omega, 1.0,
+                                       n_samples, rng)
+        assert got == math.sqrt(sq / n)
 
 
 def test_brownian_increment_variance():
