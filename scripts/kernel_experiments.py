@@ -4,7 +4,7 @@ Two runs, each against a closed form:
 
   free     real-time evolution of a smeared source on the bundled free
            lattice; reports the central-window error profile and writes
-           the kernel CSV.
+           the kernel table free_kernel.npy (fields zeta, psi, reference).
   spectrum imaginary-time transfer matrix for the oscillator; partition
            value against 1/(2 sinh(beta/2)) plus the slice-count error
            sweep (slope -2 for the symmetric splitting).
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from emq.pathint import propagate_quantum, trotter_sweep, write_kernel_csv
+from emq.pathint import propagate_quantum, trotter_sweep, write_kernel
 from emq.reduction import run_reduction
 from emq.sysfile import load_bundled
 
@@ -38,9 +38,8 @@ def run_free(out_dir: str) -> None:
           f"  T={model.lattice.duration}")
     print(f"  max rel err (central half grid) = {m['max_rel_err_central']:.3e}")
     print(f"  norm drift                      = {m['norm_drift']:.3e}")
-    path = os.path.join(out_dir, "free_kernel.csv")
-    write_kernel_csv(res, path)
-    print(f"  kernel written to {path}")
+    path = write_kernel(res, os.path.join(out_dir, "free_kernel"))
+    print(f"  kernel table (zeta, psi, reference) written to {path}")
 
 
 def run_spectrum(out_dir: str) -> None:

@@ -27,7 +27,7 @@ from .expr import (Add, ComparisonResult, Const, ExprError, Mul, evaluate,
 from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_model
 from .symplectic import poisson_bracket, split_hamiltonian, verify_charges
 from .reduction import jacobi_liouville_check, run_reduction, verify_canonicity
-from .pathint import propagate_quantum, write_kernel_csv
+from .pathint import propagate_quantum, write_kernel
 from .anomaly import (AnomalyError, GeneratingFunction, anomaly_coefficients,
                       consistency_report, constraint_surface_vanishing,
                       correction_scaling, sliced_expansion_check)
@@ -240,8 +240,8 @@ def cmd_reduce(path: str, seed: int = 0) -> Tuple[int, RunReport]:
 
 def cmd_propagate(path: str, seed: int = 0,
                   out: Optional[str] = None) -> Tuple[int, RunReport]:
-    """Lattice run against the closed-form reference; with out, a CSV plus
-    metrics JSON."""
+    """Lattice run against the closed-form reference; with out, a kernel
+    table plus metrics JSON."""
     model = _load(path)
     if model.lattice is None:
         raise SysFileError(f"{model.name}: no [lattice] section, "
@@ -270,11 +270,10 @@ def cmd_propagate(path: str, seed: int = 0,
                   f"{key} = {err:.3e}, tolerance {cfg.tolerance:g}")
 
     if out:
-        # artifacts only on request: <out>.csv and <out>_metrics.json
-        base = out[:-4] if out.endswith(".csv") else out
+        # artifacts only on request: <out>.npy and <out>_metrics.json
+        base = out[:-4] if out.endswith(".npy") else out
         if run.zeta is not None:
-            write_kernel_csv(run, base + ".csv")
-            rep.outputs["kernel_csv"] = base + ".csv"
+            rep.outputs["kernel_npy"] = write_kernel(run, base)
         payload = {"model": model.name, "mode": run.mode, "seed": seed,
                    "slices": cfg.slices, "n": cfg.n, "length": cfg.length,
                    "duration": cfg.duration, "tolerance": cfg.tolerance,
@@ -377,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="print the report as JSON")
         p.add_argument("--out", default=None,
-                       help="propagate: basename for the CSV and metrics "
-                            "files; other commands: path for a JSON copy "
-                            "of the report")
+                       help="propagate: basename for the .npy kernel "
+                            "table and the metrics file; other commands: "
+                            "path for a JSON copy of the report")
     return parser
 
 

@@ -39,6 +39,13 @@ whose wrap-around ruins pointwise comparisons at the 1e-4 level, while a
 few-cell Gaussian suppresses those modes and still admits an exact
 continuum reference (the kernel convolved with the source, a single
 complex-Gaussian integral).
+
+Output: write_kernel stores a real- or imaginary-mode result as one NumPy
+.npy file (NEP 1) holding a structured array of n rows with the fields
+zeta (float64), psi and reference (complex128): the grid, the lattice
+column (real mode) or diagonal (imaginary mode), and its closed form.  The
+values are bit-equal to the result's arrays; the pointwise error is
+abs(psi - reference).
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ __all__ = [
     "propagate_quantum", "partition_closed_form",
     "partition_slice_closed_form", "trotter_sweep",
     "brownian_increment_report", "holder_slopes",
-    "write_kernel_csv", "FocalPointError", "CoverageError",
+    "write_kernel", "FocalPointError", "CoverageError",
 ]
 
 
@@ -78,6 +85,14 @@ class CoverageError(ExprError):
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+# Every lattice array holds n values and a real-time run keeps a handful of
+# complex ones, so 2^20 points caps each at 16 MiB.  A real-time run with a
+# potential takes one FFT pair per slice, so 2^20 slices caps that loop (and
+# keeps the count far inside the range that converts to a float exactly).
+MAX_GRID_POINTS = 2 ** 20
+MAX_SLICES = 2 ** 20
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -106,8 +121,21 @@ class LatticeConfig:
             raise ValueError(f"unknown lattice mode {self.mode!r}", "mode")
         if self.n & (self.n - 1) or self.n <= 0:
             raise ValueError("grid point count must be a power of two", "n")
-        if self.slices < 2:
-            raise ValueError("need at least two time slices", "slices")
+        if self.n > MAX_GRID_POINTS:
+            raise ValueError(f"grid point count must be at most "
+                             f"{MAX_GRID_POINTS}", "n")
+        if not 2 <= self.slices <= MAX_SLICES:
+            raise ValueError(f"need 2 to {MAX_SLICES} time slices", "slices")
+        for name in ("length", "duration", "hbar", "tolerance",
+                     "source_sigma_cells"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                label = "duration (T or beta)" if name == "duration" else name
+                raise ValueError(f"{label} must be finite and > 0, "
+                                 f"got {value!r}", name)
+        if not math.isfinite(self.source_center):
+            raise ValueError(f"source_center must be finite, "
+                             f"got {self.source_center!r}", "source_center")
 
     @property
     def dx(self) -> float:
@@ -792,16 +820,20 @@ def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
 # output
 # ---------------------------------------------------------------------------
 
-def write_kernel_csv(result: PropagatorResult, path: str) -> None:
+_KERNEL_DTYPE = np.dtype([("zeta", "<f8"), ("psi", "<c16"),
+                          ("reference", "<c16")])
+
+
+def write_kernel(result: PropagatorResult, base: str) -> str:
+    """Write the grid, the lattice column and its reference to base + '.npy'
+    as one structured array with the fields zeta, psi and reference, n rows,
+    bit-equal to the result's arrays; return the path."""
     if result.zeta is None:
         raise ValueError(f"{result.mode} mode has no grid data to write")
-    psi, ref = result.psi, result.reference
-    # csv.writer's dialect: comma-separated, \r\n line ends, and no field
-    # here needs quoting
-    rows = zip(result.zeta.tolist(), psi.real.tolist(), psi.imag.tolist(),
-               ref.real.tolist(), ref.imag.tolist(),
-               np.abs(psi - ref).tolist())
-    line = "%.10g,%.12g,%.12g,%.12g,%.12g,%.6g\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("zeta,re_K,im_K,re_ref,im_ref,abs_err\r\n"
-                 + "".join([line % row for row in rows]))
+    table = np.empty(len(result.zeta), dtype=_KERNEL_DTYPE)
+    table["zeta"] = result.zeta
+    table["psi"] = result.psi
+    table["reference"] = result.reference
+    path = base + ".npy"
+    np.save(path, table, allow_pickle=False)
+    return path

@@ -8,14 +8,16 @@ lattice settings and generating-function data.  Sections:
                 optional momentum-free potential
   [charges]     named conserved combinations
   [rho]         coefficient expression per selected charge
-  [params]      numeric parameter values used by the lattice layer
+  [params]      numeric parameter values used by the lattice layer; hbar,
+                if set, must be finite and > 0
   [constraint]  phi, eliminate, solution, optional chi
   [darboux]     reduced = <coord> : <mom> (repeatable), gauge = <coord> : <mom>,
                 one forward expression per target name, one inv_<name> per
                 source variable
   [domain]      sampling ranges per symbol plus repeatable
                 guard = <expr> in <lo>, <hi> lines
-  [lattice]     optional; grid, slicing and tolerance settings
+  [lattice]     optional; grid, slicing and tolerance settings, each
+                checked by LatticeConfig
   [anomaly]     optional; F = generating function, reference_A_z = printed
                 drift form kept as cross-check data
 
@@ -28,6 +30,7 @@ only a missing required section, which has no line, names the section.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -216,7 +219,10 @@ def _coordinates(text: str, source, full) -> PhaseSpace:
 
 def _parameter(text: str, name: str, tables) -> float:
     _declare(tables, "parameter", name)
-    return _number(text)
+    value = _number(text)
+    if name == "hbar" and not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"hbar must be finite and > 0, got {value!r}")
+    return value
 
 
 def _pair(text: str, full, target) -> Tuple[str, str]:
@@ -364,7 +370,8 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
             )
         except ValueError as exc:
             # the defaults are valid, so the rejected field is in the file
-            message, key = exc.args
+            message, field = exc.args
+            key = duration if field == "duration" else field
             raise lat.error(f"bad [lattice] settings: {message}", key) from exc
         lat.finish()
 

@@ -1,15 +1,18 @@
-import csv
 import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emq import __version__, cli, expr, symplectic
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.expr import SampleDomain, columns
-from emq.sysfile import bundled_text
+from emq.pathint import propagate_quantum
+from emq.reduction import run_reduction
+from emq.sysfile import bundled_text, load_bundled
 
 
 def _write(tmp_path, text, name="model.sys"):
@@ -267,17 +270,57 @@ def test_reduce_reports_the_closed_form(capsys):
 # propagate
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("name, mode", [("free_particle", "real"),
+                                        ("harmonic", "imaginary")])
+def test_propagate_writes_the_kernel_table(name, mode, tmp_path, capsys):
+    base = str(tmp_path / "run")
+    assert main(["propagate", name, "--out", base, "--json"]) == EXIT_OK
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs == {"kernel_npy": base + ".npy",
+                       "metrics_json": base + "_metrics.json"}
+    table = np.load(base + ".npy", allow_pickle=False)
+    assert table.dtype.names == ("zeta", "psi", "reference")
+    # the same run in process: the table holds its arrays bit for bit
+    model = load_bundled(name)
+    *_, result = run_reduction(model.system, model.constraint, model.darboux)
+    run = propagate_quantum(result.system, model.lattice, model.params)
+    assert run.mode == mode
+    assert table.shape == (model.lattice.n,)
+    for field in table.dtype.names:
+        assert np.array_equal(table[field], getattr(run, field)), field
+
+
 def test_propagate_writes_artifacts(tmp_path, capsys):
     base = str(tmp_path / "run")
     assert main(["propagate", "free_particle", "--out", base]) == EXIT_OK
-    with open(base + ".csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["zeta", "re_K", "im_K", "re_ref", "im_ref", "abs_err"]
-    assert len(rows) > 1
     with open(base + "_metrics.json") as fh:
         metrics = json.load(fh)
     assert metrics["metrics"]["max_rel_err_central"] < 1e-4
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.npy", "run_metrics.json"]
     capsys.readouterr()
+
+
+def test_propagate_out_drops_a_trailing_npy(tmp_path, capsys):
+    assert main(["propagate", "free_particle", "--out",
+                 str(tmp_path / "run.npy")]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.npy", "run_metrics.json"]
+    capsys.readouterr()
+
+
+def test_classical_propagate_writes_only_metrics(tmp_path, capsys):
+    text = bundled_text("harmonic").replace(
+        "mode = imaginary", "mode = classical").replace(
+        "beta = 1.0", "time = 1.0")
+    (tmp_path / "out").mkdir()
+    base = str(tmp_path / "out" / "c")
+    assert main(["propagate", _write(tmp_path, text), "--out", base,
+                 "--json"]) == EXIT_OK
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs == {"metrics_json": base + "_metrics.json"}
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [
+        "c_metrics.json"]
 
 
 def test_propagate_partition_mode(tmp_path, monkeypatch, capsys):
@@ -288,6 +331,42 @@ def test_propagate_partition_mode(tmp_path, monkeypatch, capsys):
     assert "partition" in out
     assert json.loads(out)["outputs"] == {}
     assert list(tmp_path.iterdir()) == []
+
+
+_BAD_LATTICE_EDITS = [
+    ("free_particle", "length = 40.0", "length = 0"),
+    ("free_particle", "length = 40.0", "length = 1e999"),
+    ("free_particle", "source_center = 0.0", "source_center = nan"),
+    ("free_particle", "source_center = 0.0", "source_center = -inf"),
+    ("free_particle", "time = 1.0", "time = inf"),
+    ("free_particle", "tolerance = 1e-4", "tolerance = 0"),
+    ("free_particle", "source_sigma_cells = 6.0", "source_sigma_cells = 0"),
+    ("harmonic", "beta = 1.0", "beta = -1"),
+    ("harmonic", "beta = 1.0", "beta = -1e-320"),
+    ("harmonic", "hbar = 1.0", "hbar = 0"),
+    ("harmonic", "hbar = 1.0", "hbar = nan"),
+    ("harmonic", "slices = 512", "slices = " + "9" * 400),
+    ("harmonic", "n = 256", f"n = {2 ** 1300}"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, line, edit", _BAD_LATTICE_EDITS,
+                         ids=[f"{name}:{edit[:24]}"
+                              for name, _, edit in _BAD_LATTICE_EDITS])
+def test_bad_lattice_values_are_usage_errors_at_their_line(
+        name, line, edit, tmp_path, capsys):
+    lines = bundled_text(name).splitlines()
+    lineno = lines.index(line) + 1
+    lines[lineno - 1] = edit
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    # an exception or a numeric warning escaping main() fails the test, as
+    # it would end `python -W error::RuntimeWarning -m emq` in a traceback
+    assert main(["propagate", path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:{lineno}: ")
 
 
 def test_propagate_needs_a_lattice_section(tmp_path, capsys):
@@ -500,7 +579,7 @@ def _report_and_artifacts(argv, capsys):
     code = main(argv + ["--json"])
     report = json.loads(capsys.readouterr().out)
     report.pop("elapsed_s")
-    artifacts = {label: open(path).read()
+    artifacts = {label: Path(path).read_bytes()
                  for label, path in report["outputs"].items()}
     return code, report, artifacts
 

@@ -1,5 +1,4 @@
 import cmath
-import csv
 import math
 import warnings
 from dataclasses import replace
@@ -9,13 +8,14 @@ import pytest
 
 from emq.expr import ExprError, Sym, ZERO, normalize, parse
 from emq.pathint import (
-    CoverageError, FocalPointError, LatticeConfig, QuadraticHamiltonian,
+    MAX_GRID_POINTS, MAX_SLICES, CoverageError, FocalPointError,
+    LatticeConfig, QuadraticHamiltonian,
     bare_kernel, bind_reduced_hamiltonian, brownian_increment_report,
     classical_amplitude, classical_flow, fluctuation_det,
     fluctuation_det_dense, holder_slopes,
     partition_closed_form, partition_slice_closed_form, propagate_quantum,
     sample_thermal_paths,
-    smeared_reference, trotter_sweep, write_kernel_csv,
+    smeared_reference, trotter_sweep, write_kernel,
 )
 from emq.pathint import (
     PropagatorResult, _DET_STEPS, _evolve, _grid, _increment_weights,
@@ -49,6 +49,30 @@ def test_lattice_config_validation():
     cfg = LatticeConfig(mode="real", n=64, length=8.0, slices=16, duration=2.0)
     assert cfg.dx == pytest.approx(0.125)
     assert cfg.epsilon == pytest.approx(0.125)
+
+
+_GOOD_LATTICE = dict(mode="real", n=64, length=8.0, slices=8, duration=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("length", 0.0), ("length", -1.0), ("length", math.inf),
+    ("duration", -1.0), ("duration", -1e-320), ("duration", math.nan),
+    ("hbar", 0.0), ("hbar", math.nan), ("tolerance", 0.0),
+    ("tolerance", math.inf), ("source_sigma_cells", 0.0),
+    ("source_center", math.nan), ("source_center", -math.inf),
+    ("n", 2 ** 21), ("n", 2 ** 1300), ("slices", 2 ** 20 + 1),
+    ("slices", 10 ** 400),
+])
+def test_lattice_config_names_the_rejected_field(field, value):
+    with pytest.raises(ValueError) as info:
+        LatticeConfig(**dict(_GOOD_LATTICE, **{field: value}))
+    assert info.value.args[1] == field
+
+
+def test_lattice_config_accepts_its_bounds():
+    cfg = LatticeConfig(**dict(_GOOD_LATTICE, n=2 ** 20, slices=2 ** 20,
+                               source_center=-3.5))
+    assert (cfg.n, cfg.slices) == (MAX_GRID_POINTS, MAX_SLICES)
 
 
 # ---------------------------------------------------------------------------
@@ -716,52 +740,42 @@ def test_holder_flow_is_the_rk4_loop(ho_reduced, ho_model):
 # artifacts
 # ---------------------------------------------------------------------------
 
-def test_kernel_csv_columns(free_reduced, free_model, tmp_path):
+def test_kernel_npy_fields(free_reduced, free_model, tmp_path):
     res = propagate_quantum(free_reduced, free_model.lattice,
                             free_model.params)
-    out = tmp_path / "kernel.csv"
-    write_kernel_csv(res, str(out))
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["zeta", "re_K", "im_K", "re_ref", "im_ref", "abs_err"]
-    assert len(rows) == 1 + free_model.lattice.n
-    z0, rk, ik, rr, ir, err = map(float, rows[1])
-    assert abs(complex(rk, ik) - complex(rr, ir)) == pytest.approx(err,
-                                                                   rel=1e-4)
+    path = write_kernel(res, str(tmp_path / "kernel"))
+    assert path == str(tmp_path / "kernel.npy")
+    table = np.load(path, allow_pickle=False)
+    assert table.dtype.names == ("zeta", "psi", "reference")
+    assert table.shape == (free_model.lattice.n,)
+    for name in table.dtype.names:
+        assert np.array_equal(table[name], getattr(res, name)), name
 
 
-def _csv_writer_kernel_csv(result, path):
-    """Oracle: the row-by-row csv.writer form of write_kernel_csv."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["zeta", "re_K", "im_K", "re_ref", "im_ref", "abs_err"])
-        for x, k, r in zip(result.zeta, result.psi, result.reference):
-            writer.writerow([f"{x:.10g}", f"{k.real:.12g}", f"{k.imag:.12g}",
-                             f"{r.real:.12g}", f"{r.imag:.12g}",
-                             f"{abs(k - r):.6g}"])
-
-
-def test_kernel_csv_bytes_match_csv_writer(tmp_path):
+def test_kernel_npy_keeps_every_bit(tmp_path):
+    # signed zeros, subnormals and both ends of the float range survive,
+    # which no fixed-digit text format does
     rng = np.random.default_rng(3)
-    n = 1024
+    n = 256
     magnitude = 10.0 ** rng.uniform(-300, 300, (5, n))
     zeta, re_k, im_k, re_r, im_r = rng.normal(size=(5, n)) * magnitude
     zeta[:3] = (-0.0, 5e-324, 1.7e308)
     re_k[:4] = (-0.0, 1e-310, -1e300, 0.0)
     im_r[:2] = (-0.0, 2.5e-320)
-    re_r[3] = 0.0
     res = PropagatorResult("real", zeta, re_k + 1j * im_k, re_r + 1j * im_r,
                            {})
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_kernel_csv(res, str(got))
-    _csv_writer_kernel_csv(res, str(want))
-    assert got.read_bytes() == want.read_bytes()
-    assert got.read_bytes().count(b"\r\n") == n + 1
+    table = np.load(write_kernel(res, str(tmp_path / "k")),
+                    allow_pickle=False)
+    assert table["zeta"].tobytes() == zeta.tobytes()
+    assert table["psi"].tobytes() == res.psi.tobytes()
+    assert table["reference"].tobytes() == res.reference.tobytes()
 
 
-def test_kernel_csv_rejects_gridless_results(ho_reduced, ho_model):
+def test_kernel_writer_rejects_gridless_results(ho_reduced, ho_model,
+                                                tmp_path):
     cfg = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
                         duration=1.0)
     res = propagate_quantum(ho_reduced, cfg, ho_model.params)
     with pytest.raises(ValueError):
-        write_kernel_csv(res, "/tmp/nope.csv")
+        write_kernel(res, str(tmp_path / "nope"))
+    assert list(tmp_path.iterdir()) == []
