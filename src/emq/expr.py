@@ -16,13 +16,17 @@ constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
 by sampled numeric comparison (numeric_compare), structural equality by ==.
 
-Every node keeps its structural hash, so parse(), normalize(), expand(),
-differentiate() and substitute() are memoized per process: an equal subtree,
-however it was built, is worked out once, and a text parsed again against
-the same names gives back the identical tree, so later memo hits on it are
-found by identity.  Each memo holds at most _MEMO_LIMIT (2^16) entries and is
-emptied when full; a call that raises stores nothing, so it raises again
-next time.
+Nodes are interned (hash-consed): a constructor returns the existing node
+for the same type, label and child objects, so structurally equal trees are
+one object, however they were built.  == stays structural, with an identity
+fast path that answers almost every call; each node computes its hash and
+its sort_key() once, at construction.  The node table holds at most
+_NODE_LIMIT (2^16) nodes and is emptied when full, after which a new tree
+is equal to an old one but not the same object.  parse(), normalize(),
+expand(), differentiate() and substitute() are memoized per process, so an
+equal subtree is worked out once and a memo hit is found by identity.
+Each memo holds at most _MEMO_LIMIT (2^16) entries and is emptied when
+full; a call that raises stores nothing, so it raises again next time.
 SampleDomain.sample_columns() likewise draws each (domain, n, seed) once.
 
 evaluate() walks a tree once, for floats or for a batch of points given as
@@ -99,8 +103,10 @@ class DomainError(ExprError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    # every node computes its structural hash once, from its children's
-    __slots__ = ("_hash",)
+    # a node is interned at construction (see _intern) and keeps its
+    # structural hash and its sort key, each computed once from its
+    # children's
+    __slots__ = ("_hash", "_key")
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
@@ -109,8 +115,10 @@ class Expr:
         return self._hash
 
     def __eq__(self, other):
-        # an explicit stack, not recursion: a memo lookup may compare a long
-        # parsed sum (one nesting level per term) with an equal rebuilt one
+        # equal interned trees are one object, so the identity test answers
+        # almost every call; the walk decides trees built on either side of
+        # a clear of the node table.  An explicit stack, not recursion: a
+        # long parsed sum is one nesting level per term
         pending = [(self, other)]
         while pending:
             a, b = pending.pop()
@@ -137,6 +145,30 @@ class Expr:
         return frozenset(out)
 
 
+# The node table: one node per (type, label, child identities).  A child's
+# id is a safe key because the entry's node keeps the child alive.  The
+# table is emptied when full; a tree built after that is equal to an older
+# one but not the same object.
+_NODE_LIMIT = 1 << 16
+_NODES: Dict[tuple, Expr] = {}
+
+
+def _remember(memo: dict, key, value, limit: int):
+    if len(memo) >= limit:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _intern(cls, key, hash_value, sort_value, **fields) -> Expr:
+    node = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hash_value)
+    object.__setattr__(node, "_key", sort_value)
+    return _remember(_NODES, key, node, _NODE_LIMIT)
+
+
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
@@ -147,37 +179,50 @@ def _coerce(value) -> Expr:
     raise TypeError(f"cannot build an expression from {value!r}")
 
 
+def _const_label(v: Number) -> tuple:
+    # 1 and 1.0 differ, and so do 0.0 and -0.0: atan2 and the printed form
+    # tell the signed zeros apart
+    return type(v), v, math.copysign(1.0, v) if type(v) is float else 0
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Number):
+    def __new__(cls, value: Number):
         if isinstance(value, bool):
             raise TypeError("boolean is not a constant")
         if isinstance(value, int):
             value = Fraction(value)
         elif not isinstance(value, (Fraction, float)):
             raise TypeError(f"bad constant {value!r}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash",
-                           hash(("Const", type(value).__name__, value)))
+        key = (cls,) + _const_label(value)
+        node = _NODES.get(key)
+        if node is None:
+            # the sort key compares exactly: float() would overflow on
+            # huge rationals
+            node = _intern(cls, key,
+                           hash(("Const", type(value).__name__, value)),
+                           (0, value, isinstance(value, float)), value=value)
+        return node
 
     def _parts(self):
-        v = self.value
-        # 1 and 1.0 differ, and so do 0.0 and -0.0: atan2 and the printed
-        # form tell the signed zeros apart
-        return (type(v), v, math.copysign(1.0, v) if type(v) is float else 0), ()
+        return _const_label(self.value), ()
 
 
 class Sym(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if not _IDENT_RE.fullmatch(name):
-            raise ValueError(f"bad symbol name {name!r}")
-        if name in FUNCTIONS:
-            raise ValueError(f"{name!r} is a reserved function name")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("Sym", name)))
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _NODES.get(key)
+        if node is None:
+            if not _IDENT_RE.fullmatch(name):
+                raise ValueError(f"bad symbol name {name!r}")
+            if name in FUNCTIONS:
+                raise ValueError(f"{name!r} is a reserved function name")
+            node = _intern(cls, key, hash(("Sym", name)), (1, name),
+                           name=name)
+        return node
 
     def _parts(self):
         return self.name, ()
@@ -186,12 +231,16 @@ class Sym(Expr):
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[Expr]):
+    def __new__(cls, terms: Iterable[Expr]):
         terms = tuple(terms)
-        if len(terms) < 2:
-            raise ValueError("Add needs at least two terms")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(("Add", terms)))
+        key = (cls,) + tuple(map(id, terms))
+        node = _NODES.get(key)
+        if node is None:
+            if len(terms) < 2:
+                raise ValueError("Add needs at least two terms")
+            node = _intern(cls, key, hash(("Add", terms)),
+                           (6, tuple(t._key for t in terms)), terms=terms)
+        return node
 
     def _parts(self):
         return None, self.terms
@@ -200,12 +249,17 @@ class Add(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: Iterable[Expr]):
+    def __new__(cls, factors: Iterable[Expr]):
         factors = tuple(factors)
-        if len(factors) < 2:
-            raise ValueError("Mul needs at least two factors")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(("Mul", factors)))
+        key = (cls,) + tuple(map(id, factors))
+        node = _NODES.get(key)
+        if node is None:
+            if len(factors) < 2:
+                raise ValueError("Mul needs at least two factors")
+            node = _intern(cls, key, hash(("Mul", factors)),
+                           (5, tuple(f._key for f in factors)),
+                           factors=factors)
+        return node
 
     def _parts(self):
         return None, self.factors
@@ -214,14 +268,18 @@ class Mul(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Rational):
+    def __new__(cls, base: Expr, exponent: Rational):
         if isinstance(exponent, Fraction) and exponent.denominator == 1:
             exponent = int(exponent)
         if not isinstance(exponent, (int, Fraction)):
             raise TypeError("exponent must be an integer or Fraction")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "_hash", hash(("Pow", base, exponent)))
+        key = (cls, id(base), exponent)
+        node = _NODES.get(key)
+        if node is None:
+            node = _intern(cls, key, hash(("Pow", base, exponent)),
+                           (3, base._key, exponent),
+                           base=base, exponent=exponent)
+        return node
 
     def _parts(self):
         return self.exponent, (self.base,)
@@ -230,10 +288,13 @@ class Pow(Expr):
 class Div(Expr):
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Expr, den: Expr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash(("Div", num, den)))
+    def __new__(cls, num: Expr, den: Expr):
+        key = (cls, id(num), id(den))
+        node = _NODES.get(key)
+        if node is None:
+            node = _intern(cls, key, hash(("Div", num, den)),
+                           (4, num._key, den._key), num=num, den=den)
+        return node
 
     def _parts(self):
         return None, (self.num, self.den)
@@ -242,15 +303,20 @@ class Div(Expr):
 class Fun(Expr):
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: Iterable[Expr]):
+    def __new__(cls, name: str, args: Iterable[Expr]):
         args = tuple(args)
-        if name not in FUNCTIONS:
-            raise ValueError(f"unknown function {name!r}")
-        if len(args) != FUNCTIONS[name]:
-            raise ValueError(f"{name} expects {FUNCTIONS[name]} argument(s)")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(("Fun", name, args)))
+        key = (cls, name) + tuple(map(id, args))
+        node = _NODES.get(key)
+        if node is None:
+            if name not in FUNCTIONS:
+                raise ValueError(f"unknown function {name!r}")
+            if len(args) != FUNCTIONS[name]:
+                raise ValueError(
+                    f"{name} expects {FUNCTIONS[name]} argument(s)")
+            node = _intern(cls, key, hash(("Fun", name, args)),
+                           (2, name, tuple(a._key for a in args)),
+                           name=name, args=args)
+        return node
 
     def _parts(self):
         return self.name, self.args
@@ -272,23 +338,13 @@ def _collect_symbols(e: Expr, out: set) -> None:
 # ---------------------------------------------------------------------------
 
 def sort_key(e: Expr):
-    """Total order on expressions; used for deterministic argument ordering."""
-    if isinstance(e, Const):
-        # exact comparison: float() would overflow on huge rationals
-        return (0, e.value, isinstance(e.value, float))
-    if isinstance(e, Sym):
-        return (1, e.name)
-    if isinstance(e, Fun):
-        return (2, e.name, tuple(sort_key(a) for a in e.args))
-    if isinstance(e, Pow):
-        return (3, sort_key(e.base), e.exponent)
-    if isinstance(e, Div):
-        return (4, sort_key(e.num), sort_key(e.den))
-    if isinstance(e, Mul):
-        return (5, tuple(sort_key(f) for f in e.factors))
-    if isinstance(e, Add):
-        return (6, tuple(sort_key(t) for t in e.terms))
-    raise TypeError(f"not an Expr: {e!r}")
+    """Total order on expressions; used for deterministic argument ordering.
+
+    Constants < symbols < functions < powers < quotients < products < sums,
+    then by label and children's keys.  Each node builds its key once, at
+    construction, from its children's.
+    """
+    return e._key
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +742,6 @@ _SUBSTITUTED: Dict[tuple, Expr] = {}
 # sample columns are larger, so fewer (domain, n, seed) sets are kept
 _SAMPLE_LIMIT = 1 << 6
 _SAMPLES: Dict[tuple, Dict[str, np.ndarray]] = {}
-
-
-def _remember(memo: dict, key, value, limit: int):
-    if len(memo) >= limit:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 def normalize(e: Expr) -> Expr:

@@ -64,16 +64,21 @@ from .reduction import ReducedSystem
 __all__ = [
     "LatticeConfig", "FlowResult", "PropagatorResult", "QuadraticHamiltonian",
     "classical_flow", "classical_amplitude", "fluctuation_det",
-    "fluctuation_det_dense", "bind_reduced_hamiltonian", "smeared_reference",
+    "bind_reduced_hamiltonian", "smeared_reference",
     "propagate_quantum", "partition_closed_form",
     "partition_slice_closed_form", "trotter_sweep",
     "brownian_increment_report", "holder_slopes",
-    "write_kernel", "FocalPointError", "CoverageError",
+    "write_kernel", "FocalPointError", "CoverageError", "LatticeRangeError",
 ]
 
 
 class FocalPointError(ExprError):
     """D(T) vanished: conjugate-point crossing, single-path weight undefined."""
+
+
+class LatticeRangeError(ExprError):
+    """A finite lattice or hbar value is too large or too small for the
+    float arithmetic of the run."""
 
 
 class CoverageError(ExprError):
@@ -261,23 +266,6 @@ def _jacobi_det(quad: QuadraticHamiltonian, T: float) -> float:
             f"fluctuation determinant D({T:g}) = {D:.3e}: focal point, "
             f"the endpoint-ray family degenerates")
     return D
-
-
-def fluctuation_det_dense(omega_sq: float, T: float, n: int = 64) -> float:
-    """Dense-lattice cross-check: eps * det(tridiag(-1, 2 - eps^2 w^2, -1)).
-
-    The (n-1)x(n-1) matrix is the discrete second variation of the action
-    with the mass scaled out; the prefactor eps restores the continuum
-    normalization D(0)=0, D'(0)=1.
-    """
-    eps = T / n
-    dim = n - 1
-    M = np.zeros((dim, dim))
-    np.fill_diagonal(M, 2.0 - eps * eps * omega_sq)
-    idx = np.arange(dim - 1)
-    M[idx, idx + 1] = -1.0
-    M[idx + 1, idx] = -1.0
-    return float(eps * np.linalg.det(M))
 
 
 def classical_amplitude(sys, q1, q2, T: float,
@@ -581,7 +569,24 @@ def _central_errors(zeta: np.ndarray, psi: np.ndarray, ref: np.ndarray,
 def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
                       params: Mapping[str, float]) -> PropagatorResult:
     """Kernel column (real mode), partition trace (imaginary), or classical
-    weight, with error metrics against the closed forms."""
+    weight, with error metrics against the closed forms.
+
+    LatticeRangeError where a finite but extreme value (a length, duration,
+    hbar or source width near the ends of the float range) makes a step
+    overflow, divide by zero or lose its value: the run cannot represent
+    the lattice, so it fails rather than report poisoned numbers.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _propagate(rs, cfg, params)
+    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+        raise LatticeRangeError(
+            f"{cfg.mode}-mode lattice leaves the float range: "
+            f"{type(exc).__name__}: {exc}") from None
+
+
+def _propagate(rs: ReducedSystem, cfg: LatticeConfig,
+               params: Mapping[str, float]) -> PropagatorResult:
     quad = bind_reduced_hamiltonian(rs, params)
     hbar = cfg.hbar
 

@@ -36,7 +36,7 @@ __all__ = [
     "ConstraintSpec", "CanonicalMap", "PresymplecticForm",
     "ReducedLagrangian", "TransformedLagrangian", "ReducedSystem",
     "EliminationResult",
-    "eliminate_primary", "presymplectic_direct", "verify_canonicity",
+    "eliminate_primary", "verify_canonicity",
     "apply_darboux", "eliminate_z", "fd_jacobian", "jacobi_liouville_check",
     "run_reduction",
     "CanonicityError", "UnsupportedPatternError", "velocity_symbol",
@@ -176,37 +176,6 @@ def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
     f = _antisymmetrized(one_form, reduced_vars)
     return (ReducedLagrangian(reduced_vars, L_R, one_form, H_R),
             PresymplecticForm(reduced_vars, f))
-
-
-def presymplectic_direct(sys: FlowSystem, c: ConstraintSpec) -> PresymplecticForm:
-    """The same matrix from the closed formula instead of the one-form.
-
-    f_ij = w_ij - w_1i dg/dxi^j + w_1j dg/dxi^i, where index 1 is the
-    eliminated variable and w the full symplectic matrix.  Used as a
-    cross-check of eliminate_primary in the test suite.
-    """
-    ps = sys.space
-    xi = ps.xi
-    k = xi.index(c.eliminated)
-    reduced_vars = tuple(v for v in xi if v != c.eliminated)
-    g = c.solution
-    rows = []
-    for vi in reduced_vars:
-        i = xi.index(vi)
-        row = []
-        for vj in reduced_vars:
-            j = xi.index(vj)
-            terms = [Const(ps.omega_entry(i, j))]
-            w_ki = ps.omega_entry(k, i)
-            w_kj = ps.omega_entry(k, j)
-            if w_ki != 0:
-                terms.append(Mul((Const(-w_ki), differentiate(g, vj))))
-            if w_kj != 0:
-                terms.append(Mul((Const(w_kj), differentiate(g, vi))))
-            row.append(normalize(Add(tuple(terms))) if len(terms) > 1
-                       else normalize(terms[0]))
-        rows.append(tuple(row))
-    return PresymplecticForm(reduced_vars, tuple(rows))
 
 
 @dataclass(frozen=True)

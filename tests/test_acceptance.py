@@ -22,13 +22,14 @@ from emq.expr import (
 from emq.pathint import (
     FocalPointError, LatticeConfig, bare_kernel, bind_reduced_hamiltonian,
     brownian_increment_report, classical_amplitude, fluctuation_det,
-    fluctuation_det_dense, holder_slopes, propagate_quantum, trotter_sweep,
+    holder_slopes, propagate_quantum, trotter_sweep,
 )
 from emq.reduction import jacobi_liouville_check, verify_canonicity
 from emq.symplectic import poisson_bracket, split_hamiltonian, verify_charges
 from emq.sysfile import bundled_text
 
 from test_anomaly import _random_quadratic
+from test_pathint import fluctuation_det_dense
 
 
 def _line(num, text):

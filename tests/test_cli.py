@@ -89,6 +89,9 @@ def test_rho_line_reports_the_bracket_and_can_fail(tmp_path, capsys):
      ["constraint solution solves phi = 0",
       "constrained chart volume constant"]),
     ("C2 = x*p_x + y*p_y", "C2 = x*p_x", ["charge C2 conserved"]),
+    # rho = a1*C1, so a charge that is not conserved takes rho with it
+    ("C1 = x^2 + y^2", "C1 = x^2 + 2*y^2",
+     ["charge C1 conserved", "rho conserved along the flow"]),
 ])
 def test_verify_mutations_flip_their_checks(old, new, flipped, tmp_path,
                                             capsys):
@@ -367,6 +370,38 @@ def test_bad_lattice_values_are_usage_errors_at_their_line(
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}:{lineno}: ")
+
+
+_EXTREME_LATTICE_EDITS = [
+    ("harmonic", "length = 16.0", "length = 1e-300"),
+    ("harmonic", "beta = 1.0", "beta = 1e300"),
+    ("harmonic", "hbar = 1.0", "hbar = 1e300"),
+    ("free_particle", "length = 40.0", "length = 1e300"),
+    ("free_particle", "time = 1.0", "time = 1e300"),
+    ("free_particle", "source_sigma_cells = 6.0",
+     "source_sigma_cells = 1e-300"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, line, edit", _EXTREME_LATTICE_EDITS,
+                         ids=[f"{name}:{edit}"
+                              for name, _, edit in _EXTREME_LATTICE_EDITS])
+def test_extreme_lattice_values_fail_the_lattice_check(
+        name, line, edit, tmp_path, capsys):
+    # finite values that pass the file's rules but leave the float range of
+    # the lattice arithmetic: a typed failure of one check, not a traceback
+    text = bundled_text(name)
+    assert text.count(line + "\n") == 1
+    path = _write(tmp_path, text.replace(line + "\n", edit + "\n"))
+    assert main(["propagate", path, "--json"]) == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out)["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == [
+        "lattice propagation"]
+    assert checks[-1]["detail"].startswith(
+        "LatticeRangeError: ") and "float range" in checks[-1]["detail"]
 
 
 def test_propagate_needs_a_lattice_section(tmp_path, capsys):

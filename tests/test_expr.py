@@ -12,7 +12,7 @@ from emq.expr import (
     Add, Const, Div, DivisionByZeroError, DomainError, EvalError, Fun, Mul,
     NegativeSqrtError, ParseError, Pow, SampleDomain, Sym, SymbolTable,
     UnboundSymbolError, UnknownIdentifierError, ZERO, columns, differentiate,
-    evaluate, expand, normalize, numeric_compare, parse,
+    evaluate, expand, normalize, numeric_compare, parse, sort_key,
     substitute,
 )
 
@@ -337,6 +337,112 @@ def test_memo_refills_after_reaching_its_bound():
 
 
 # ---------------------------------------------------------------------------
+# the node table
+# ---------------------------------------------------------------------------
+
+def _fresh_sort_key(e):
+    """sort_key worked out from scratch, as a recursive walk."""
+    if isinstance(e, Const):
+        return (0, e.value, isinstance(e.value, float))
+    if isinstance(e, Sym):
+        return (1, e.name)
+    if isinstance(e, Fun):
+        return (2, e.name, tuple(_fresh_sort_key(a) for a in e.args))
+    if isinstance(e, Pow):
+        return (3, _fresh_sort_key(e.base), e.exponent)
+    if isinstance(e, Div):
+        return (4, _fresh_sort_key(e.num), _fresh_sort_key(e.den))
+    if isinstance(e, Mul):
+        return (5, tuple(_fresh_sort_key(f) for f in e.factors))
+    return (6, tuple(_fresh_sort_key(t) for t in e.terms))
+
+
+def _rebuilt(e):
+    """e built again by the constructors alone, past every memo."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Sym):
+        return Sym(e.name)
+    if isinstance(e, Pow):
+        return Pow(_rebuilt(e.base), e.exponent)
+    if isinstance(e, Div):
+        return Div(_rebuilt(e.num), _rebuilt(e.den))
+    if isinstance(e, Fun):
+        return Fun(e.name, map(_rebuilt, e.args))
+    return type(e)(map(_rebuilt, e._parts()[1]))
+
+
+def test_equal_trees_are_one_node():
+    _clear_every_memo()
+    x, y = Sym("x"), Sym("y")
+    assert Sym("x") is x and Const(2) is Const(Fraction(2))
+    assert Pow(x, Fraction(4, 2)) is Pow(x, 2)
+    built = Add((Mul((Const(3), x)), Fun("sin", (Div(y, Pow(x, 2)),))))
+    assert Add((Mul((Const(3), x)), Fun("sin", (Div(y, Pow(x, 2)),)))) is built
+    # the parser, normalize and the constructors meet in one node
+    parsed = parse("sin(y/x^2) + 3*x", TABLE)
+    assert normalize(built) is parsed
+    assert normalize(parse("x*3 + sin(y/(x*x))", TABLE)) is parsed
+    assert substitute(parse("sin(y/a^2) + 3*a", TABLE), {"a": x}) is parsed
+    assert expand(parse("(x + 1)^2", TABLE)) is normalize(
+        parse("x^2 + 2*x + 1", TABLE))
+
+
+def test_trees_built_after_the_table_empties_are_equal_not_identical():
+    text = "(a*x + sin(b))^2/(y^2 + 1)"
+    _clear_every_memo()
+    cold = [parse(text, TABLE)]
+    cold += [normalize(cold[0]), expand(cold[0]), differentiate(cold[0], "x"),
+             substitute(cold[0], {"x": Const(Fraction(1, 3))})]
+    old_tree = cold[0]
+    expr_module._NODES.clear()
+    rebuilt = _rebuilt(old_tree)
+    assert rebuilt == old_tree and rebuilt is not old_tree
+    assert hash(rebuilt) == hash(old_tree)
+    # every memo, keyed by the old tree, still gives the cold answer
+    warm = [parse(text, TABLE), normalize(rebuilt), expand(rebuilt),
+            differentiate(rebuilt, "x"),
+            substitute(rebuilt, {"x": Const(Fraction(1, 3))})]
+    for w, c in zip(warm, cold):
+        assert w == c and str(w) == str(c)
+
+
+def test_constants_that_equal_differently_are_distinct_nodes():
+    assert Const(1) is not Const(1.0) and Const(1) != Const(1.0)
+    assert Const(0.0) is not Const(-0.0) and Const(0.0) != Const(-0.0)
+    assert Const(-0.0) is Const(-0.0) and Const(1.0) is Const(1.0)
+    assert str(Const(-0.0)) == "-0.0"
+    nan = float("nan")
+    assert Const(nan) is Const(nan)
+    other = Const(float("nan"))
+    assert other is not Const(nan) and other != Const(nan)
+    assert all(Const(nan) is not Const(v) for v in (0.0, 1.0, math.inf))
+    assert Mul((Const(1), Sym("x"))) is not Mul((Const(1.0), Sym("x")))
+
+
+@given(_trees())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_cached_sort_key_is_the_recursive_one(e):
+    assert sort_key(e) == _fresh_sort_key(e)
+    n = _normalized_or_discard(e)
+    for sub in _subtrees(n):
+        assert sort_key(sub) == _fresh_sort_key(sub)
+
+
+def test_node_table_refills_after_reaching_its_bound():
+    _clear_every_memo()
+    x = Sym("x")
+    square = normalize(Mul((x, x)))
+    limit = expr_module._NODE_LIMIT
+    for i in range(limit + 10):
+        Sym(f"v{i}")
+    assert 0 < len(expr_module._NODES) <= limit
+    again = normalize(Mul((Sym("x"), Sym("x"))))
+    assert again == square == Pow(x, 2) and sort_key(again) == sort_key(square)
+    assert Sym("x") is Sym("x") and Sym("x") == x
+
+
+# ---------------------------------------------------------------------------
 # memoized parse and substitute
 # ---------------------------------------------------------------------------
 
@@ -395,8 +501,11 @@ def test_parse_and_substitute_memos_empty_when_full(monkeypatch):
     assert len(expr_module._PARSED) == 4
     assert parse("x + 4", TABLE) == normalize(Add((Sym("x"), Const(4))))
     assert len(expr_module._PARSED) == 1
+    # the emptied memo parses the text again and stores it again; the node
+    # table hands back the node the first parse built
     again = parse("x + 0", TABLE)
-    assert again == parsed[0] and again is not parsed[0]
+    assert len(expr_module._PARSED) == 2
+    assert again is parsed[0] == Sym("x")
 
     e = parse("a*x + y", TABLE)
     results = [substitute(e, {"x": i}) for i in range(4)]
@@ -462,9 +571,10 @@ def test_expand_memo_hands_out_the_identical_tree(monkeypatch):
     assert len(expr_module._EXPANDED) == 4
     expand(parse("(x + 4)^2", TABLE))
     assert len(expr_module._EXPANDED) == 1
+    # the emptied memo expands the tree again and stores it again
     again = expand(parse("(x + 1)^2", TABLE))
+    assert len(expr_module._EXPANDED) == 2
     assert again == expanded[0] == normalize(parse("x^2 + 2*x + 1", TABLE))
-    assert again is not expanded[0]
 
 
 @given(_trees(), st.lists(_trees(), max_size=3))
@@ -489,12 +599,20 @@ def test_deep_trees_compare_without_recursion():
             e = Add((e, Const(i)))
         return Add((e, last))
 
-    assert chain(3000, Sym("y")) == chain(3000, Sym("y"))
-    assert chain(3000, Sym("y")) != chain(3000, Sym("a"))
-    # a long parsed sum nests one level per term; parsing it again finds
-    # the first parse's memo entry through that comparison
+    # equal trees built on either side of a clear of the node table are two
+    # objects, so == walks them
+    first = chain(3000, Sym("y"))
+    expr_module._NODES.clear()
+    again = chain(3000, Sym("y"))
+    assert again is not first and again == first
+    assert chain(3000, Sym("a")) != first
+    # a long parsed sum nests one level per term; parsing it again after
+    # the clear finds the first parse's normal form through that comparison
     text = " + ".join(f"x^{i % 5 + 1}" for i in range(450))
-    assert parse(text, TABLE) == parse(text, TABLE)
+    first = parse(text, TABLE)
+    expr_module._NODES.clear()
+    expr_module._PARSED.clear()
+    assert parse(text, TABLE) == first
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from emq.pathint import (
     MAX_GRID_POINTS, MAX_SLICES, CoverageError, FocalPointError,
     LatticeConfig, QuadraticHamiltonian,
     bare_kernel, bind_reduced_hamiltonian, brownian_increment_report,
-    classical_amplitude, classical_flow, fluctuation_det,
-    fluctuation_det_dense, holder_slopes,
+    classical_amplitude, classical_flow, fluctuation_det, holder_slopes,
     partition_closed_form, partition_slice_closed_form, propagate_quantum,
     sample_thermal_paths,
     smeared_reference, trotter_sweep, write_kernel,
@@ -130,6 +129,24 @@ def test_constant_frequency_det_is_the_rk4_loop(w2, T):
                   T, _DET_STEPS)
     loop = float(states[-1, 0])
     assert abs(fluctuation_det(w2, T) - loop) <= 1e-12 * max(1.0, abs(loop))
+
+
+def fluctuation_det_dense(omega_sq: float, T: float, n: int = 64) -> float:
+    """Dense-lattice oracle for fluctuation_det:
+    eps * det(tridiag(-1, 2 - eps^2 w^2, -1)).
+
+    The (n-1)x(n-1) matrix is the discrete second variation of the action
+    with the mass scaled out; the prefactor eps restores the continuum
+    normalization D(0)=0, D'(0)=1.
+    """
+    eps = T / n
+    dim = n - 1
+    M = np.zeros((dim, dim))
+    np.fill_diagonal(M, 2.0 - eps * eps * omega_sq)
+    idx = np.arange(dim - 1)
+    M[idx, idx + 1] = -1.0
+    M[idx + 1, idx] = -1.0
+    return float(eps * np.linalg.det(M))
 
 
 def test_dense_lattice_determinant_cross_check():

@@ -3,14 +3,15 @@ import dataclasses
 import pytest
 
 from emq.expr import (
-    DomainError, SampleDomain, Sym, ZERO, expand, normalize, numeric_compare,
-    parse,
+    Add, Const, DomainError, Mul, SampleDomain, Sym, ZERO, differentiate,
+    expand, normalize, numeric_compare, parse,
 )
 from emq.reduction import (
-    CanonicalMap, CanonicityError, ConstraintSpec, UnsupportedPatternError,
-    apply_darboux, eliminate_primary, eliminate_z, jacobi_liouville_check,
-    presymplectic_direct, run_reduction, verify_canonicity,
+    CanonicalMap, CanonicityError, ConstraintSpec, PresymplecticForm,
+    UnsupportedPatternError, apply_darboux, eliminate_primary, eliminate_z,
+    jacobi_liouville_check, run_reduction, verify_canonicity,
 )
+from emq.symplectic import FlowSystem
 
 
 def _h(model, text):
@@ -53,6 +54,37 @@ def test_eliminate_primary_shape_and_rank(free_model):
     assert L_R.variables == ("p_y", "x", "y")  # momenta first, p_x eliminated
     for pt in free_model.system.chart.sample(5, seed=2):
         assert f.rank_at(pt) == 2  # one null direction on the surface
+
+
+def presymplectic_direct(sys: FlowSystem, c: ConstraintSpec) -> PresymplecticForm:
+    """The same matrix from the closed formula instead of the one-form.
+
+    f_ij = w_ij - w_1i dg/dxi^j + w_1j dg/dxi^i, where index 1 is the
+    eliminated variable and w the full symplectic matrix: the oracle for
+    eliminate_primary.
+    """
+    ps = sys.space
+    xi = ps.xi
+    k = xi.index(c.eliminated)
+    reduced_vars = tuple(v for v in xi if v != c.eliminated)
+    g = c.solution
+    rows = []
+    for vi in reduced_vars:
+        i = xi.index(vi)
+        row = []
+        for vj in reduced_vars:
+            j = xi.index(vj)
+            terms = [Const(ps.omega_entry(i, j))]
+            w_ki = ps.omega_entry(k, i)
+            w_kj = ps.omega_entry(k, j)
+            if w_ki != 0:
+                terms.append(Mul((Const(-w_ki), differentiate(g, vj))))
+            if w_kj != 0:
+                terms.append(Mul((Const(w_kj), differentiate(g, vi))))
+            row.append(normalize(Add(tuple(terms))) if len(terms) > 1
+                       else normalize(terms[0]))
+        rows.append(tuple(row))
+    return PresymplecticForm(reduced_vars, tuple(rows))
 
 
 def test_presymplectic_matches_direct_formula(free_model, ho_model):
