@@ -244,8 +244,8 @@ def cmd_propagate(path: str, seed: int = 0,
     table plus metrics JSON."""
     model = _load(path)
     if model.lattice is None:
-        raise SysFileError(f"{model.name}: no [lattice] section, "
-                           f"nothing to propagate")
+        raise SysFileError(f"{model.path or model.name}: no [lattice] "
+                           f"section, nothing to propagate")
     rep = RunReport("propagate", model.name, seed)
     t0 = time.perf_counter()
     cfg = model.lattice
@@ -290,8 +290,8 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     """Slicing-correction report on the file's generating function."""
     model = _load(path)
     if model.anomaly_F is None:
-        raise SysFileError(f"{model.name}: no [anomaly] generating function "
-                           f"to analyse")
+        raise SysFileError(f"{model.path or model.name}: no [anomaly] "
+                           f"generating function to analyse")
     rep = RunReport("anomaly", model.name, seed)
     t0 = time.perf_counter()
     try:

@@ -27,7 +27,10 @@ expand(), differentiate() and substitute() are memoized per process, so an
 equal subtree is worked out once and a memo hit is found by identity.
 Each memo holds at most _MEMO_LIMIT (2^16) entries and is emptied when
 full; a call that raises stores nothing, so it raises again next time.
-SampleDomain.sample_columns() likewise draws each (domain, n, seed) once.
+SampleDomain.sample_columns() likewise draws each (domain, n, seed) once,
+and sampled_check() works out each seeded sampled check once for its
+arguments: numeric_compare() for each (a, b, domain, n, tol, seed), and
+the chart volume check of emq.reduction.
 
 evaluate() walks a tree once, for floats or for a batch of points given as
 equal-length numpy columns (see columns()).  It never returns NaN/inf
@@ -54,7 +57,7 @@ __all__ = [
     "DomainError",
     "SymbolTable", "SampleDomain",
     "parse", "normalize", "expand", "differentiate", "substitute", "evaluate",
-    "numeric_compare", "ComparisonResult", "columns",
+    "numeric_compare", "ComparisonResult", "columns", "sampled_check",
     "ZERO", "ONE",
 ]
 
@@ -403,14 +406,12 @@ def _rebuild_product(coeff: Number, factors: Sequence[Expr]) -> Expr:
 def _combine_fractions(flat):
     """Merge Div terms sharing a denominator; folds like a/c - b/c -> (a-b)/c."""
     groups = {}
-    order = []
     for i, t in enumerate(flat):
         if isinstance(t, Div):
-            key = sort_key(t.den)
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(t.den, []).append(i)
     out = list(flat)
     drop = set()
-    for key, idxs in groups.items():
+    for idxs in groups.values():
         if len(idxs) < 2:
             continue
         den = out[idxs[0]].den
@@ -437,23 +438,22 @@ def _normalize_add(terms) -> Expr:
             else:
                 reflat.append(t)
         flat = reflat
+    # terms collect by their factor nodes, not by sort key, which does not
+    # tell 0.0 from -0.0
     const_sum: Number = Fraction(0)
-    by_key = {}
+    by_rest = {}
     for t in flat:
         coeff, rest = _split_coefficient(t)
         if not rest:
             const_sum = _const_add(const_sum, coeff)
             continue
-        key = tuple(sort_key(f) for f in rest)
-        if key in by_key:
-            prev_coeff, _ = by_key[key]
-            by_key[key] = (_const_add(prev_coeff, coeff), rest)
-        else:
-            by_key[key] = (coeff, rest)
+        prev_coeff = by_rest.get(rest)
+        by_rest[rest] = (coeff if prev_coeff is None
+                         else _const_add(prev_coeff, coeff))
     out = []
     pending = []
-    for key in sorted(by_key):
-        coeff, rest = by_key[key]
+    for rest in sorted(by_rest, key=lambda r: tuple(sort_key(f) for f in r)):
+        coeff = by_rest[rest]
         if coeff == 0:
             continue
         if len(rest) == 1 and isinstance(rest[0], Add) and coeff != 1:
@@ -517,31 +517,28 @@ def _normalize_mul(factors) -> Expr:
                 nums.append(piece[0])
                 dens.append(piece[1])
         return normalize(Div(_raw_product(nums), _raw_product(dens)))
+    # factors collect by their base node, as terms do in _normalize_add
     coeff: Number = Fraction(1)
-    by_key = {}
+    by_base = {}
     for f in flat:
         if isinstance(f, Const):
             coeff = _const_mul(coeff, f.value)
             continue
         base, exp = _as_base_exp(f)
-        key = sort_key(base)
-        if key in by_key:
-            prev_base, prev_exp = by_key[key]
-            by_key[key] = (prev_base, _add_exponents(prev_exp, exp))
-        else:
-            by_key[key] = (base, exp)
+        prev_exp = by_base.get(base)
+        by_base[base] = (exp if prev_exp is None
+                         else _add_exponents(prev_exp, exp))
     if coeff == 0:
         return Const(coeff if isinstance(coeff, Fraction) else 0.0)
     out = []
     rerun = []
-    for key in sorted(by_key):
-        base, exp = by_key[key]
-        piece = _normalize_pow(base, exp)
+    for base in sorted(by_base, key=sort_key):
+        piece = _normalize_pow(base, by_base[base])
         if _is_one(piece):
             continue
         if isinstance(piece, Const):
             coeff = _const_mul(coeff, piece.value)
-        elif isinstance(piece, Mul) or sort_key(_as_base_exp(piece)[0]) != key:
+        elif isinstance(piece, Mul) or _as_base_exp(piece)[0] != base:
             # a power fold expanded or changed its base; remerge from scratch
             rerun.append(piece)
         else:
@@ -626,17 +623,16 @@ def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
     d_map = {}
     for f in d_factors:
         base, exp = _as_base_exp(f)
-        d_map[sort_key(base)] = [base, Fraction(exp)]
+        d_map[base] = Fraction(exp)
     changed = d_coeff != 1 or isinstance(d_coeff, float)
     new_num = []
     for f in n_factors:
         base, exp = _as_base_exp(f)
-        key = sort_key(base)
         exp = Fraction(exp)
-        if key in d_map and d_map[key][1] != 0:
-            m = min(exp, d_map[key][1])
+        if d_map.get(base, 0) != 0:
+            m = min(exp, d_map[base])
             exp -= m
-            d_map[key][1] -= m
+            d_map[base] -= m
             changed = True
         if exp != 0:
             new_num.append(_normalize_pow(
@@ -649,8 +645,8 @@ def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
         coeff = float(n_coeff) / float(d_coeff)
     num_expr = _normalize_mul([Const(coeff)] + new_num)
     den_parts = []
-    for key in sorted(d_map):
-        base, exp = d_map[key]
+    for base in sorted(d_map, key=sort_key):
+        exp = d_map[base]
         if exp != 0:
             den_parts.append(_normalize_pow(
                 base, int(exp) if exp.denominator == 1 else exp))
@@ -742,6 +738,23 @@ _SUBSTITUTED: Dict[tuple, Expr] = {}
 # sample columns are larger, so fewer (domain, n, seed) sets are kept
 _SAMPLE_LIMIT = 1 << 6
 _SAMPLES: Dict[tuple, Dict[str, np.ndarray]] = {}
+# seeded sampled checks, keyed by (check, its arguments); see sampled_check
+_CHECK_LIMIT = 1 << 12
+_CHECKS: Dict[tuple, object] = {}
+
+
+def sampled_check(check, *args):
+    """check(*args), worked out once per process for each argument tuple.
+
+    For seeded sampled checks, whose result is fixed by their (hashable,
+    immutable) arguments.  A call that raises stores nothing, so it raises
+    again next time.
+    """
+    key = (check,) + args
+    out = _CHECKS.get(key)
+    if out is None:
+        out = _remember(_CHECKS, key, check(*args), _CHECK_LIMIT)
+    return out
 
 
 def normalize(e: Expr) -> Expr:
@@ -1355,7 +1368,16 @@ def numeric_compare(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,
     """Sampled comparison: |a-b| <= tol*(1+|a|) at every sampled point.
 
     max_scaled_err is the largest |a-b|/(1+|a|), taken at worst_point.
+    Memoized per process (see sampled_check); each call gets its own copy
+    of worst_point.
     """
+    res = sampled_check(_compare, a, b, domain, n, tol, seed)
+    return ComparisonResult(res.equal, res.max_scaled_err,
+                            dict(res.worst_point), res.n_points)
+
+
+def _compare(a: Expr, b: Expr, domain: SampleDomain, n: int, tol: float,
+             seed: int) -> ComparisonResult:
     cols = domain.sample_columns(n, seed=seed)
     try:
         va = evaluate(a, cols)

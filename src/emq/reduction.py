@@ -28,7 +28,7 @@ from .expr import (
     Expr, Const, Sym, Add, Mul, Pow, Div, ZERO, ONE,
     DomainError, ExprError, SampleDomain,
     ComparisonResult, differentiate, evaluate, expand, normalize,
-    numeric_compare, substitute,
+    numeric_compare, sampled_check, substitute,
 )
 from .symplectic import PhaseSpace, FlowSystem, poisson_bracket
 
@@ -416,8 +416,14 @@ def jacobi_liouville_check(map: CanonicalMap, c: ConstraintSpec,
     convention of the particular map, so it is pinned at the first sample
     point and required to persist.  Finite-difference Jacobians, central
     steps.  Too many singular Jacobians raise DomainError, unless an
-    orientation mismatch comes first in sample order.
+    orientation mismatch comes first in sample order.  Memoized per process
+    (see sampled_check).
     """
+    return sampled_check(_jacobi_liouville, map, c, sys, tol, seed)
+
+
+def _jacobi_liouville(map: CanonicalMap, c: ConstraintSpec, sys: FlowSystem,
+                      tol: float, seed: int) -> bool:
     n = 25
     ps = sys.space
     reduced_vars = tuple(v for v in ps.xi if v != c.eliminated)

@@ -211,9 +211,11 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
 
     monkeypatch.setattr(SampleDomain, "sample", counting)
     # --seed reaches every sampled check, the constraint validation included
+    # the sampled checks are memoized too; cleared, each compares afresh
     for s in (5, 0):
         draws.clear()
         expr._SAMPLES.clear()
+        expr._CHECKS.clear()
         assert main(["reduce", "harmonic", "--json", "--seed", str(s)]) \
             == EXIT_OK
         cached = json.loads(capsys.readouterr().out)
@@ -222,6 +224,7 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     # the same report when every comparison draws its points afresh
     monkeypatch.setattr(SampleDomain, "sample_columns",
                         lambda self, n, seed=0: columns(self.sample(n, seed)))
+    expr._CHECKS.clear()
     assert main(["reduce", "harmonic", "--json"]) == EXIT_OK
     fresh = json.loads(capsys.readouterr().out)
     assert len(draws) > 10
@@ -410,7 +413,9 @@ def test_propagate_needs_a_lattice_section(tmp_path, capsys):
     chopped = head + "[anomaly]" + tail.partition("[anomaly]")[2]
     path = _write(tmp_path, chopped)
     assert main(["propagate", path]) == EXIT_USAGE
-    assert "lattice" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}: no [lattice] section" in err
+    assert "Traceback" not in err
 
 
 def test_propagate_focal_point_fails_cleanly(tmp_path, capsys):
@@ -571,6 +576,18 @@ def test_anomaly_needs_an_anomaly_section(tmp_path, capsys):
     assert "anomaly" in capsys.readouterr().err.lower()
 
 
+def test_anomaly_without_F_names_the_file(tmp_path, capsys):
+    text = bundled_text("harmonic")
+    lines = [line for line in text.splitlines(keepends=True)
+             if not line.startswith("F = ")]
+    assert len(lines) == len(text.splitlines()) - 1
+    path = _write(tmp_path, "".join(lines))
+    assert main(["anomaly", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path}: no [anomaly] generating function" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # json output
 # ---------------------------------------------------------------------------
@@ -607,7 +624,7 @@ def test_usage_exit_for_unknown_subcommand(capsys):
 # ---------------------------------------------------------------------------
 
 _MEMOS = ("_PARSED", "_SUBSTITUTED", "_NORMAL_FORMS", "_DERIVATIVES",
-          "_EXPANDED", "_SAMPLES")
+          "_EXPANDED", "_SAMPLES", "_CHECKS")
 
 
 def _report_and_artifacts(argv, capsys):

@@ -303,6 +303,21 @@ def test_memo_keeps_exact_and_float_constants_apart():
     assert evaluate(normalize(cases[1][1]), {}) == pytest.approx(-math.pi)
 
 
+def test_terms_and_factors_with_signed_zeros_stay_apart():
+    # atan2(0.0, -1) is pi and atan2(-0.0, -1) is -pi, but their sort keys
+    # are equal; collecting them as one term or factor changes the value
+    pos = Fun("atan2", (Const(0.0), Const(-1)))
+    neg = Fun("atan2", (Const(-0.0), Const(-1)))
+    x = Sym("x")
+    for e in (Add((pos, neg)), Mul((pos, neg)), Div(pos, neg),
+              Add((Div(x, pos), Div(x, neg)))):
+        _clear_memos()
+        n = normalize(e)
+        assert n == normalize(n)
+        assert evaluate(n, {"x": 0.4}) == pytest.approx(
+            evaluate(e, {"x": 0.4}), abs=1e-12)
+
+
 def test_typed_errors_raise_on_every_call():
     for e, error in ((Div(Sym("x"), ZERO), DivisionByZeroError),
                      (Mul((Sym("x"), Fun("sqrt", (Const(-1),)))),
@@ -766,6 +781,7 @@ def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):
 
     monkeypatch.setattr(SampleDomain, "sample", counting)
     expr_module._SAMPLES.clear()
+    expr_module._CHECKS.clear()
     a, b = parse("x*y", TABLE), parse("x*y + x^3/1000", TABLE)
     results = [numeric_compare(a, b, dom, n=30, seed=4) for _ in range(3)]
     assert draws == [(30, 4)]
@@ -796,3 +812,89 @@ def test_numeric_compare_reports_worst_point():
     assert res.max_scaled_err > 1e-4
     assert numeric_compare(parse("(x+1)^2", TABLE),
                            parse("x^2 + 2*x + 1", TABLE), dom).equal
+
+
+# ---------------------------------------------------------------------------
+# the memo of sampled comparisons
+# ---------------------------------------------------------------------------
+
+def _counting_compare(monkeypatch):
+    runs = []
+    compare = expr_module._compare
+
+    def counting(*args):
+        runs.append(args)
+        return compare(*args)
+
+    monkeypatch.setattr(expr_module, "_compare", counting)
+    expr_module._CHECKS.clear()
+    return runs
+
+
+def test_sampled_comparisons_miss_on_every_key_part(monkeypatch):
+    runs = _counting_compare(monkeypatch)
+    a, b = parse("x*y", TABLE), parse("x*y + x^3/1000", TABLE)
+    ranges = (("x", -1.0, 1.0), ("y", 0.5, 2.0))
+    dom = SampleDomain(ranges=ranges)
+    first = numeric_compare(a, b, dom, n=30, tol=1e-9, seed=4)
+    # equal trees and an equal chart built afresh hit, however passed
+    for again in (numeric_compare(a, b, dom, n=30, tol=1e-9, seed=4),
+                  numeric_compare(parse("x*y", TABLE), b,
+                                  SampleDomain(ranges=ranges), 30, 1e-9, 4)):
+        assert again == first
+    assert len(runs) == 1
+    wider = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", 0.5, 2.5)))
+    variants = [
+        ((b, a, dom), {}),            # the error is scaled by |a|
+        ((a, b, dom), {"seed": 5}),
+        ((a, b, dom), {"n": 31}),
+        ((a, b, dom), {"tol": 1e-3}),
+        ((a, b, wider), {}),
+    ]
+    results = []
+    for count, (args, changed) in enumerate(variants, start=2):
+        kwargs = {"n": 30, "tol": 1e-9, "seed": 4, **changed}
+        results.append(numeric_compare(*args, **kwargs))
+        assert numeric_compare(*args, **kwargs) == results[-1]
+        assert len(runs) == count
+    # each miss worked out its own answer
+    assert results[0].max_scaled_err != first.max_scaled_err
+    assert results[3].equal and not first.equal
+
+
+def test_a_comparison_that_raises_raises_again(monkeypatch):
+    runs = _counting_compare(monkeypatch)
+    dom = SampleDomain(ranges=(("x", -1.0, 1.0),))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            numeric_compare(parse("sqrt(x)", TABLE), ZERO, dom, n=20)
+    assert len(runs) == 2
+    assert not expr_module._CHECKS
+
+
+def test_a_returned_worst_point_is_the_callers_own():
+    expr_module._CHECKS.clear()
+    dom = SampleDomain(ranges=(("x", 0.0, 1.0),))
+    a, b = parse("x", TABLE), parse("x + 0.001", TABLE)
+    first = numeric_compare(a, b, dom, n=20)
+    point = dict(first.worst_point)
+    first.worst_point["x"] = 99.0
+    first.worst_point["junk"] = 1.0
+    again = numeric_compare(a, b, dom, n=20)
+    assert again.worst_point == point
+    assert str(again.worst_point) == str(point)
+    assert again.worst_point is not first.worst_point
+
+
+def test_check_memo_refills_after_reaching_its_bound():
+    expr_module._CHECKS.clear()
+    dom = SampleDomain(ranges=(("x", 0.0, 1.0),))
+    x = Sym("x")
+    same = numeric_compare(x, x, dom, n=1)
+    limit = expr_module._CHECK_LIMIT
+    for i in range(limit + 10):
+        numeric_compare(x, Const(i + 2), dom, n=1)
+    assert 0 < len(expr_module._CHECKS) <= limit
+    assert numeric_compare(x, x, dom, n=1) == same
+    assert same.equal
+    assert not numeric_compare(x, Const(limit), dom, n=1).equal

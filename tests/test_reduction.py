@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from emq import expr as expr_module, reduction
 from emq.expr import (
     Add, Const, DomainError, Mul, SampleDomain, Sym, ZERO, differentiate,
     expand, normalize, numeric_compare, parse,
@@ -234,3 +235,33 @@ def test_jacobi_liouville_rejects_scaled_chart(free_model):
     scaled = dataclasses.replace(free_model.darboux, forward=scaled_fwd)
     assert not jacobi_liouville_check(scaled, free_model.constraint,
                                       free_model.system)
+
+
+def test_jacobi_liouville_is_memoized_on_its_arguments(free_model,
+                                                       monkeypatch):
+    runs = []
+    check = reduction._jacobi_liouville
+
+    def counting(*args):
+        runs.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(reduction, "_jacobi_liouville", counting)
+    expr_module._CHECKS.clear()
+    m = free_model
+    for _ in range(2):
+        assert jacobi_liouville_check(m.darboux, m.constraint, m.system)
+    assert len(runs) == 1
+    assert jacobi_liouville_check(m.darboux, m.constraint, m.system, seed=1)
+    assert jacobi_liouville_check(m.darboux, m.constraint, m.system,
+                                  tol=1e-6)
+    assert len(runs) == 3
+    # a flat chart map has a singular Jacobian everywhere: it raises on
+    # every call and stores nothing
+    flat = dataclasses.replace(m.darboux, forward=tuple(
+        (k, ZERO if k == "zeta" else v) for k, v in m.darboux.forward))
+    for count in (4, 5):
+        with pytest.raises(DomainError, match="singular Jacobian"):
+            jacobi_liouville_check(flat, m.constraint, m.system)
+        assert len(runs) == count
+    assert len(expr_module._CHECKS) == 3
