@@ -29,9 +29,9 @@ import numpy as np
 from .expr import (
     Expr, Const, Sym, Add, Mul, Div, ZERO,
     EvalError, ExprError, SampleDomain, ComparisonResult,
-    columns, differentiate, evaluate, normalize, numeric_compare, substitute,
+    differentiate, evaluate, normalize, numeric_compare, substitute,
 )
-from .reduction import CanonicalMap, UnsupportedPatternError, fd_jacobian
+from .reduction import CanonicalMap, UnsupportedPatternError
 from .symplectic import PhaseSpace
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "ScalingFit",
     "increment_symbol", "consistency_report", "anomaly_coefficients",
     "constraint_surface_vanishing", "sliced_expansion_check",
-    "correction_scaling", "implicit_partials_fd",
+    "correction_scaling",
 ]
 
 COEFF_NAMES = ("A_zeta", "A_z", "B_zeta", "B_z")
@@ -405,7 +405,8 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
     n_samples = 4000
     c_p = report.derived["momentum_shift"]
     c_q = report.derived["coordinate_shift"]
-    point = chart.sample(1, seed=seed)[0]
+    point = {k: float(v[0])
+             for k, v in chart.sample_columns(1, seed=seed).items()}
     vp = evaluate(c_p, point)
     vq = evaluate(c_q, point)
     rng = np.random.default_rng(seed)
@@ -417,36 +418,3 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
         means.append(eps * float(np.mean(np.abs(vp * dp + vq * dq))))
     slope = float(np.polyfit(np.log(widths), np.log(means), 1)[0])
     return ScalingFit(tuple(widths), tuple(means), slope)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle for inverse-map partials
-# ---------------------------------------------------------------------------
-
-def implicit_partials_fd(map: CanonicalMap, sources: Sequence[str],
-                         point: Dict[str, float]) -> Dict[Tuple[str, str], float]:
-    """d(source)/d(target) by inverting the differenced forward Jacobian.
-
-    point binds every source variable and parameter.  This never touches the
-    shipped inverse expressions, so it works as an oracle for them; a
-    non-invertible Jacobian raises instead of silently pseudo-inverting.
-    """
-    sources = tuple(sources)
-    targets = map.target_names
-    if len(sources) != len(targets):
-        raise AnomalyError(
-            f"need a square Jacobian: {len(sources)} sources, "
-            f"{len(targets)} targets")
-    jac = fd_jacobian([map.forward_expr(t) for t in targets], sources,
-                      columns([point]))[0]
-    det = float(np.linalg.det(jac))
-    if not math.isfinite(det) or abs(det) < 1e-12:
-        raise AnomalyError(
-            f"forward Jacobian is numerically singular at {point} "
-            f"(det = {det:g})")
-    inv = np.linalg.inv(jac)
-    out = {}
-    for j, s in enumerate(sources):
-        for i, t in enumerate(targets):
-            out[(s, t)] = float(inv[j, i])
-    return out

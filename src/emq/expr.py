@@ -20,7 +20,12 @@ Nodes are interned (hash-consed): a constructor returns the existing node
 for the same type, label and child objects, so structurally equal trees are
 one object, however they were built.  == stays structural, with an identity
 fast path that answers almost every call; each node computes its hash and
-its sort_key() once, at construction.  The node table holds at most
+its sort_key() once, at construction, and its free_symbols() set on first
+use, from its children's sets.  differentiate() returns 0 for a subtree
+without the variable and applies the product and sum rules only to the
+factors and terms that hold it; a quotient whose denominator lacks the
+variable differentiates as du/den.  substitute() keeps a subtree without
+any mapped name as it is.  The node table holds at most
 _NODE_LIMIT (2^16) nodes and is emptied when full, after which a new tree
 is equal to an old one but not the same object.  parse(), normalize(),
 expand(), differentiate() and substitute() are memoized per process, so an
@@ -108,8 +113,9 @@ class DomainError(ExprError):
 class Expr:
     # a node is interned at construction (see _intern) and keeps its
     # structural hash and its sort key, each computed once from its
-    # children's
-    __slots__ = ("_hash", "_key")
+    # children's; its free-symbol set is computed on first use (see
+    # free_symbols)
+    __slots__ = ("_hash", "_key", "_free")
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
@@ -143,9 +149,17 @@ class Expr:
         return f"<{type(self).__name__} {self}>"
 
     def free_symbols(self) -> frozenset:
-        out = set()
-        _collect_symbols(self, out)
-        return frozenset(out)
+        """The names of the symbols in the tree, worked out once per node
+        from its children's sets."""
+        free = self._free
+        if free is None:
+            if isinstance(self, Sym):
+                free = frozenset((self.name,))
+            else:
+                free = frozenset().union(
+                    *(kid.free_symbols() for kid in self._parts()[1]))
+            object.__setattr__(self, "_free", free)
+        return free
 
 
 # The node table: one node per (type, label, child identities).  A child's
@@ -169,6 +183,7 @@ def _intern(cls, key, hash_value, sort_value, **fields) -> Expr:
         object.__setattr__(node, name, value)
     object.__setattr__(node, "_hash", hash_value)
     object.__setattr__(node, "_key", sort_value)
+    object.__setattr__(node, "_free", None)
     return _remember(_NODES, key, node, _NODE_LIMIT)
 
 
@@ -327,13 +342,6 @@ class Fun(Expr):
 
 ZERO = Const(0)
 ONE = Const(1)
-
-
-def _collect_symbols(e: Expr, out: set) -> None:
-    if isinstance(e, Sym):
-        out.add(e.name)
-    for kid in e._parts()[1]:
-        _collect_symbols(kid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -857,24 +865,30 @@ def expand(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 def _diff(e: Expr, name: str) -> Expr:
-    if isinstance(e, Const):
+    # a subtree without the variable differentiates to 0: sums and products
+    # take only the terms and factors that hold it, and a quotient whose
+    # denominator lacks it is du/den, not the quotient rule
+    if name not in e.free_symbols():
         return ZERO
     if isinstance(e, Sym):
-        return ONE if e.name == name else ZERO
+        return ONE
     if isinstance(e, Add):
-        return Add(tuple(_diff(t, name) for t in e.terms))
+        terms = tuple(_diff(t, name) for t in e.terms
+                      if name in t.free_symbols())
+        return Add(terms) if len(terms) > 1 else terms[0]
     if isinstance(e, Mul):
-        terms = []
         fs = e.factors
-        for i in range(len(fs)):
-            terms.append(Mul(tuple(fs[:i]) + (_diff(fs[i], name),) + tuple(fs[i + 1:])))
-        return Add(tuple(terms)) if len(terms) > 1 else terms[0]
+        terms = tuple(Mul(fs[:i] + (_diff(f, name),) + fs[i + 1:])
+                      for i, f in enumerate(fs) if name in f.free_symbols())
+        return Add(terms) if len(terms) > 1 else terms[0]
     if isinstance(e, Pow):
         n = e.exponent
         db = _diff(e.base, name)
         return Mul((Const(Fraction(n)), Pow(e.base, _add_exponents(n, -1)), db))
     if isinstance(e, Div):
         du = _diff(e.num, name)
+        if name not in e.den.free_symbols():
+            return Div(du, e.den)
         dv = _diff(e.den, name)
         return Div(Add((Mul((du, e.den)), Mul((Const(-1), e.num, dv)))), Pow(e.den, 2))
     if isinstance(e, Fun):
@@ -920,10 +934,11 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
         return out
 
     def walk(node: Expr) -> Expr:
-        if isinstance(node, Const):
+        # a subtree that holds none of the mapped names is kept as it is
+        if node.free_symbols().isdisjoint(table):
             return node
         if isinstance(node, Sym):
-            return table.get(node.name, node)
+            return table[node.name]
         if isinstance(node, Add):
             return Add(tuple(walk(t) for t in node.terms))
         if isinstance(node, Mul):

@@ -458,8 +458,10 @@ def run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
     c.validate(sys, seed=seed)
     L_R, f = eliminate_primary(sys, c)
     steps.append(f"eliminated {c.eliminated} = {c.solution}")
+    point = {k: float(v[0])
+             for k, v in sys.chart.sample_columns(1, seed=seed).items()}
     steps.append(f"presymplectic rank at chart points: "
-                 f"{f.rank_at(sys.chart.sample(1, seed=seed)[0])} of {len(f.variables)}")
+                 f"{f.rank_at(point)} of {len(f.variables)}")
     transformed = apply_darboux(L_R, map, sys.space, sys.chart, seed=seed)
     steps.append(f"canonical chart ({', '.join(map.eta)}) verified; "
                  f"velocity matrix in normal form")

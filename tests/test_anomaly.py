@@ -1,19 +1,20 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from emq.anomaly import (
     COEFF_NAMES, AnomalyError, ChartSingularityError, GeneratingFunction,
     anomaly_coefficients, consistency_report, constraint_surface_vanishing,
-    correction_scaling, implicit_partials_fd, increment_symbol,
-    sliced_expansion_check,
+    correction_scaling, increment_symbol, sliced_expansion_check,
 )
 from emq.expr import (
     Add, ComparisonResult, Const, Div, Fraction, Fun, Mul, SampleDomain, Sym,
     ZERO, ONE,
-    evaluate, normalize, numeric_compare, parse, substitute,
+    columns, evaluate, normalize, numeric_compare, parse, substitute,
 )
-from emq.reduction import UnsupportedPatternError
+from emq.reduction import UnsupportedPatternError, fd_jacobian
 from emq.symplectic import PhaseSpace
 
 
@@ -208,6 +209,31 @@ def test_correction_scaling_slope(ho_model):
 # ---------------------------------------------------------------------------
 # finite-difference oracle for the inverse map
 # ---------------------------------------------------------------------------
+
+def implicit_partials_fd(map, sources, point):
+    """d(source)/d(target) by inverting the differenced forward Jacobian.
+
+    point binds every source variable and parameter.  This never touches the
+    shipped inverse expressions, so it works as an oracle for them; a
+    non-invertible Jacobian raises instead of silently pseudo-inverting.
+    """
+    sources = tuple(sources)
+    targets = map.target_names
+    if len(sources) != len(targets):
+        raise AnomalyError(
+            f"need a square Jacobian: {len(sources)} sources, "
+            f"{len(targets)} targets")
+    jac = fd_jacobian([map.forward_expr(t) for t in targets], sources,
+                      columns([point]))[0]
+    det = float(np.linalg.det(jac))
+    if not math.isfinite(det) or abs(det) < 1e-12:
+        raise AnomalyError(
+            f"forward Jacobian is numerically singular at {point} "
+            f"(det = {det:g})")
+    inv = np.linalg.inv(jac)
+    return {(s, t): float(inv[j, i])
+            for j, s in enumerate(sources) for i, t in enumerate(targets)}
+
 
 def test_fd_partials_match_the_shipped_inverse(ho_model):
     m = ho_model.darboux

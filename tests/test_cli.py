@@ -220,6 +220,13 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
             == EXIT_OK
         cached = json.loads(capsys.readouterr().out)
         assert sorted(draws) == [(1, s), (64, s), (200, s)]
+        # a second run at the same seed shares every set, the point at which
+        # the presymplectic rank is logged included
+        assert main(["reduce", "harmonic", "--json", "--seed", str(s)]) \
+            == EXIT_OK
+        again = json.loads(capsys.readouterr().out)
+        assert sorted(draws) == [(1, s), (64, s), (200, s)]
+        assert again["provenance"] == cached["provenance"]
 
     # the same report when every comparison draws its points afresh
     monkeypatch.setattr(SampleDomain, "sample_columns",
@@ -230,6 +237,53 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     assert len(draws) > 10
     assert cached["checks"] == fresh["checks"]
     assert cached["metrics"] == fresh["metrics"]
+
+
+# sin( levels: the parser gives up at about 247 in a bare process and at
+# about 238 under pytest, whose frames are already on the stack
+_DEEP = 200
+
+
+@pytest.mark.parametrize("charge", [
+    "sin(" * _DEEP + "a1" + ")" * _DEEP + "*(x^2 + y^2)",
+    "x^2 + y^2 + " + "sin(" * _DEEP + "alpha" + ")" * _DEEP,
+], ids=["scaled", "shifted"])
+def test_a_charge_nested_near_the_parse_limit_is_checked(tmp_path, capsys,
+                                                          charge):
+    # the nest holds no phase-space symbol, so every derivative of the
+    # charge skips it after one walk for its free-symbol set
+    text = bundled_text("harmonic").replace("C1 = x^2 + y^2", f"C1 = {charge}")
+    path = _write(tmp_path, text)
+    assert main(["verify", path]) == EXIT_OK
+    assert "[ok ] charge C1 conserved" in capsys.readouterr().out
+    assert main(["reduce", path]) == EXIT_OK
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deleting_any_line_of_a_bundled_file_ends_in_a_verdict(tmp_path,
+                                                               capsys):
+    # every non-comment line of every bundled file deleted in turn, under
+    # all four commands: a verdict or a one-line usage error naming the
+    # file (with its line, except for a missing section), never a traceback
+    seen = set()
+    for name in ("harmonic", "free_particle", "free_particle_lambda"):
+        lines = bundled_text(name).splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            path = _write(tmp_path, "".join(lines[:i] + lines[i + 1:]),
+                          name=f"{name}_without_{i + 1}.sys")
+            for command in ("verify", "reduce", "propagate", "anomaly"):
+                code = main([command, path])
+                err = capsys.readouterr().err
+                where = (command, name, line)
+                assert code in (EXIT_OK, EXIT_CHECK, EXIT_USAGE), where
+                assert "Traceback" not in err, where
+                if code == EXIT_USAGE:
+                    assert err.startswith(f"error: {path}:"), where
+                    assert len(err.strip().splitlines()) == 1, where
+                seen.add(code)
+    assert seen == {EXIT_OK, EXIT_CHECK, EXIT_USAGE}
 
 
 def test_deep_nesting_is_a_usage_error_with_its_line(tmp_path, capsys):

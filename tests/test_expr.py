@@ -11,9 +11,9 @@ from emq import expr as expr_module
 from emq.expr import (
     Add, Const, Div, DivisionByZeroError, DomainError, EvalError, Fun, Mul,
     NegativeSqrtError, ParseError, Pow, SampleDomain, Sym, SymbolTable,
-    UnboundSymbolError, UnknownIdentifierError, ZERO, columns, differentiate,
-    evaluate, expand, normalize, numeric_compare, parse, sort_key,
-    substitute,
+    UnboundSymbolError, UnknownIdentifierError, ONE, ZERO, columns,
+    differentiate, evaluate, expand, normalize, numeric_compare, parse,
+    sort_key, substitute,
 )
 
 NAMES = ("a", "b", "x", "y")
@@ -666,6 +666,113 @@ def test_substitute_is_simultaneous():
     e = parse("x*y", TABLE)
     swapped = substitute(e, {"x": Sym("y"), "y": Sym("x")})
     assert normalize(swapped) == normalize(e)
+
+
+def _full_diff(e, name):
+    """The product, quotient and chain rules on every subtree, with no skip
+    for subtrees that lack the variable."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Sym):
+        return ONE if e.name == name else ZERO
+    if isinstance(e, Add):
+        return Add(tuple(_full_diff(t, name) for t in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return Add(tuple(Mul(fs[:i] + (_full_diff(f, name),) + fs[i + 1:])
+                         for i, f in enumerate(fs)))
+    if isinstance(e, Pow):
+        n = e.exponent
+        less = Fraction(n) - 1
+        return Mul((Const(Fraction(n)),
+                    Pow(e.base, int(less) if less.denominator == 1 else less),
+                    _full_diff(e.base, name)))
+    if isinstance(e, Div):
+        du, dv = _full_diff(e.num, name), _full_diff(e.den, name)
+        return Div(Add((Mul((du, e.den)), Mul((Const(-1), e.num, dv)))),
+                   Pow(e.den, 2))
+    (u,) = e.args
+    if e.name == "sin":
+        return Mul((Fun("cos", (u,)), _full_diff(u, name)))
+    if e.name == "cos":
+        return Mul((Const(-1), Fun("sin", (u,)), _full_diff(u, name)))
+    raise TypeError(f"no rule for {e}")
+
+
+def _quotients_without(e, name):
+    """Quotients whose numerator holds name and whose denominator does not."""
+    return [s for s in _subtrees(e) if isinstance(s, Div)
+            and name in s.num.free_symbols()
+            and name not in s.den.free_symbols()]
+
+
+@given(_trees(), st.sampled_from(NAMES + ("w",)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_skipping_subtrees_without_the_variable_keeps_the_full_rule(e, name):
+    n = _normalized_or_discard(e)
+    skipped = _outcome(differentiate, n, name)
+    full = _outcome(lambda: normalize(_full_diff(n, name)))
+    if name == "w":
+        assert skipped == full == ZERO
+    if skipped == full:
+        return
+    # the one rule that may change the normal form: du/den in place of the
+    # quotient rule, whose (du*den)/den^2 does not always cancel
+    assert _quotients_without(n, name)
+    for pt in COLUMN_POINTS:
+        try:
+            want = evaluate(full, pt)
+        except EvalError:
+            continue
+        assert evaluate(skipped, pt) == pytest.approx(want, rel=1e-9,
+                                                      abs=1e-12)
+
+
+def test_a_denominator_without_the_variable_keeps_its_quotient():
+    for text, name, want, full in (
+            ("x/(a + b)", "x", "1/(a + b)", "(a + b)/(a + b)^2"),
+            ("sin(2*b/(1 + a))", "b", "2*cos(2*b/(1 + a))/(1 + a)",
+             "(2 + 2*a)*cos(2*b/(1 + a))/(1 + a)^2"),
+            ("x^2/(a*(a + b))", "x", "2*x/(a*(a + b))", "2*x/(a*(a + b))")):
+        e = parse(text, TABLE)
+        assert differentiate(e, name) == parse(want, TABLE)
+        assert normalize(_full_diff(e, name)) == parse(full, TABLE)
+
+
+def _fresh_free_symbols(e):
+    """free_symbols() worked out from scratch, as a recursive walk."""
+    if isinstance(e, Sym):
+        return {e.name}
+    return set().union(*map(_fresh_free_symbols, e._parts()[1]))
+
+
+@given(_trees())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_cached_free_symbols_are_the_recursive_ones(e):
+    n = _normalized_or_discard(e)
+    for tree in (e, n):
+        for sub in _subtrees(tree):
+            assert sub.free_symbols() == _fresh_free_symbols(sub)
+    # nodes built after the table empties work out their own sets
+    expr_module._NODES.clear()
+    rebuilt = _rebuilt(n)
+    for sub in _subtrees(rebuilt):
+        assert sub.free_symbols() == _fresh_free_symbols(sub)
+
+
+def test_substitute_keeps_subtrees_without_mapped_names():
+    e = parse("x*sin(a*b) + cos(y)/a", TABLE)
+    kept = [s for s in _subtrees(e) if "x" not in s.free_symbols()]
+    # trees built from here on are new objects, unless substitute keeps
+    # the old ones
+    expr_module._NODES.clear()
+    _clear_every_memo()
+    out = substitute(e, {"x": Const(3)})
+    assert out == parse("3*sin(a*b) + cos(y)/a", TABLE)
+    found = {id(s) for s in _subtrees(out)}
+    assert {str(s) for s in kept if id(s) in found} >= {
+        "sin(a*b)", "a*b", "cos(y)/a", "cos(y)"}
+    assert substitute(e, {"p": Const(3), "q": Sym("x")}) is e
 
 
 # ---------------------------------------------------------------------------
