@@ -1071,6 +1071,9 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 _INT_RE = re.compile(r"[0-9]+")
 
+# levels of parentheses, calls and unary minus: a count, not the stack depth
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -1119,6 +1122,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.table = table
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -1173,6 +1177,15 @@ class _Parser:
         return node
 
     def parse_atom(self) -> Expr:
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested too deeply (more than "
+                             f"{MAX_NESTING} levels)", self.peek().offset)
+        self.depth += 1
+        node = self._atom()
+        self.depth -= 1
+        return node
+
+    def _atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
@@ -1221,7 +1234,7 @@ def parse(text: str, table: Optional[SymbolTable] = None) -> Expr:
         if tail.kind != "end":
             raise ParseError(f"trailing input {tail.text!r}", tail.offset)
         return _remember(_PARSED, key, normalize(node), _MEMO_LIMIT)
-    except RecursionError:
+    except RecursionError:  # a backstop: MAX_NESTING stops a deep text first
         raise ParseError("expression nested too deeply",
                          parser.peek().offset) from None
 

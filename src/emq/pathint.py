@@ -1,10 +1,9 @@
-"""Lattice and ODE numerics for the classical and emergent quantum systems.
+"""Lattice numerics and exact flows for the classical and quantum systems.
 
 Three layers:
 
-  * classical: RK4 flows of the full momentum-linear system (with charge
-    drift diagnostics), delta-supported classical amplitudes weighted by
-    an initial-value Jacobi-field determinant D(T);
+  * classical: the delta-supported weight 1/D(T) of the reduced quadratic
+    flow, D(T) the closed-form Jacobi-field determinant;
   * quantum: split-step spectral kernels on a periodic grid for the reduced
     quadratic Hamiltonians, and imaginary-time partition functions from
     the transfer matrix split by zeta -> -zeta parity into an even and an
@@ -23,7 +22,7 @@ Three layers:
     are one chi-square draw, so no path or normal draw is formed.
     sample_thermal_paths makes the normal draws and transforms them back
     into paths, the oracle for those sums.  The deterministic reduced
-    flow is stepped with its RK4 matrix.
+    flow is its closed form, a rotation of (zeta, p).
 
 Real-time split steps run in place: the potential and kinetic factors and
 both FFTs overwrite the one complex array being evolved.  Without a
@@ -53,18 +52,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .expr import ExprError, differentiate, evaluate, substitute
-from .symplectic import FlowSystem, hamilton_vector_field
 from .reduction import ReducedSystem
 
 __all__ = [
-    "LatticeConfig", "FlowResult", "PropagatorResult", "QuadraticHamiltonian",
-    "classical_flow", "classical_amplitude", "fluctuation_det",
-    "bind_reduced_hamiltonian", "smeared_reference",
+    "LatticeConfig", "PropagatorResult", "QuadraticHamiltonian",
+    "fluctuation_det", "bind_reduced_hamiltonian", "smeared_reference",
     "propagate_quantum", "partition_closed_form",
     "partition_slice_closed_form", "trotter_sweep",
     "brownian_increment_report", "holder_slopes",
@@ -152,153 +149,6 @@ class LatticeConfig:
 
 
 # ---------------------------------------------------------------------------
-# classical flows and amplitudes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlowResult:
-    names: Tuple[str, ...]
-    states: np.ndarray            # shape (steps+1, 2N), xi ordering
-    drifts: Dict[str, float]
-
-    def final(self) -> Dict[str, float]:
-        return dict(zip(self.names, self.states[-1]))
-
-
-def _rk4(field: Callable[[float, np.ndarray], np.ndarray],
-         y0: Sequence[float], T: float, steps: int) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta for y' = field(t, y) on [0, T];
-    returns the states at the steps+1 equally spaced times."""
-    h = T / steps
-    out = np.empty((steps + 1, len(y0)))
-    y = np.array(y0, dtype=float)
-    out[0] = y
-    for i in range(steps):
-        t = i * h
-        k1 = field(t, y)
-        k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = field(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-    return out
-
-
-def classical_flow(sys: FlowSystem, state0: Mapping[str, float], T: float,
-                   steps: int = 2000,
-                   params: Optional[Mapping[str, float]] = None) -> FlowResult:
-    """Integrate the full 2N Hamilton field; track H and charge drift."""
-    ps = sys.space
-    names = ps.xi
-    bound = dict(params or {})
-    exprs = hamilton_vector_field(sys.hamiltonian, ps)
-
-    def field_fn(t: float, y: np.ndarray) -> np.ndarray:
-        bindings = dict(bound)
-        bindings.update(zip(names, y))
-        return np.array([evaluate(e, bindings) for e in exprs])
-
-    y0 = np.array([float(state0[n]) for n in names])
-    states = _rk4(field_fn, y0, T, steps)
-
-    watched = [("H", sys.hamiltonian)] + list(sys.charges)
-    cols = dict(bound)
-    cols.update(zip(names, states.T))
-    drifts = {}
-    for label, e in watched:
-        vals = evaluate(e, cols)
-        drifts[label] = float(np.max(np.abs(vals - vals[0])))
-    return FlowResult(names, states, drifts)
-
-
-def _linearized_q_flow(sys: FlowSystem, q0: np.ndarray, T: float,
-                       steps: int, params: Mapping[str, float]):
-    """q(T) and det dq(T)/dq(0): Phi-dot = (df/dq) Phi rides along q-dot = f."""
-    ps = sys.space
-    n = ps.dof
-    jac = [differentiate(f, q) for f in sys.velocities for q in ps.coordinates]
-
-    def field(t: float, y: np.ndarray) -> np.ndarray:
-        bindings = dict(params)
-        bindings.update(zip(ps.coordinates, y[:n]))
-        qdot = [evaluate(f, bindings) for f in sys.velocities]
-        J = np.array([evaluate(e, bindings) for e in jac]).reshape(n, n)
-        return np.concatenate([qdot, (J @ y[n:].reshape(n, n)).ravel()])
-
-    y0 = np.concatenate([q0, np.eye(n).ravel()])
-    end = _rk4(field, y0, T, steps)[-1]
-    return end[:n], float(np.linalg.det(end[n:].reshape(n, n)))
-
-
-def _rk4_matrix(A: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of the linear flow y' = A y, as a matrix.
-
-    For constant A an RK4 step is exactly y -> R(hA) y with the stability
-    polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so powers of this
-    matrix reproduce _rk4 (the same discretization, not the exact flow).
-    """
-    Z = h * A
-    R = np.eye(len(A))
-    term = R
-    for k in (1, 2, 3, 4):
-        term = term @ Z / k
-        R = R + term
-    return R
-
-
-_DET_STEPS = 4000      # RK4 steps of the Jacobi field in fluctuation_det
-
-
-def fluctuation_det(omega_sq: float, T: float) -> float:
-    """D(T) from D-ddot = -omega^2 D, D(0) = 0, D'(0) = 1, for a constant
-    (signed) omega^2: the RK4 step matrix raised to the power _DET_STEPS."""
-    A = np.array([[0.0, 1.0], [-float(omega_sq), 0.0]])
-    R = np.linalg.matrix_power(_rk4_matrix(A, T / _DET_STEPS), _DET_STEPS)
-    return float(R[0, 1])
-
-
-def _jacobi_det(quad: QuadraticHamiltonian, T: float) -> float:
-    """D(T) of the reduced quadratic flow; FocalPointError where it
-    vanishes, since the single-path weight 1/D is undefined there."""
-    D = fluctuation_det(quad.omega_sq, T)
-    if abs(D) < 1e-8 * max(1.0, abs(T)):
-        raise FocalPointError(
-            f"fluctuation determinant D({T:g}) = {D:.3e}: focal point, "
-            f"the endpoint-ray family degenerates")
-    return D
-
-
-def classical_amplitude(sys, q1, q2, T: float,
-                        params: Optional[Mapping[str, float]] = None):
-    """Delta-squeezed weight: 0 off the classical flow, else 1/|det|.
-
-    For a FlowSystem, q1/q2 are coordinate mappings; the support condition
-    uses the be-able flow (momenta do not matter) and the weight is the
-    inverse linearized-flow determinant.  For a ReducedSystem with quadratic
-    Hamiltonian the weight is 1/D(T) from the Jacobi field; D(T) ~ 0 means
-    a focal point, where the single-trajectory picture breaks down.
-    """
-    params = dict(params or {})
-    if isinstance(sys, FlowSystem):
-        coords = sys.space.coordinates
-        q0 = np.array([float(q1[c]) for c in coords])
-        end, det = _linearized_q_flow(sys, q0, T, 2000, params)
-        dist = max(abs(e - float(q2[c])) for e, c in zip(end, coords))
-        if dist > 1e-6:
-            return 0.0
-        if abs(det) < 1e-8:
-            raise FocalPointError(
-                f"linearized flow determinant {det:.3e} vanishes at T={T}")
-        return 1.0 / abs(det)
-
-    if isinstance(sys, ReducedSystem):
-        # quadratic flow reaches every endpoint pair away from focal times,
-        # so the support condition is automatic here
-        return 1.0 / _jacobi_det(bind_reduced_hamiltonian(sys, params), T)
-    raise TypeError(f"unsupported system type {type(sys).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # reduced quadratic Hamiltonians
 # ---------------------------------------------------------------------------
 
@@ -371,6 +221,29 @@ def bind_reduced_hamiltonian(rs: ReducedSystem,
 # ---------------------------------------------------------------------------
 # closed-form references
 # ---------------------------------------------------------------------------
+
+def fluctuation_det(omega_sq: float, T: float) -> float:
+    """D(T) from D-ddot = -omega^2 D, D(0) = 0, D'(0) = 1, for a constant
+    (signed) omega^2: sin(wT)/w for omega^2 = w^2 > 0, sinh(kT)/k for
+    omega^2 = -k^2 < 0, T for omega^2 = 0.  OverflowError past float range."""
+    if omega_sq == 0.0:
+        return float(T)
+    rate = math.sqrt(abs(omega_sq))
+    if not math.isfinite(rate * T):
+        raise OverflowError(f"Jacobi-field phase {rate:g} * {T:g} overflows")
+    return (math.sin if omega_sq > 0.0 else math.sinh)(rate * T) / rate
+
+
+def _jacobi_det(quad: QuadraticHamiltonian, T: float) -> float:
+    """D(T) of the reduced quadratic flow; FocalPointError where it
+    vanishes, since the single-path weight 1/D is undefined there."""
+    D = fluctuation_det(quad.omega_sq, T)
+    if abs(D) < 1e-8 * max(1.0, abs(T)):
+        raise FocalPointError(
+            f"fluctuation determinant D({T:g}) = {D:.3e}: focal point, "
+            f"the endpoint-ray family degenerates")
+    return D
+
 
 def _uv_coefficients(quad: QuadraticHamiltonian, hbar: float, T: complex):
     """Mehler parametrization: K = sqrt(v/2pi i) exp(i/2 (u(z^2+z'^2) - 2vzz'))."""
@@ -801,15 +674,14 @@ def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
         rms_list.append(math.sqrt(sq / n))
     quantum_slope = float(np.polyfit(np.log(eps_list), np.log(rms_list), 1)[0])
 
-    # reduced flow: zeta-dot = 2 c_p p, p-dot = -2 c_q zeta
-    A = np.array([[0.0, 2.0 * quad.c_p], [-2.0 * quad.c_q, 0.0]])
+    # reduced flow from (zeta, p) = (0.3, 1): zeta-dot = 2 c_p p, p-dot =
+    # -2 c_q zeta, so zeta(t) = 0.3 cos(wt) + 2 c_p sin(wt)/w (2 c_p t at w = 0)
+    w = quad.omega
     det_inc = []
     for N in slice_counts:
-        R = _rk4_matrix(A, beta / N)
-        states = [np.array([0.3, 1.0])]
-        for _ in range(N):
-            states.append(R @ states[-1])
-        zeta = np.array(states)[:, 0]
+        t = (beta / N) * np.arange(N + 1)
+        zeta = 0.3 * np.cos(w * t) + 2.0 * quad.c_p * (np.sin(w * t) / w
+                                                        if w else t)
         det_inc.append(float(np.max(np.abs(np.diff(zeta)))))
     classical_slope = float(np.polyfit(np.log(eps_list), np.log(det_inc), 1)[0])
     return {

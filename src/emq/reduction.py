@@ -12,8 +12,8 @@ condition dH/dz = 0.  The surviving Hamiltonian h_star is bounded below on
 the chart; that boundedness is the entire point of the construction.
 
 Maps are checked, not trusted: canonicity brackets, the presymplectic
-cross-derivation, and a finite-difference Jacobian identity all run on the
-model's sampling chart before any map is used.
+cross-derivation, and an exact Jacobian identity all run on the model's
+sampling chart before any map is used.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .expr import (
-    Expr, Const, Sym, Add, Mul, Pow, Div, ZERO, ONE,
+    Expr, Const, Sym, Add, Mul, Div, ZERO,
     DomainError, ExprError, SampleDomain,
     ComparisonResult, differentiate, evaluate, expand, normalize,
     numeric_compare, sampled_check, substitute,
@@ -37,7 +37,7 @@ __all__ = [
     "ReducedLagrangian", "TransformedLagrangian", "ReducedSystem",
     "EliminationResult",
     "eliminate_primary", "verify_canonicity",
-    "apply_darboux", "eliminate_z", "fd_jacobian", "jacobi_liouville_check",
+    "apply_darboux", "eliminate_z", "jacobi_liouville_check",
     "run_reduction",
     "CanonicityError", "UnsupportedPatternError", "velocity_symbol",
 ]
@@ -385,27 +385,6 @@ def eliminate_z(H_prime: Expr, map: CanonicalMap, chart: SampleDomain,
     return EliminationResult(chi=chi_reported, z_solution=z_solution, system=rs)
 
 
-FD_STEP = 1e-6
-
-
-def fd_jacobian(exprs: Sequence[Expr], names: Sequence[str],
-                cols: Dict[str, np.ndarray]) -> np.ndarray:
-    """Central-difference d(exprs)/d(names) at every point of the columns.
-
-    Returns a stack of shape (points, len(exprs), len(names)).
-    """
-    n_points = len(next(iter(cols.values())))
-    jac = np.empty((n_points, len(exprs), len(names)))
-    for j, v in enumerate(names):
-        up = dict(cols)
-        dn = dict(cols)
-        up[v] = cols[v] + FD_STEP
-        dn[v] = cols[v] - FD_STEP
-        for i, e in enumerate(exprs):
-            jac[:, i, j] = (evaluate(e, up) - evaluate(e, dn)) / (2.0 * FD_STEP)
-    return jac
-
-
 def jacobi_liouville_check(map: CanonicalMap, c: ConstraintSpec,
                            sys: FlowSystem, tol: float = 1e-7,
                            seed: int = 0) -> bool:
@@ -414,10 +393,10 @@ def jacobi_liouville_check(map: CanonicalMap, c: ConstraintSpec,
     det d(eta)/d(xi-hat) multiplied by dphi/dxi1 (at xi1 = g) must be a
     chart-wide constant of unit magnitude.  The sign is an orientation
     convention of the particular map, so it is pinned at the first sample
-    point and required to persist.  Finite-difference Jacobians, central
-    steps.  Too many singular Jacobians raise DomainError, unless an
-    orientation mismatch comes first in sample order.  Memoized per process
-    (see sampled_check).
+    point and required to persist.  Each Jacobian entry is a symbolic
+    derivative evaluated on the sample columns.  Too many singular
+    Jacobians raise DomainError, unless an orientation mismatch comes
+    first in sample order.  Memoized per process (see sampled_check).
     """
     return sampled_check(_jacobi_liouville, map, c, sys, tol, seed)
 
@@ -434,7 +413,11 @@ def _jacobi_liouville(map: CanonicalMap, c: ConstraintSpec, sys: FlowSystem,
                       {c.eliminated: c.solution})
 
     cols = sys.chart.sample_columns(n, seed=seed)
-    dets = np.linalg.det(fd_jacobian(surface_targets, reduced_vars, cols))
+    jac = np.empty((n, len(surface_targets), len(reduced_vars)))
+    for i, e in enumerate(surface_targets):
+        for j, v in enumerate(reduced_vars):
+            jac[:, i, j] = evaluate(differentiate(e, v), cols)
+    dets = np.linalg.det(jac)
     singular = np.abs(dets) < 1e-12
     limit = max(3, n // 5)
     # sample index at which more than `limit` singular points have been seen

@@ -1,4 +1,4 @@
-"""Phase-space structure: Poisson brackets, Hamilton fields, charge splitting.
+"""Phase-space structure: Poisson brackets and charge splitting.
 
 Coordinates follow the momenta-first convention throughout: the state vector
 is xi = (p_1..p_N, q^1..q^N) and the symplectic matrix has the block form
@@ -11,8 +11,8 @@ with both halves nonnegative wherever rho > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 from .expr import (
     Expr, Const, Sym, Add, Mul, Pow, Div, ZERO,
@@ -22,7 +22,7 @@ from .expr import (
 
 __all__ = [
     "PhaseSpace", "FlowSystem", "HamiltonianSplit",
-    "poisson_bracket", "hamilton_vector_field", "split_hamiltonian",
+    "poisson_bracket", "split_hamiltonian",
     "verify_charges",
     "StructureError", "RhoNotConservedError",
 ]
@@ -83,14 +83,6 @@ def poisson_bracket(f: Expr, g: Expr, ps: PhaseSpace) -> Expr:
         terms.append(Mul((differentiate(f, q), differentiate(g, p))))
         terms.append(Mul((Const(-1), differentiate(f, p), differentiate(g, q))))
     return normalize(Add(tuple(terms)))
-
-
-def hamilton_vector_field(H: Expr, ps: PhaseSpace) -> Tuple[Expr, ...]:
-    """xi-dot in xi ordering: (pdot_1.., qdot^1..) = (-dH/dq, +dH/dp)."""
-    pdot = tuple(normalize(Mul((Const(-1), differentiate(H, q))))
-                 for q in ps.coordinates)
-    qdot = tuple(differentiate(H, p) for p in ps.momenta)
-    return pdot + qdot
 
 
 def _structurally_zero(e: Expr) -> bool:

@@ -21,7 +21,7 @@ from emq.expr import (
 )
 from emq.pathint import (
     FocalPointError, LatticeConfig, bare_kernel, bind_reduced_hamiltonian,
-    brownian_increment_report, classical_amplitude, fluctuation_det,
+    brownian_increment_report, fluctuation_det,
     holder_slopes, propagate_quantum, trotter_sweep,
 )
 from emq.reduction import jacobi_liouville_check, verify_canonicity
@@ -167,9 +167,10 @@ def test_criterion_07_fluctuation_determinants(ho_reduced, ho_model):
         dense = fluctuation_det_dense(w2, T, n=64)
         assert abs(dense - cont) / abs(cont) < 0.01, \
             f"64-slice determinant off by >1% at omega^2={w2}, T={T}"
+    focal = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
+                          duration=math.pi)
     with pytest.raises(FocalPointError):
-        classical_amplitude(ho_reduced, None, None, math.pi,
-                            params=ho_model.params)
+        propagate_quantum(ho_reduced, focal, ho_model.params)
     _line(7, "D(T) = sin(T) at 1e-8; dense 64-slice determinant within 1%; "
              "focal point at T = pi raises")
 

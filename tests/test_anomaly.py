@@ -14,7 +14,7 @@ from emq.expr import (
     ZERO, ONE,
     columns, evaluate, normalize, numeric_compare, parse, substitute,
 )
-from emq.reduction import UnsupportedPatternError, fd_jacobian
+from emq.reduction import UnsupportedPatternError
 from emq.symplectic import PhaseSpace
 
 
@@ -209,6 +209,22 @@ def test_correction_scaling_slope(ho_model):
 # ---------------------------------------------------------------------------
 # finite-difference oracle for the inverse map
 # ---------------------------------------------------------------------------
+
+FD_STEP = 1e-6
+
+
+def fd_jacobian(exprs, names, cols):
+    """Central-difference d(exprs)/d(names) at every point of the columns,
+    shape (points, len(exprs), len(names))."""
+    n_points = len(next(iter(cols.values())))
+    jac = np.empty((n_points, len(exprs), len(names)))
+    for j, v in enumerate(names):
+        up = dict(cols, **{v: cols[v] + FD_STEP})
+        dn = dict(cols, **{v: cols[v] - FD_STEP})
+        for i, e in enumerate(exprs):
+            jac[:, i, j] = (evaluate(e, up) - evaluate(e, dn)) / (2.0 * FD_STEP)
+    return jac
+
 
 def implicit_partials_fd(map, sources, point):
     """d(source)/d(target) by inverting the differenced forward Jacobian.

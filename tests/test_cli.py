@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +12,7 @@ import pytest
 
 from emq import __version__, cli, expr, symplectic
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
-from emq.expr import SampleDomain, columns
+from emq.expr import MAX_NESTING, SampleDomain, columns
 from emq.pathint import propagate_quantum
 from emq.reduction import run_reduction
 from emq.sysfile import bundled_text, load_bundled
@@ -239,9 +242,8 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     assert cached["metrics"] == fresh["metrics"]
 
 
-# sin( levels: the parser gives up at about 247 in a bare process and at
-# about 238 under pytest, whose frames are already on the stack
-_DEEP = 200
+# sin( levels: the deepest nest the parser takes
+_DEEP = MAX_NESTING
 
 
 @pytest.mark.parametrize("charge", [
@@ -294,6 +296,28 @@ def test_deep_nesting_is_a_usage_error_with_its_line(tmp_path, capsys):
     assert main(["verify", path]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"{path}:{lineno}:" in err and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("levels, code", [(MAX_NESTING, EXIT_OK),
+                                           (MAX_NESTING + 1, EXIT_USAGE)])
+def test_nesting_limit_is_the_same_in_a_bare_process(tmp_path, capsys,
+                                                     levels, code):
+    # the limit is a count, not the stack depth left over by the caller
+    nest = "sin(" * levels + "a1" + ")" * levels + "*(x^2 + y^2)"
+    text = bundled_text("harmonic").replace("C1 = x^2 + y^2", f"C1 = {nest}")
+    lineno = text.splitlines().index(f"C1 = {nest}") + 1
+    path = _write(tmp_path, text)
+    assert main(["reduce", path]) == code
+    err = capsys.readouterr().err
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    bare = subprocess.run([sys.executable, "-m", "emq", "reduce", path],
+                          capture_output=True, text=True, env=env)
+    assert bare.returncode == code
+    assert bare.stderr == err
+    if code == EXIT_USAGE:
+        assert f"{path}:{lineno}:" in err and "nested too deeply" in err
 
 
 _HUGE = "1" + "0" * 400
@@ -479,6 +503,17 @@ def test_propagate_focal_point_fails_cleanly(tmp_path, capsys):
     path = _write(tmp_path, text)
     assert main(["propagate", path]) == EXIT_CHECK
     assert "focal" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("T", [1000.0, 10000.0])
+def test_long_time_classical_det_is_the_closed_form(tmp_path, capsys, T):
+    # D(10000) = sin(10000) = -0.3056 is no focal point
+    text = bundled_text("harmonic").replace(
+        "mode = imaginary", "mode = classical").replace(
+        "beta = 1.0", f"time = {T}")
+    assert main(["propagate", _write(tmp_path, text), "--json"]) == EXIT_OK
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert abs(metrics["fluctuation_det"] - math.sin(T)) <= 1e-12
 
 
 def test_propagate_reports_typed_lattice_errors(tmp_path, capsys):

@@ -9,16 +9,16 @@ import pytest
 from emq.expr import ExprError, Sym, ZERO, normalize, parse
 from emq.pathint import (
     MAX_GRID_POINTS, MAX_SLICES, CoverageError, FocalPointError,
-    LatticeConfig, QuadraticHamiltonian,
+    LatticeConfig, LatticeRangeError, QuadraticHamiltonian,
     bare_kernel, bind_reduced_hamiltonian, brownian_increment_report,
-    classical_amplitude, classical_flow, fluctuation_det, holder_slopes,
+    fluctuation_det, holder_slopes,
     partition_closed_form, partition_slice_closed_form, propagate_quantum,
     sample_thermal_paths,
     smeared_reference, trotter_sweep, write_kernel,
 )
 from emq.pathint import (
-    PropagatorResult, _DET_STEPS, _evolve, _grid, _increment_weights,
-    _mode_eigenvalues, _parity_blocks, _power_trace_and_diagonal, _rk4,
+    PropagatorResult, _evolve, _grid, _increment_weights,
+    _mode_eigenvalues, _parity_blocks, _power_trace_and_diagonal,
     _split_step_factors, _thermal_increment_sum,
 )
 from emq.reduction import PhaseSpace, ReducedSystem
@@ -75,39 +75,6 @@ def test_lattice_config_accepts_its_bounds():
 
 
 # ---------------------------------------------------------------------------
-# classical flows
-# ---------------------------------------------------------------------------
-
-def test_rotation_flow_matches_closed_form(free_model):
-    sys = free_model.system
-    T = 0.8
-    state0 = {"x": 1.1, "y": 0.4, "p_x": 0.3, "p_y": -0.2}
-    flow = classical_flow(sys, state0, T, steps=400,
-                          params=free_model.params)
-    end = flow.final()
-    c, s = math.cos(T), math.sin(T)
-    assert end["x"] == pytest.approx(1.1 * c - 0.4 * s, abs=1e-8)
-    assert end["y"] == pytest.approx(1.1 * s + 0.4 * c, abs=1e-8)
-    assert flow.drifts["H"] < 1e-8
-    assert flow.drifts["C1"] < 1e-8
-
-
-def test_rotation_amplitude_is_unit_weight(free_model):
-    T = 0.6
-    c, s = math.cos(T), math.sin(T)
-    q1 = {"x": 1.0, "y": 0.5}
-    q2 = {"x": 1.0 * c - 0.5 * s, "y": 1.0 * s + 0.5 * c}
-    w = classical_amplitude(free_model.system, q1, q2, T,
-                            params=free_model.params)
-    assert w == pytest.approx(1.0, abs=1e-6)
-    # endpoint off the flow: zero weight
-    off = classical_amplitude(free_model.system, q1,
-                              {"x": q2["x"] + 0.3, "y": q2["y"]}, T,
-                              params=free_model.params)
-    assert off == 0.0
-
-
-# ---------------------------------------------------------------------------
 # fluctuation determinants
 # ---------------------------------------------------------------------------
 
@@ -119,16 +86,6 @@ def test_fluctuation_det_oracles():
     # omega^2 < 0: D(T) = sinh(|omega| T)/|omega|
     assert fluctuation_det(-1.0, 1.2) == pytest.approx(math.sinh(1.2),
                                                        abs=1e-8)
-
-
-@pytest.mark.parametrize("w2", [1.0, 4.0, 0.0, -1.0])
-@pytest.mark.parametrize("T", [1.5, math.pi - 1e-3, math.pi])
-def test_constant_frequency_det_is_the_rk4_loop(w2, T):
-    # fluctuation_det takes the RK4 step matrix; the step loop is the oracle
-    states = _rk4(lambda t, y: np.array([y[1], -w2 * y[0]]), (0.0, 1.0),
-                  T, _DET_STEPS)
-    loop = float(states[-1, 0])
-    assert abs(fluctuation_det(w2, T) - loop) <= 1e-12 * max(1.0, abs(loop))
 
 
 def fluctuation_det_dense(omega_sq: float, T: float, n: int = 64) -> float:
@@ -156,13 +113,24 @@ def test_dense_lattice_determinant_cross_check():
         assert abs(dense - cont) / abs(cont) < 0.01
 
 
+def _classical(duration):
+    return LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
+                         duration=duration)
+
+
 def test_reduced_amplitude_and_focal_point(ho_reduced, ho_model):
-    w = classical_amplitude(ho_reduced, None, None, math.pi / 2,
-                            params=ho_model.params)
-    assert w == pytest.approx(1.0 / math.sin(math.pi / 2), rel=1e-7)
+    res = propagate_quantum(ho_reduced, _classical(math.pi / 2),
+                            ho_model.params)
+    assert res.metrics["weight"] == pytest.approx(1.0 / math.sin(math.pi / 2),
+                                                  rel=1e-7)
     with pytest.raises(FocalPointError, match="focal"):
-        classical_amplitude(ho_reduced, None, None, math.pi,
-                            params=ho_model.params)
+        propagate_quantum(ho_reduced, _classical(math.pi), ho_model.params)
+
+
+def test_inverted_oscillator_overflow_is_a_range_error(ho_model):
+    inverted = _reduced("p_zeta^2/2 - zeta^2/2", ho_model.symbols)
+    with pytest.raises(LatticeRangeError, match="float range"):
+        propagate_quantum(inverted, _classical(800.0), {})
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +450,11 @@ def test_partition_matches_the_n_slice_value(ho_reduced, ho_model, n, slices):
 
 
 def test_classical_mode_and_focal_error(ho_reduced, ho_model):
-    cfg = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
-                        duration=1.0)
-    res = propagate_quantum(ho_reduced, cfg, ho_model.params)
+    res = propagate_quantum(ho_reduced, _classical(1.0), ho_model.params)
     assert res.metrics["weight"] == pytest.approx(1.0 / math.sin(1.0),
                                                   rel=1e-7)
-    focal = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
-                          duration=math.pi)
     with pytest.raises(FocalPointError):
-        propagate_quantum(ho_reduced, focal, ho_model.params)
+        propagate_quantum(ho_reduced, _classical(math.pi), ho_model.params)
 
 
 def test_coverage_error_on_short_grid(ho_reduced, ho_model):
@@ -504,15 +468,13 @@ def test_inverted_oscillator_is_not_a_free_particle(ho_model):
     inverted = _reduced("p_zeta^2/2 - zeta^2/2", ho_model.symbols)
     quad = bind_reduced_hamiltonian(inverted, {})
     assert quad.omega_sq == pytest.approx(-1.0)
-    cfg = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
-                        duration=1.2)
-    res = propagate_quantum(inverted, cfg, {})
+    res = propagate_quantum(inverted, _classical(1.2), {})
     assert res.metrics["omega_sq"] == pytest.approx(-1.0)
     assert "omega" not in res.metrics
     assert res.metrics["fluctuation_det"] == pytest.approx(math.sinh(1.2),
                                                            abs=1e-8)
-    assert classical_amplitude(inverted, None, None, 1.2) == pytest.approx(
-        1.0 / math.sinh(1.2), rel=1e-8)
+    assert res.metrics["weight"] == pytest.approx(1.0 / math.sinh(1.2),
+                                                  rel=1e-8)
     for mode in ("real", "imaginary"):
         with pytest.raises(ExprError, match="inverted"):
             propagate_quantum(inverted, LatticeConfig(
@@ -742,14 +704,19 @@ def test_holder_slopes(ho_reduced, ho_model):
     assert hs["classical_slope"] == pytest.approx(1.0, abs=0.05)
 
 
-def test_holder_flow_is_the_rk4_loop(ho_reduced, ho_model):
-    params = dict(ho_model.params, a1=1.3)
+@pytest.mark.parametrize("a1", [0.8, 1.0, 1.3])
+def test_holder_flow_is_the_exact_rotation(ho_reduced, ho_model, a1):
+    # zeta(t) = R cos(w t - phi) from (zeta, p) = (0.3, 1): amplitude and
+    # phase of 0.3 cos(w t) + (2 c_p / w) sin(w t)
+    params = dict(ho_model.params, a1=a1)
     hs = holder_slopes(ho_reduced, params, n_samples=100)
     quad = bind_reduced_hamiltonian(ho_reduced, params)
-    A = np.array([[0.0, 2.0 * quad.c_p], [-2.0 * quad.c_q, 0.0]])
+    w = quad.omega
+    R = math.hypot(0.3, 2.0 * quad.c_p / w)
+    phi = math.atan2(2.0 * quad.c_p / w, 0.3)
     for N, got in zip((16, 32, 64, 128, 256), hs["classical_increments"]):
-        states = _rk4(lambda t, y: A @ y, (0.3, 1.0), 1.0, N)
-        want = float(np.max(np.abs(np.diff(states[:, 0]))))
+        zeta = [R * math.cos(w * i / N - phi) for i in range(N + 1)]
+        want = max(abs(b - a) for a, b in zip(zeta, zeta[1:]))
         assert abs(got - want) <= 1e-12
 
 
@@ -790,9 +757,7 @@ def test_kernel_npy_keeps_every_bit(tmp_path):
 
 def test_kernel_writer_rejects_gridless_results(ho_reduced, ho_model,
                                                 tmp_path):
-    cfg = LatticeConfig(mode="classical", n=64, length=16.0, slices=8,
-                        duration=1.0)
-    res = propagate_quantum(ho_reduced, cfg, ho_model.params)
+    res = propagate_quantum(ho_reduced, _classical(1.0), ho_model.params)
     with pytest.raises(ValueError):
         write_kernel(res, str(tmp_path / "nope"))
     assert list(tmp_path.iterdir()) == []

@@ -10,8 +10,7 @@ from emq.expr import (
 )
 from emq.symplectic import (
     FlowSystem, PhaseSpace, RhoNotConservedError, StructureError,
-    hamilton_vector_field, poisson_bracket, split_hamiltonian,
-    verify_charges,
+    poisson_bracket, split_hamiltonian, verify_charges,
 )
 
 PS2 = PhaseSpace.from_coordinates(("x", "y"))
@@ -113,16 +112,6 @@ def test_bracket_jacobi(f, g, h):
         poisson_bracket(h, poisson_bracket(f, g, PS2), PS2),
     ))
     assert _agree(normalize(cyc), ZERO)
-
-
-def test_hamilton_field_signs():
-    H = normalize(parse("p_x^2/2 + x^2/2", _table()))
-    field = hamilton_vector_field(H, PS2)
-    # xi ordering: (pdot_x, pdot_y, xdot, ydot)
-    assert field[0] == normalize(parse("-(x)", _table()))
-    assert field[1] == ZERO
-    assert field[2] == Sym("p_x")
-    assert field[3] == ZERO
 
 
 def _table():
