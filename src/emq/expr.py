@@ -37,15 +37,26 @@ and sampled_check() works out each seeded sampled check once for its
 arguments: numeric_compare() for each (a, b, domain, n, tol, seed), and
 the chart volume check of emq.reduction.
 
-evaluate() walks a tree once, for floats or for a batch of points given as
-equal-length numpy columns (see columns()).  It never returns NaN/inf
-silently: division by zero, even roots of negative values, unbound symbols
-and values beyond float range raise distinct exceptions naming the first
-bad point, so chart violations surface as errors, not poisoned numerics.
+A sample set is a value table.  Its points are drawn in vectorized blocks,
+bit for bit the points of a one-at-a-time rng.uniform draw (see
+SampleDomain), and come back as read-only numpy columns, one per symbol.
+evaluate() works out each distinct subtree above the leaves once per
+call, for floats or for a batch of points given as equal-length columns
+(see columns()).  On a set from sample_columns() it keeps those values
+with the set, so every later call on that set reads them back; they are
+read-only, at most _VALUE_LIMIT (2^10) per set, and go when _SAMPLES lets
+the set go.
+
+evaluate() never returns NaN/inf silently: division by zero, even roots
+of negative values, unbound symbols and values beyond float range raise
+distinct exceptions naming the first bad point, so chart violations
+surface as errors, not poisoned numerics.  A subtree that raises keeps
+nothing, so it raises the same error again.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import random
 import re
@@ -743,9 +754,12 @@ _NORMAL_FORMS: Dict[Expr, Expr] = {}
 _EXPANDED: Dict[Expr, Expr] = {}
 _DERIVATIVES: Dict[tuple, Expr] = {}
 _SUBSTITUTED: Dict[tuple, Expr] = {}
-# sample columns are larger, so fewer (domain, n, seed) sets are kept
+# a sample set holds its columns and the subtree values worked out on them,
+# so fewer (domain, n, seed) sets are kept, and all of them together keep
+# at most _MEMO_LIMIT values
 _SAMPLE_LIMIT = 1 << 6
-_SAMPLES: Dict[tuple, Dict[str, np.ndarray]] = {}
+_VALUE_LIMIT = _MEMO_LIMIT // _SAMPLE_LIMIT
+_SAMPLES: Dict[tuple, "_SampleSet"] = {}
 # seeded sampled checks, keyed by (check, its arguments); see sampled_check
 _CHECK_LIMIT = 1 << 12
 _CHECKS: Dict[tuple, object] = {}
@@ -963,11 +977,19 @@ def evaluate(e: Expr, bindings: Mapping[str, Union[float, np.ndarray]]):
 
     Bindings are floats or equal-length numpy columns (see columns()).  Float
     bindings give a float; any column gives one value per point, computed in
-    one tree walk.  Errors name the first offending point.
+    one tree walk.  Each distinct subtree above the leaves is worked out
+    once per call; on a set from SampleDomain.sample_columns() its value is
+    kept with the set, read-only, so a later call on that set reuses it.
+    Errors name the first offending point.
     """
+    if type(bindings) is _SampleSet:
+        known, keep = bindings._known, True
+    else:
+        known, keep = {}, False
+
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = _eval(e, bindings)
+            value = _eval(e, bindings, known, keep)
     except OverflowError as exc:
         raise EvalError(f"value does not fit a float: {exc}") from None
     batch = [v for v in bindings.values() if isinstance(v, np.ndarray)]
@@ -990,7 +1012,8 @@ def _check(bad, error, what: str, e: Expr, bindings) -> None:
     raise error(f"{what} in {e}{where}")
 
 
-def _eval(e: Expr, b):
+def _eval(e: Expr, b, known: dict, keep: bool):
+    # a leaf costs no more to work out than to look up
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Sym):
@@ -999,18 +1022,22 @@ def _eval(e: Expr, b):
         except KeyError:
             raise UnboundSymbolError(f"symbol {e.name!r} is unbound") from None
         return v if isinstance(v, np.ndarray) else float(v)
+    # hash-consing makes repeated subtrees common, so each is worked out
+    # once and kept in known; a subtree that raises stores nothing, so it
+    # raises again next time
+    out = known.get(e)
+    if out is not None:
+        return out
     if isinstance(e, Add):
-        out = _eval(e.terms[0], b)
+        out = _eval(e.terms[0], b, known, keep)
         for t in e.terms[1:]:
-            out = out + _eval(t, b)
-        return out
-    if isinstance(e, Mul):
-        out = _eval(e.factors[0], b)
+            out = out + _eval(t, b, known, keep)
+    elif isinstance(e, Mul):
+        out = _eval(e.factors[0], b, known, keep)
         for f in e.factors[1:]:
-            out = out * _eval(f, b)
-        return out
-    if isinstance(e, Pow):
-        base = _eval(e.base, b)
+            out = out * _eval(f, b, known, keep)
+    elif isinstance(e, Pow):
+        base = _eval(e.base, b, known, keep)
         n = e.exponent
         if not isinstance(n, int):
             _check(base < 0.0, NegativeSqrtError,
@@ -1019,18 +1046,26 @@ def _eval(e: Expr, b):
         if n < 0:
             _check(base == 0.0, DivisionByZeroError,
                    "zero base with negative exponent", e, b)
-        return np.power(base, n)
-    if isinstance(e, Div):
-        den = _eval(e.den, b)
+        out = np.power(base, n)
+    elif isinstance(e, Div):
+        den = _eval(e.den, b, known, keep)
         _check(den == 0.0, DivisionByZeroError, "division by zero", e, b)
-        return _eval(e.num, b) / den
-    if isinstance(e, Fun):
-        vals = [_eval(a, b) for a in e.args]
+        out = _eval(e.num, b, known, keep) / den
+    elif isinstance(e, Fun):
+        vals = [_eval(a, b, known, keep) for a in e.args]
         if e.name == "sqrt":
             _check(vals[0] < 0.0, NegativeSqrtError, "sqrt of negative value",
                    e, b)
-        return _NUMPY_FUNCTIONS[e.name](*vals)
-    raise TypeError(f"not an Expr: {e!r}")
+        out = _NUMPY_FUNCTIONS[e.name](*vals)
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    if keep:
+        # kept with a sample set, shared by every later call on it
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+        return _remember(known, e, out, _VALUE_LIMIT)
+    known[e] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1327,52 +1362,114 @@ class SampleDomain:
     ranges: (symbol, lo, hi) triples; guards: (expr, lo, hi) with the guard
     accepted when lo <= value <= hi.  Guards keep samples clear of declared
     singular sets (denominators, branch cuts, degenerate parameters).
+
+    A point takes rng.uniform(lo, hi) for each range in order, and a draw
+    stops at the n-th accepted point.  The candidates come in blocks, each
+    from one rng.getrandbits(64*k) call rebuilt into the k doubles that k
+    rng.random() calls give, so the points, and the state the generator is
+    left in, are those of a one-at-a-time draw.  A caller's rng is used only
+    through getrandbits(): a random.Random, or a subclass that keeps its
+    random() and getrandbits(), gives the points its uniform() would.
     """
 
     ranges: tuple
     guards: tuple = ()
 
-    def sample(self, n: int, seed: int = 0, rng: Optional[random.Random] = None):
-        """n accepted points as dicts, drawn in blocks of the number still
-        missing; every seed gives the points a one-at-a-time draw would."""
+    def _draw(self, n: int, seed: int = 0,
+              rng: Optional[random.Random] = None) -> Dict[str, np.ndarray]:
+        """The one drawing core: n accepted points, one column per range,
+        drawn in blocks of the number still missing."""
         if rng is None:
             rng = random.Random(seed)
-        points = []
-        attempts = 0
+        names = [name for name, _, _ in self.ranges]
+        # spans are taken in Python floats, as rng.uniform takes them: one
+        # that overflows is inf, not a numpy warning
+        low = np.array([[float(lo)] for _, lo, _ in self.ranges])
+        span = np.array([[float(hi - lo)] for _, lo, hi in self.ranges])
+        kept = []
+        count = attempts = 0
         limit = max(1000, 200 * n)
-        while len(points) < n:
-            take = min(n - len(points), limit - attempts)
+        while count < n:
+            take = min(n - count, limit - attempts)
             if take == 0:
                 raise DomainError(
-                    f"guard rejection too high: {len(points)} of {n} points "
+                    f"guard rejection too high: {count} of {n} points "
                     f"after {attempts} attempts")
             attempts += take
-            block = [{name: rng.uniform(lo, hi) for name, lo, hi in self.ranges}
-                     for _ in range(take)]
-            cols = columns(block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = low + span * _uniforms(
+                    rng, take * len(names)).reshape(take, len(names)).T
             keep = np.ones(take, dtype=bool)
-            for guard, lo, hi in self.guards:
+            for guard, g_lo, g_hi in self.guards:
                 # each guard sees only the points the earlier guards passed
                 idx = np.flatnonzero(keep)
                 try:
-                    val = evaluate(guard, {k: v[idx] for k, v in cols.items()})
+                    val = evaluate(guard, dict(zip(names, block[:, idx])))
                 except EvalError as exc:
                     raise DomainError(f"guard {guard} failed: {exc}") from exc
-                keep[idx] = (lo <= val) & (val <= hi)
-            points.extend(block[i] for i in np.flatnonzero(keep))
-        return points
+                keep[idx] = (g_lo <= val) & (val <= g_hi)
+            kept.append(block[:, keep])
+            count += int(keep.sum())
+        return dict(zip(names, np.concatenate(kept, axis=1)))
 
-    def sample_columns(self, n: int, seed: int = 0) -> Dict[str, np.ndarray]:
-        """columns(self.sample(n, seed)), drawn once per process for each
-        (domain, n, seed); the arrays are read-only."""
+    def sample(self, n: int, seed: int = 0,
+               rng: Optional[random.Random] = None):
+        """n accepted points as dicts (see the class docstring)."""
+        cols = self._draw(n, seed=seed, rng=rng)
+        rows = zip(*(col.tolist() for col in cols.values()))
+        return [dict(zip(cols, row)) for row in rows]
+
+    def sample_columns(self, n: int, seed: int = 0) -> Mapping[str, np.ndarray]:
+        """The points of self.sample(n, seed) as read-only columns, drawn
+        once per process for each (domain, n, seed).  The set keeps the
+        values evaluate() works out on it."""
         key = (self, n, seed)
         cols = _SAMPLES.get(key)
         if cols is None:
-            cols = columns(self.sample(n, seed=seed))
-            for col in cols.values():
-                col.flags.writeable = False
-            _remember(_SAMPLES, key, cols, _SAMPLE_LIMIT)
-        return dict(cols)
+            cols = _remember(_SAMPLES, key,
+                             _SampleSet(self._draw(n, seed=seed)),
+                             _SAMPLE_LIMIT)
+        return cols
+
+
+def _uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """k doubles, bit for bit those of k rng.random() calls, from one
+    rng.getrandbits(64*k): CPython builds each from two 32-bit words as
+    ((w0 >> 5)*2^26 + (w1 >> 6))*2^-53, and getrandbits puts the first
+    word in the lowest bits."""
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"),
+                          dtype="<u4").reshape(k, 2)
+    return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) \
+        * (1.0 / 9007199254740992.0)
+
+
+class _SampleSet(collections.abc.Mapping):
+    """A drawn sample set: read-only columns by name, plus the value of
+    each subtree that evaluate() has worked out on them."""
+
+    __slots__ = ("_cols", "_known")
+
+    def __init__(self, cols: Dict[str, np.ndarray]):
+        for col in cols.values():
+            col.flags.writeable = False
+        self._cols = cols
+        self._known: Dict[Expr, Union[float, np.ndarray]] = {}
+
+    def __getitem__(self, name):
+        return self._cols[name]
+
+    def __iter__(self):
+        return iter(self._cols)
+
+    def __len__(self):
+        return len(self._cols)
+
+    # the column dict's own views, without a lookup per name
+    def items(self):
+        return self._cols.items()
+
+    def values(self):
+        return self._cols.values()
 
 
 def columns(points: Sequence[Mapping[str, float]]) -> Dict[str, np.ndarray]:

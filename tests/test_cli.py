@@ -206,13 +206,13 @@ def test_bad_declared_names_are_usage_errors_with_their_line(where, tmp_path,
 
 def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     draws = []
-    sample = SampleDomain.sample
+    draw = SampleDomain._draw
 
     def counting(self, n, seed=0, rng=None):
         draws.append((n, seed))
-        return sample(self, n, seed=seed, rng=rng)
+        return draw(self, n, seed=seed, rng=rng)
 
-    monkeypatch.setattr(SampleDomain, "sample", counting)
+    monkeypatch.setattr(SampleDomain, "_draw", counting)
     # --seed reaches every sampled check, the constraint validation included
     # the sampled checks are memoized too; cleared, each compares afresh
     for s in (5, 0):
@@ -240,6 +240,39 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     assert len(draws) > 10
     assert cached["checks"] == fresh["checks"]
     assert cached["metrics"] == fresh["metrics"]
+
+
+def test_a_range_wider_than_float_fails_its_checks_without_a_warning(
+        tmp_path, capsys):
+    # hi - lo overflows to inf: every drawn x is inf, as rng.uniform gives,
+    # and the comparisons that read x fail with a typed error
+    text = bundled_text("harmonic")
+    assert text.count("\nx = -2.0, 2.0\n") == 1
+    path = _write(tmp_path, text.replace("\nx = -2.0, 2.0\n",
+                                         "\nx = -1e308, 1e308\n"))
+    failing = {
+        "verify": {"H_plus - H_minus reproduces H": "DomainError: sampling "
+                   "hit a singular point: non-finite value in ",
+                   "both halves nonnegative on the chart":
+                   "EvalError: non-finite value in "},
+        "reduce": {},
+        "anomaly": {"relations consistent with the chart": "DomainError: "
+                    "sampling hit a singular point: non-finite value in "},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, expected in failing.items():
+            code = main([command, path, "--json"])
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            assert code == (EXIT_CHECK if expected else EXIT_OK), command
+            assert err == ""
+            failed = {c["name"]: c["detail"] for c in report["checks"]
+                      if not c["ok"]}
+            assert failed.keys() == expected.keys(), command
+            for name, start in expected.items():
+                assert failed[name].startswith(start)
+                assert "'x': inf, 'y': 1.03181761176121," in failed[name]
 
 
 # sin( levels: the deepest nest the parser takes
@@ -750,6 +783,36 @@ def test_warm_and_cold_runs_give_the_same_reports(tmp_path, monkeypatch,
             cold = _report_and_artifacts(argv, capsys)
             assert tokenized, "the cleared memos were not parsed afresh"
             assert cold == first, f"{command} {name}"
+
+
+def test_checks_worked_out_again_read_the_kept_values(tmp_path, capsys):
+    # with only the sampled-check table emptied, every comparison evaluates
+    # again on the kept sample sets: the same reports, and no subtree is
+    # worked out a second time
+    for name in ("harmonic", "free_particle", "free_particle_lambda"):
+        for command in ("verify", "reduce", "propagate", "anomaly"):
+            argv = [command, name, "--seed", "11"]
+            if command == "propagate":
+                argv += ["--out", str(tmp_path / name)]
+            # from empty tables: a run draws far fewer than _SAMPLE_LIMIT
+            # sets, so none is evicted, and it works out all its checks
+            expr._SAMPLES.clear()
+            expr._CHECKS.clear()
+            first = _report_and_artifacts(argv, capsys)
+            kept = _kept_values()
+            assert kept, f"{command} {name} kept no values"
+            expr._CHECKS.clear()
+            again = _report_and_artifacts(argv, capsys)
+            assert again == first, f"{command} {name}"
+            now = _kept_values()
+            assert now.keys() == kept.keys(), f"{command} {name}"
+            assert all(now[key] is value for key, value in kept.items())
+
+
+def _kept_values():
+    """(sample set, subtree) -> the value kept with the set."""
+    return {(key, node): value for key, values in expr._SAMPLES.items()
+            for node, value in values._known.items()}
 
 
 def test_a_file_edited_between_calls_is_read_again(tmp_path, capsys):

@@ -831,9 +831,8 @@ def test_column_errors_name_the_first_offending_point():
 # sampling and comparison
 # ---------------------------------------------------------------------------
 
-def _sample_one_at_a_time(dom, n, seed):
+def _sample_one_at_a_time(dom, n, rng):
     """Reference sampler: one candidate per draw, guards tried in order."""
-    rng = random.Random(seed)
     points = []
     while len(points) < n:
         pt = {name: rng.uniform(lo, hi) for name, lo, hi in dom.ranges}
@@ -842,14 +841,29 @@ def _sample_one_at_a_time(dom, n, seed):
     return points
 
 
-def test_block_sampling_matches_one_at_a_time():
+def test_block_sampling_matches_one_at_a_time(free_model, ho_model,
+                                               lam_model):
     # the first guard rejects about half the candidates; the second is
     # singular (sqrt of a negative) exactly where the first rejects
-    dom = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", 0.5, 2.0)),
-                       guards=((parse("x", TABLE), 0.0, 1.0),
-                               (parse("sqrt(x)*y", TABLE), 0.0, 1.5)))
-    for n, seed in ((1, 0), (7, 3), (64, 11)):
-        assert dom.sample(n, seed=seed) == _sample_one_at_a_time(dom, n, seed)
+    halves = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", 0.5, 2.0)),
+                          guards=((parse("x", TABLE), 0.0, 1.0),
+                                  (parse("sqrt(x)*y", TABLE), 0.0, 1.5)))
+    charts = [halves] + [m.system.chart for m in (free_model, ho_model,
+                                                  lam_model)]
+    assert any(chart.guards for chart in charts[1:])
+    for dom in charts:
+        for n in (1, 25, 64, 200):
+            for seed in (0, 3, -7, 2**31 - 5, 2**70 + 3):
+                want = _sample_one_at_a_time(dom, n, random.Random(seed))
+                assert dom.sample(n, seed=seed) == want
+                cols = dom.sample_columns(n, seed=seed)
+                assert {k: v.tolist() for k, v in cols.items()} == {
+                    k: [pt[k] for pt in want] for k in want[0]}
+                # a caller's generator ends where the per-point draw leaves it
+                mine, ref = random.Random(seed), random.Random(seed)
+                assert dom.sample(n, rng=mine) == \
+                    _sample_one_at_a_time(dom, n, ref)
+                assert mine.getstate() == ref.getstate()
 
 
 def test_sample_domain_bounds_and_determinism():
@@ -880,13 +894,13 @@ def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):
                        guards=((parse("x*y", TABLE), -0.5, 1.0),))
     fresh = dom.sample(30, seed=4)
     draws = []
-    sample = SampleDomain.sample
+    draw = SampleDomain._draw
 
     def counting(self, n, seed=0, rng=None):
         draws.append((n, seed))
-        return sample(self, n, seed=seed, rng=rng)
+        return draw(self, n, seed=seed, rng=rng)
 
-    monkeypatch.setattr(SampleDomain, "sample", counting)
+    monkeypatch.setattr(SampleDomain, "_draw", counting)
     expr_module._SAMPLES.clear()
     expr_module._CHECKS.clear()
     a, b = parse("x*y", TABLE), parse("x*y + x^3/1000", TABLE)
@@ -908,6 +922,88 @@ def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):
     assert dom.sample(30, rng=random.Random(4)) == fresh
     assert len(draws) == 2
     assert dom.sample_columns(30, seed=5)["x"].tolist() != cols["x"].tolist()
+
+
+_BOX = SampleDomain(ranges=tuple((name, -2.0, 2.0) for name in NAMES))
+
+
+def _evaluated(e, bindings):
+    """evaluate(e, bindings), or the class and message of its error."""
+    try:
+        return evaluate(e, bindings)
+    except EvalError as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+@given(_trees())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_kept_values_are_those_of_a_plain_walk(e):
+    want = _evaluated(e, dict(_BOX.sample_columns(16, seed=9)))
+    for cleared in (None, "_NODES", "_SAMPLES"):
+        tree = e
+        if cleared is not None:
+            getattr(expr_module, cleared).clear()
+        if cleared == "_NODES":
+            tree = _rebuilt(e)
+        cols = _BOX.sample_columns(16, seed=9)
+        # the first call may work out values, the second reads them back
+        for _ in range(2):
+            assert _same_outcome(_evaluated(tree, cols), want), cleared
+
+
+def test_kept_values_are_read_only_and_shared():
+    cols = _BOX.sample_columns(20, seed=6)
+    product = parse("x*y", TABLE)
+    value = evaluate(product, cols)
+    assert evaluate(product, cols) is value
+    assert cols._known[product] is value
+    for kept in (value, evaluate(parse("x", TABLE), cols)):
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+        with pytest.raises(ValueError):
+            kept += 1.0
+    assert evaluate(product, cols).tolist() == (cols["x"] * cols["y"]).tolist()
+    # a plain mapping keeps nothing: its result is the caller's to edit
+    out = evaluate(product, dict(cols))
+    out[0] = 7.0
+    assert evaluate(product, dict(cols)).tolist() == value.tolist()
+
+
+def test_a_set_keeps_a_bounded_number_of_values(monkeypatch):
+    monkeypatch.setattr(expr_module, "_VALUE_LIMIT", 4)
+    cols = _BOX.sample_columns(20, seed=7)
+    plain = dict(cols)
+    for k in range(12):
+        e = parse(f"x*y + {k}*a", TABLE)
+        for _ in range(2):
+            assert evaluate(e, cols).tolist() == evaluate(e, plain).tolist()
+        assert len(cols._known) <= 4
+
+
+def test_a_singular_subtree_raises_the_same_error_each_time():
+    cols = _BOX.sample_columns(20, seed=6)
+    singular = parse("sqrt(1 - x)", TABLE)
+    e = parse("x*y + sqrt(1 - x)", TABLE)
+    first_bad = int(np.argmax(cols["x"] > 1.0))
+    assert first_bad > 0
+    messages = []
+    for bindings in (cols, cols, dict(cols)):
+        with pytest.raises(NegativeSqrtError) as info:
+            evaluate(e, bindings)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert messages[0].startswith(f"sqrt of negative value in {singular} at ")
+    assert f"'x': {float(cols['x'][first_bad])!r}," in messages[0]
+    # the sibling that evaluated is kept; the singular subtree and the sum
+    # above it are not
+    assert parse("x*y", TABLE) in cols._known
+    assert singular not in cols._known and e not in cols._known
 
 
 def test_numeric_compare_reports_worst_point():
