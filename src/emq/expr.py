@@ -1445,7 +1445,7 @@ def _uniforms(rng: random.Random, k: int) -> np.ndarray:
 
 class _SampleSet(collections.abc.Mapping):
     """A drawn sample set: read-only columns by name, plus the value of
-    each subtree that evaluate() has worked out on them."""
+    each subtree above the leaves that evaluate() has worked out on them."""
 
     __slots__ = ("_cols", "_known")
 
