@@ -16,22 +16,21 @@ constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
 by sampled numeric comparison (numeric_compare), structural equality by ==.
 
-Nodes are interned (hash-consed): a constructor returns the existing node
-for the same type, label and child objects, so structurally equal trees are
-one object, however they were built.  == stays structural, with an identity
-fast path that answers almost every call; each node computes its hash and
-its sort_key() once, at construction, and its free_symbols() set on first
-use, from its children's sets.  differentiate() returns 0 for a subtree
-without the variable and applies the product and sum rules only to the
-factors and terms that hold it; a quotient whose denominator lacks the
-variable differentiates as du/den.  substitute() keeps a subtree without
-any mapped name as it is.  The node table holds at most
-_NODE_LIMIT (2^16) nodes and is emptied when full, after which a new tree
-is equal to an old one but not the same object.  parse(), normalize(),
-expand(), differentiate() and substitute() are memoized per process, so an
-equal subtree is worked out once and a memo hit is found by identity.
-Each memo holds at most _MEMO_LIMIT (2^16) entries and is emptied when
-full; a call that raises stores nothing, so it raises again next time.
+Nodes are interned (hash-consed): a constructor returns the live node for
+the same type, label and child objects, so there is one live node per
+structure, however it was built, and == is identity.  The node table holds
+each node weakly and loses an entry when its node dies, so it needs no
+bound.  Each node computes its sort_key() once, at construction, and its
+free_symbols() set on first use, from its children's sets.
+differentiate() returns 0 for a subtree without the variable and applies
+the product and sum rules only to the factors and terms that hold it; a
+quotient whose denominator lacks the variable differentiates as du/den.
+substitute() keeps a subtree without any mapped name as it is.  parse(),
+normalize(), expand(), differentiate() and substitute() are memoized per
+process, so an equal subtree is worked out once and a memo hit is found by
+identity.  Each memo holds at most _MEMO_LIMIT (2^16) entries and is
+emptied when full; a call that raises stores nothing, so it raises again
+next time.
 SampleDomain.sample_columns() likewise draws each (domain, n, seed) once,
 and sampled_check() works out each seeded sampled check once for its
 arguments: numeric_compare() for each (a, b, domain, n, tol, seed), and
@@ -60,6 +59,7 @@ import collections.abc
 import math
 import random
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
@@ -122,36 +122,14 @@ class DomainError(ExprError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    # a node is interned at construction (see _intern) and keeps its
-    # structural hash and its sort key, each computed once from its
-    # children's; its free-symbol set is computed on first use (see
-    # free_symbols)
-    __slots__ = ("_hash", "_key", "_free")
+    # a node is interned at construction (see _intern) and keeps its sort
+    # key, computed once from its children's; its free-symbol set is
+    # computed on first use (see free_symbols).  One live node per
+    # structure makes object's identity == and hash the structural ones
+    __slots__ = ("_key", "_free", "__weakref__")
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        # equal interned trees are one object, so the identity test answers
-        # almost every call; the walk decides trees built on either side of
-        # a clear of the node table.  An explicit stack, not recursion: a
-        # long parsed sum is one nesting level per term
-        pending = [(self, other)]
-        while pending:
-            a, b = pending.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b) or a._hash != b._hash:
-                return False
-            label_a, kids_a = a._parts()
-            label_b, kids_b = b._parts()
-            if label_a != label_b or len(kids_a) != len(kids_b):
-                return False
-            pending.extend(zip(kids_a, kids_b))
-        return True
 
     def __str__(self):
         return _render(self, 0)
@@ -173,12 +151,24 @@ class Expr:
         return free
 
 
-# The node table: one node per (type, label, child identities).  A child's
-# id is a safe key because the entry's node keeps the child alive.  The
-# table is emptied when full; a tree built after that is equal to an older
-# one but not the same object.
-_NODE_LIMIT = 1 << 16
-_NODES: Dict[tuple, Expr] = {}
+# The node table: a weak reference to the one live node for each (type,
+# label, child identities).  A child's id is a safe key because the node
+# keeps its children alive, and an entry goes when its node dies, so the
+# table needs no bound.  A constructor looks its key up and calls the
+# reference: `ref and ref()` is None when no such node lives.
+class _Ref(weakref.ref):
+    # a table entry knows its key, so one callback serves every entry
+    __slots__ = ("key",)
+
+
+_NODES: Dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref) -> None:
+    # a node built under the same key after this one died is not this
+    # reference's to delete
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
 
 
 def _remember(memo: dict, key, value, limit: int):
@@ -188,14 +178,16 @@ def _remember(memo: dict, key, value, limit: int):
     return value
 
 
-def _intern(cls, key, hash_value, sort_value, **fields) -> Expr:
+def _intern(cls, key, sort_value, **fields) -> Expr:
     node = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(node, name, value)
-    object.__setattr__(node, "_hash", hash_value)
     object.__setattr__(node, "_key", sort_value)
     object.__setattr__(node, "_free", None)
-    return _remember(_NODES, key, node, _NODE_LIMIT)
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _NODES[key] = ref
+    return node
 
 
 def _coerce(value) -> Expr:
@@ -225,13 +217,13 @@ class Const(Expr):
         elif not isinstance(value, (Fraction, float)):
             raise TypeError(f"bad constant {value!r}")
         key = (cls,) + _const_label(value)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
             # the sort key compares exactly: float() would overflow on
             # huge rationals
-            node = _intern(cls, key,
-                           hash(("Const", type(value).__name__, value)),
-                           (0, value, isinstance(value, float)), value=value)
+            node = _intern(cls, key, (0, value, isinstance(value, float)),
+                           value=value)
         return node
 
     def _parts(self):
@@ -243,14 +235,14 @@ class Sym(Expr):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
             if not _IDENT_RE.fullmatch(name):
                 raise ValueError(f"bad symbol name {name!r}")
             if name in FUNCTIONS:
                 raise ValueError(f"{name!r} is a reserved function name")
-            node = _intern(cls, key, hash(("Sym", name)), (1, name),
-                           name=name)
+            node = _intern(cls, key, (1, name), name=name)
         return node
 
     def _parts(self):
@@ -263,12 +255,13 @@ class Add(Expr):
     def __new__(cls, terms: Iterable[Expr]):
         terms = tuple(terms)
         key = (cls,) + tuple(map(id, terms))
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
             if len(terms) < 2:
                 raise ValueError("Add needs at least two terms")
-            node = _intern(cls, key, hash(("Add", terms)),
-                           (6, tuple(t._key for t in terms)), terms=terms)
+            node = _intern(cls, key, (6, tuple(t._key for t in terms)),
+                           terms=terms)
         return node
 
     def _parts(self):
@@ -281,12 +274,12 @@ class Mul(Expr):
     def __new__(cls, factors: Iterable[Expr]):
         factors = tuple(factors)
         key = (cls,) + tuple(map(id, factors))
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
             if len(factors) < 2:
                 raise ValueError("Mul needs at least two factors")
-            node = _intern(cls, key, hash(("Mul", factors)),
-                           (5, tuple(f._key for f in factors)),
+            node = _intern(cls, key, (5, tuple(f._key for f in factors)),
                            factors=factors)
         return node
 
@@ -303,10 +296,10 @@ class Pow(Expr):
         if not isinstance(exponent, (int, Fraction)):
             raise TypeError("exponent must be an integer or Fraction")
         key = (cls, id(base), exponent)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
-            node = _intern(cls, key, hash(("Pow", base, exponent)),
-                           (3, base._key, exponent),
+            node = _intern(cls, key, (3, base._key, exponent),
                            base=base, exponent=exponent)
         return node
 
@@ -319,10 +312,11 @@ class Div(Expr):
 
     def __new__(cls, num: Expr, den: Expr):
         key = (cls, id(num), id(den))
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
-            node = _intern(cls, key, hash(("Div", num, den)),
-                           (4, num._key, den._key), num=num, den=den)
+            node = _intern(cls, key, (4, num._key, den._key),
+                           num=num, den=den)
         return node
 
     def _parts(self):
@@ -335,15 +329,15 @@ class Fun(Expr):
     def __new__(cls, name: str, args: Iterable[Expr]):
         args = tuple(args)
         key = (cls, name) + tuple(map(id, args))
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
             if name not in FUNCTIONS:
                 raise ValueError(f"unknown function {name!r}")
             if len(args) != FUNCTIONS[name]:
                 raise ValueError(
                     f"{name} expects {FUNCTIONS[name]} argument(s)")
-            node = _intern(cls, key, hash(("Fun", name, args)),
-                           (2, name, tuple(a._key for a in args)),
+            node = _intern(cls, key, (2, name, tuple(a._key for a in args)),
                            name=name, args=args)
         return node
 
@@ -798,8 +792,7 @@ def normalize(e: Expr) -> Expr:
         out = _normalize_fun(e.name, [normalize(a) for a in e.args])
     else:
         raise TypeError(f"not an Expr: {e!r}")
-    # an input already in normal form is stored as its own value: one copy
-    return _remember(_NORMAL_FORMS, e, e if out == e else out, _MEMO_LIMIT)
+    return _remember(_NORMAL_FORMS, e, out, _MEMO_LIMIT)
 
 
 def _normalize_div(num: Expr, den: Expr) -> Expr:

@@ -294,30 +294,45 @@ def test_a_charge_nested_near_the_parse_limit_is_checked(tmp_path, capsys,
     assert main(["reduce", path]) == EXIT_OK
 
 
+# what the fuzz below puts after the = of a key = value line: values near
+# and past float range, non-numbers, signs, a symbol, nothing and an open
+# nest
+_FUZZ_VALUES = ("1e300", "-1e300", "1e-300", "5e-324", "nan", "inf", "-inf",
+                "0", "-1", "x", "", "(((")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_deleting_any_line_of_a_bundled_file_ends_in_a_verdict(tmp_path,
                                                                capsys):
-    # every non-comment line of every bundled file deleted in turn, under
-    # all four commands: a verdict or a one-line usage error naming the
-    # file (with its line, except for a missing section), never a traceback
+    # every non-comment line of every bundled file deleted in turn,
+    # duplicated in turn and, for a key = value line, given each extreme
+    # value in turn, under all four commands: a verdict or a one-line usage
+    # error naming the file (with its line, except for a missing section),
+    # never a traceback
     seen = set()
     for name in ("harmonic", "free_particle", "free_particle_lambda"):
         lines = bundled_text(name).splitlines(keepends=True)
         for i, line in enumerate(lines):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            path = _write(tmp_path, "".join(lines[:i] + lines[i + 1:]),
-                          name=f"{name}_without_{i + 1}.sys")
-            for command in ("verify", "reduce", "propagate", "anomaly"):
-                code = main([command, path])
-                err = capsys.readouterr().err
-                where = (command, name, line)
-                assert code in (EXIT_OK, EXIT_CHECK, EXIT_USAGE), where
-                assert "Traceback" not in err, where
-                if code == EXIT_USAGE:
-                    assert err.startswith(f"error: {path}:"), where
-                    assert len(err.strip().splitlines()) == 1, where
-                seen.add(code)
+            edits = {"without": [], "twice": [line, line]}
+            if "=" in line:
+                key = line.split("=", 1)[0]
+                for k, value in enumerate(_FUZZ_VALUES):
+                    edits[f"value{k}"] = [f"{key}= {value}\n"]
+            for label, new in edits.items():
+                path = _write(tmp_path, "".join(lines[:i] + new + lines[i + 1:]),
+                              name=f"{name}_{label}_{i + 1}.sys")
+                for command in ("verify", "reduce", "propagate", "anomaly"):
+                    code = main([command, path])
+                    err = capsys.readouterr().err
+                    where = (command, name, label, line)
+                    assert code in (EXIT_OK, EXIT_CHECK, EXIT_USAGE), where
+                    assert "Traceback" not in err, where
+                    if code == EXIT_USAGE:
+                        assert err.startswith(f"error: {path}:"), where
+                        assert len(err.strip().splitlines()) == 1, where
+                    seen.add(code)
     assert seen == {EXIT_OK, EXIT_CHECK, EXIT_USAGE}
 
 
@@ -381,6 +396,23 @@ def test_reduce_reports_the_closed_form(capsys):
     out = capsys.readouterr().out
     assert "reduced hamiltonian" in out
     assert "p_zeta" in out
+
+
+@pytest.mark.parametrize("command", ["reduce", "propagate"])
+def test_a_non_canonical_inverse_map_fails_the_reduction_pipeline(
+        command, tmp_path, capsys):
+    # a skewed inverse map leaves zeta's velocity depending on z
+    old = "inv_x = p_zeta/(sqrt(2)*a1) - z\n"
+    text = bundled_text("harmonic")
+    assert text.count(old) == 1
+    path = _write(tmp_path, text.replace(
+        old, "inv_x = p_zeta/(sqrt(2)*a1) - 1.01*z\n"))
+    assert main([command, path, "--json"]) == EXIT_CHECK
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["ok"]]
+    assert [c["name"] for c in failed] == ["reduction pipeline"]
+    assert failed[0]["detail"].startswith(
+        "CanonicityError: velocity matrix entry (zeta, z)")
 
 
 # ---------------------------------------------------------------------------

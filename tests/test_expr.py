@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from emq import expr as expr_module
 from emq.expr import (
-    Add, Const, Div, DivisionByZeroError, DomainError, EvalError, Fun, Mul,
-    NegativeSqrtError, ParseError, Pow, SampleDomain, Sym, SymbolTable,
+    Add, Const, Div, DivisionByZeroError, DomainError, EvalError, Expr, Fun,
+    Mul, NegativeSqrtError, ParseError, Pow, SampleDomain, Sym, SymbolTable,
     UnboundSymbolError, UnknownIdentifierError, ONE, ZERO, columns,
     differentiate, evaluate, expand, normalize, numeric_compare, parse,
     sort_key, substitute,
@@ -372,19 +372,54 @@ def _fresh_sort_key(e):
     return (6, tuple(_fresh_sort_key(t) for t in e.terms))
 
 
+def _blueprint(e):
+    """e as nested tuples of plain values, which keep no node alive."""
+    if isinstance(e, Const):
+        return Const, e.value
+    if isinstance(e, Sym):
+        return Sym, e.name
+    if isinstance(e, Pow):
+        return Pow, _blueprint(e.base), e.exponent
+    if isinstance(e, Div):
+        return Div, _blueprint(e.num), _blueprint(e.den)
+    if isinstance(e, Fun):
+        return Fun, e.name, tuple(map(_blueprint, e.args))
+    return type(e), tuple(map(_blueprint, e._parts()[1]))
+
+
+def _built(plan):
+    """The tree of a blueprint, built by the constructors alone."""
+    cls = plan[0]
+    if cls in (Const, Sym):
+        return cls(plan[1])
+    if cls is Pow:
+        return Pow(_built(plan[1]), plan[2])
+    if cls is Div:
+        return Div(_built(plan[1]), _built(plan[2]))
+    if cls is Fun:
+        return Fun(plan[1], map(_built, plan[2]))
+    return cls(map(_built, plan[1]))
+
+
 def _rebuilt(e):
     """e built again by the constructors alone, past every memo."""
-    if isinstance(e, Const):
-        return Const(e.value)
-    if isinstance(e, Sym):
-        return Sym(e.name)
-    if isinstance(e, Pow):
-        return Pow(_rebuilt(e.base), e.exponent)
-    if isinstance(e, Div):
-        return Div(_rebuilt(e.num), _rebuilt(e.den))
-    if isinstance(e, Fun):
-        return Fun(e.name, map(_rebuilt, e.args))
-    return type(e)(map(_rebuilt, e._parts()[1]))
+    return _built(_blueprint(e))
+
+
+def _same_structure(a, b):
+    """Structural equality as a walk, without identity: the oracle for ==.
+    An explicit stack, not recursion: a long sum nests one level per term."""
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if type(a) is not type(b):
+            return False
+        label_a, kids_a = a._parts()
+        label_b, kids_b = b._parts()
+        if label_a != label_b or len(kids_a) != len(kids_b):
+            return False
+        pending.extend(zip(kids_a, kids_b))
+    return True
 
 
 def test_equal_trees_are_one_node():
@@ -403,23 +438,60 @@ def test_equal_trees_are_one_node():
         parse("x^2 + 2*x + 1", TABLE))
 
 
-def test_trees_built_after_the_table_empties_are_equal_not_identical():
-    text = "(a*x + sin(b))^2/(y^2 + 1)"
+@given(_trees(), _trees())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_one_live_node_per_structure(e, other):
+    assert _rebuilt(e) is e
+    n = _normalized_or_discard(e)
+    assert _rebuilt(n) is n
+    subtrees = list(_subtrees(e)) + list(_subtrees(n))
+    for a in subtrees:
+        for b in _subtrees(other):
+            assert _same_structure(a, b) == (a is b) == (a == b), (a, b)
+
+
+def test_a_dropped_node_leaves_the_table():
     _clear_every_memo()
-    cold = [parse(text, TABLE)]
-    cold += [normalize(cold[0]), expand(cold[0]), differentiate(cold[0], "x"),
-             substitute(cold[0], {"x": Const(Fraction(1, 3))})]
-    old_tree = cold[0]
-    expr_module._NODES.clear()
-    rebuilt = _rebuilt(old_tree)
-    assert rebuilt == old_tree and rebuilt is not old_tree
-    assert hash(rebuilt) == hash(old_tree)
-    # every memo, keyed by the old tree, still gives the cold answer
-    warm = [parse(text, TABLE), normalize(rebuilt), expand(rebuilt),
-            differentiate(rebuilt, "x"),
-            substitute(rebuilt, {"x": Const(Fraction(1, 3))})]
-    for w, c in zip(warm, cold):
-        assert w == c and str(w) == str(c)
+    nodes = expr_module._NODES
+    probe = Sym("dropped_probe")
+    tree = Fun("cos", (Div(probe, Const(Fraction(7, 13))),))
+    keys = [(Fun, "cos", id(tree.args[0])),
+            (Div, id(probe), id(tree.args[0].den)),
+            (Sym, "dropped_probe")]
+    refs = [nodes[key] for key in keys]
+    assert refs[0]() is tree and refs[2]() is probe
+    del tree
+    # the tree and its quotient die with the last reference to them
+    assert refs[0]() is None and refs[1]() is None
+    assert keys[0] not in nodes and keys[1] not in nodes
+    assert nodes[keys[2]] is refs[2]
+    del probe
+    assert refs[2]() is None and keys[2] not in nodes
+    # a node that a memo holds stays in the table, and goes with the memo
+    normalize(Add((Sym("kept_probe"), Const(1))))
+    key = (Sym, "kept_probe")
+    ref = nodes[key]
+    assert ref() is Sym("kept_probe")
+    _clear_every_memo()
+    assert ref() is None and key not in nodes
+
+
+def test_a_late_callback_leaves_a_newer_entry_alone():
+    # the callback of a dead node's reference, run again after a node was
+    # built under the same key, as when another thread builds it before the
+    # callback has run
+    nodes = expr_module._NODES
+    key = (Sym, "late_probe")
+    probe = Sym("late_probe")
+    stale = nodes[key]
+    forget = stale.__callback__
+    del probe
+    assert key not in nodes
+    probe = Sym("late_probe")
+    live = nodes[key]
+    assert live is not stale and live() is probe
+    forget(stale)
+    assert nodes[key] is live and Sym("late_probe") is probe
 
 
 def test_constants_that_equal_differently_are_distinct_nodes():
@@ -444,28 +516,15 @@ def test_cached_sort_key_is_the_recursive_one(e):
         assert sort_key(sub) == _fresh_sort_key(sub)
 
 
-def test_node_table_refills_after_reaching_its_bound():
-    _clear_every_memo()
-    x = Sym("x")
-    square = normalize(Mul((x, x)))
-    limit = expr_module._NODE_LIMIT
-    for i in range(limit + 10):
-        Sym(f"v{i}")
-    assert 0 < len(expr_module._NODES) <= limit
-    again = normalize(Mul((Sym("x"), Sym("x"))))
-    assert again == square == Pow(x, 2) and sort_key(again) == sort_key(square)
-    assert Sym("x") is Sym("x") and Sym("x") == x
-
-
 # ---------------------------------------------------------------------------
 # memoized parse and substitute
 # ---------------------------------------------------------------------------
 
 def _clear_every_memo():
     _clear_memos()
-    expr_module._PARSED.clear()
-    expr_module._SUBSTITUTED.clear()
-    expr_module._EXPANDED.clear()
+    for table in ("_PARSED", "_SUBSTITUTED", "_EXPANDED", "_SAMPLES",
+                  "_CHECKS"):
+        getattr(expr_module, table).clear()
 
 
 def _table(names, role="parameter"):
@@ -608,26 +667,15 @@ def test_warm_memo_gives_the_cold_expansion(e, others):
 
 
 def test_deep_trees_compare_without_recursion():
-    def chain(depth, last):
-        e = Sym("x")
-        for i in range(depth):
-            e = Add((e, Const(i)))
-        return Add((e, last))
-
-    # equal trees built on either side of a clear of the node table are two
-    # objects, so == walks them
-    first = chain(3000, Sym("y"))
-    expr_module._NODES.clear()
-    again = chain(3000, Sym("y"))
-    assert again is not first and again == first
-    assert chain(3000, Sym("a")) != first
-    # a long parsed sum nests one level per term; parsing it again after
-    # the clear finds the first parse's normal form through that comparison
+    # a long parsed sum nests one level per term; parsed again after its
+    # tree is gone, it is a new node with the first one's structure
     text = " + ".join(f"x^{i % 5 + 1}" for i in range(450))
     first = parse(text, TABLE)
-    expr_module._NODES.clear()
-    expr_module._PARSED.clear()
-    assert parse(text, TABLE) == first
+    plan, printed = _blueprint(first), str(first)
+    _clear_every_memo()
+    del first
+    again = parse(text, TABLE)
+    assert str(again) == printed and _built(plan) is again
 
 
 # ---------------------------------------------------------------------------
@@ -753,25 +801,30 @@ def test_cached_free_symbols_are_the_recursive_ones(e):
     for tree in (e, n):
         for sub in _subtrees(tree):
             assert sub.free_symbols() == _fresh_free_symbols(sub)
-    # nodes built after the table empties work out their own sets
-    expr_module._NODES.clear()
-    rebuilt = _rebuilt(n)
-    for sub in _subtrees(rebuilt):
+    # nodes built again after the memos and n let them go work out their
+    # own sets
+    plan = _blueprint(n)
+    _clear_every_memo()
+    del n
+    for sub in _subtrees(_built(plan)):
         assert sub.free_symbols() == _fresh_free_symbols(sub)
 
 
-def test_substitute_keeps_subtrees_without_mapped_names():
-    e = parse("x*sin(a*b) + cos(y)/a", TABLE)
-    kept = [s for s in _subtrees(e) if "x" not in s.free_symbols()]
-    # trees built from here on are new objects, unless substitute keeps
-    # the old ones
-    expr_module._NODES.clear()
+def test_substitute_keeps_subtrees_without_mapped_names(monkeypatch):
     _clear_every_memo()
+    e = parse("x*sin(a*b) + cos(y)/a", TABLE)
+    e.free_symbols()
+    # the walk asks each node it visits for its symbols; it does not look
+    # inside a subtree without x
+    visited = []
+    free_symbols = Expr.free_symbols
+    monkeypatch.setattr(Expr, "free_symbols",
+                        lambda node: visited.append(node) or free_symbols(node))
     out = substitute(e, {"x": Const(3)})
-    assert out == parse("3*sin(a*b) + cos(y)/a", TABLE)
-    found = {id(s) for s in _subtrees(out)}
-    assert {str(s) for s in kept if id(s) in found} >= {
-        "sin(a*b)", "a*b", "cos(y)/a", "cos(y)"}
+    monkeypatch.undo()
+    assert out is parse("3*sin(a*b) + cos(y)/a", TABLE)
+    assert sorted(map(str, visited)) == sorted(
+        [str(e), "x*sin(a*b)", "cos(y)/a", "x", "sin(a*b)"])
     assert substitute(e, {"p": Const(3), "q": Sym("x")}) is e
 
 
@@ -945,16 +998,14 @@ def _same_outcome(got, want):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_kept_values_are_those_of_a_plain_walk(e):
     want = _evaluated(e, dict(_BOX.sample_columns(16, seed=9)))
-    for cleared in (None, "_NODES", "_SAMPLES"):
-        tree = e
-        if cleared is not None:
-            getattr(expr_module, cleared).clear()
-        if cleared == "_NODES":
-            tree = _rebuilt(e)
+    for cold in (False, True):
+        if cold:
+            # every memo emptied, the sample sets and their values with them
+            _clear_every_memo()
         cols = _BOX.sample_columns(16, seed=9)
         # the first call may work out values, the second reads them back
         for _ in range(2):
-            assert _same_outcome(_evaluated(tree, cols), want), cleared
+            assert _same_outcome(_evaluated(e, cols), want), cold
 
 
 def test_kept_values_are_read_only_and_shared():
