@@ -11,10 +11,11 @@ Hamiltonian to first order in the increments, and measures how the surviving
 corrections scale with the slice width (the 3/2-power law that makes them
 drop out of the continuum limit).
 
-Every correction term carries a third derivative of F, so for quadratic
-generating functions all four coefficients vanish identically and the check
-is structural.  For a non-quadratic F, such as the free-particle chart, the
-gauge-coordinate coefficient ships as reference data in the model file.
+Every correction term carries a third derivative of F, so for a quadratic
+F (every third partial structurally 0, expr.is_quadratic) all four
+coefficients vanish identically and the check is structural.  For a
+non-quadratic F, such as the free-particle chart, the gauge-coordinate
+coefficient ships as reference data in the model file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 from .expr import (
     Expr, Const, Sym, Add, Mul, Div, ZERO,
     EvalError, ExprError, SampleDomain, ComparisonResult,
-    differentiate, evaluate, normalize, numeric_compare, substitute,
+    differentiate, evaluate, is_quadratic, normalize, numeric_compare,
+    substitute,
 )
 from .reduction import CanonicalMap, UnsupportedPatternError
 from .symplectic import PhaseSpace
@@ -112,16 +114,7 @@ class GeneratingFunction:
         return tuple(out)
 
     def is_quadratic(self) -> bool:
-        """True when every third partial in the arguments vanishes structurally."""
-        names = self.arguments
-        for i, a in enumerate(names):
-            da = differentiate(self.expr, a)
-            for j in range(i, len(names)):
-                dab = differentiate(da, names[j])
-                for k in range(j, len(names)):
-                    if differentiate(dab, names[k]) != ZERO:
-                        return False
-        return True
+        return is_quadratic(self.expr, self.arguments)
 
 
 def consistency_report(gen: GeneratingFunction, map: CanonicalMap,
@@ -218,20 +211,16 @@ def constraint_surface_vanishing(coeffs: AnomalyCoeffs, map: CanonicalMap,
                                  ) -> Dict[str, ComparisonResult]:
     """Restrict each coefficient to z = p_z = 0 and compare it with zero.
 
-    Structural zeros are reported as ComparisonResult(True, 0.0, None, 0),
-    with no point sampled; anything else is sampled on the chart.  The
-    physical statement is that the corrections are pure gauge: they multiply
-    increments of variables the gauge fixing freezes, or vanish once the
-    frozen values are substituted.
+    Every restriction is sampled on the chart; a structural zero compares
+    as 0 against 0, with max scaled error 0.  The physical statement is
+    that the corrections are pure gauge: they multiply increments of
+    variables the gauge fixing freezes, or vanish once the frozen values
+    are substituted.
     """
     surface = {map.z: ZERO, map.p_z: ZERO}
-    out = {}
-    for name, e in coeffs.as_pairs():
-        restricted = normalize(substitute(e, surface))
-        out[name] = (ComparisonResult(True, 0.0, None, 0)
-                     if restricted == ZERO
-                     else numeric_compare(restricted, ZERO, chart, seed=seed))
-    return out
+    return {name: numeric_compare(normalize(substitute(e, surface)), ZERO,
+                                  chart, seed=seed)
+            for name, e in coeffs.as_pairs()}
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +388,9 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
     Increments of a thermal path scale like sqrt(width), and the correction
     enters the sliced action multiplied by the width itself, so the mean
     absolute per-slice contribution follows width^(3/2).  The fit returns the
-    log-log slope over widths 2^-4 .. 2^-10, 4000 increments each.
+    log-log slope over widths 2^-4 .. 2^-10, 4000 increments each.  The
+    increments are drawn with seed |seed|, as the chart draws its points,
+    so a negative seed gives the report of its absolute value.
     """
     widths = tuple(2.0 ** -k for k in range(4, 11))
     n_samples = 4000
@@ -409,7 +400,7 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
              for k, v in chart.sample_columns(1, seed=seed).items()}
     vp = evaluate(c_p, point)
     vq = evaluate(c_q, point)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(abs(seed))
     means = []
     for eps in widths:
         sd = math.sqrt(eps)

@@ -3,8 +3,8 @@
 Each subcommand loads one system definition, drives the matching pipeline and
 prints a report (human text by default, JSON with --json).  Exit codes are a
 stable contract: 0 all checks passed, 1 at least one check failed, 2 the
-invocation or the file itself was unusable.  All sampling is seeded, so a
-report is reproducible given the same file and --seed.
+invocation, the file itself or the --out path was unusable.  All sampling
+is seeded, so a report is reproducible given the same file and --seed.
 """
 
 from __future__ import annotations
@@ -403,15 +403,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         code, rep = commands[args.command]()
+        if args.out and args.command != "propagate":
+            with open(args.out, "w") as fh:
+                json.dump(rep.to_dict(), fh, indent=2)
+                fh.write("\n")
     except SysFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        # load_model reports unreadable files, so this is an --out write
+        print(f"error: cannot write {exc.filename or args.out}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
     print(json.dumps(rep.to_dict(), indent=2) if args.json else rep.render())
-    if args.out and args.command != "propagate":
-        with open(args.out, "w") as fh:
-            json.dump(rep.to_dict(), fh, indent=2)
-            fh.write("\n")
     return code
 
 

@@ -72,7 +72,8 @@ __all__ = [
     "UnboundSymbolError", "DivisionByZeroError", "NegativeSqrtError",
     "DomainError",
     "SymbolTable", "SampleDomain",
-    "parse", "normalize", "expand", "differentiate", "substitute", "evaluate",
+    "parse", "normalize", "expand", "differentiate", "is_quadratic",
+    "substitute", "evaluate",
     "numeric_compare", "ComparisonResult", "columns", "sampled_check",
     "ZERO", "ONE",
 ]
@@ -926,6 +927,18 @@ def differentiate(e: Expr, sym: Union[str, Sym]) -> Expr:
         out = _remember(_DERIVATIVES, key,
                         normalize(_diff(normalize(e), name)), _MEMO_LIMIT)
     return out
+
+
+def is_quadratic(e: Expr, names: Sequence[str]) -> bool:
+    """True when every third partial of e in names is structurally 0."""
+    for i, a in enumerate(names):
+        da = differentiate(e, a)
+        for j in range(i, len(names)):
+            dab = differentiate(da, names[j])
+            for k in range(j, len(names)):
+                if differentiate(dab, names[k]) != ZERO:
+                    return False
+    return True
 
 
 def substitute(e: Expr, mapping: Mapping) -> Expr:

@@ -56,7 +56,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import ExprError, differentiate, evaluate, substitute
+from .expr import (ExprError, differentiate, evaluate, is_quadratic,
+                   substitute)
 from .reduction import ReducedSystem
 
 __all__ = [
@@ -182,7 +183,9 @@ def bind_reduced_hamiltonian(rs: ReducedSystem,
     """Numeric c_p, c_q from h_star after parameter substitution.
 
     Rejects anything that is not a centered quadratic in (zeta, p_zeta):
-    the lattice machinery is only claimed for that class.
+    the lattice machinery is only claimed for that class.  The constant,
+    linear and cross terms are read at the origin, and every third partial
+    in (zeta, p_zeta) must be structurally 0 (expr.is_quadratic).
     """
     coord = rs.space.coordinates[0]
     mom = rs.space.momenta[0]
@@ -204,13 +207,8 @@ def bind_reduced_hamiltonian(rs: ReducedSystem,
         if abs(val) > 1e-12:
             raise ExprError(f"reduced Hamiltonian has a {label} ({val:.3e}); "
                             f"not of the c_p p^2 + c_q zeta^2 form")
-    # probe away from the origin: quartic terms have origin-vanishing third
-    # derivatives and would slip past a centered check
-    probe = {coord: 0.7, mom: 0.3}
-    for sym, third in ((mom, dp), (coord, dq)):
-        d3 = differentiate(differentiate(third, sym), sym)
-        if abs(evaluate(d3, probe)) > 1e-12:
-            raise ExprError("reduced Hamiltonian is not quadratic")
+    if not is_quadratic(h, (coord, mom)):
+        raise ExprError("reduced Hamiltonian is not quadratic")
     c_p = 0.5 * evaluate(differentiate(dp, mom), origin)
     c_q = 0.5 * evaluate(differentiate(dq, coord), origin)
     if c_p <= 0:

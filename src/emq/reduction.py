@@ -120,10 +120,6 @@ class ReducedLagrangian:
     one_form: Tuple[Expr, ...]
     hamiltonian: Expr
 
-    @property
-    def velocities(self) -> Tuple[str, ...]:
-        return tuple(velocity_symbol(v) for v in self.variables)
-
 
 def _one_form_and_hamiltonian(L: Expr, variables: Sequence[str]):
     coeffs = []
@@ -288,14 +284,9 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
     one_form, H_prime = _one_form_and_hamiltonian(L_t, eta)
     f = _antisymmetrized(one_form, eta)
 
-    s = len(map.pairs)
     for i, vi in enumerate(eta):
         for j, vj in enumerate(eta):
-            want = 0
-            if i < s and j == s + i:
-                want = 1          # (momentum, its coordinate) slot
-            elif j < s and i == s + j:
-                want = -1
+            want = map.expected_bracket(vj, vi)
             cmp = numeric_compare(f[i][j], Const(want), chart, seed=seed)
             if not cmp.equal:
                 raise CanonicityError(

@@ -124,13 +124,6 @@ class FlowSystem:
                 raise StructureError(f"velocity {v} depends on a momentum")
         if not _is_momentum_free(self.potential, ps):
             raise StructureError("potential must be momentum-free")
-        H = self.hamiltonian
-        for pa in ps.momenta:
-            dHa = differentiate(H, pa)
-            for pb in ps.momenta:
-                if not _structurally_zero(differentiate(dHa, pb)):
-                    raise StructureError(
-                        f"H is not affine in momenta: d2H/d{pa}d{pb} != 0")
         names = {name for name, _ in self.charges}
         for name, _ in self.rho_coefficients:
             if name not in names:

@@ -397,8 +397,15 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
 
 
 def load_model(path: str) -> Model:
-    with open(path, "r") as fh:
-        text = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise SysFileError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SysFileError(f"{path}:{line}: not UTF-8 text") from exc
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".sys"):
         name = name[:-4]

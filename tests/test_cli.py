@@ -387,6 +387,40 @@ def test_missing_file_is_a_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_directory_is_a_usage_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "models.sys"
+    path.mkdir()
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: cannot read: Is a directory\n"
+
+
+def test_non_utf8_bytes_are_a_usage_error_at_their_line(tmp_path, capsys):
+    text = bundled_text("harmonic").encode()
+    cut = text.index(b"\n[lattice]")
+    path = tmp_path / "binary.sys"
+    path.write_bytes(text[:cut] + b"\n# \xff\xfe\n" + text[cut:])
+    line = text[:cut].count(b"\n") + 2
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:{line}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command, out", [("verify", "x.json"),
+                                          ("propagate", "x")])
+def test_an_unwritable_out_is_a_usage_error_naming_it(command, out, tmp_path,
+                                                       capsys):
+    missing = tmp_path / "missing"
+    assert main([command, "harmonic", "--out", str(missing / out)]) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {missing / 'x'}")
+    assert captured.err.endswith(": No such file or directory\n")
+    assert captured.err.count("\n") == 1
+    assert not missing.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -707,6 +741,18 @@ def test_anomaly_harmonic_mutations_flip_their_checks(old, new, flipped,
     assert main(["anomaly", path, "--json"]) == EXIT_CHECK
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["name"] for c in checks if not c["ok"]] == flipped
+
+
+def test_a_negative_seed_gives_the_report_of_its_absolute_value(capsys):
+    reports = []
+    for seed in ("-1", "1"):
+        assert main(["anomaly", "harmonic", "--json", "--seed", seed]) \
+            == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        reports.append({k: v for k, v in report.items()
+                        if k not in ("seed", "elapsed_s")})
+    assert reports[0] == reports[1]
+    assert "correction_scaling_slope" in reports[0]["metrics"]
 
 
 def test_anomaly_needs_reference_data_for_a_non_quadratic_F(tmp_path, capsys):

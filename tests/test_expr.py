@@ -12,8 +12,8 @@ from emq.expr import (
     Add, Const, Div, DivisionByZeroError, DomainError, EvalError, Expr, Fun,
     Mul, NegativeSqrtError, ParseError, Pow, SampleDomain, Sym, SymbolTable,
     UnboundSymbolError, UnknownIdentifierError, ONE, ZERO, columns,
-    differentiate, evaluate, expand, normalize, numeric_compare, parse,
-    sort_key, substitute,
+    differentiate, evaluate, expand, is_quadratic, normalize, numeric_compare,
+    parse, sort_key, substitute,
 )
 
 NAMES = ("a", "b", "x", "y")
@@ -826,6 +826,26 @@ def test_substitute_keeps_subtrees_without_mapped_names(monkeypatch):
     assert sorted(map(str, visited)) == sorted(
         [str(e), "x*sin(a*b)", "cos(y)/a", "x", "sin(a*b)"])
     assert substitute(e, {"p": Const(3), "q": Sym("x")}) is e
+
+
+_COEFFICIENTS = st.fractions(min_value=-5, max_value=5,
+                             max_denominator=7).filter(bool)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       _COEFFICIENTS, max_size=6),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_is_quadratic_is_total_degree_at_most_two(monomials, rng):
+    # sum of c * zeta^i * p_zeta^j over distinct (i, j), in a random order
+    zeta, p = Sym("zeta"), Sym("p_zeta")
+    terms = [Mul((Const(c), Pow(zeta, i), Pow(p, j)))
+             for (i, j), c in monomials.items()]
+    rng.shuffle(terms)
+    e = Add(tuple(terms)) if len(terms) > 1 else (terms + [ZERO])[0]
+    degree = max((i + j for i, j in monomials), default=0)
+    assert is_quadratic(e, ("zeta", "p_zeta")) == (degree <= 2)
+    assert is_quadratic(e, ("p_zeta", "zeta")) == (degree <= 2)
 
 
 # ---------------------------------------------------------------------------

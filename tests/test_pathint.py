@@ -160,6 +160,13 @@ def test_bind_rejects_non_quadratic_forms(ho_model):
         bind_reduced_hamiltonian(_reduced("p_zeta^2 + zeta*p_zeta", t), {})
     with pytest.raises(ExprError, match="not quadratic"):
         bind_reduced_hamiltonian(_reduced("p_zeta^2 + zeta^4", t), {})
+    # only mixed third partials, or d3/dzeta3 = 24*zeta - 84/5, which
+    # vanishes at zeta = 0.7: a check at one point can miss each of them
+    for extra in ("p_zeta^2*zeta", "p_zeta*zeta^2", "p_zeta^2*zeta^2",
+                  "zeta^4 - 14/5*zeta^3"):
+        h = _reduced(f"p_zeta^2 + zeta^2 + {extra}", t)
+        with pytest.raises(ExprError, match="not quadratic"):
+            bind_reduced_hamiltonian(h, {})
     with pytest.raises(ExprError, match="constant term"):
         bind_reduced_hamiltonian(_reduced("p_zeta^2 + 1", t), {})
     with pytest.raises(ExprError, match="positive"):

@@ -170,6 +170,16 @@ def test_structure_errors():
         FlowSystem(space=PS2, velocities=(parse("-(y)", t), parse("x", t)),
                     charges=(), rho_coefficients=(), chart=DOM2,
                     potential=parse("p_x", t))
+    # these guards alone keep H = f^a(q) p_a + V(q) affine in the momenta
+    for f_y, potential, match in (("x + sin(p_y)", "0", "velocity"),
+                                  ("x/p_x", "0", "velocity"),
+                                  ("x*p_y", "0", "velocity"),
+                                  ("x", "x^2 + p_y^2", "potential"),
+                                  ("x", "p_x*p_y", "potential")):
+        with pytest.raises(StructureError, match=match):
+            FlowSystem(space=PS2, velocities=(parse("-(y)", t), parse(f_y, t)),
+                        charges=(), rho_coefficients=(), chart=DOM2,
+                        potential=parse(potential, t))
     with pytest.raises(StructureError, match="unknown charge"):
         FlowSystem(space=PS2, velocities=(parse("-(y)", t), parse("x", t)),
                     charges=(("radius", parse("x^2 + y^2", t)),),
