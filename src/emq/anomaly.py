@@ -31,7 +31,7 @@ from .expr import (
     Expr, Const, Sym, Add, Mul, Div, ZERO,
     EvalError, ExprError, SampleDomain, ComparisonResult,
     differentiate, evaluate, is_quadratic, normalize, numeric_compare,
-    substitute,
+    sampled_values, substitute,
 )
 from .reduction import CanonicalMap, UnsupportedPatternError
 from .symplectic import PhaseSpace
@@ -317,15 +317,15 @@ def sliced_expansion_check(gen: GeneratingFunction, map: CanonicalMap,
     }
 
     # chart regularity at the sample points used below
-    cols = chart.sample_columns(n, seed=seed)
     try:
-        small = np.abs(evaluate(det, cols)) < 1e-9
+        small = np.abs(sampled_values(det, chart, n, seed)) < 1e-9
     except EvalError as exc:
         raise ChartSingularityError(
             f"old-momentum solve degenerates: {exc}") from exc
     if small.any():
         i = int(small.argmax())
-        point = {k: float(v[i]) for k, v in cols.items()}
+        point = {k: float(v[i])
+                 for k, v in chart.sample_columns(n, seed=seed).items()}
         raise ChartSingularityError(
             f"old-momentum solve degenerates at {point}")
 

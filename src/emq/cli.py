@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .expr import (Add, ComparisonResult, Const, ExprError, Mul, evaluate,
-                   numeric_compare)
+from .expr import (Add, ComparisonResult, Const, ExprError, Mul,
+                   numeric_compare, sampled_values)
 from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_model
 from .symplectic import poisson_bracket, split_hamiltonian, verify_charges
 from .reduction import jacobi_liouville_check, run_reduction, verify_canonicity
@@ -179,9 +179,9 @@ def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
                          numeric_compare(diff, system.hamiltonian, chart,
                                          n=64, tol=1e-9, seed=seed))
         with _stage(rep, "both halves nonnegative on the chart"):
-            cols = chart.sample_columns(64, seed=seed)
-            worst = min(0.0, float(np.min(evaluate(split.h_plus, cols))),
-                        float(np.min(evaluate(split.h_minus, cols))))
+            lows = [float(np.min(sampled_values(h, chart, 64, seed)))
+                    for h in (split.h_plus, split.h_minus)]
+            worst = min(0.0, *lows)
             rep.check("both halves nonnegative on the chart", worst >= -1e-10,
                       f"min value {worst:.2e}")
 
@@ -203,8 +203,8 @@ def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
         with _stage(rep, "gauge pair second class"):
             bracket = poisson_bracket(model.constraint.phi,
                                       model.constraint.chi, system.space)
-            low = float(np.min(np.abs(evaluate(
-                bracket, chart.sample_columns(32, seed=seed)))))
+            low = float(np.min(np.abs(sampled_values(bracket, chart, 32,
+                                                     seed))))
             rep.check("gauge pair second class", low > 1e-6,
                       f"min |{{phi, chi}}| = {low:.3g}")
 
@@ -317,8 +317,8 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     else:
         with _stage(rep, "gauge-coordinate coefficient nonzero off the "
                          "surface"):
-            high = float(np.max(np.abs(evaluate(
-                coeffs.A_z, model.chart.sample_columns(32, seed=seed)))))
+            high = float(np.max(np.abs(sampled_values(coeffs.A_z, model.chart,
+                                                      32, seed))))
             rep.check("gauge-coordinate coefficient nonzero off the surface",
                       high > 1e-9, f"max |A_z| = {high:.3g}")
 

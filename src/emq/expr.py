@@ -32,33 +32,30 @@ identity.  Each memo holds at most _MEMO_LIMIT (2^16) entries and is
 emptied when full; a call that raises stores nothing, so it raises again
 next time.
 SampleDomain.sample_columns() likewise draws each (domain, n, seed) once,
-and sampled_check() works out each seeded sampled check once for its
-arguments: numeric_compare() for each (a, b, domain, n, tol, seed), and
-the chart volume check of emq.reduction.
+and sampled_check() works out each seeded sampled result once for its
+arguments: numeric_compare() for each (a, b, domain, n, tol, seed),
+sampled_values() for each (e, domain, n, seed), and the chart volume
+check of emq.reduction.
 
-A sample set is a value table.  Its points are drawn in vectorized blocks,
-bit for bit the points of a one-at-a-time rng.uniform draw (see
-SampleDomain), and come back as read-only numpy columns, one per symbol.
+A sample set's points are drawn in vectorized blocks, bit for bit the
+points of a one-at-a-time rng.uniform draw (see SampleDomain), and come
+back as read-only numpy columns, one per symbol, in a read-only mapping.
 evaluate() works out each distinct subtree above the leaves once per
 call, for floats or for a batch of points given as equal-length columns
-(see columns()).  On a set from sample_columns() it keeps those values
-with the set, so every later call on that set reads them back; they are
-read-only, at most _VALUE_LIMIT (2^10) per set, and go when _SAMPLES lets
-the set go.
+(see columns()), and keeps nothing after the call.
 
 evaluate() never returns NaN/inf silently: division by zero, even roots
 of negative values, unbound symbols and values beyond float range raise
 distinct exceptions naming the first bad point, so chart violations
-surface as errors, not poisoned numerics.  A subtree that raises keeps
-nothing, so it raises the same error again.
+surface as errors, not poisoned numerics.
 """
 
 from __future__ import annotations
 
-import collections.abc
 import math
 import random
 import re
+import types
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +72,7 @@ __all__ = [
     "parse", "normalize", "expand", "differentiate", "is_quadratic",
     "substitute", "evaluate",
     "numeric_compare", "ComparisonResult", "columns", "sampled_check",
+    "sampled_values",
     "ZERO", "ONE",
 ]
 
@@ -749,13 +747,10 @@ _NORMAL_FORMS: Dict[Expr, Expr] = {}
 _EXPANDED: Dict[Expr, Expr] = {}
 _DERIVATIVES: Dict[tuple, Expr] = {}
 _SUBSTITUTED: Dict[tuple, Expr] = {}
-# a sample set holds its columns and the subtree values worked out on them,
-# so fewer (domain, n, seed) sets are kept, and all of them together keep
-# at most _MEMO_LIMIT values
+# a sample set holds n points per symbol, so its memo has a smaller bound
 _SAMPLE_LIMIT = 1 << 6
-_VALUE_LIMIT = _MEMO_LIMIT // _SAMPLE_LIMIT
-_SAMPLES: Dict[tuple, "_SampleSet"] = {}
-# seeded sampled checks, keyed by (check, its arguments); see sampled_check
+_SAMPLES: Dict[tuple, Mapping[str, np.ndarray]] = {}
+# seeded sampled results, keyed by (check, its arguments); see sampled_check
 _CHECK_LIMIT = 1 << 12
 _CHECKS: Dict[tuple, object] = {}
 
@@ -772,6 +767,20 @@ def sampled_check(check, *args):
     if out is None:
         out = _remember(_CHECKS, key, check(*args), _CHECK_LIMIT)
     return out
+
+
+def sampled_values(e: Expr, domain: SampleDomain, n: int,
+                   seed: int) -> np.ndarray:
+    """evaluate(e) on domain.sample_columns(n, seed), read-only, worked out
+    once per process for each (e, domain, n, seed) (see sampled_check)."""
+    return sampled_check(_sampled_values, e, domain, n, seed)
+
+
+def _sampled_values(e: Expr, domain: SampleDomain, n: int,
+                    seed: int) -> np.ndarray:
+    value = evaluate(e, domain.sample_columns(n, seed=seed))
+    value.flags.writeable = False
+    return value
 
 
 def normalize(e: Expr) -> Expr:
@@ -984,18 +993,11 @@ def evaluate(e: Expr, bindings: Mapping[str, Union[float, np.ndarray]]):
     Bindings are floats or equal-length numpy columns (see columns()).  Float
     bindings give a float; any column gives one value per point, computed in
     one tree walk.  Each distinct subtree above the leaves is worked out
-    once per call; on a set from SampleDomain.sample_columns() its value is
-    kept with the set, read-only, so a later call on that set reuses it.
-    Errors name the first offending point.
+    once per call.  Errors name the first offending point.
     """
-    if type(bindings) is _SampleSet:
-        known, keep = bindings._known, True
-    else:
-        known, keep = {}, False
-
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = _eval(e, bindings, known, keep)
+            value = _eval(e, bindings, {})
     except OverflowError as exc:
         raise EvalError(f"value does not fit a float: {exc}") from None
     batch = [v for v in bindings.values() if isinstance(v, np.ndarray)]
@@ -1018,7 +1020,7 @@ def _check(bad, error, what: str, e: Expr, bindings) -> None:
     raise error(f"{what} in {e}{where}")
 
 
-def _eval(e: Expr, b, known: dict, keep: bool):
+def _eval(e: Expr, b, known: dict):
     # a leaf costs no more to work out than to look up
     if isinstance(e, Const):
         return float(e.value)
@@ -1029,21 +1031,20 @@ def _eval(e: Expr, b, known: dict, keep: bool):
             raise UnboundSymbolError(f"symbol {e.name!r} is unbound") from None
         return v if isinstance(v, np.ndarray) else float(v)
     # hash-consing makes repeated subtrees common, so each is worked out
-    # once and kept in known; a subtree that raises stores nothing, so it
-    # raises again next time
+    # once per call and kept in known
     out = known.get(e)
     if out is not None:
         return out
     if isinstance(e, Add):
-        out = _eval(e.terms[0], b, known, keep)
+        out = _eval(e.terms[0], b, known)
         for t in e.terms[1:]:
-            out = out + _eval(t, b, known, keep)
+            out = out + _eval(t, b, known)
     elif isinstance(e, Mul):
-        out = _eval(e.factors[0], b, known, keep)
+        out = _eval(e.factors[0], b, known)
         for f in e.factors[1:]:
-            out = out * _eval(f, b, known, keep)
+            out = out * _eval(f, b, known)
     elif isinstance(e, Pow):
-        base = _eval(e.base, b, known, keep)
+        base = _eval(e.base, b, known)
         n = e.exponent
         if not isinstance(n, int):
             _check(base < 0.0, NegativeSqrtError,
@@ -1054,22 +1055,17 @@ def _eval(e: Expr, b, known: dict, keep: bool):
                    "zero base with negative exponent", e, b)
         out = np.power(base, n)
     elif isinstance(e, Div):
-        den = _eval(e.den, b, known, keep)
+        den = _eval(e.den, b, known)
         _check(den == 0.0, DivisionByZeroError, "division by zero", e, b)
-        out = _eval(e.num, b, known, keep) / den
+        out = _eval(e.num, b, known) / den
     elif isinstance(e, Fun):
-        vals = [_eval(a, b, known, keep) for a in e.args]
+        vals = [_eval(a, b, known) for a in e.args]
         if e.name == "sqrt":
             _check(vals[0] < 0.0, NegativeSqrtError, "sqrt of negative value",
                    e, b)
         out = _NUMPY_FUNCTIONS[e.name](*vals)
     else:
         raise TypeError(f"not an Expr: {e!r}")
-    if keep:
-        # kept with a sample set, shared by every later call on it
-        if isinstance(out, np.ndarray):
-            out.flags.writeable = False
-        return _remember(known, e, out, _VALUE_LIMIT)
     known[e] = out
     return out
 
@@ -1426,14 +1422,16 @@ class SampleDomain:
         return [dict(zip(cols, row)) for row in rows]
 
     def sample_columns(self, n: int, seed: int = 0) -> Mapping[str, np.ndarray]:
-        """The points of self.sample(n, seed) as read-only columns, drawn
-        once per process for each (domain, n, seed).  The set keeps the
-        values evaluate() works out on it."""
+        """The points of self.sample(n, seed) as read-only columns in a
+        read-only mapping, drawn once per process for each (domain, n,
+        seed)."""
         key = (self, n, seed)
         cols = _SAMPLES.get(key)
         if cols is None:
-            cols = _remember(_SAMPLES, key,
-                             _SampleSet(self._draw(n, seed=seed)),
+            drawn = self._draw(n, seed=seed)
+            for col in drawn.values():
+                col.flags.writeable = False
+            cols = _remember(_SAMPLES, key, types.MappingProxyType(drawn),
                              _SAMPLE_LIMIT)
         return cols
 
@@ -1447,35 +1445,6 @@ def _uniforms(rng: random.Random, k: int) -> np.ndarray:
                           dtype="<u4").reshape(k, 2)
     return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) \
         * (1.0 / 9007199254740992.0)
-
-
-class _SampleSet(collections.abc.Mapping):
-    """A drawn sample set: read-only columns by name, plus the value of
-    each subtree above the leaves that evaluate() has worked out on them."""
-
-    __slots__ = ("_cols", "_known")
-
-    def __init__(self, cols: Dict[str, np.ndarray]):
-        for col in cols.values():
-            col.flags.writeable = False
-        self._cols = cols
-        self._known: Dict[Expr, Union[float, np.ndarray]] = {}
-
-    def __getitem__(self, name):
-        return self._cols[name]
-
-    def __iter__(self):
-        return iter(self._cols)
-
-    def __len__(self):
-        return len(self._cols)
-
-    # the column dict's own views, without a lookup per name
-    def items(self):
-        return self._cols.items()
-
-    def values(self):
-        return self._cols.values()
 
 
 def columns(points: Sequence[Mapping[str, float]]) -> Dict[str, np.ndarray]:

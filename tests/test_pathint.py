@@ -675,6 +675,16 @@ def test_holder_rms_is_the_increment_sum(ho_reduced, ho_model):
         assert got == math.sqrt(sq / n)
 
 
+def test_a_negative_seed_draws_the_paths_of_its_absolute_value(ho_reduced,
+                                                               ho_model):
+    for seed in (-3, 3):
+        assert brownian_increment_report(n_samples=500, seed=seed) == \
+            brownian_increment_report(n_samples=500, seed=3)
+        assert holder_slopes(ho_reduced, ho_model.params, n_samples=500,
+                             seed=seed) == \
+            holder_slopes(ho_reduced, ho_model.params, n_samples=500, seed=3)
+
+
 def test_brownian_increment_variance():
     rep = brownian_increment_report(n_slices=64, beta=1.0, n_samples=30_000)
     assert rep["rel_dev_continuum"] < 0.05
