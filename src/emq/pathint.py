@@ -7,13 +7,15 @@ Three layers:
   * quantum: split-step spectral kernels on a periodic grid for the reduced
     quadratic Hamiltonians, and imaginary-time partition functions from
     the transfer matrix split by zeta -> -zeta parity into an even and an
-    odd real block, each built from the circulant kinetic row and
-    diagonalized on its own; all compared against closed-form Gaussian
-    references.  The blocks cover only the window |zeta| <= sqrt(80) s,
-    s the thermal width, outside which the diagonal is below e^-40 of its
-    peak and written as 0.  The trace is also compared with the exact
-    N-slice value Z_N, which leaves out the time-slicing error that
-    partition_rel_err carries;
+    odd real block B, each built from the circulant kinetic row; tr and
+    diag of B^N come from about log2 N symmetric squarings of the block
+    and at most one product per set bit of N, so a run costs
+    O(b^3 log N) for a block of b rows; all compared against closed-form
+    Gaussian references.  The blocks cover only the window
+    |zeta| <= sqrt(80) s, s the thermal width, outside which the diagonal
+    is below e^-40 of its peak and written as 0.  The trace is also
+    compared with the exact N-slice value Z_N, which leaves out the
+    time-slicing error that partition_rel_err carries;
   * paths: the rough-path statistics (Brownian increment variance,
     Hoelder-type slopes) separating quantum lattice paths from
     deterministic flows.  Both statistics need only the sum of squared
@@ -28,9 +30,10 @@ Real-time split steps run in place: the potential and kinetic factors and
 both FFTs overwrite the one complex array being evolved.  Without a
 potential (c_q = 0, the free particle) the potential factors are 1 and the
 kinetic factors commute, so the N-slice product is exactly one kinetic
-step of the whole duration; a potential-free run takes that one step and
-its slice count does not change the result.  Only a Hamiltonian with a
-potential is stepped slice by slice.
+step of the whole duration; a potential-free run takes that one step,
+forms and applies no potential factor, and its slice count does not change
+the result.  Only a Hamiltonian with a potential is stepped slice by
+slice.
 
 Real-time kernels are probed with a narrow Gaussian source rather than a
 discrete delta: a delta on the grid excites modes up to the Nyquist edge
@@ -336,35 +339,43 @@ def _check_coverage(quad: QuadraticHamiltonian, cfg: LatticeConfig) -> float:
     return spread
 
 
-def _split_step_factors(quad: QuadraticHamiltonian, cfg: LatticeConfig,
-                        zeta: np.ndarray, eps: Optional[float] = None):
-    """Kinetic and half-potential factors of one step of length eps
-    (default: one slice, cfg.epsilon)."""
+def _kinetic_factor(quad: QuadraticHamiltonian, cfg: LatticeConfig,
+                    eps: float) -> np.ndarray:
+    """Kinetic factor of one step of length eps, on the FFT wave numbers."""
     k = 2.0 * math.pi * np.fft.fftfreq(cfg.n, d=cfg.dx)
-    if eps is None:
-        eps = cfg.epsilon
-    hbar = cfg.hbar
     if cfg.mode == "real":
-        kin = np.exp(-1j * quad.c_p * hbar * eps * k ** 2)
-        pot_half = np.exp(-0.5j * quad.c_q * eps * zeta ** 2 / hbar)
+        return np.exp(-1j * quad.c_p * cfg.hbar * eps * k ** 2)
+    return np.exp(-eps * quad.c_p * (cfg.hbar * k) ** 2)
+
+
+def _split_step_factors(quad: QuadraticHamiltonian, cfg: LatticeConfig,
+                        zeta: np.ndarray):
+    """Kinetic and half-potential factors of one slice, cfg.epsilon."""
+    eps = cfg.epsilon
+    if cfg.mode == "real":
+        pot_half = np.exp(-0.5j * quad.c_q * eps * zeta ** 2 / cfg.hbar)
     else:
-        kin = np.exp(-eps * quad.c_p * (hbar * k) ** 2)
         pot_half = np.exp(-0.5 * eps * quad.c_q * zeta ** 2)
-    return kin, pot_half
+    return _kinetic_factor(quad, cfg, eps), pot_half
 
 
-def _evolve(psi: np.ndarray, kin: np.ndarray, pot_half: np.ndarray,
+def _evolve(psi: np.ndarray, kin: np.ndarray,
+            pot_half: Optional[np.ndarray],
             slices: int) -> Tuple[np.ndarray, float]:
     """Symmetric split steps, overwriting psi: pass a complex array the
-    caller does not need again (propagate_quantum passes a fresh copy)."""
+    caller does not need again (propagate_quantum passes a fresh copy).
+    pot_half None stands for a potential of 0, whose factors are 1: each
+    step is then the kinetic factor alone."""
     norm0 = math.sqrt(np.vdot(psi, psi).real)
     drift = 0.0
     for _ in range(slices):
-        psi *= pot_half
+        if pot_half is not None:
+            psi *= pot_half
         np.fft.fft(psi, out=psi)
         psi *= kin
         np.fft.ifft(psi, out=psi)
-        psi *= pot_half
+        if pot_half is not None:
+            psi *= pot_half
         drift = max(drift, abs(math.sqrt(np.vdot(psi, psi).real) - norm0))
     return psi, drift
 
@@ -407,10 +418,29 @@ def _parity_blocks(quad: QuadraticHamiltonian, cfg: LatticeConfig,
 
 
 def _power_trace_and_diagonal(block: np.ndarray, power: int):
-    """tr(B^power) and diag(B^power) of a symmetric block, from one eigh."""
-    vals, vecs = np.linalg.eigh(block)
-    powered = vals ** power
-    return np.sum(powered), vecs ** 2 @ powered
+    """tr(B^N) and diag(B^N), N = power >= 2, of a symmetric b x b block B
+    by binary powering: floor(log2 N) squarings or fewer, and one product
+    for each set bit of N between its lowest and its highest, so
+    O(b^3 log N).
+
+    Each square is formed as S @ S.T, which numpy hands to BLAS syrk: half
+    the flops of a general product, and an exactly symmetric result.  The
+    set bits below the highest fold into a running product X, and the
+    highest square Y is never multiplied in: as Y is exactly symmetric,
+    diag(X Y) is the row sum of X * Y.  A power of two takes X = Y, its
+    square root, so N = 512 is 8 squarings and one row sum.
+    """
+    low, square = None, block
+    while power > 1:
+        if power & 1:
+            low = square if low is None else low @ square
+        power >>= 1
+        if power == 1 and low is None:
+            low = square
+            break
+        square = square @ square.T
+    diag = np.sum(low * square, axis=1)
+    return np.sum(diag), diag
 
 
 @dataclass(frozen=True)
@@ -482,13 +512,17 @@ def _propagate(rs: ReducedSystem, cfg: LatticeConfig,
         _check_coverage(quad, cfg)
         sigma = cfg.source_sigma_cells * cfg.dx
         psi0 = np.exp(-(zeta - cfg.source_center) ** 2 / (2.0 * sigma ** 2))
-        # no potential (c_q = 0): the half-potential factors are 1 and the
-        # kinetic factors commute, so the slice product is exactly one
-        # kinetic step of length T; slices matters only with a potential
-        steps = 1 if quad.c_q == 0.0 else cfg.slices
-        kin, pot_half = _split_step_factors(quad, cfg, zeta,
-                                            cfg.duration / steps)
-        psi, drift = _evolve(psi0.astype(complex), kin, pot_half, steps)
+        if quad.c_q == 0.0:
+            # no potential: the half-potential factors are 1 and the kinetic
+            # factors commute, so the slice product is exactly one kinetic
+            # step of length T; slices matters only with a potential
+            psi, drift = _evolve(psi0.astype(complex),
+                                 _kinetic_factor(quad, cfg, cfg.duration),
+                                 None, 1)
+        else:
+            kin, pot_half = _split_step_factors(quad, cfg, zeta)
+            psi, drift = _evolve(psi0.astype(complex), kin, pot_half,
+                                 cfg.slices)
         ref = smeared_reference(quad, hbar, cfg.duration, zeta,
                                 cfg.source_center, sigma)
         max_rel, l2 = _central_errors(zeta, psi, ref, cfg.source_center,

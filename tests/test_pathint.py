@@ -17,7 +17,7 @@ from emq.pathint import (
     smeared_reference, trotter_sweep, write_kernel,
 )
 from emq.pathint import (
-    PropagatorResult, _evolve, _grid, _increment_weights,
+    PropagatorResult, _evolve, _grid, _increment_weights, _kinetic_factor,
     _mode_eigenvalues, _parity_blocks, _power_trace_and_diagonal,
     _split_step_factors, _thermal_increment_sum,
 )
@@ -310,6 +310,14 @@ def test_potential_free_run_is_the_per_slice_loop(cfg, free_reduced,
                             free_model.params)
     np.testing.assert_array_equal(two.psi, res.psi)
     assert res.metrics["norm_drift"] < 1e-14
+    # the factors of 1 are skipped, which leaves every value as it was
+    sigma = res.metrics["sigma"]
+    psi0 = np.exp(-(res.zeta - cfg.source_center) ** 2 / (2.0 * sigma ** 2))
+    times_one, drift = _evolve(psi0.astype(complex),
+                               _kinetic_factor(quad, cfg, cfg.duration),
+                               np.ones(cfg.n, dtype=complex), 1)
+    np.testing.assert_array_equal(res.psi, times_one)
+    assert res.metrics["norm_drift"] == drift / np.linalg.norm(psi0)
 
 
 def test_real_run_with_a_potential_keeps_the_slice_loop(ho_reduced,
@@ -403,6 +411,50 @@ def _full_parity_blocks(quad, cfg, zeta):
     return even, odd
 
 
+def _eigh_power_trace_and_diagonal(block, power):
+    """Oracle: tr(B^power) and diag(B^power) of a symmetric block from its
+    eigendecomposition, diag = sum_k v_ik^2 lam_k^power."""
+    vals, vecs = np.linalg.eigh(block)
+    powered = vals ** power
+    return np.sum(powered), vecs ** 2 @ powered
+
+
+def _random_spd_block(b=150, seed=7):
+    """A symmetric block with spectrum in (0, 1], its top eigenvalue 1."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((b, b)))
+    vals = rng.uniform(0.0, 1.0, b)
+    vals[0] = 1.0
+    block = (q * vals) @ q.T
+    return 0.5 * (block + block.T)
+
+
+def _window_blocks(ho_reduced, ho_model, a1):
+    """The windowed parity blocks of an n = 1024 imaginary-time run."""
+    params = dict(ho_model.params, a1=a1)
+    quad = bind_reduced_hamiltonian(ho_reduced, params)
+    cfg = LatticeConfig(mode="imaginary", n=1024, length=64.0, slices=512,
+                        duration=1.0)
+    return _parity_blocks(quad, cfg, _grid(cfg))
+
+
+@pytest.mark.parametrize("power", [2, 3, 4, 5, 7, 511, 512, 1023])
+def test_power_trace_and_diagonal_matches_the_eigh_oracle(ho_reduced,
+                                                           ho_model, power):
+    blocks = [_random_spd_block()]
+    for a1 in (0.8, 1.25):
+        blocks += _window_blocks(ho_reduced, ho_model, a1)
+    # an eigenvalue's relative rounding error of a few eps grows power-fold
+    # in its power; 32 eps per factor also covers the eigensolver's own
+    tol = 32 * power * np.finfo(float).eps
+    for block in blocks:
+        trace, diag = _power_trace_and_diagonal(block, power)
+        want_trace, want_diag = _eigh_power_trace_and_diagonal(block, power)
+        assert trace == pytest.approx(want_trace, rel=tol)
+        np.testing.assert_allclose(diag, want_diag, rtol=0.0,
+                                   atol=tol * np.max(want_diag))
+
+
 @pytest.mark.parametrize("n", [1024, 2048])
 def test_window_matches_the_full_grid(ho_reduced, ho_model, n):
     cfg = LatticeConfig(mode="imaginary", n=n, length=n / 16.0, slices=512,
@@ -413,7 +465,7 @@ def test_window_matches_the_full_grid(ho_reduced, ho_model, n):
     half = n // 2
     assert len(even) < half // 2          # the window, not the half grid
     (even_Z, even_diag), (odd_Z, odd_diag) = (
-        _power_trace_and_diagonal(block, cfg.slices)
+        _eigh_power_trace_and_diagonal(block, cfg.slices)
         for block in _full_parity_blocks(quad, cfg, res.zeta))
     Z = even_Z + odd_Z
     assert res.metrics["partition_value"] == pytest.approx(Z, rel=1e-12)
@@ -444,7 +496,7 @@ def test_bundled_window_is_the_whole_grid(ho_reduced, ho_model):
 # 7e-2 off Z_N at n = 4, 6e-4 at n = 16 and 2e-9 at n = 32.  That is spatial
 # discretization error, not window error, so those sizes are left out.
 @pytest.mark.parametrize("n", [64, 256, 1024, 2048])
-@pytest.mark.parametrize("slices", [4, 64, 512])
+@pytest.mark.parametrize("slices", [3, 4, 64, 511, 512])
 def test_partition_matches_the_n_slice_value(ho_reduced, ho_model, n, slices):
     cfg = LatticeConfig(mode="imaginary", n=n, length=max(16.0, n / 16.0),
                         slices=slices, duration=1.0)
