@@ -56,7 +56,7 @@ def walkthrough(name: str, seed: int) -> None:
 
     rs = result.system
     print(f"  H*   = {rs.h_star}")
-    print(f"  gauge: chi = {rs.gauge_condition}, z -> {rs.z_solution}")
+    print(f"  gauge: chi = {result.chi}, z -> {result.z_solution}")
     print("  provenance:")
     for step in rs.provenance:
         print(f"    - {step}")

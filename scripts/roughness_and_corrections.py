@@ -16,8 +16,7 @@ import argparse
 import sys
 
 from emq.anomaly import (
-    GeneratingFunction, anomaly_coefficients, correction_scaling,
-    sliced_expansion_check,
+    anomaly_coefficients, correction_scaling, sliced_expansion_check,
 )
 from emq.pathint import brownian_increment_report, holder_slopes
 from emq.reduction import run_reduction
@@ -44,8 +43,7 @@ def run(samples: int, seed: int) -> None:
     print(f"  thermal paths       : {hs['quantum_slope']:.3f} (expect 0.5)")
     print(f"  deterministic flow  : {hs['classical_slope']:.3f} (expect 1.0)")
 
-    gen = GeneratingFunction.for_chart(model.anomaly_F, model.system.space,
-                                       model.darboux)
+    gen = model.generating_function
     coeffs = anomaly_coefficients(gen)
     print("correction coefficients for the oscillator chart:")
     print(f"  all structurally zero: {coeffs.all_zero} ({coeffs.source})")

@@ -17,7 +17,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_mode
 from .symplectic import poisson_bracket, split_hamiltonian, verify_charges
 from .reduction import jacobi_liouville_check, run_reduction, verify_canonicity
 from .pathint import propagate_quantum, write_kernel
-from .anomaly import (AnomalyError, GeneratingFunction, anomaly_coefficients,
-                      consistency_report, constraint_surface_vanishing,
-                      correction_scaling, sliced_expansion_check)
+from .anomaly import (anomaly_coefficients, consistency_report,
+                      constraint_surface_vanishing, correction_scaling,
+                      sliced_expansion_check)
 
 __all__ = [
     "RunReport", "CheckLine",
@@ -151,11 +151,9 @@ def _stage(rep: RunReport, name: str):
         rep.check(name, False, f"{type(exc).__name__}: {exc}")
 
 
-def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
+def cmd_verify(model: Model, rep: RunReport) -> None:
     """Structural checks: charges, splitting, canonicity, gauge pair, volume."""
-    model = _load(path)
-    rep = RunReport("verify", model.name, seed)
-    t0 = time.perf_counter()
+    seed = rep.seed
     system = model.system
     chart = model.chart
 
@@ -213,18 +211,12 @@ def cmd_verify(path: str, seed: int = 0) -> Tuple[int, RunReport]:
                                     seed=seed)
         rep.check("constrained chart volume constant", ok)
 
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep.exit_code, rep
 
-
-def cmd_reduce(path: str, seed: int = 0) -> Tuple[int, RunReport]:
+def cmd_reduce(model: Model, rep: RunReport) -> None:
     """Run the elimination pipeline and print every intermediate object."""
-    model = _load(path)
-    rep = RunReport("reduce", model.name, seed)
-    t0 = time.perf_counter()
     with _stage(rep, "reduction pipeline"):
         L_R, form, transformed, result = run_reduction(
-            model.system, model.constraint, model.darboux, seed=seed)
+            model.system, model.constraint, model.darboux, seed=rep.seed)
         rep.check("reduction pipeline", True)
         rep.notes.append(f"reduced lagrangian: {L_R.lagrangian}")
         rep.notes.append(f"transformed lagrangian: {transformed.lagrangian}")
@@ -234,32 +226,26 @@ def cmd_reduce(path: str, seed: int = 0) -> Tuple[int, RunReport]:
                              f"{model.darboux.z} = {result.z_solution}")
         rep.notes.append(f"reduced hamiltonian: {result.system.h_star}")
         rep.provenance.extend(result.system.provenance)
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep.exit_code, rep
 
 
-def cmd_propagate(path: str, seed: int = 0,
-                  out: Optional[str] = None) -> Tuple[int, RunReport]:
+def cmd_propagate(model: Model, rep: RunReport,
+                  out: Optional[str] = None) -> None:
     """Lattice run against the closed-form reference; with out, a kernel
     table plus metrics JSON."""
-    model = _load(path)
     if model.lattice is None:
         raise SysFileError(f"{model.path or model.name}: no [lattice] "
                            f"section, nothing to propagate")
-    rep = RunReport("propagate", model.name, seed)
-    t0 = time.perf_counter()
     cfg = model.lattice
     run = None
     with _stage(rep, "reduction pipeline"):
         *_, result = run_reduction(model.system, model.constraint,
-                                   model.darboux, seed=seed)
+                                   model.darboux, seed=rep.seed)
         rep.check("reduction pipeline", True)
         with _stage(rep, "lattice propagation"):
             run = propagate_quantum(result.system, cfg, model.params)
             rep.check("lattice propagation", True, f"mode {run.mode}")
     if run is None:
-        rep.elapsed_s = time.perf_counter() - t0
-        return rep.exit_code, rep
+        return
     rep.metrics.update({k: float(v) for k, v in run.metrics.items()})
 
     gate = {"real": "max_rel_err_central", "imaginary": "partition_rel_err"}
@@ -274,7 +260,7 @@ def cmd_propagate(path: str, seed: int = 0,
         base = out[:-4] if out.endswith(".npy") else out
         if run.zeta is not None:
             rep.outputs["kernel_npy"] = write_kernel(run, base)
-        payload = {"model": model.name, "mode": run.mode, "seed": seed,
+        payload = {"model": model.name, "mode": run.mode, "seed": rep.seed,
                    "slices": cfg.slices, "n": cfg.n, "length": cfg.length,
                    "duration": cfg.duration, "tolerance": cfg.tolerance,
                    "metrics": rep.metrics}
@@ -282,24 +268,17 @@ def cmd_propagate(path: str, seed: int = 0,
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         rep.outputs["metrics_json"] = base + "_metrics.json"
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep.exit_code, rep
 
 
-def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
+def cmd_anomaly(model: Model, rep: RunReport) -> None:
     """Slicing-correction report on the file's generating function."""
-    model = _load(path)
-    if model.anomaly_F is None:
+    seed = rep.seed
+    gen = model.generating_function
+    if gen is None:
         raise SysFileError(f"{model.path or model.name}: no [anomaly] "
                            f"generating function to analyse")
-    rep = RunReport("anomaly", model.name, seed)
-    t0 = time.perf_counter()
-    try:
-        gen = GeneratingFunction.for_chart(model.anomaly_F,
-                                           model.system.space, model.darboux)
-        coeffs = anomaly_coefficients(gen, model.reference_A_z)
-    except AnomalyError as exc:
-        raise SysFileError(f"{model.path or model.name}: {exc}") from exc
+    # the loader has rejected an F whose coefficients cannot be formed
+    coeffs = anomaly_coefficients(gen, model.reference_A_z)
 
     with _stage(rep, "relations consistent with the chart"):
         for name, cmp in consistency_report(gen, model.darboux, model.chart,
@@ -344,9 +323,6 @@ def cmd_anomaly(path: str, seed: int = 0) -> Tuple[int, RunReport]:
     else:
         rep.notes.append("no sliced reference data declared; "
                          "expansion check skipped")
-
-    rep.elapsed_s = time.perf_counter() - t0
-    return rep.exit_code, rep
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +370,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; pass through
         return int(exc.code or 0)
-    commands = {
-        "verify": lambda: cmd_verify(args.file, seed=args.seed),
-        "reduce": lambda: cmd_reduce(args.file, seed=args.seed),
-        "propagate": lambda: cmd_propagate(args.file, seed=args.seed,
-                                           out=args.out),
-        "anomaly": lambda: cmd_anomaly(args.file, seed=args.seed),
-    }
     try:
-        code, rep = commands[args.command]()
+        model = _load(args.file)
+        rep = RunReport(args.command, model.name, args.seed)
+        t0 = time.perf_counter()
+        # the cmd_* names are looked up here, at call time, so a function
+        # put in their place after import is the one that runs
+        if args.command == "propagate":
+            cmd_propagate(model, rep, args.out)
+        else:
+            {"verify": cmd_verify, "reduce": cmd_reduce,
+             "anomaly": cmd_anomaly}[args.command](model, rep)
+        rep.elapsed_s = time.perf_counter() - t0
         if args.out and args.command != "propagate":
             with open(args.out, "w") as fh:
                 json.dump(rep.to_dict(), fh, indent=2)
@@ -417,7 +396,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
 
     print(json.dumps(rep.to_dict(), indent=2) if args.json else rep.render())
-    return code
+    return rep.exit_code
 
 
 if __name__ == "__main__":

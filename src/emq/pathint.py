@@ -162,8 +162,6 @@ class QuadraticHamiltonian:
 
     c_p: float
     c_q: float
-    coordinate: str
-    momentum: str
 
     @property
     def mass(self) -> float:
@@ -216,7 +214,7 @@ def bind_reduced_hamiltonian(rs: ReducedSystem,
     c_q = 0.5 * evaluate(differentiate(dq, coord), origin)
     if c_p <= 0:
         raise ExprError(f"kinetic coefficient must be positive, got {c_p}")
-    return QuadraticHamiltonian(c_p=c_p, c_q=c_q, coordinate=coord, momentum=mom)
+    return QuadraticHamiltonian(c_p=c_p, c_q=c_q)
 
 
 # ---------------------------------------------------------------------------

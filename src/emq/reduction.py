@@ -13,7 +13,8 @@ the chart; that boundedness is the entire point of the construction.
 
 Maps are checked, not trusted: canonicity brackets, the presymplectic
 cross-derivation, and an exact Jacobian identity all run on the model's
-sampling chart before any map is used.
+sampling chart before any map is used.  The transformed velocity matrix is
+antisymmetric, so it is built and checked once per pair i < j.
 """
 
 from __future__ import annotations
@@ -108,41 +109,31 @@ class PresymplecticForm:
 
 @dataclass(frozen=True)
 class ReducedLagrangian:
-    """First-order Lagrangian on the constrained chart.
-
-    lagrangian is linear in the velocity symbols; one_form holds the
-    velocity coefficients c_j (indexed like variables) and hamiltonian the
-    velocity-free remainder with its sign restored.
-    """
+    """First-order Lagrangian on the constrained chart, linear in the
+    velocity symbols."""
 
     variables: Tuple[str, ...]
     lagrangian: Expr
-    one_form: Tuple[Expr, ...]
-    hamiltonian: Expr
 
 
-def _one_form_and_hamiltonian(L: Expr, variables: Sequence[str]):
-    coeffs = []
-    for v in variables:
-        coeffs.append(differentiate(L, velocity_symbol(v)))
-    rest = substitute(L, {velocity_symbol(v): 0 for v in variables})
-    H = normalize(Mul((Const(-1), rest)))
-    return tuple(coeffs), H
+def _one_form(L: Expr, variables: Sequence[str]) -> Tuple[Expr, ...]:
+    """The velocity coefficients c_j of L, indexed like variables."""
+    return tuple(differentiate(L, velocity_symbol(v)) for v in variables)
+
+
+def _two_form_entry(one_form: Sequence[Expr], variables: Sequence[str],
+                    i: int, j: int) -> Expr:
+    """f_ij = d_i c_j - d_j c_i of the velocity coefficients c."""
+    return normalize(Add((
+        differentiate(one_form[j], variables[i]),
+        Mul((Const(-1), differentiate(one_form[i], variables[j]))),
+    )))
 
 
 def _antisymmetrized(one_form: Sequence[Expr], variables: Sequence[str]):
-    dim = len(variables)
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            f_ij = normalize(Add((
-                differentiate(one_form[j], variables[i]),
-                Mul((Const(-1), differentiate(one_form[i], variables[j]))),
-            )))
-            row.append(f_ij)
-        rows.append(tuple(row))
-    return tuple(rows)
+    dim = range(len(variables))
+    return tuple(tuple(_two_form_entry(one_form, variables, i, j) for j in dim)
+                 for i in dim)
 
 
 def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
@@ -168,9 +159,8 @@ def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
             if len(chain) > 1 else normalize(chain[0])
     L_R = substitute(L_full, mapping)
 
-    one_form, H_R = _one_form_and_hamiltonian(L_R, reduced_vars)
-    f = _antisymmetrized(one_form, reduced_vars)
-    return (ReducedLagrangian(reduced_vars, L_R, one_form, H_R),
+    f = _antisymmetrized(_one_form(L_R, reduced_vars), reduced_vars)
+    return (ReducedLagrangian(reduced_vars, L_R),
             PresymplecticForm(reduced_vars, f))
 
 
@@ -260,7 +250,9 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
     Velocities transform by the chain rule over eta = (momenta, coords, z).
     The returned Lagrangian uses the antisymmetric kinetic normal form, which
     equals the substituted one up to a total time derivative; legitimacy of
-    that rewrite is exactly the velocity-matrix check performed here.
+    that rewrite is exactly the velocity-matrix check performed here.  The
+    matrix is antisymmetric by construction, so each pair i < j is built and
+    compared once, in row-major order.
     """
     for (a, b), cmp in verify_canonicity(map, ps, chart, seed=seed).items():
         if not cmp.equal:
@@ -281,16 +273,20 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
         mapping[velocity_symbol(name)] = normalize(Add(tuple(chain)))
     L_t = substitute(L_R.lagrangian, mapping)
 
-    one_form, H_prime = _one_form_and_hamiltonian(L_t, eta)
-    f = _antisymmetrized(one_form, eta)
+    one_form = _one_form(L_t, eta)
+    # the velocity-free remainder, with its sign restored
+    H_prime = normalize(Mul((Const(-1), substitute(
+        L_t, {velocity_symbol(v): 0 for v in eta}))))
 
     for i, vi in enumerate(eta):
-        for j, vj in enumerate(eta):
+        for j in range(i + 1, len(eta)):
+            vj = eta[j]
+            f_ij = _two_form_entry(one_form, eta, i, j)
             want = map.expected_bracket(vj, vi)
-            cmp = numeric_compare(f[i][j], Const(want), chart, seed=seed)
+            cmp = numeric_compare(f_ij, Const(want), chart, seed=seed)
             if not cmp.equal:
                 raise CanonicityError(
-                    f"velocity matrix entry ({vi}, {vj}) = {f[i][j]} "
+                    f"velocity matrix entry ({vi}, {vj}) = {f_ij} "
                     f"!= {want} (max scaled err {cmp.max_scaled_err:.3e}); "
                     f"transform is not canonical up to a total derivative")
 
@@ -310,13 +306,14 @@ class ReducedSystem:
 
     space: PhaseSpace
     h_star: Expr
-    gauge_condition: Expr
-    z_solution: Optional[Expr]
     provenance: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class EliminationResult:
+    """How z left: the gauge condition chi = 0 (chi is z itself on the
+    pure-gauge branch), the solved z (None there) and the reduced system."""
+
     chi: Expr
     z_solution: Optional[Expr]
     system: ReducedSystem
@@ -366,13 +363,8 @@ def eliminate_z(H_prime: Expr, map: CanonicalMap, chart: SampleDomain,
 
     coords = tuple(c for c, _ in map.pairs)
     moms = tuple(m for _, m in map.pairs)
-    rs = ReducedSystem(
-        space=PhaseSpace(coords, moms),
-        h_star=h_star,
-        gauge_condition=chi_reported,
-        z_solution=z_solution,
-        provenance=tuple(steps),
-    )
+    rs = ReducedSystem(space=PhaseSpace(coords, moms), h_star=h_star,
+                       provenance=tuple(steps))
     return EliminationResult(chi=chi_reported, z_solution=z_solution, system=rs)
 
 

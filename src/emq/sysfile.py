@@ -19,7 +19,9 @@ lattice settings and generating-function data.  Sections:
   [lattice]     optional; grid, slicing and tolerance settings, each
                 checked by LatticeConfig
   [anomaly]     optional; F = generating function, reference_A_z = printed
-                drift form kept as cross-check data
+                drift form kept as cross-check data; an F written in the
+                variables it defines, or a non-quadratic F without
+                reference_A_z, is an error at F's line
 
 '#' starts a comment.  All expressions are parsed against a declared-symbol
 table, so a typo fails at load time with a file:line position rather than
@@ -40,6 +42,7 @@ from .expr import (Expr, ExprError, SampleDomain, SymbolTable, ZERO, parse,
 from .symplectic import FlowSystem, PhaseSpace
 from .reduction import CanonicalMap, ConstraintSpec
 from .pathint import LatticeConfig
+from .anomaly import GeneratingFunction, anomaly_coefficients
 
 __all__ = ["SysFileError", "Model", "load_model", "loads_model",
            "load_bundled", "bundled_names", "bundled_text"]
@@ -69,7 +72,7 @@ class Model:
     darboux: CanonicalMap
     params: Dict[str, float]
     lattice: Optional[LatticeConfig]
-    anomaly_F: Optional[Expr]
+    generating_function: Optional[GeneratingFunction]
     reference_A_z: Optional[Expr]
     symbols: SymbolTable
     sliced_refs: Optional[Tuple[Expr, Expr, Expr]] = None
@@ -376,10 +379,10 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
         lat.finish()
 
     # --- [anomaly]
-    anomaly_F = reference_A_z = sliced_refs = None
+    generating_function = reference_A_z = sliced_refs = None
     an = sections.get("anomaly")
     if an is not None:
-        anomaly_F = an.take("F", parse, full, default=None)
+        F = an.take("F", parse, full, default=None)
         reference_A_z = an.take("reference_A_z", parse, full, default=None)
         present = [k for k in _SLICED_KEYS if k in an.values]
         if present and len(present) != len(_SLICED_KEYS):
@@ -389,10 +392,19 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
             sliced_refs = tuple([an.take(k, parse, full)
                                  for k in _SLICED_KEYS])
         an.finish()
+        if F is not None:
+            try:
+                generating_function = GeneratingFunction.for_chart(
+                    F, space, darboux)
+                # raises for a non-quadratic F without reference_A_z
+                anomaly_coefficients(generating_function, reference_A_z)
+            except ExprError as exc:
+                raise an.error(exc, "F") from exc
 
     return Model(name=name, system=system, constraint=constraint,
                  darboux=darboux, params=params, lattice=lattice,
-                 anomaly_F=anomaly_F, reference_A_z=reference_A_z,
+                 generating_function=generating_function,
+                 reference_A_z=reference_A_z,
                  symbols=full, sliced_refs=sliced_refs, path=path)
 
 

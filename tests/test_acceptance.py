@@ -176,9 +176,7 @@ def test_criterion_07_fluctuation_determinants(ho_reduced, ho_model):
 
 
 def test_criterion_08_slicing_corrections(free_model, ho_model):
-    gen_ho = GeneratingFunction.for_chart(ho_model.anomaly_F,
-                                          ho_model.system.space,
-                                          ho_model.darboux)
+    gen_ho = ho_model.generating_function
     assert anomaly_coefficients(gen_ho).all_zero
     for seed in range(20):
         gen = GeneratingFunction.for_chart(_random_quadratic(seed),
@@ -198,9 +196,7 @@ def test_criterion_08_slicing_corrections(free_model, ho_model):
     assert numeric_compare(oracle, free_model.reference_A_z, dom, n=100,
                            tol=1e-10).equal
     assert normalize(substitute(free_model.reference_A_z, {"z": ZERO})) == ZERO
-    gen_free = GeneratingFunction.for_chart(free_model.anomaly_F,
-                                            free_model.system.space,
-                                            free_model.darboux)
+    gen_free = free_model.generating_function
     coeffs = anomaly_coefficients(gen_free,
                                   reference_A_z=free_model.reference_A_z)
     surface = constraint_surface_vanishing(coeffs, free_model.darboux,

@@ -18,11 +18,6 @@ from emq.reduction import UnsupportedPatternError
 from emq.symplectic import PhaseSpace
 
 
-def _gen(model):
-    return GeneratingFunction.for_chart(model.anomaly_F, model.system.space,
-                                        model.darboux)
-
-
 def _random_quadratic(seed):
     """Quadratic in (p_x, p_y, zeta, z) with an invertible cross block."""
     rng = random.Random(seed)
@@ -52,7 +47,7 @@ def _random_quadratic(seed):
 # ---------------------------------------------------------------------------
 
 def test_for_chart_builds_the_pairings(ho_model):
-    gen = _gen(ho_model)
+    gen = ho_model.generating_function
     assert gen.momentum_pairs == (("p_x", "x"), ("p_y", "y"))
     assert gen.coordinate_pairs == (("zeta", "p_zeta"), ("z", "p_z"))
     assert gen.arguments == ("p_x", "p_y", "zeta", "z")
@@ -68,13 +63,14 @@ def test_for_chart_rejects_defined_variables(ho_model):
 
 
 def test_quadratic_detection(free_model, ho_model):
-    assert _gen(ho_model).is_quadratic()
-    assert not _gen(free_model).is_quadratic()
+    assert ho_model.generating_function.is_quadratic()
+    assert not free_model.generating_function.is_quadratic()
 
 
 def test_bundled_charts_are_consistent_with_their_F(free_model, ho_model):
     for m in (free_model, ho_model):
-        rep = consistency_report(_gen(m), m.darboux, m.chart, n=64, tol=1e-8)
+        rep = consistency_report(m.generating_function, m.darboux, m.chart,
+                                 n=64, tol=1e-8)
         assert set(rep) == {"x", "y", "p_zeta", "p_z"}
         assert all(cmp.equal for cmp in rep.values())
 
@@ -84,7 +80,7 @@ def test_bundled_charts_are_consistent_with_their_F(free_model, ho_model):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_F_gives_structural_zeros(ho_model):
-    coeffs = anomaly_coefficients(_gen(ho_model))
+    coeffs = anomaly_coefficients(ho_model.generating_function)
     assert coeffs.all_zero
     assert coeffs.source == "third-derivative structure"
 
@@ -99,7 +95,7 @@ def test_twenty_random_quadratics_give_zeros(ho_model):
 
 
 def test_reference_route_for_the_free_chart(free_model):
-    gen = _gen(free_model)
+    gen = free_model.generating_function
     coeffs = anomaly_coefficients(gen, reference_A_z=free_model.reference_A_z)
     assert coeffs.source == "reference data"
     assert coeffs.A_z == free_model.reference_A_z
@@ -135,7 +131,8 @@ def test_reference_A_z_against_a_rebuilt_closed_form(free_model):
 
 def test_coefficients_vanish_on_the_gauge_surface(free_model, ho_model):
     for m in (free_model, ho_model):
-        coeffs = anomaly_coefficients(_gen(m), reference_A_z=m.reference_A_z)
+        coeffs = anomaly_coefficients(m.generating_function,
+                                      reference_A_z=m.reference_A_z)
         rep = constraint_surface_vanishing(coeffs, m.darboux, m.chart)
         assert all(cmp.equal for cmp in rep.values())
         assert tuple(rep) == COEFF_NAMES
@@ -160,7 +157,7 @@ def _expected(model):
 
 
 def test_sliced_expansion_matches_reference_forms(ho_model):
-    rep = sliced_expansion_check(_gen(ho_model), ho_model.darboux,
+    rep = sliced_expansion_check(ho_model.generating_function, ho_model.darboux,
                                  ho_model.system.hamiltonian, ho_model.chart,
                                  expected=_expected(ho_model), n=100, tol=1e-8)
     assert all(cmp.equal for cmp in rep.comparisons.values())
@@ -174,7 +171,7 @@ def test_sliced_expansion_matches_reference_forms(ho_model):
 
 
 def test_sliced_constant_is_the_reduced_hamiltonian(ho_model, ho_reduced):
-    rep = sliced_expansion_check(_gen(ho_model), ho_model.darboux,
+    rep = sliced_expansion_check(ho_model.generating_function, ho_model.darboux,
                                  ho_model.system.hamiltonian, ho_model.chart)
     assert numeric_compare(rep.derived["constant"], ho_reduced.h_star,
                            ho_model.chart, n=60, tol=1e-10).equal
@@ -186,7 +183,7 @@ def test_sliced_expansion_flags_chart_degeneracy(ho_model):
         ("zeta", -1.0, 1.0), ("p_zeta", 0.5, 1.5),
         ("a1", 1.0, 1.0), ("alpha", 1.0, 1.0)))
     with pytest.raises(ChartSingularityError):
-        sliced_expansion_check(_gen(ho_model), ho_model.darboux,
+        sliced_expansion_check(ho_model.generating_function, ho_model.darboux,
                                ho_model.system.hamiltonian, pinned)
 
 
@@ -200,7 +197,7 @@ def test_sliced_expansion_needs_affine_momentum_relations(ho_model):
 
 
 def test_correction_scaling_slope(ho_model):
-    rep = sliced_expansion_check(_gen(ho_model), ho_model.darboux,
+    rep = sliced_expansion_check(ho_model.generating_function, ho_model.darboux,
                                  ho_model.system.hamiltonian, ho_model.chart)
     fit = correction_scaling(rep, ho_model.chart)
     assert fit.slope == pytest.approx(1.5, abs=0.05)

@@ -14,7 +14,7 @@ from emq import __version__, cli, expr, symplectic
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.expr import MAX_NESTING, SampleDomain, columns
 from emq.pathint import propagate_quantum
-from emq.reduction import run_reduction
+from emq.reduction import ReducedSystem, run_reduction
 from emq.sysfile import bundled_text, load_bundled
 
 
@@ -95,6 +95,24 @@ def test_rho_line_reports_the_bracket_and_can_fail(tmp_path, capsys):
     # rho = a1*C1, so a charge that is not conserved takes rho with it
     ("C1 = x^2 + y^2", "C1 = x^2 + 2*y^2",
      ["charge C1 conserved", "rho conserved along the flow"]),
+    # the gauge pair rescaled to (z/2, 2*p_z): still canonical, but the
+    # constrained chart map no longer preserves volume
+    ("z = (p_y - y/alpha - a1*x)/(2*a1)\n"
+     "p_z = -(p_x - x/alpha + a1*y)\n"
+     "inv_x = p_zeta/(sqrt(2)*a1) - z\n"
+     "inv_y = zeta/sqrt(2) - p_z/(2*a1)\n"
+     "inv_p_x = p_zeta/(sqrt(2)*a1*alpha) - z/alpha - a1*zeta/sqrt(2) - p_z/2\n"
+     "inv_p_y = p_zeta/sqrt(2) + a1*z + zeta/(sqrt(2)*alpha) "
+     "- p_z/(2*a1*alpha)\n",
+     "z = (p_y - y/alpha - a1*x)/(4*a1)\n"
+     "p_z = -2*(p_x - x/alpha + a1*y)\n"
+     "inv_x = p_zeta/(sqrt(2)*a1) - 2*z\n"
+     "inv_y = zeta/sqrt(2) - p_z/(4*a1)\n"
+     "inv_p_x = p_zeta/(sqrt(2)*a1*alpha) - 2*z/alpha - a1*zeta/sqrt(2) "
+     "- p_z/4\n"
+     "inv_p_y = p_zeta/sqrt(2) + 2*a1*z + zeta/(sqrt(2)*alpha) "
+     "- p_z/(4*a1*alpha)\n",
+     ["constrained chart volume constant"]),
 ])
 def test_verify_mutations_flip_their_checks(old, new, flipped, tmp_path,
                                             capsys):
@@ -449,6 +467,24 @@ def test_a_non_canonical_inverse_map_fails_the_reduction_pipeline(
         "CanonicityError: velocity matrix entry (zeta, z)")
 
 
+@pytest.mark.parametrize("new, entry", [
+    ("inv_y = 1.01*zeta/sqrt(2)", "(p_zeta, zeta)"),
+    ("inv_y = zeta/sqrt(2) + z/10", "(p_zeta, z)"),
+])
+def test_each_velocity_matrix_pair_is_checked(new, entry, tmp_path, capsys):
+    # with the 1.01*z edit above, one skewed inverse per pair i < j
+    old = "inv_y = zeta/sqrt(2)"
+    text = bundled_text("harmonic")
+    assert text.count(old) == 1
+    path = _write(tmp_path, text.replace(old, new))
+    assert main(["reduce", path, "--json"]) == EXIT_CHECK
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["ok"]]
+    assert [c["name"] for c in failed] == ["reduction pipeline"]
+    assert failed[0]["detail"].startswith(
+        f"CanonicityError: velocity matrix entry {entry} ")
+
+
 # ---------------------------------------------------------------------------
 # propagate
 # ---------------------------------------------------------------------------
@@ -755,12 +791,35 @@ def test_a_negative_seed_gives_the_report_of_its_absolute_value(capsys):
     assert "correction_scaling_slope" in reports[0]["metrics"]
 
 
-def test_anomaly_needs_reference_data_for_a_non_quadratic_F(tmp_path, capsys):
-    text = bundled_text("free_particle").replace(_FREE_REFERENCE, "")
+def _every_command_fails_at_the_line_of_F(text, message, tmp_path, capsys):
+    # the loader rejects the file, so every command exits 2 on it
+    lineno = [line.startswith("F = ") for line in text.splitlines()].index(
+        True) + 1
     path = _write(tmp_path, text)
-    assert main(["anomaly", path]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert path in err and "reference_A_z" in err
+    for command in ("verify", "reduce", "propagate", "anomaly"):
+        assert main([command, path]) == EXIT_USAGE, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{lineno}: {message}"), command
+        assert len(err.strip().splitlines()) == 1, command
+
+
+def test_anomaly_needs_reference_data_for_a_non_quadratic_F(tmp_path, capsys):
+    text = bundled_text("free_particle")
+    assert text.count(_FREE_REFERENCE) == 1
+    _every_command_fails_at_the_line_of_F(
+        text.replace(_FREE_REFERENCE, ""),
+        "generating function is not quadratic and [anomaly] declares no "
+        "reference_A_z", tmp_path, capsys)
+
+
+def test_an_F_in_the_variables_it_defines_is_a_usage_error(tmp_path, capsys):
+    text = bundled_text("harmonic")
+    assert text.count("F = (p_x^2") == 1
+    _every_command_fails_at_the_line_of_F(
+        text.replace("F = (p_x^2", "F = x + (p_x^2"),
+        "generating function depends on the defined variables ['x']",
+        tmp_path, capsys)
+
 
 @pytest.mark.parametrize("name", ["free_particle", "harmonic"])
 def test_anomaly_bundled_models(name, capsys):
@@ -786,6 +845,33 @@ def test_anomaly_without_F_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}: no [anomaly] generating function" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# what perfbench/ relies on
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["verify", "reduce", "propagate",
+                                     "anomaly"])
+def test_main_runs_the_command_bound_at_call_time(command, monkeypatch,
+                                                  capsys):
+    # the benchmark's tracer replaces emq.cli.cmd_<name> after import
+    seen = []
+
+    def stand_in(model, rep, *rest):
+        seen.append((model.name, rep.command, rep.seed))
+        rep.check("stand-in", False)
+
+    monkeypatch.setattr(cli, f"cmd_{command}", stand_in)
+    assert main([command, "harmonic", "--seed", "4"]) == EXIT_CHECK
+    assert seen == [("harmonic", command, 4)]
+    assert "[FAIL] stand-in" in capsys.readouterr().out
+
+
+def test_the_last_reduction_piece_carries_the_reduced_system():
+    model = load_bundled("harmonic")
+    *_, result = run_reduction(model.system, model.constraint, model.darboux)
+    assert isinstance(result.system, ReducedSystem)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emq.expr import ExprError, Sym, ZERO, normalize, parse
+from emq.expr import ExprError, ZERO, normalize, parse
 from emq.pathint import (
     MAX_GRID_POINTS, MAX_SLICES, CoverageError, FocalPointError,
     LatticeConfig, LatticeRangeError, QuadraticHamiltonian,
@@ -28,8 +28,6 @@ def _reduced(h_text, table):
     return ReducedSystem(
         space=PhaseSpace(("zeta",), ("p_zeta",)),
         h_star=normalize(parse(h_text, table)),
-        gauge_condition=Sym("z"),
-        z_solution=None,
         provenance=(),
     )
 
@@ -178,8 +176,7 @@ def test_bind_rejects_non_quadratic_forms(ho_model):
 # ---------------------------------------------------------------------------
 
 def test_free_kernel_against_direct_formula():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.0, coordinate="zeta",
-                                momentum="p_zeta")
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.0)
     hbar, T = 1.0, 1.0
     for z2, z1 in ((0.4, -0.3), (1.2, 0.9), (0.0, 0.0)):
         got = bare_kernel(quad, hbar, T, z2, z1)
@@ -189,8 +186,7 @@ def test_free_kernel_against_direct_formula():
 
 
 def test_oscillator_kernel_against_direct_formula():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, coordinate="zeta",
-                                momentum="p_zeta")
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5)
     hbar, T = 1.0, 0.7
     s, c = math.sin(T), math.cos(T)
     for z2, z1 in ((0.4, -0.3), (1.2, 0.9)):
@@ -201,8 +197,7 @@ def test_oscillator_kernel_against_direct_formula():
 
 
 def test_smeared_reference_approaches_bare_kernel():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, coordinate="zeta",
-                                momentum="p_zeta")
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5)
     z = np.array([0.3, -0.8])
     tight = smeared_reference(quad, 1.0, 0.9, z, center=0.2, sigma=1e-4)
     bare = np.array([bare_kernel(quad, 1.0, 0.9, x, 0.2) for x in z])
@@ -212,12 +207,10 @@ def test_smeared_reference_approaches_bare_kernel():
 
 
 def test_partition_closed_form():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, coordinate="zeta",
-                                momentum="p_zeta")
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5)
     val = partition_closed_form(quad, 1.0, 1.0)
     assert val == pytest.approx(1.0 / (2.0 * math.sinh(0.5)), rel=1e-12)
-    free = QuadraticHamiltonian(c_p=0.5, c_q=0.0, coordinate="zeta",
-                                momentum="p_zeta")
+    free = QuadraticHamiltonian(c_p=0.5, c_q=0.0)
     with pytest.raises(ExprError, match="confining"):
         partition_closed_form(free, 1.0, 1.0)
 
@@ -226,8 +219,7 @@ def test_partition_closed_form():
 def test_partition_slice_closed_form_is_the_mode_product(slices):
     # the primitive N-slice action's Gaussian integral, mode by mode:
     # Z_N = prod_k sqrt(M / (eps lam_k)) over the periodic lattice spectrum
-    quad = QuadraticHamiltonian(c_p=0.5 / 1.3, c_q=0.65, coordinate="zeta",
-                                momentum="p_zeta")
+    quad = QuadraticHamiltonian(c_p=0.5 / 1.3, c_q=0.65)
     beta = 0.9
     eps = beta / slices
     lam = _mode_eigenvalues(slices, eps, quad.mass, quad.omega)
@@ -267,8 +259,7 @@ def _allocating_evolve(psi, kin, pot_half, slices):
 
 
 def test_in_place_split_step_matches_the_allocating_loop():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, coordinate="zeta",
-                                momentum="p_zeta")
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5)
     cfg = LatticeConfig(mode="real", n=1024, length=16.0, slices=256,
                         duration=1.0)
     zeta = np.linspace(-8.0, 8.0, cfg.n, endpoint=False)

@@ -182,7 +182,7 @@ def test_gauge_branches(free_model, ho_model):
     *_, free_res = run_reduction(free_model.system, free_model.constraint,
                                  free_model.darboux)
     assert free_res.z_solution is None
-    assert free_res.system.gauge_condition == Sym("z")
+    assert free_res.chi == Sym("z")
 
     *_, ho_res = run_reduction(ho_model.system, ho_model.constraint,
                                ho_model.darboux)
