@@ -11,10 +11,12 @@ gauge (z absent from the Hamiltonian) or by solving the linear stationarity
 condition dH/dz = 0.  The surviving Hamiltonian h_star is bounded below on
 the chart; that boundedness is the entire point of the construction.
 
-Maps are checked, not trusted: canonicity brackets, the presymplectic
-cross-derivation, and an exact Jacobian identity all run on the model's
-sampling chart before any map is used.  The transformed velocity matrix is
-antisymmetric, so it is built and checked once per pair i < j.
+Maps are checked, not trusted: canonicity brackets and the presymplectic
+cross-derivation run on the model's sampling chart inside run_reduction,
+before any map is used.  The Jacobian identity of the constrained chart
+(jacobi_liouville_check) is a separate check: `emq verify` runs it, and
+run_reduction does not.  The transformed velocity matrix is antisymmetric,
+so it is built and checked once per pair i < j.
 """
 
 from __future__ import annotations

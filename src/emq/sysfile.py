@@ -28,6 +28,12 @@ table, so a typo fails at load time with a file:line position rather than
 during a numeric sweep.  Every load error names a line: a bad value or an
 unknown or repeated key its own, a missing key its section's header, and
 only a missing required section, which has no line, names the section.
+
+load_model and load_bundled read and decode the file on every call, so an
+edited file is always seen.  loads_model assembles each distinct (text,
+name, path) once per process and hands the same read-only Model back after
+that; at most _MODEL_LIMIT (2^6) models are kept, and the memo is emptied
+when full.  A text that fails to load is not kept, so it fails again.
 """
 
 from __future__ import annotations
@@ -35,10 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .expr import (Expr, ExprError, SampleDomain, SymbolTable, ZERO, parse,
-                   substitute)
+from .expr import (Expr, ExprError, SampleDomain, SymbolTable, ZERO,
+                   _remember, parse, substitute)
 from .symplectic import FlowSystem, PhaseSpace
 from .reduction import CanonicalMap, ConstraintSpec
 from .pathint import LatticeConfig
@@ -70,7 +77,7 @@ class Model:
     system: FlowSystem
     constraint: ConstraintSpec
     darboux: CanonicalMap
-    params: Dict[str, float]
+    params: Mapping[str, float]    # read-only: one Model serves every load
     lattice: Optional[LatticeConfig]
     generating_function: Optional[GeneratingFunction]
     reference_A_z: Optional[Expr]
@@ -247,7 +254,22 @@ def _pair(text: str, full, target) -> Tuple[str, str]:
 # assembly
 # ---------------------------------------------------------------------------
 
+_MODEL_LIMIT = 1 << 6
+_MODELS: Dict[Tuple[str, str, Optional[str]], Model] = {}
+
+
 def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
+    """The Model of a .sys text, assembled once per process for each
+    (text, name, path); a text that raises is not kept."""
+    key = (text, name, path)
+    model = _MODELS.get(key)
+    if model is None:
+        model = _remember(_MODELS, key, _assemble(text, name, path),
+                          _MODEL_LIMIT)
+    return model
+
+
+def _assemble(text: str, name: str, path: Optional[str]) -> Model:
     where = path or f"<{name}>"
     sections = _split_sections(text, where)
     for sec in _REQUIRED_SECTIONS:
@@ -402,7 +424,8 @@ def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
                 raise an.error(exc, "F") from exc
 
     return Model(name=name, system=system, constraint=constraint,
-                 darboux=darboux, params=params, lattice=lattice,
+                 darboux=darboux, params=MappingProxyType(params),
+                 lattice=lattice,
                  generating_function=generating_function,
                  reference_A_z=reference_A_z,
                  symbols=full, sliced_refs=sliced_refs, path=path)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emq import __version__, cli, expr, symplectic
+from emq import __version__, cli, expr, symplectic, sysfile
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.expr import MAX_NESTING, SampleDomain, columns
 from emq.pathint import propagate_quantum
@@ -944,6 +944,7 @@ def test_warm_and_cold_runs_give_the_same_reports(tmp_path, monkeypatch,
             assert warm == first
             for memo in _MEMOS:
                 getattr(expr, memo).clear()
+            sysfile._MODELS.clear()
             cold = _report_and_artifacts(argv, capsys)
             assert tokenized, "the cleared memos were not parsed afresh"
             assert cold == first, f"{command} {name}"

@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from emq.cli import EXIT_USAGE, main
+from emq import sysfile
+from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.sysfile import (
     Model, SysFileError, bundled_names, bundled_text, load_bundled,
     load_model, loads_model,
@@ -65,6 +66,86 @@ def test_load_model_from_path(tmp_path):
     m = load_model(str(p))
     assert m.name == "copy"
     assert m.path == str(p)
+
+
+def test_params_are_read_only_and_every_load_reads_the_file_values(
+        tmp_path):
+    p = tmp_path / "copy.sys"
+    p.write_text(BASE)
+    m = load_model(str(p))
+    with pytest.raises(TypeError):
+        m.params["a1"] = 9.0
+    assert load_model(str(p)).params["a1"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the per-process model memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def models(monkeypatch):
+    """An empty model memo for one test; the shared one comes back after."""
+    memo = {}
+    monkeypatch.setattr(sysfile, "_MODELS", memo)
+    return memo
+
+
+def test_the_same_text_name_and_path_give_the_same_model(models):
+    m = loads_model(BASE, name="t", path="a.sys")
+    assert loads_model(BASE, name="t", path="a.sys") is m
+    assert loads_model(BASE, name="u", path="a.sys") is not m
+    assert loads_model(BASE, name="t", path="b.sys") is not m
+    assert load_bundled("free_particle") is load_bundled("free_particle")
+    assert len(models) == 4
+
+
+def test_a_file_edited_at_the_same_path_is_assembled_again(models, tmp_path,
+                                                          capsys):
+    p = tmp_path / "model.sys"
+    text = bundled_text("harmonic")
+    p.write_text(text)
+    first = load_model(str(p))
+    assert first.params["a1"] == 1.0
+    assert text.count("\na1 = 1.0\n") == 1
+    p.write_text(text.replace("\na1 = 1.0\n", "\na1 = 1.5\n"))
+    edited = load_model(str(p))
+    assert edited is not first and edited.params["a1"] == 1.5
+
+    # verify sees an edit at the same path within one process, and the
+    # restored text gives back the model first assembled for it
+    forward = "zeta = -(p_x - x/alpha - a1*y)/(sqrt(2)*a1)"
+    assert text.count(forward) == 1
+    p.write_text(text)
+    assert main(["verify", str(p)]) == EXIT_OK
+    p.write_text(text.replace(forward, forward.replace("-(", "(", 1)))
+    assert main(["verify", str(p)]) == EXIT_CHECK
+    assert "{p_zeta, zeta}" in capsys.readouterr().out
+    p.write_text(text)
+    assert main(["verify", str(p)]) == EXIT_OK
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert load_model(str(p)) is first
+
+
+def test_a_text_that_fails_raises_again_and_is_not_kept(models):
+    bad = _mutated("f_y = x", "f_q = x")
+    messages = set()
+    for _ in range(3):
+        messages.add(_expect(bad, "missing velocity f_y"))
+    assert len(messages) == 1
+    assert models == {}
+
+
+def test_the_model_memo_empties_at_its_bound(models, monkeypatch):
+    monkeypatch.setattr(sysfile, "_MODEL_LIMIT", 2)
+    a = loads_model(BASE, name="a")
+    loads_model(BASE, name="b")
+    assert len(models) == 2
+    c = loads_model(BASE, name="c")
+    assert list(models.values()) == [c]
+    # the emptied memo assembles the text again and stores it again
+    again = loads_model(BASE, name="a")
+    assert again is not a and again.params == a.params
+    assert len(models) == 2
 
 
 def test_unknown_bundled_name():
