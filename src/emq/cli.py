@@ -144,9 +144,10 @@ def _load(spec: str) -> Model:
 @contextmanager
 def _stage(rep: RunReport, name: str):
     """Run one sampled stage; an ExprError fails the named check instead of
-    escaping, so an unevaluable chart ends in exit 1, not a traceback."""
+    escaping, so an unevaluable chart ends in exit 1, not a traceback.
+    Yields rep.check bound to the name, for a stage that reports one line."""
     try:
-        yield
+        yield functools.partial(rep.check, name)
     except ExprError as exc:
         rep.check(name, False, f"{type(exc).__name__}: {exc}")
 
@@ -157,33 +158,31 @@ def cmd_verify(model: Model, rep: RunReport) -> None:
     system = model.system
     chart = model.chart
 
-    with _stage(rep, "constraint solution solves phi = 0"):
+    with _stage(rep, "constraint solution solves phi = 0") as check:
         model.constraint.validate(system, seed=seed)
-        rep.check("constraint solution solves phi = 0", True)
+        check(True)
 
     with _stage(rep, "charges conserved"):
         for name, cmp in verify_charges(system, seed=seed).items():
             rep.compared(f"charge {name} conserved", cmp)
 
     split = None
-    with _stage(rep, "rho conserved along the flow"):
+    with _stage(rep, "rho conserved along the flow") as check:
         split = split_hamiltonian(system, seed=seed)
-        rep.check("rho conserved along the flow", True,
-                  f"max scaled err {split.rho_bracket_err:.2e}")
+        check(True, f"max scaled err {split.rho_bracket_err:.2e}")
     if split is not None:
         with _stage(rep, "H_plus - H_minus reproduces H"):
             diff = Add((split.h_plus, Mul((Const(-1), split.h_minus))))
             rep.compared("H_plus - H_minus reproduces H",
                          numeric_compare(diff, system.hamiltonian, chart,
                                          n=64, tol=1e-9, seed=seed))
-        with _stage(rep, "both halves nonnegative on the chart"):
+        with _stage(rep, "both halves nonnegative on the chart") as check:
             lows = [float(np.min(sampled_values(h, chart, 64, seed)))
                     for h in (split.h_plus, split.h_minus)]
             worst = min(0.0, *lows)
-            rep.check("both halves nonnegative on the chart", worst >= -1e-10,
-                      f"min value {worst:.2e}")
+            check(worst >= -1e-10, f"min value {worst:.2e}")
 
-    with _stage(rep, "canonical bracket table"):
+    with _stage(rep, "canonical bracket table") as check:
         brackets = verify_canonicity(model.darboux, system.space, chart,
                                      seed=seed)
         bad = [pair for pair, cmp in brackets.items() if not cmp.equal]
@@ -191,33 +190,30 @@ def cmd_verify(model: Model, rep: RunReport) -> None:
             labels = ", ".join(
                 f"{{{a}, {b}}} = {model.darboux.expected_bracket(a, b)}"
                 for a, b in bad)
-            rep.check("canonical bracket table", False,
-                      f"{len(bad)} of {len(brackets)} brackets fail: {labels}")
+            check(False, f"{len(bad)} of {len(brackets)} brackets fail: "
+                         f"{labels}")
         else:
-            rep.check("canonical bracket table", True,
-                      f"{len(brackets)} brackets verified")
+            check(True, f"{len(brackets)} brackets verified")
 
     if model.constraint.chi is not None:
-        with _stage(rep, "gauge pair second class"):
+        with _stage(rep, "gauge pair second class") as check:
             bracket = poisson_bracket(model.constraint.phi,
                                       model.constraint.chi, system.space)
             low = float(np.min(np.abs(sampled_values(bracket, chart, 32,
                                                      seed))))
-            rep.check("gauge pair second class", low > 1e-6,
-                      f"min |{{phi, chi}}| = {low:.3g}")
+            check(low > 1e-6, f"min |{{phi, chi}}| = {low:.3g}")
 
-    with _stage(rep, "constrained chart volume constant"):
-        ok = jacobi_liouville_check(model.darboux, model.constraint, system,
-                                    seed=seed)
-        rep.check("constrained chart volume constant", ok)
+    with _stage(rep, "constrained chart volume constant") as check:
+        check(jacobi_liouville_check(model.darboux, model.constraint, system,
+                                     seed=seed))
 
 
 def cmd_reduce(model: Model, rep: RunReport) -> None:
     """Run the elimination pipeline and print every intermediate object."""
-    with _stage(rep, "reduction pipeline"):
+    with _stage(rep, "reduction pipeline") as check:
         L_R, form, transformed, result = run_reduction(
             model.system, model.constraint, model.darboux, seed=rep.seed)
-        rep.check("reduction pipeline", True)
+        check(True)
         rep.notes.append(f"reduced lagrangian: {L_R.lagrangian}")
         rep.notes.append(f"transformed lagrangian: {transformed.lagrangian}")
         rep.notes.append(f"gauge condition: {result.chi} = 0")
@@ -237,13 +233,13 @@ def cmd_propagate(model: Model, rep: RunReport,
                            f"section, nothing to propagate")
     cfg = model.lattice
     run = None
-    with _stage(rep, "reduction pipeline"):
+    with _stage(rep, "reduction pipeline") as check:
         *_, result = run_reduction(model.system, model.constraint,
                                    model.darboux, seed=rep.seed)
-        rep.check("reduction pipeline", True)
-        with _stage(rep, "lattice propagation"):
+        check(True)
+        with _stage(rep, "lattice propagation") as check:
             run = propagate_quantum(result.system, cfg, model.params)
-            rep.check("lattice propagation", True, f"mode {run.mode}")
+            check(True, f"mode {run.mode}")
     if run is None:
         return
     rep.metrics.update({k: float(v) for k, v in run.metrics.items()})
@@ -295,11 +291,10 @@ def cmd_anomaly(model: Model, rep: RunReport) -> None:
         rep.check("all coefficients vanish identically", coeffs.all_zero)
     else:
         with _stage(rep, "gauge-coordinate coefficient nonzero off the "
-                         "surface"):
+                         "surface") as check:
             high = float(np.max(np.abs(sampled_values(coeffs.A_z, model.chart,
                                                       32, seed))))
-            rep.check("gauge-coordinate coefficient nonzero off the surface",
-                      high > 1e-9, f"max |A_z| = {high:.3g}")
+            check(high > 1e-9, f"max |A_z| = {high:.3g}")
 
     with _stage(rep, "coefficients vanish on the gauge surface"):
         for name, cmp in constraint_surface_vanishing(

@@ -15,8 +15,9 @@ Maps are checked, not trusted: canonicity brackets and the presymplectic
 cross-derivation run on the model's sampling chart inside run_reduction,
 before any map is used.  The Jacobian identity of the constrained chart
 (jacobi_liouville_check) is a separate check: `emq verify` runs it, and
-run_reduction does not.  The transformed velocity matrix is antisymmetric,
-so it is built and checked once per pair i < j.
+run_reduction does not.  The presymplectic form and the transformed
+velocity matrix are antisymmetric, so each is built once per pair i < j,
+and the velocity matrix is checked once per pair.
 """
 
 from __future__ import annotations
@@ -133,9 +134,14 @@ def _two_form_entry(one_form: Sequence[Expr], variables: Sequence[str],
 
 
 def _antisymmetrized(one_form: Sequence[Expr], variables: Sequence[str]):
-    dim = range(len(variables))
-    return tuple(tuple(_two_form_entry(one_form, variables, i, j) for j in dim)
-                 for i in dim)
+    """f_ij once per pair i < j; ZERO on the diagonal, normal(-f_ij) below."""
+    dim = len(variables)
+    f = [[ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            f[i][j] = _two_form_entry(one_form, variables, i, j)
+            f[j][i] = normalize(Mul((Const(-1), f[i][j])))
+    return tuple(tuple(row) for row in f)
 
 
 def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):

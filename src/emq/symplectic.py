@@ -113,7 +113,6 @@ class FlowSystem:
     rho_coefficients: Tuple[Tuple[str, Expr], ...]
     chart: SampleDomain
     potential: Expr = ZERO
-    parameters: Tuple[str, ...] = ()
 
     def __post_init__(self):
         ps = self.space
@@ -162,7 +161,6 @@ def verify_charges(sys: FlowSystem, n: int = 100, tol: float = 1e-12,
 class HamiltonianSplit:
     h_plus: Expr
     h_minus: Expr
-    rho: Expr
     rho_bracket_err: float      # sampled max scaled |{rho, H}|
 
 
@@ -193,5 +191,5 @@ def split_hamiltonian(sys: FlowSystem, n: int = 64, tol: float = 1e-9,
     four_rho = Mul((Const(4), rho))
     h_plus = normalize(Div(Pow(Add((H, rho)), 2), four_rho))
     h_minus = normalize(Div(Pow(Add((H, Mul((Const(-1), rho)))), 2), four_rho))
-    return HamiltonianSplit(h_plus=h_plus, h_minus=h_minus, rho=rho,
+    return HamiltonianSplit(h_plus=h_plus, h_minus=h_minus,
                             rho_bracket_err=cmp.max_scaled_err)

@@ -338,7 +338,7 @@ def _assemble(text: str, name: str, path: Optional[str]) -> Model:
 
     system = FlowSystem(space=space, velocities=velocities, charges=charges,
                         rho_coefficients=tuple(rho_coeffs), chart=chart,
-                        potential=potential, parameters=tuple(params))
+                        potential=potential)
 
     # --- [darboux] expressions
     targets = [m for _, m in pairs] + [c for c, _ in pairs] + list(gauge)

@@ -32,19 +32,21 @@ def _leaves():
     )
 
 
-def _trees():
-    return st.recursive(
-        _leaves(),
-        lambda kids: st.one_of(
-            st.tuples(kids, kids).map(Add),
-            st.tuples(kids, kids).map(Mul),
-            st.tuples(kids, kids).map(lambda ab: Div(ab[0], ab[1])),
-            st.tuples(kids, st.integers(-2, 3)).map(lambda be: Pow(*be)),
-            kids.map(lambda k: Fun("sin", (k,))),
-            kids.map(lambda k: Fun("cos", (k,))),
-        ),
-        max_leaves=12,
+def _nodes(kids):
+    return st.one_of(
+        st.tuples(kids, kids).map(Add),
+        st.tuples(kids, kids).map(Mul),
+        st.tuples(kids, kids).map(lambda ab: Div(ab[0], ab[1])),
+        st.tuples(kids, st.integers(-2, 3)).map(lambda be: Pow(*be)),
+        kids.map(lambda k: Fun("sin", (k,))),
+        kids.map(lambda k: Fun("cos", (k,))),
     )
+
+
+def _trees():
+    # a node at the root, never a bare leaf: trees of about 8 nodes, large
+    # enough to raise a quotient to a power now and then
+    return _nodes(st.recursive(_leaves(), _nodes, max_leaves=16))
 
 
 def _polys():

@@ -159,7 +159,7 @@ def test_transformed_hamiltonian_lives_on_targets(ho_model):
     L_R, _ = eliminate_primary(ho_model.system, ho_model.constraint)
     transformed = apply_darboux(L_R, ho_model.darboux, ho_model.system.space,
                                 ho_model.system.chart)
-    allowed = set(ho_model.darboux.target_names) | set(ho_model.system.parameters)
+    allowed = set(ho_model.darboux.target_names) | set(ho_model.params)
     assert transformed.hamiltonian.free_symbols() <= allowed
 
 

@@ -56,7 +56,7 @@ def test_bundled_feature_matrix(free_model, ho_model, lam_model):
 def test_chi_is_pushed_to_the_source_chart(ho_model):
     chi = ho_model.constraint.chi
     assert chi is not None
-    source = set(ho_model.system.space.xi) | set(ho_model.system.parameters)
+    source = set(ho_model.system.space.xi) | set(ho_model.params)
     assert chi.free_symbols() <= source
 
 
