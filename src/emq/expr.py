@@ -27,15 +27,16 @@ the product and sum rules only to the factors and terms that hold it; a
 quotient whose denominator lacks the variable differentiates as du/den.
 substitute() keeps a subtree without any mapped name as it is.  parse(),
 normalize(), expand(), differentiate() and substitute() are memoized per
-process, so an equal subtree is worked out once and a memo hit is found by
-identity.  Each memo holds at most _MEMO_LIMIT (2^16) entries and is
-emptied when full; a call that raises stores nothing, so it raises again
-next time.
-SampleDomain.sample_columns() likewise draws each (domain, n, seed) once,
-and sampled_check() works out each seeded sampled result once for its
-arguments: numeric_compare() for each (a, b, domain, n, tol, seed),
-sampled_values() for each (e, domain, n, seed), and the chart volume
-check of emq.reduction.
+process by a functools.lru_cache each, so an equal subtree is worked out
+once and a cache hit is found by identity.  Each cache holds at most 2^16
+entries and drops its least recently used one when full; a call that
+raises stores nothing, so it raises again next time.
+SampleDomain.sample_columns() likewise draws each (domain, n, seed) once
+(at most 2^6 sets), and sampled_check() works out each seeded sampled
+result once for its arguments (at most 2^12 results): numeric_compare()
+for each (a, b, domain, n, tol, seed), sampled_values() for each (e,
+domain, n, seed), and the chart volume check of emq.reduction.  Each
+cache counts its hits and misses in cache_info().
 
 A sample set's points are drawn in vectorized blocks, bit for bit the
 points of a one-at-a-time rng.uniform draw (see SampleDomain), and come
@@ -52,6 +53,7 @@ surface as errors, not poisoned numerics.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -168,13 +170,6 @@ def _forget(ref: _Ref) -> None:
     # reference's to delete
     if _NODES.get(ref.key) is ref:
         del _NODES[ref.key]
-
-
-def _remember(memo: dict, key, value, limit: int):
-    if len(memo) >= limit:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 def _intern(cls, key, sort_value, **fields) -> Expr:
@@ -740,21 +735,11 @@ def _normalize_fun(name: str, args) -> Expr:
     return Fun(name, tuple(args))
 
 
-# per-process memos (see the module docstring), each emptied when full
-_MEMO_LIMIT = 1 << 16
-_PARSED: Dict[tuple, Expr] = {}
-_NORMAL_FORMS: Dict[Expr, Expr] = {}
-_EXPANDED: Dict[Expr, Expr] = {}
-_DERIVATIVES: Dict[tuple, Expr] = {}
-_SUBSTITUTED: Dict[tuple, Expr] = {}
-# a sample set holds n points per symbol, so its memo has a smaller bound
-_SAMPLE_LIMIT = 1 << 6
-_SAMPLES: Dict[tuple, Mapping[str, np.ndarray]] = {}
-# seeded sampled results, keyed by (check, its arguments); see sampled_check
-_CHECK_LIMIT = 1 << 12
-_CHECKS: Dict[tuple, object] = {}
-
-
+# per-process caches (see the module docstring): a public function that
+# shapes its key, or that the benchmark tracer wraps by name, calls one
+# private cached function positionally, and recursive calls go through the
+# public names
+@functools.lru_cache(maxsize=1 << 12)
 def sampled_check(check, *args):
     """check(*args), worked out once per process for each argument tuple.
 
@@ -762,11 +747,7 @@ def sampled_check(check, *args):
     immutable) arguments.  A call that raises stores nothing, so it raises
     again next time.
     """
-    key = (check,) + args
-    out = _CHECKS.get(key)
-    if out is None:
-        out = _remember(_CHECKS, key, check(*args), _CHECK_LIMIT)
-    return out
+    return check(*args)
 
 
 def sampled_values(e: Expr, domain: SampleDomain, n: int,
@@ -787,22 +768,22 @@ def normalize(e: Expr) -> Expr:
     """Canonical form: flattened, constant-merged, deterministically ordered."""
     if isinstance(e, (Const, Sym)):
         return e
-    out = _NORMAL_FORMS.get(e)
-    if out is not None:
-        return out
+    return _normalize_node(e)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _normalize_node(e: Expr) -> Expr:
     if isinstance(e, Add):
-        out = _normalize_add([normalize(t) for t in e.terms])
-    elif isinstance(e, Mul):
-        out = _normalize_mul([normalize(f) for f in e.factors])
-    elif isinstance(e, Pow):
-        out = _normalize_pow(normalize(e.base), e.exponent)
-    elif isinstance(e, Div):
-        out = _normalize_div(normalize(e.num), normalize(e.den))
-    elif isinstance(e, Fun):
-        out = _normalize_fun(e.name, [normalize(a) for a in e.args])
-    else:
-        raise TypeError(f"not an Expr: {e!r}")
-    return _remember(_NORMAL_FORMS, e, out, _MEMO_LIMIT)
+        return _normalize_add([normalize(t) for t in e.terms])
+    if isinstance(e, Mul):
+        return _normalize_mul([normalize(f) for f in e.factors])
+    if isinstance(e, Pow):
+        return _normalize_pow(normalize(e.base), e.exponent)
+    if isinstance(e, Div):
+        return _normalize_div(normalize(e.num), normalize(e.den))
+    if isinstance(e, Fun):
+        return _normalize_fun(e.name, [normalize(a) for a in e.args])
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 def _normalize_div(num: Expr, den: Expr) -> Expr:
@@ -871,10 +852,12 @@ def expand(e: Expr) -> Expr:
     what symbolic intermediates want); expansion is the opt-in step that
     collapses cross-term cancellations down to closed forms.
     """
-    out = _EXPANDED.get(e)
-    if out is None:
-        out = _remember(_EXPANDED, e, _expand_node(normalize(e)), _MEMO_LIMIT)
-    return out
+    return _expand(e)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _expand(e: Expr) -> Expr:
+    return _expand_node(normalize(e))
 
 
 # ---------------------------------------------------------------------------
@@ -927,15 +910,14 @@ def _diff(e: Expr, name: str) -> Expr:
 
 
 def differentiate(e: Expr, sym: Union[str, Sym]) -> Expr:
-    name = sym.name if isinstance(sym, Sym) else sym
-    key = (e, name)
-    out = _DERIVATIVES.get(key)
-    if out is None:
-        # normalize first: the raw power rule would build base^-1 from literal
-        # constructions like 0^0 that normalization folds away
-        out = _remember(_DERIVATIVES, key,
-                        normalize(_diff(normalize(e), name)), _MEMO_LIMIT)
-    return out
+    return _differentiate(e, sym.name if isinstance(sym, Sym) else sym)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _differentiate(e: Expr, name: str) -> Expr:
+    # normalize first: the raw power rule would build base^-1 from literal
+    # constructions like 0^0 that normalization folds away
+    return normalize(_diff(normalize(e), name))
 
 
 def is_quadratic(e: Expr, names: Sequence[str]) -> bool:
@@ -956,11 +938,13 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
     for k, v in mapping.items():
         name = k.name if isinstance(k, Sym) else k
         table[name] = _coerce(v)
-    # coerced values key the memo: 1, 1.0 and -0.0 are distinct constants
-    key = (e, tuple(sorted(table.items())))
-    out = _SUBSTITUTED.get(key)
-    if out is not None:
-        return out
+    # coerced values key the cache: 1, 1.0 and -0.0 are distinct constants
+    return _substitute(e, tuple(sorted(table.items())))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _substitute(e: Expr, items: tuple) -> Expr:
+    table = dict(items)
 
     def walk(node: Expr) -> Expr:
         # a subtree that holds none of the mapped names is kept as it is
@@ -980,7 +964,7 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
             return Fun(node.name, tuple(walk(a) for a in node.args))
         raise TypeError(f"not an Expr: {node!r}")
 
-    return _remember(_SUBSTITUTED, key, normalize(walk(e)), _MEMO_LIMIT)
+    return normalize(walk(e))
 
 
 _NUMPY_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
@@ -1155,10 +1139,10 @@ def _number_value(text: str) -> Fraction:
 
 
 class _Parser:
-    def __init__(self, tokens, table: Optional[SymbolTable]):
+    def __init__(self, tokens, names: Optional[frozenset]):
         self.tokens = tokens
         self.pos = 0
-        self.table = table
+        self.names = names
         self.depth = 0
 
     def peek(self) -> _Token:
@@ -1249,7 +1233,7 @@ class _Parser:
                         f"{tok.text} expects {FUNCTIONS[tok.text]} argument(s), got {len(args)}",
                         closing.offset)
                 return Fun(tok.text, tuple(args))
-            if self.table is not None and tok.text not in self.table:
+            if self.names is not None and tok.text not in self.names:
                 raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.offset)
             return Sym(tok.text)
         what = tok.text or "end of input"
@@ -1259,18 +1243,19 @@ class _Parser:
 def parse(text: str, table: Optional[SymbolTable] = None) -> Expr:
     """Parse the DSL into a normalized expression tree."""
     # the table decides only which identifiers are known, so its names key
-    # the memo; a text that fails to parse is not stored and fails again
-    key = (text, None if table is None else frozenset(table._roles))
-    out = _PARSED.get(key)
-    if out is not None:
-        return out
-    parser = _Parser(_tokenize(text), table)
+    # the cache; a text that fails to parse is not stored and fails again
+    return _parse(text, None if table is None else frozenset(table._roles))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _parse(text: str, names: Optional[frozenset]) -> Expr:
+    parser = _Parser(_tokenize(text), names)
     try:
         node = parser.parse_expr()
         tail = parser.peek()
         if tail.kind != "end":
             raise ParseError(f"trailing input {tail.text!r}", tail.offset)
-        return _remember(_PARSED, key, normalize(node), _MEMO_LIMIT)
+        return normalize(node)
     except RecursionError:  # a backstop: MAX_NESTING stops a deep text first
         raise ParseError("expression nested too deeply",
                          parser.peek().offset) from None
@@ -1425,15 +1410,17 @@ class SampleDomain:
         """The points of self.sample(n, seed) as read-only columns in a
         read-only mapping, drawn once per process for each (domain, n,
         seed)."""
-        key = (self, n, seed)
-        cols = _SAMPLES.get(key)
-        if cols is None:
-            drawn = self._draw(n, seed=seed)
-            for col in drawn.values():
-                col.flags.writeable = False
-            cols = _remember(_SAMPLES, key, types.MappingProxyType(drawn),
-                             _SAMPLE_LIMIT)
-        return cols
+        return _sample_columns(self, n, seed)
+
+
+# a sample set holds n points per symbol, so its cache has a smaller bound
+@functools.lru_cache(maxsize=1 << 6)
+def _sample_columns(domain: SampleDomain, n: int,
+                    seed: int) -> Mapping[str, np.ndarray]:
+    drawn = domain._draw(n, seed=seed)
+    for col in drawn.values():
+        col.flags.writeable = False
+    return types.MappingProxyType(drawn)
 
 
 def _uniforms(rng: random.Random, k: int) -> np.ndarray:

@@ -32,20 +32,22 @@ only a missing required section, which has no line, names the section.
 load_model and load_bundled read and decode the file on every call, so an
 edited file is always seen.  loads_model assembles each distinct (text,
 name, path) once per process and hands the same read-only Model back after
-that; at most _MODEL_LIMIT (2^6) models are kept, and the memo is emptied
-when full.  A text that fails to load is not kept, so it fails again.
+that; at most 2^6 models are kept, and a functools.lru_cache drops the
+least recently used one when full (its cache_info() counts the hits and
+misses).  A text that fails to load is not kept, so it fails again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .expr import (Expr, ExprError, SampleDomain, SymbolTable, ZERO,
-                   _remember, parse, substitute)
+from .expr import (Expr, ExprError, SampleDomain, SymbolTable, ZERO, parse,
+                   substitute)
 from .symplectic import FlowSystem, PhaseSpace
 from .reduction import CanonicalMap, ConstraintSpec
 from .pathint import LatticeConfig
@@ -254,21 +256,13 @@ def _pair(text: str, full, target) -> Tuple[str, str]:
 # assembly
 # ---------------------------------------------------------------------------
 
-_MODEL_LIMIT = 1 << 6
-_MODELS: Dict[Tuple[str, str, Optional[str]], Model] = {}
-
-
 def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
     """The Model of a .sys text, assembled once per process for each
     (text, name, path); a text that raises is not kept."""
-    key = (text, name, path)
-    model = _MODELS.get(key)
-    if model is None:
-        model = _remember(_MODELS, key, _assemble(text, name, path),
-                          _MODEL_LIMIT)
-    return model
+    return _assemble(text, name, path)
 
 
+@functools.lru_cache(maxsize=1 << 6)
 def _assemble(text: str, name: str, path: Optional[str]) -> Model:
     where = path or f"<{name}>"
     sections = _split_sections(text, where)

@@ -1,7 +1,22 @@
+import sys
+
 import pytest
 
 from emq.reduction import run_reduction
 from emq.sysfile import load_bundled
+
+
+def memos():
+    """Every per-process cache of the emq modules: each object there with a
+    cache_clear(), so a cache added later is found too."""
+    return {value for name, module in list(sys.modules.items())
+            if name == "emq" or name.startswith("emq.")
+            for value in vars(module).values() if hasattr(value, "cache_clear")}
+
+
+def clear_memos():
+    for memo in memos():
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import clear_memos, memos
 from emq import __version__, cli, expr, symplectic, sysfile
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.expr import MAX_NESTING, SampleDomain, columns
@@ -142,8 +143,8 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     # the sampled checks are memoized too; cleared, each compares afresh
     for s in (5, 0):
         draws.clear()
-        expr._SAMPLES.clear()
-        expr._CHECKS.clear()
+        expr._sample_columns.cache_clear()
+        expr.sampled_check.cache_clear()
         assert main(["reduce", "harmonic", "--json", "--seed", str(s)]) \
             == EXIT_OK
         cached = json.loads(capsys.readouterr().out)
@@ -159,7 +160,7 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     # the same report when every comparison draws its points afresh
     monkeypatch.setattr(SampleDomain, "sample_columns",
                         lambda self, n, seed=0: columns(self.sample(n, seed)))
-    expr._CHECKS.clear()
+    expr.sampled_check.cache_clear()
     assert main(["reduce", "harmonic", "--json"]) == EXIT_OK
     fresh = json.loads(capsys.readouterr().out)
     assert len(draws) > 10
@@ -887,10 +888,6 @@ def test_usage_exit_for_unknown_subcommand(capsys):
 # warm process: memoized front end and the reused argument parser
 # ---------------------------------------------------------------------------
 
-_MEMOS = ("_PARSED", "_SUBSTITUTED", "_NORMAL_FORMS", "_DERIVATIVES",
-          "_EXPANDED", "_SAMPLES", "_CHECKS")
-
-
 def _report_and_artifacts(argv, capsys):
     code = main(argv + ["--json"])
     report = json.loads(capsys.readouterr().out)
@@ -920,12 +917,51 @@ def test_warm_and_cold_runs_give_the_same_reports(tmp_path, monkeypatch,
             warm = _report_and_artifacts(argv, capsys)
             assert tokenized == [], f"{command} {name} parsed again"
             assert warm == first
-            for memo in _MEMOS:
-                getattr(expr, memo).clear()
-            sysfile._MODELS.clear()
+            clear_memos()
             cold = _report_and_artifacts(argv, capsys)
             assert tokenized, "the cleared memos were not parsed afresh"
             assert cold == first, f"{command} {name}"
+
+
+def test_each_cache_keeps_its_bound():
+    # a sample set holds n points per symbol and a model a whole file, so
+    # their caches are smaller than the symbolic ones
+    bounds = {expr._parse: 1 << 16, expr._normalize_node: 1 << 16,
+              expr._expand: 1 << 16, expr._differentiate: 1 << 16,
+              expr._substitute: 1 << 16, expr._sample_columns: 1 << 6,
+              expr.sampled_check: 1 << 12, sysfile._assemble: 1 << 6,
+              cli._parser: 1}
+    assert memos() == set(bounds)
+    for memo, size in bounds.items():
+        assert memo.cache_parameters() == {"maxsize": size, "typed": False}
+
+
+def test_a_second_run_hits_the_symbolic_caches_and_misses_none(capsys):
+    symbolic = (expr._parse, expr._normalize_node, expr._differentiate,
+                expr._substitute)
+
+    def run():
+        before = [memo.cache_info() for memo in symbolic]
+        for command in ("reduce", "anomaly"):
+            assert main([command, "harmonic"]) == EXIT_OK
+        capsys.readouterr()
+        after = [memo.cache_info() for memo in symbolic]
+        return [(b.misses, a.misses, a.hits - b.hits)
+                for b, a in zip(before, after)]
+
+    clear_memos()
+    run()
+    # the kept model is handed back, so nothing is parsed again
+    models = sysfile._assemble.cache_info().hits
+    warm = run()
+    assert sysfile._assemble.cache_info().hits == models + 2
+    assert [m0 == m1 for m0, m1, _ in warm] == [True] * 4
+    assert [hits > 0 for _, _, hits in warm] == [False, True, True, True]
+    # with only the model cache emptied, the file is assembled again from
+    # the kept parses, normal forms, derivatives and substitutions
+    sysfile._assemble.cache_clear()
+    again = run()
+    assert [m0 == m1 and hits > 0 for m0, m1, hits in again] == [True] * 4
 
 
 def test_checks_worked_out_again_read_the_kept_values(tmp_path, capsys):
@@ -936,9 +972,9 @@ def test_checks_worked_out_again_read_the_kept_values(tmp_path, capsys):
             argv = [command, name, "--seed", "11"]
             if command == "propagate":
                 argv += ["--out", str(tmp_path / name)]
-            expr._CHECKS.clear()
+            expr.sampled_check.cache_clear()
             first = _report_and_artifacts(argv, capsys)
-            expr._CHECKS.clear()
+            expr.sampled_check.cache_clear()
             again = _report_and_artifacts(argv, capsys)
             assert again == first, f"{command} {name}"
 

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_memos
 from emq import expr as expr_module
 from emq.expr import (
     Add, Const, Div, DivisionByZeroError, DomainError, EvalError, Expr,
@@ -66,11 +67,6 @@ def _normalized_or_discard(e):
         return normalize(e)
     except DivisionByZeroError:
         assume(False)
-
-
-def _clear_memos():
-    expr_module._NORMAL_FORMS.clear()
-    expr_module._DERIVATIVES.clear()
 
 
 def _subtrees(e):
@@ -178,7 +174,7 @@ def test_symbol_table_rules():
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_normalize_is_idempotent(e):
     n = _normalized_or_discard(e)
-    _clear_memos()  # normalize(n) must recompute, not find e's entry
+    clear_memos()  # normalize(n) must recompute, not find e's entry
     assert normalize(n) == n
 
 
@@ -293,9 +289,9 @@ def test_nodes_are_immutable(node, attr):
 @given(_trees(), st.lists(_trees(), max_size=3))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_warm_memo_gives_the_cold_normal_form(e, others):
-    _clear_memos()
+    clear_memos()
     cold = _outcome(normalize, e)
-    _clear_memos()
+    clear_memos()
     # warm the memo with trees that share e's subtrees
     for sub in _subtrees(e):
         for o in others:
@@ -309,9 +305,9 @@ def test_warm_memo_gives_the_cold_normal_form(e, others):
 @given(_trees(), st.sampled_from(NAMES), st.lists(_trees(), max_size=3))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_warm_memo_gives_the_cold_derivative(e, name, others):
-    _clear_memos()
+    clear_memos()
     cold = _outcome(differentiate, e, name)
-    _clear_memos()
+    clear_memos()
     for sub in _subtrees(e):
         for o in others:
             _outcome(differentiate, Mul((sub, o)), name)
@@ -334,11 +330,11 @@ def test_memo_keeps_exact_and_float_constants_apart():
     for pair in cases:
         cold = []
         for e in pair:
-            _clear_memos()
+            clear_memos()
             cold.append(normalize(e))
         assert str(cold[0]) != str(cold[1])
         for order in (pair, pair[::-1]):
-            _clear_memos()
+            clear_memos()
             for e in order:
                 assert str(normalize(e)) == str(cold[pair.index(e)])
     assert evaluate(normalize(cases[1][0]), {}) == pytest.approx(math.pi)
@@ -353,7 +349,7 @@ def test_terms_and_factors_with_signed_zeros_stay_apart():
     x = Sym("x")
     for e in (Add((pos, neg)), Mul((pos, neg)), Div(pos, neg),
               Add((Div(x, pos), Div(x, neg)))):
-        _clear_memos()
+        clear_memos()
         n = normalize(e)
         assert n == normalize(n)
         assert evaluate(n, {"x": 0.4}) == pytest.approx(
@@ -373,24 +369,6 @@ def test_typed_errors_raise_on_every_call():
             differentiate(e, "x")
         with pytest.raises(error):
             differentiate(e, "x")
-
-
-def test_memo_refills_after_reaching_its_bound():
-    _clear_memos()
-    x = Sym("x")
-    square = normalize(Mul((x, x)))
-    cube_slope = differentiate(Pow(x, 3), "x")
-    limit = expr_module._MEMO_LIMIT
-    for i in range(limit + 10):
-        normalize(Fun("sin", (Const(i),)))
-        differentiate(Sym(f"v{i}"), "x")
-    assert 0 < len(expr_module._NORMAL_FORMS) <= limit
-    assert 0 < len(expr_module._DERIVATIVES) <= limit
-    assert normalize(Mul((x, x))) == square == Pow(x, 2)
-    assert differentiate(Pow(x, 3), "x") == cube_slope == normalize(
-        Mul((Const(3), Pow(x, 2))))
-    assert normalize(Fun("sin", (Const(0),))) == ZERO
-    assert normalize(Fun("sin", (Const(limit),))) == Fun("sin", (Const(limit),))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +443,7 @@ def _same_structure(a, b):
 
 
 def test_equal_trees_are_one_node():
-    _clear_every_memo()
+    clear_memos()
     x, y = Sym("x"), Sym("y")
     assert Sym("x") is x and Const(2) is Const(Fraction(2))
     assert Pow(x, Fraction(4, 2)) is Pow(x, 2)
@@ -493,7 +471,7 @@ def test_one_live_node_per_structure(e, other):
 
 
 def test_a_dropped_node_leaves_the_table():
-    _clear_every_memo()
+    clear_memos()
     nodes = expr_module._NODES
     probe = Sym("dropped_probe")
     tree = Fun("cos", (Div(probe, Const(Fraction(7, 13))),))
@@ -514,7 +492,7 @@ def test_a_dropped_node_leaves_the_table():
     key = (Sym, "kept_probe")
     ref = nodes[key]
     assert ref() is Sym("kept_probe")
-    _clear_every_memo()
+    clear_memos()
     assert ref() is None and key not in nodes
 
 
@@ -562,11 +540,8 @@ def test_cached_sort_key_is_the_recursive_one(e):
 # memoized parse and substitute
 # ---------------------------------------------------------------------------
 
-def _clear_every_memo():
-    _clear_memos()
-    for table in ("_PARSED", "_SUBSTITUTED", "_EXPANDED", "_SAMPLES",
-                  "_CHECKS"):
-        getattr(expr_module, table).clear()
+def _size(cache):
+    return cache.cache_info().currsize
 
 
 def _table(names, role="parameter"):
@@ -577,7 +552,7 @@ def _table(names, role="parameter"):
 
 
 def test_parse_memo_hands_out_the_identical_tree():
-    _clear_every_memo()
+    clear_memos()
     text = "a*x^2 + sin(b*y)/2"
     first = parse(text, TABLE)
     assert parse(text, TABLE) is first
@@ -585,16 +560,16 @@ def test_parse_memo_hands_out_the_identical_tree():
     assert parse(text, _table(NAMES, role="coordinate")) is first
     untabled = parse(text)
     assert untabled == first and parse(text) is untabled
-    assert len(expr_module._PARSED) == 2
+    assert _size(expr_module._parse) == 2
     # a table that lacks a name still rejects the text it once accepted
     for table in (_table(("a", "b", "x")), SymbolTable()):
         with pytest.raises(UnknownIdentifierError, match="'y'|'a'"):
             parse(text, table)
-    assert len(expr_module._PARSED) == 2
+    assert _size(expr_module._parse) == 2
 
 
 def test_parse_errors_raise_on_every_call():
-    _clear_every_memo()
+    clear_memos()
     deep = "(" * 3000 + "x" + ")" * 3000
     for text, error in (("a +", ParseError), ("x*(y", ParseError),
                         ("2 $ 3", ParseError), ("sin(x, y)", ParseError),
@@ -607,46 +582,25 @@ def test_parse_errors_raise_on_every_call():
                 parse(text, TABLE)
             messages.add(str(info.value))
         assert len(messages) == 1
-    assert expr_module._PARSED == {}
-
-
-def test_parse_and_substitute_memos_empty_when_full(monkeypatch):
-    _clear_every_memo()
-    monkeypatch.setattr(expr_module, "_MEMO_LIMIT", 4)
-    parsed = [parse(f"x + {i}", TABLE) for i in range(4)]
-    assert len(expr_module._PARSED) == 4
-    assert parse("x + 4", TABLE) == normalize(Add((Sym("x"), Const(4))))
-    assert len(expr_module._PARSED) == 1
-    # the emptied memo parses the text again and stores it again; the node
-    # table hands back the node the first parse built
-    again = parse("x + 0", TABLE)
-    assert len(expr_module._PARSED) == 2
-    assert again is parsed[0] == Sym("x")
-
-    e = parse("a*x + y", TABLE)
-    results = [substitute(e, {"x": i}) for i in range(4)]
-    assert len(expr_module._SUBSTITUTED) == 4
-    substitute(e, {"x": 4})
-    assert len(expr_module._SUBSTITUTED) == 1
-    assert substitute(e, {"x": 0}) == results[0] == Sym("y")
+    assert _size(expr_module._parse) == 0
 
 
 def test_substitute_memo_keys_coerced_values():
-    _clear_every_memo()
+    clear_memos()
     e = parse("atan2(x, -1) + x*y", TABLE)
     two = substitute(e, {Sym("x"): 2})
     assert substitute(e, {"x": Const(2)}) is two
     assert substitute(e, {"x": Fraction(2)}) is two
-    assert len(expr_module._SUBSTITUTED) == 1
+    assert _size(expr_module._substitute) == 1
     # 1 and 1.0, 0.0 and -0.0 are distinct constants, so distinct entries
     values = (1, 1.0, 0.0, -0.0)
     results = [substitute(e, {"x": v}) for v in values]
-    assert len(expr_module._SUBSTITUTED) == 1 + len(values)
+    assert _size(expr_module._substitute) == 1 + len(values)
     assert len({str(r) for r in results}) == len(values)
     assert evaluate(results[2], {}) == pytest.approx(math.pi)
     assert evaluate(results[3], {}) == pytest.approx(-math.pi)
     for v, warm in zip(values, results):
-        _clear_every_memo()
+        clear_memos()
         cold = substitute(e, {"x": v})
         assert cold == warm and str(cold) == str(warm)
 
@@ -654,7 +608,7 @@ def test_substitute_memo_keys_coerced_values():
 @given(_trees(), st.sampled_from(NAMES), _trees())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_warm_memo_gives_the_cold_substitution(e, name, value):
-    _clear_every_memo()
+    clear_memos()
     cold = _outcome(substitute, e, {name: value})
     # warm every memo on pieces of the same work, then ask again
     for sub in _subtrees(e):
@@ -665,40 +619,30 @@ def test_warm_memo_gives_the_cold_substitution(e, name, value):
     assert warm == cold and str(warm) == str(cold)
 
 
-def test_expand_memo_hands_out_the_identical_tree(monkeypatch):
-    _clear_every_memo()
+def test_expand_memo_hands_out_the_identical_tree():
+    clear_memos()
     e = parse("(x + y)^2 - (x - y)^2", TABLE)
     first = expand(e)
     assert first == normalize(parse("4*x*y", TABLE))
     assert expand(e) is first
     # keyed by the tree, so an equal tree parsed from another text hits it
     assert expand(parse("(x+y)^2-(x-y)^2", TABLE)) is first
-    assert len(expr_module._EXPANDED) == 1
+    assert _size(expr_module._expand) == 1
     # a raising call stores nothing and raises again
     bad = Div(Mul((Sym("x"), Add((Sym("x"), Sym("y"))))), Add((
         Sym("x"), Mul((Const(-1), Sym("x"))))))
     for _ in range(2):
         with pytest.raises(DivisionByZeroError):
             expand(bad)
-    assert len(expr_module._EXPANDED) == 1
-
-    monkeypatch.setattr(expr_module, "_MEMO_LIMIT", 4)
-    expanded = [expand(parse(f"(x + {i})^2", TABLE)) for i in (1, 2, 3)]
-    assert len(expr_module._EXPANDED) == 4
-    expand(parse("(x + 4)^2", TABLE))
-    assert len(expr_module._EXPANDED) == 1
-    # the emptied memo expands the tree again and stores it again
-    again = expand(parse("(x + 1)^2", TABLE))
-    assert len(expr_module._EXPANDED) == 2
-    assert again == expanded[0] == normalize(parse("x^2 + 2*x + 1", TABLE))
+    assert _size(expr_module._expand) == 1
 
 
 @given(_trees(), st.lists(_trees(), max_size=3))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_warm_memo_gives_the_cold_expansion(e, others):
-    _clear_every_memo()
+    clear_memos()
     cold = _outcome(expand, e)
-    _clear_every_memo()
+    clear_memos()
     # warm every memo on pieces of the same work, then ask again
     for sub in _subtrees(e):
         for o in others:
@@ -714,7 +658,7 @@ def test_deep_trees_compare_without_recursion():
     text = " + ".join(f"x^{i % 5 + 1}" for i in range(450))
     first = parse(text, TABLE)
     plan, printed = _blueprint(first), str(first)
-    _clear_every_memo()
+    clear_memos()
     del first
     again = parse(text, TABLE)
     assert str(again) == printed and _built(plan) is again
@@ -846,14 +790,14 @@ def test_cached_free_symbols_are_the_recursive_ones(e):
     # nodes built again after the memos and n let them go work out their
     # own sets
     plan = _blueprint(n)
-    _clear_every_memo()
+    clear_memos()
     del n
     for sub in _subtrees(_built(plan)):
         assert sub.free_symbols() == _fresh_free_symbols(sub)
 
 
 def test_substitute_keeps_subtrees_without_mapped_names(monkeypatch):
-    _clear_every_memo()
+    clear_memos()
     e = parse("x*sin(a*b) + cos(y)/a", TABLE)
     e.free_symbols()
     # the walk asks each node it visits for its symbols; it does not look
@@ -1016,8 +960,8 @@ def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):
         return draw(self, n, seed=seed, rng=rng)
 
     monkeypatch.setattr(SampleDomain, "_draw", counting)
-    expr_module._SAMPLES.clear()
-    expr_module._CHECKS.clear()
+    expr_module._sample_columns.cache_clear()
+    expr_module.sampled_check.cache_clear()
     a, b = parse("x*y", TABLE), parse("x*y + x^3/1000", TABLE)
     results = [numeric_compare(a, b, dom, n=30, seed=4) for _ in range(3)]
     assert draws == [(30, 4)]
@@ -1099,7 +1043,7 @@ def _counting_compare(monkeypatch):
         return compare(*args)
 
     monkeypatch.setattr(expr_module, "_compare", counting)
-    expr_module._CHECKS.clear()
+    expr_module.sampled_check.cache_clear()
     return runs
 
 
@@ -1141,11 +1085,11 @@ def test_a_comparison_that_raises_raises_again(monkeypatch):
         with pytest.raises(DomainError):
             numeric_compare(parse("sqrt(x)", TABLE), ZERO, dom, n=20)
     assert len(runs) == 2
-    assert not expr_module._CHECKS
+    assert _size(expr_module.sampled_check) == 0
 
 
 def test_a_returned_worst_point_is_the_callers_own():
-    expr_module._CHECKS.clear()
+    expr_module.sampled_check.cache_clear()
     dom = SampleDomain(ranges=(("x", 0.0, 1.0),))
     a, b = parse("x", TABLE), parse("x + 0.001", TABLE)
     first = numeric_compare(a, b, dom, n=20)
@@ -1158,20 +1102,6 @@ def test_a_returned_worst_point_is_the_callers_own():
     assert again.worst_point is not first.worst_point
 
 
-def test_check_memo_refills_after_reaching_its_bound():
-    expr_module._CHECKS.clear()
-    dom = SampleDomain(ranges=(("x", 0.0, 1.0),))
-    x = Sym("x")
-    same = numeric_compare(x, x, dom, n=1)
-    limit = expr_module._CHECK_LIMIT
-    for i in range(limit + 10):
-        numeric_compare(x, Const(i + 2), dom, n=1)
-    assert 0 < len(expr_module._CHECKS) <= limit
-    assert numeric_compare(x, x, dom, n=1) == same
-    assert same.equal
-    assert not numeric_compare(x, Const(limit), dom, n=1).equal
-
-
 def test_sampled_values_are_worked_out_once_and_read_only(monkeypatch):
     runs = []
     work = expr_module._sampled_values
@@ -1181,7 +1111,7 @@ def test_sampled_values_are_worked_out_once_and_read_only(monkeypatch):
         return work(*args)
 
     monkeypatch.setattr(expr_module, "_sampled_values", counting)
-    expr_module._CHECKS.clear()
+    expr_module.sampled_check.cache_clear()
     cols = _BOX.sample_columns(20, seed=6)
     with pytest.raises(TypeError):
         cols["x"] = cols["y"]
@@ -1203,10 +1133,10 @@ def test_sampled_values_are_worked_out_once_and_read_only(monkeypatch):
         assert sampled_values(*args) is sampled_values(*args)
         assert len(runs) == count
     # a tree that raises stores nothing, so it raises again
-    expr_module._CHECKS.clear()
+    expr_module.sampled_check.cache_clear()
     singular = parse("x*y + sqrt(1 - x)", TABLE)
     for count in (6, 7):
         with pytest.raises(NegativeSqrtError):
             sampled_values(singular, _BOX, 20, 6)
         assert len(runs) == count
-    assert not expr_module._CHECKS
+    assert _size(expr_module.sampled_check) == 0

@@ -247,7 +247,7 @@ def test_jacobi_liouville_is_memoized_on_its_arguments(free_model,
         return check(*args)
 
     monkeypatch.setattr(reduction, "_jacobi_liouville", counting)
-    expr_module._CHECKS.clear()
+    expr_module.sampled_check.cache_clear()
     m = free_model
     for _ in range(2):
         assert jacobi_liouville_check(m.darboux, m.constraint, m.system)
@@ -264,4 +264,4 @@ def test_jacobi_liouville_is_memoized_on_its_arguments(free_model,
         with pytest.raises(DomainError, match="singular Jacobian"):
             jacobi_liouville_check(flat, m.constraint, m.system)
         assert len(runs) == count
-    assert len(expr_module._CHECKS) == 3
+    assert expr_module.sampled_check.cache_info().currsize == 3

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from conftest import clear_memos
 from emq import sysfile
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.sysfile import (
@@ -83,11 +84,10 @@ def test_params_are_read_only_and_every_load_reads_the_file_values(
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def models(monkeypatch):
-    """An empty model memo for one test; the shared one comes back after."""
-    memo = {}
-    monkeypatch.setattr(sysfile, "_MODELS", memo)
-    return memo
+def models():
+    """The model cache, emptied for one test."""
+    clear_memos()
+    return sysfile._assemble
 
 
 def test_the_same_text_name_and_path_give_the_same_model(models):
@@ -96,7 +96,7 @@ def test_the_same_text_name_and_path_give_the_same_model(models):
     assert loads_model(BASE, name="u", path="a.sys") is not m
     assert loads_model(BASE, name="t", path="b.sys") is not m
     assert load_bundled("free_particle") is load_bundled("free_particle")
-    assert len(models) == 4
+    assert models.cache_info().currsize == 4
 
 
 def test_a_file_edited_at_the_same_path_is_assembled_again(models, tmp_path,
@@ -132,20 +132,7 @@ def test_a_text_that_fails_raises_again_and_is_not_kept(models):
     for _ in range(3):
         messages.add(_expect(bad, "missing velocity f_y"))
     assert len(messages) == 1
-    assert models == {}
-
-
-def test_the_model_memo_empties_at_its_bound(models, monkeypatch):
-    monkeypatch.setattr(sysfile, "_MODEL_LIMIT", 2)
-    a = loads_model(BASE, name="a")
-    loads_model(BASE, name="b")
-    assert len(models) == 2
-    c = loads_model(BASE, name="c")
-    assert list(models.values()) == [c]
-    # the emptied memo assembles the text again and stores it again
-    again = loads_model(BASE, name="a")
-    assert again is not a and again.params == a.params
-    assert len(models) == 2
+    assert models.cache_info().currsize == 0
 
 
 def test_unknown_bundled_name():
