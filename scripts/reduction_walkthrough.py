@@ -44,7 +44,7 @@ def walkthrough(name: str, seed: int) -> None:
 
     L_R, form, transformed, result = run_reduction(
         sys_, model.constraint, model.darboux, seed=seed)
-    pt = model.chart.sample(1, seed=seed)[0]
+    pt = model.chart.sample_columns(1, seed=seed)
     print(f"  presymplectic rank   : {form.rank_at(pt)}"
           f" of {len(form.variables)} retained variables")
 

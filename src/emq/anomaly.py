@@ -396,10 +396,9 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
     n_samples = 4000
     c_p = report.derived["momentum_shift"]
     c_q = report.derived["coordinate_shift"]
-    point = {k: float(v[0])
-             for k, v in chart.sample_columns(1, seed=seed).items()}
-    vp = evaluate(c_p, point)
-    vq = evaluate(c_q, point)
+    point = chart.sample_columns(1, seed=seed)
+    vp = float(evaluate(c_p, point)[0])
+    vq = float(evaluate(c_q, point)[0])
     rng = np.random.default_rng(abs(seed))
     means = []
     for eps in widths:

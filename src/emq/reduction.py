@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,16 +95,14 @@ class PresymplecticForm:
     variables: Tuple[str, ...]
     matrix: Tuple[Tuple[Expr, ...], ...]
 
-    def evaluate_at(self, point: Dict[str, float]) -> np.ndarray:
+    def rank_at(self, point: Mapping[str, np.ndarray]) -> int:
+        """Rank at the one point of columns from sample_columns(1, seed)."""
         dim = len(self.variables)
-        out = np.empty((dim, dim))
+        upper = np.zeros((dim, dim))
         for i in range(dim):
-            for j in range(dim):
-                out[i, j] = evaluate(self.matrix[i][j], point)
-        return out
-
-    def rank_at(self, point: Dict[str, float]) -> int:
-        sv = np.linalg.svd(self.evaluate_at(point), compute_uv=False)
+            for j in range(i + 1, dim):
+                upper[i, j] = evaluate(self.matrix[i][j], point)[0]
+        sv = np.linalg.svd(upper - upper.T, compute_uv=False)
         if len(sv) == 0:
             return 0
         return int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
@@ -432,8 +430,7 @@ def run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
     c.validate(sys, seed=seed)
     L_R, f = eliminate_primary(sys, c)
     steps.append(f"eliminated {c.eliminated} = {c.solution}")
-    point = {k: float(v[0])
-             for k, v in sys.chart.sample_columns(1, seed=seed).items()}
+    point = sys.chart.sample_columns(1, seed=seed)
     steps.append(f"presymplectic rank at chart points: "
                  f"{f.rank_at(point)} of {len(f.variables)}")
     transformed = apply_darboux(L_R, map, sys.space, sys.chart, seed=seed)

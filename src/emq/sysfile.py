@@ -8,14 +8,14 @@ lattice settings and generating-function data.  Sections:
                 optional momentum-free potential
   [charges]     named conserved combinations
   [rho]         coefficient expression per selected charge
-  [params]      numeric parameter values used by the lattice layer; hbar,
-                if set, must be finite and > 0
+  [params]      numeric parameter values used by the lattice layer; each
+                must be finite, and hbar, if set, must also be > 0
   [constraint]  phi, eliminate, solution, optional chi
   [darboux]     reduced = <coord> : <mom> (repeatable), gauge = <coord> : <mom>,
                 one forward expression per target name, one inv_<name> per
                 source variable
-  [domain]      sampling ranges per symbol plus repeatable
-                guard = <expr> in <lo>, <hi> lines
+  [domain]      finite sampling ranges per symbol plus repeatable guard =
+                <expr> in <lo>, <hi> lines, which may have an infinite bound
   [lattice]     optional; grid, slicing and tolerance settings, each
                 checked by LatticeConfig
   [anomaly]     optional; F = generating function, reference_A_z = printed
@@ -25,9 +25,10 @@ lattice settings and generating-function data.  Sections:
 
 '#' starts a comment.  All expressions are parsed against a declared-symbol
 table, so a typo fails at load time with a file:line position rather than
-during a numeric sweep.  Every load error names a line: a bad value or an
-unknown or repeated key its own, a missing key its section's header, and
-only a missing required section, which has no line, names the section.
+during a numeric sweep.  Every load error names a line (a bad value or an
+unknown or repeated key its own, a missing key its section's header) except
+a missing section or unreadable file; a test fails on a raise site that no
+row of USAGE_ERRORS in tests/test_cli.py reaches.
 
 load_model and load_bundled read and decode the file on every call, so an
 edited file is always seen.  loads_model assembles each distinct (text,
@@ -234,6 +235,8 @@ def _parameter(text: str, name: str, tables) -> float:
     value = _number(text)
     if name == "hbar" and not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"hbar must be finite and > 0, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {name} must be finite, got {value!r}")
     return value
 
 
@@ -327,6 +330,9 @@ def _assemble(text: str, name: str, path: Optional[str]) -> Model:
         lo, hi = dom.take(key, _bounds)
         if not lo < hi:
             raise dom.error(f"empty range for {key!r}", key)
+        if not math.isfinite(hi - lo):
+            raise dom.error(f"range for {key!r} needs finite bounds and a "
+                            f"finite width, got {lo!r}, {hi!r}", key)
         ranges.append((key, lo, hi))
     chart = SampleDomain(ranges=tuple(ranges), guards=guards)
 
