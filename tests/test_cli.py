@@ -619,8 +619,6 @@ _HUGE_N, _HUGE_SLICES = f"n = {2 ** 1300}", "slices = " + "9" * 400
 _HARMONIC_F = next(line for line in bundled_text("harmonic").splitlines()
                    if line.startswith("F = "))
 _F_WITH_X = "F = x + " + _HARMONIC_F[4:]
-_NEITHER = ("'model.sys' is neither a file nor a bundled model (bundled: "
-            "free_particle, harmonic, free_particle_lambda)")
 _BAD_LATTICE = "bad [lattice] settings: "
 _DURATION = _BAD_LATTICE + "duration (T or beta) must be finite and > 0, got "
 
@@ -662,7 +660,9 @@ USAGE_ERRORS = [
     _usage("load:not-utf8", LOAD, "harmonic",
            (("\n[lattice]", "\n# \udcff\udcfe\n[lattice]"),), "# \udcff\udcfe",
            "not UTF-8 text"),
-    _usage("load:absent", LOAD, None, ABSENT, None, _NEITHER),
+    _usage("load:absent", LOAD, None, ABSENT, None,
+           "'model.sys' is neither a file nor a bundled model (bundled: "
+           "free_particle, harmonic, free_particle_lambda)"),
     _usage("load:directory", LOAD, None, DIRECTORY, None,
            "model.sys: cannot read: Is a directory"),
     # [system] and expressions
