@@ -962,6 +962,108 @@ def test_every_usage_error_raise_has_a_row(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the command-line tests whose rows the two tables took over keep their
+# names: each runs its rows of the table again
+# ---------------------------------------------------------------------------
+
+_USAGE_ROWS = {row.id: row.values for row in USAGE_ERRORS}
+_CORRUPTION_ROWS = {row.id: row.values for row in CORRUPTIONS}
+
+
+@pytest.fixture
+def usage_error(tmp_path, monkeypatch, capsys):
+    """Runs the USAGE_ERRORS row of an id, with other commands if given."""
+    def run(id, commands=None):
+        row_commands, *rest = _USAGE_ROWS[id]
+        _check_usage_error(commands or row_commands, *rest, tmp_path / "row",
+                           monkeypatch, capsys)
+    return run
+
+
+@pytest.mark.parametrize("id", [f"load:{id}" for id in (
+    "length-0", "length-1e999", "source_center-nan", "source_center-inf",
+    "time-inf", "tolerance-0", "sigma-0", "beta-negative", "beta-subnormal",
+    "hbar-0", "hbar-nan", "slices-400-digits", "n-2^1300")],
+    ids=lambda id: "{1}:{2[0][1]:.24}".format(*_USAGE_ROWS[id]))
+def test_bad_lattice_values_are_usage_errors_at_their_line(id, usage_error):
+    usage_error(id)
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce", "anomaly"])
+@pytest.mark.parametrize("id", [f"load:{id}" for id in (
+    "coordinate-momentum", "momentum-in-potential", "momentum-in-velocity")],
+    ids=["coordinates", "potential", "velocity"])
+def test_structure_errors_are_usage_errors_with_their_line(id, command,
+                                                           usage_error):
+    usage_error(id, (command,))
+
+
+@pytest.mark.parametrize("id", [f"load:{id}" for id in (
+    "coordinate-name", "coordinate-function", "parameter-name", "pair-name",
+    "gauge-is-parameter")],
+    ids=["coordinate", "function", "parameter", "reduced", "clash"])
+def test_bad_declared_names_are_usage_errors_with_their_line(id,
+                                                             usage_error):
+    usage_error(id)
+
+
+@pytest.mark.parametrize("id", ["verify:unwritable-out",
+                                "propagate:unwritable-out"],
+                         ids=["verify-x.json", "propagate-x"])
+def test_an_unwritable_out_is_a_usage_error_naming_it(id, usage_error):
+    usage_error(id)
+
+
+def test_constant_fold_in_a_file_is_a_usage_error(usage_error):
+    usage_error("load:constant-fold")
+
+
+def test_deep_nesting_is_a_usage_error_with_its_line(usage_error):
+    usage_error("load:deep-nesting")
+
+
+def test_missing_file_is_a_usage_error(usage_error):
+    usage_error("load:absent")
+
+
+def test_a_directory_is_a_usage_error_naming_it(usage_error):
+    usage_error("load:directory")
+
+
+def test_non_utf8_bytes_are_a_usage_error_at_their_line(usage_error):
+    usage_error("load:not-utf8")
+
+
+def test_propagate_needs_a_lattice_section(usage_error):
+    usage_error("propagate:no-lattice")
+
+
+def test_anomaly_needs_reference_data_for_a_non_quadratic_F(usage_error):
+    usage_error("load:F-without-reference")
+
+
+def test_an_F_in_the_variables_it_defines_is_a_usage_error(usage_error):
+    usage_error("load:F-in-defined-variables")
+
+
+def test_anomaly_needs_an_anomaly_section(usage_error):
+    usage_error("anomaly:no-anomaly")
+
+
+def test_anomaly_without_F_names_the_file(usage_error):
+    usage_error("anomaly:no-F")
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce", "anomaly"])
+@pytest.mark.parametrize("where", ["sqrt-map", "sqrt-guard"],
+                         ids=["forward map", "guard"])
+def test_unevaluable_chart_fails_with_a_typed_error(where, command, tmp_path,
+                                                    monkeypatch, capsys):
+    test_a_corruption_fails_exactly_its_lines(
+        *_CORRUPTION_ROWS[f"{command}:{where}"], tmp_path, monkeypatch, capsys)
+
+
+# ---------------------------------------------------------------------------
 # what perfbench/ relies on
 # ---------------------------------------------------------------------------
 
