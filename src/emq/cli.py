@@ -128,10 +128,11 @@ class RunReport:
 
 
 def _load(spec: str) -> Model:
-    if os.path.exists(spec):
-        return load_model(spec)
+    # a bundled name wins over a local path; ./name reaches a local file
     if spec in bundled_names():
         return load_bundled(spec)
+    if os.path.exists(spec):
+        return load_model(spec)
     raise SysFileError(
         f"{spec!r} is neither a file nor a bundled model "
         f"(bundled: {', '.join(bundled_names())})")
@@ -340,8 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text in specs:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="path to a .sys file, or a bundled "
-                                    "model name")
+        p.add_argument("file", help="a bundled model name, or a path to "
+                                    "a .sys file (a bundled name wins: "
+                                    "./name reaches a local file of that "
+                                    "name)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all sampled checks (default 0)")
         p.add_argument("--json", action="store_true",

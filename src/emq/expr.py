@@ -1,7 +1,7 @@
 """Symbolic expression core and text front end.
 
 Expressions are immutable trees over exact rational constants, named symbols,
-n-ary sums and products, integer/rational powers, quotients and a small set of
+n-ary sums and products, integer powers, quotients and a small set of
 functions (sin, cos, sqrt, atan2).  The text grammar is
 
     expr   := term (('+' | '-') term)*
@@ -11,7 +11,9 @@ functions (sin, cos, sqrt, atan2).  The text grammar is
             | '(' expr ')' | '-' atom
 
 Decimal literals are converted to exact fractions; floats only appear if a
-caller constructs them directly.  normalize() flattens sums/products, merges
+caller constructs them directly.  A fraction whose numerator or denominator
+has more digits than sys.get_int_max_str_digits() lets str() print is an
+ExprError where its Const is built.  normalize() flattens sums/products, merges
 constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
 by sampled numeric comparison (numeric_compare), structural equality by ==.
@@ -45,7 +47,7 @@ evaluate() works out each distinct subtree above the leaves once per
 call, for floats or for a batch of points given as equal-length columns
 (see columns()), and keeps nothing after the call.
 
-evaluate() never returns NaN/inf silently: division by zero, even roots
+evaluate() never returns NaN/inf silently: division by zero, square roots
 of negative values, unbound symbols and values beyond float range raise
 distinct exceptions naming the first bad point, so chart violations
 surface as errors, not poisoned numerics.
@@ -57,6 +59,7 @@ import functools
 import math
 import random
 import re
+import sys
 import types
 import weakref
 from dataclasses import dataclass
@@ -80,7 +83,6 @@ __all__ = [
 
 FUNCTIONS = {"sin": 1, "cos": 1, "sqrt": 1, "atan2": 2}
 
-Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
 
 
@@ -194,6 +196,23 @@ def _coerce(value) -> Expr:
     raise TypeError(f"cannot build an expression from {value!r}")
 
 
+def _too_long_to_print() -> ExprError:
+    return ExprError(f"constant too long to print: more than "
+                     f"{sys.get_int_max_str_digits()} digits")
+
+
+def _check_printable(value: Fraction) -> None:
+    """Raise ExprError for a constant that str() cannot print: one whose
+    numerator or denominator has more decimal digits than
+    sys.get_int_max_str_digits() allows (0 means no limit)."""
+    limit = sys.get_int_max_str_digits()
+    for part in (abs(value.numerator), value.denominator):
+        # d digits take more than 3*(d - 1) bits, so a part of at most
+        # 3*limit bits fits the limit without the exact test
+        if limit and part.bit_length() > 3 * limit and part >= 10 ** limit:
+            raise _too_long_to_print()
+
+
 def _const_label(v: Number) -> tuple:
     # 1 and 1.0 differ, and so do 0.0 and -0.0: atan2 and the printed form
     # tell the signed zeros apart
@@ -214,6 +233,8 @@ class Const(Expr):
         ref = _NODES.get(key)
         node = ref and ref()
         if node is None:
+            if isinstance(value, Fraction):
+                _check_printable(value)
             # the sort key compares exactly: float() would overflow on
             # huge rationals
             node = _intern(cls, key, (0, value, isinstance(value, float)),
@@ -284,11 +305,10 @@ class Mul(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __new__(cls, base: Expr, exponent: Rational):
-        if isinstance(exponent, Fraction) and exponent.denominator == 1:
-            exponent = int(exponent)
-        if not isinstance(exponent, (int, Fraction)):
-            raise TypeError("exponent must be an integer or Fraction")
+    def __new__(cls, base: Expr, exponent: int):
+        # the grammar writes only integer powers; sqrt is the one root
+        if type(exponent) is not int:
+            raise TypeError(f"exponent must be an int, got {exponent!r}")
         key = (cls, id(base), exponent)
         ref = _NODES.get(key)
         node = ref and ref()
@@ -488,17 +508,6 @@ def _as_base_exp(f: Expr):
     return f, 1
 
 
-def _div_split(f: Expr):
-    """(numerator piece, denominator piece) when f carries a quotient."""
-    if isinstance(f, Div):
-        return f.num, f.den
-    if isinstance(f, Pow) and isinstance(f.base, Div) and isinstance(f.exponent, int):
-        if f.exponent > 0:
-            return Pow(f.base.num, f.exponent), Pow(f.base.den, f.exponent)
-        return Pow(f.base.den, -f.exponent), Pow(f.base.num, -f.exponent)
-    return None
-
-
 def _raw_product(factors) -> Expr:
     if not factors:
         return ONE
@@ -514,15 +523,11 @@ def _normalize_mul(factors) -> Expr:
             flat.extend(f.factors)
         else:
             flat.append(f)
-    if any(_div_split(f) is not None for f in flat):
-        nums, dens = [], []
-        for f in flat:
-            piece = _div_split(f)
-            if piece is None:
-                nums.append(f)
-            else:
-                nums.append(piece[0])
-                dens.append(piece[1])
+    # a normal form holds no power of a quotient (_normalize_pow makes it
+    # a quotient), so a factor carries a quotient only as a Div
+    if any(isinstance(f, Div) for f in flat):
+        nums = [f.num if isinstance(f, Div) else f for f in flat]
+        dens = [f.den for f in flat if isinstance(f, Div)]
         return normalize(Div(_raw_product(nums), _raw_product(dens)))
     # factors collect by their base node, as terms do in _normalize_add
     coeff: Number = Fraction(1)
@@ -533,8 +538,7 @@ def _normalize_mul(factors) -> Expr:
             continue
         base, exp = _as_base_exp(f)
         prev_exp = by_base.get(base)
-        by_base[base] = (exp if prev_exp is None
-                         else _add_exponents(prev_exp, exp))
+        by_base[base] = exp if prev_exp is None else prev_exp + exp
     if coeff == 0:
         return Const(coeff if isinstance(coeff, Fraction) else 0.0)
     out = []
@@ -566,36 +570,12 @@ def _normalize_mul(factors) -> Expr:
     return _rebuild_product(coeff, out)
 
 
-def _add_exponents(a: Rational, b: Rational) -> Rational:
-    total = Fraction(a) + Fraction(b)
-    return int(total) if total.denominator == 1 else total
-
-
-def _exact_rational_power(value: Fraction, exp: Fraction) -> Optional[Fraction]:
-    """value**exp as an exact Fraction, or None when that is not exact."""
-    if value == 0:
-        return Fraction(0) if exp > 0 else None
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    p, q = exp.numerator, exp.denominator
-    rn = _iroot(num, q)
-    rd = _iroot(den, q)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd) ** p
-
-
-def _iroot(n: int, q: int) -> Optional[int]:
-    if n < 0:
-        return None
-    try:
-        r = math.isqrt(n) if q == 2 else round(n ** (1.0 / q))
-    except OverflowError:
-        return None
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** q == n:
-            return cand
+def _exact_sqrt(value: Fraction) -> Optional[Fraction]:
+    """sqrt(value) of a value >= 0 as an exact Fraction, or None when it is
+    irrational."""
+    num, den = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    if num * num == value.numerator and den * den == value.denominator:
+        return Fraction(num, den)
     return None
 
 
@@ -630,20 +610,18 @@ def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
     d_map = {}
     for f in d_factors:
         base, exp = _as_base_exp(f)
-        d_map[base] = Fraction(exp)
+        d_map[base] = exp
     changed = d_coeff != 1 or isinstance(d_coeff, float)
     new_num = []
     for f in n_factors:
         base, exp = _as_base_exp(f)
-        exp = Fraction(exp)
         if d_map.get(base, 0) != 0:
             m = min(exp, d_map[base])
             exp -= m
             d_map[base] -= m
             changed = True
         if exp != 0:
-            new_num.append(_normalize_pow(
-                base, int(exp) if exp.denominator == 1 else exp))
+            new_num.append(_normalize_pow(base, exp))
     if not changed:
         return None
     if isinstance(n_coeff, Fraction) and isinstance(d_coeff, Fraction):
@@ -655,20 +633,19 @@ def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
     for base in sorted(d_map, key=sort_key):
         exp = d_map[base]
         if exp != 0:
-            den_parts.append(_normalize_pow(
-                base, int(exp) if exp.denominator == 1 else exp))
+            den_parts.append(_normalize_pow(base, exp))
     if not den_parts:
         return num_expr
     return normalize(Div(num_expr, _raw_product(den_parts)))
 
 
-def _normalize_pow(base: Expr, exp: Rational) -> Expr:
+def _normalize_pow(base: Expr, exp: int) -> Expr:
     if exp == 0:
         return ONE
     if exp == 1:
         return base
     # sqrt(u)^n collapses on the u >= 0 domain where sqrt is defined at all
-    if isinstance(base, Fun) and base.name == "sqrt" and isinstance(exp, int):
+    if isinstance(base, Fun) and base.name == "sqrt":
         (u,) = base.args
         if exp % 2 == 0:
             return _normalize_pow(u, exp // 2)
@@ -676,24 +653,22 @@ def _normalize_pow(base: Expr, exp: Rational) -> Expr:
     if isinstance(base, Const):
         v = base.value
         if isinstance(v, Fraction):
-            if isinstance(exp, int):
-                if v == 0 and exp < 0:
-                    raise DivisionByZeroError("0 raised to a negative power")
-                return Const(v ** exp)
-            exact = _exact_rational_power(v, Fraction(exp))
-            if exact is not None:
-                return Const(exact)
-        else:
-            if isinstance(exp, int):
-                if v == 0.0 and exp < 0:
-                    raise DivisionByZeroError("0.0 raised to a negative power")
-                return Const(v ** exp)
+            if v == 0 and exp < 0:
+                raise DivisionByZeroError("0 raised to a negative power")
+            # refused unbuilt when sure to be too long: a part of b bits to
+            # the power exp has more than (b - 1)*|exp| bits, and 4 bits a
+            # digit is more than a decimal digit takes
+            bits = max(abs(v.numerator), v.denominator).bit_length() - 1
+            if bits * abs(exp) > 4 * sys.get_int_max_str_digits() > 0:
+                raise _too_long_to_print()
+        elif v == 0.0 and exp < 0:
+            raise DivisionByZeroError("0.0 raised to a negative power")
+        return Const(v ** exp)
     if isinstance(base, Pow):
-        merged = Fraction(base.exponent) * Fraction(exp)
-        return _normalize_pow(base.base, int(merged) if merged.denominator == 1 else merged)
-    if isinstance(base, Mul) and isinstance(exp, int):
+        return _normalize_pow(base.base, base.exponent * exp)
+    if isinstance(base, Mul):
         return _normalize_mul(tuple(Pow(f, exp) for f in base.factors))
-    if isinstance(base, Div) and isinstance(exp, int):
+    if isinstance(base, Div):
         if exp > 0:
             return normalize(Div(Pow(base.num, exp), Pow(base.den, exp)))
         return normalize(Div(Pow(base.den, -exp), Pow(base.num, -exp)))
@@ -715,7 +690,7 @@ def _normalize_fun(name: str, args) -> Expr:
         if isinstance(a, Const) and isinstance(a.value, Fraction):
             if a.value < 0:
                 raise NegativeSqrtError(f"sqrt of negative constant {a.value}")
-            exact = _exact_rational_power(a.value, Fraction(1, 2))
+            exact = _exact_sqrt(a.value)
             if exact is not None:
                 return Const(exact)
         return Fun("sqrt", (a,))
@@ -827,7 +802,7 @@ def _expand_node(e: Expr) -> Expr:
     if isinstance(e, Pow):
         base = _expand_node(e.base)
         exp = e.exponent
-        if isinstance(base, Add) and isinstance(exp, int) and 2 <= exp <= 16:
+        if isinstance(base, Add) and 2 <= exp <= 16:
             out = base
             for _ in range(exp - 1):
                 out = _expand_node(_raw_product([out, base]))
@@ -884,7 +859,7 @@ def _diff(e: Expr, name: str) -> Expr:
     if isinstance(e, Pow):
         n = e.exponent
         db = _diff(e.base, name)
-        return Mul((Const(Fraction(n)), Pow(e.base, _add_exponents(n, -1)), db))
+        return Mul((Const(n), Pow(e.base, n - 1), db))
     if isinstance(e, Div):
         du = _diff(e.num, name)
         if name not in e.den.free_symbols():
@@ -1030,10 +1005,6 @@ def _eval(e: Expr, b, known: dict):
     elif isinstance(e, Pow):
         base = _eval(e.base, b, known)
         n = e.exponent
-        if not isinstance(n, int):
-            _check(base < 0.0, NegativeSqrtError,
-                   "fractional power of a negative value", e, b)
-            n = float(n)
         if n < 0:
             _check(base == 0.0, DivisionByZeroError,
                    "zero base with negative exponent", e, b)
@@ -1134,7 +1105,14 @@ def _number_value(text: str) -> Fraction:
     # decimal literals become exact fractions; 1.5e-3 -> 3/2000
     if "e" in text or "E" in text:
         mantissa, exp = re.split(r"[eE]", text)
-        return Fraction(mantissa) * Fraction(10) ** int(exp)
+        value, exp = Fraction(mantissa), int(exp)
+        # a nonzero mantissa of k characters is within 10^k of 1, so past
+        # that 10^exp decides the length and the constant is refused unbuilt
+        if not value:
+            return value
+        if abs(exp) - len(mantissa) > sys.get_int_max_str_digits() > 0:
+            raise _too_long_to_print()
+        return value * Fraction(10) ** exp
     return Fraction(text)
 
 
@@ -1312,20 +1290,10 @@ def _render(e: Expr, parent_prec: int) -> str:
         return _wrap(f"{num}/{den}", _PREC_MUL, parent_prec)
     if isinstance(e, Pow):
         n = e.exponent
-        if isinstance(n, int):
-            base = _render(e.base, _PREC_ATOM)
-            if n < 0:
-                return _wrap(f"1/{base}^{-n}", _PREC_MUL, parent_prec)
-            return _wrap(f"{base}^{n}", _PREC_POW, parent_prec)
-        frac = Fraction(n)
-        if frac.denominator == 2:
-            inner = _normalize_pow(e.base, frac.numerator) if frac.numerator != 1 else e.base
-            if frac.numerator < 0:
-                body = _render(Div(ONE, Fun("sqrt", (_normalize_pow(e.base, -frac.numerator),))),
-                               parent_prec)
-                return body
-            return _render(Fun("sqrt", (inner,)), parent_prec)
-        raise ExprError(f"cannot render exponent {n} in the grammar")
+        base = _render(e.base, _PREC_ATOM)
+        if n < 0:
+            return _wrap(f"1/{base}^{-n}", _PREC_MUL, parent_prec)
+        return _wrap(f"{base}^{n}", _PREC_POW, parent_prec)
     if isinstance(e, Fun):
         args = ", ".join(_render(a, 0) for a in e.args)
         return f"{e.name}({args})"

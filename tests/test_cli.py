@@ -694,6 +694,11 @@ USAGE_ERRORS = [
     _usage("load:deep-nesting", LOAD, "harmonic",
            (("f_x = -y", _DEEP_F_X),), _DEEP_F_X,
            "expression nested too deeply (more than 64 levels)"),
+    # a constant beyond Python's int-to-text limit could not be printed
+    _usage("load:constant-too-long", LOAD, "harmonic",
+           (("f_y = x", "f_y = x\npotential = 2^20000"),),
+           "potential = 2^20000", "constant too long to print: more than "
+           f"{sys.get_int_max_str_digits()} digits"),
     # [charges], [rho] and [params]
     _usage("load:duplicate-charge", LOAD, "free_particle",
            (("[rho]", "C1 = x\n[rho]"),), "C1 = x",
@@ -1020,6 +1025,17 @@ def test_constant_fold_in_a_file_is_a_usage_error(usage_error):
 
 def test_deep_nesting_is_a_usage_error_with_its_line(usage_error):
     usage_error("load:deep-nesting")
+
+
+def test_a_bundled_name_wins_over_a_local_path(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("harmonic")
+    assert main(["verify", "harmonic", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["model"] == "harmonic"
+    assert main(["verify", "./harmonic"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: ./harmonic: cannot read: Is a directory\n")
 
 
 def test_missing_file_is_a_usage_error(usage_error):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -171,11 +172,21 @@ def test_symbol_table_rules():
 # ---------------------------------------------------------------------------
 
 @given(_trees())
+# _trees() seldom nests powers over quotients and powers
+@example(Pow(Div(Sym("x"), Add((Sym("y"), ONE))), 3))
+@example(Pow(Pow(Add((Sym("x"), Sym("y"))), 2), 3))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_normalize_is_idempotent(e):
     n = _normalized_or_discard(e)
     clear_memos()  # normalize(n) must recompute, not find e's entry
     assert normalize(n) == n
+    # the integer-only Pow relies on this: a power in a normal form, and in
+    # its expansion, is of a base that is not folded into it any further
+    forms = (n, _outcome(expand, n))
+    assert all(type(p.exponent) is int and p.exponent >= 2
+               and not isinstance(p.base, (Div, Pow, Const))
+               for form in forms if isinstance(form, Expr)
+               for p in _subtrees(form) if isinstance(p, Pow)), forms
 
 
 @given(_trees())
@@ -225,7 +236,7 @@ def _to_sympy(e):
     if isinstance(e, Mul):
         return sympy.Mul(*map(_to_sympy, e.factors))
     if isinstance(e, Pow):
-        return _to_sympy(e.base) ** sympy.Rational(Fraction(e.exponent))
+        return _to_sympy(e.base) ** e.exponent
     if isinstance(e, Div):
         return _to_sympy(e.num) / _to_sympy(e.den)
     return _SYMPY_FUNCTIONS[e.name](*map(_to_sympy, e.args))
@@ -262,6 +273,23 @@ def test_quotients_cancel_and_rationalize():
     e = normalize(parse("x/sqrt(y)", TABLE))
     assert evaluate(e, POINT) == pytest.approx(0.4 / math.sqrt(1.9))
     assert "sqrt" not in str(e).split("/")[-1]
+
+
+def test_a_constant_too_long_to_print_is_a_typed_error():
+    # Python's own limit on int-to-text conversion bounds a constant
+    limit = sys.get_int_max_str_digits()
+    assert str(Const(10 ** limit - 1)) == "9" * limit
+    for value in (10 ** limit, -10 ** limit, Fraction(1, 10 ** limit)):
+        with pytest.raises(ExprError, match=f"more than {limit} digits"):
+            Const(value)
+    # a power or a decimal exponent is refused before it is worked out,
+    # which for these would take minutes
+    assert str(parse(f"10^{limit - 1} + 1e{limit - 1}", TABLE)) == (
+        "2" + "0" * (limit - 1))
+    for text in (f"10^{limit}", f"1e{limit}", f"1e-{limit}",
+                 "3^99999999", "(1/3)^99999999", "1e99999999", "1e-99999999"):
+        with pytest.raises(ExprError, match=f"more than {limit} digits"):
+            parse(text, TABLE)
 
 
 def test_division_by_zero_constant_is_structural():
@@ -446,7 +474,9 @@ def test_equal_trees_are_one_node():
     clear_memos()
     x, y = Sym("x"), Sym("y")
     assert Sym("x") is x and Const(2) is Const(Fraction(2))
-    assert Pow(x, Fraction(4, 2)) is Pow(x, 2)
+    for exponent in (Fraction(4, 2), True):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            Pow(x, exponent)
     built = Add((Mul((Const(3), x)), Fun("sin", (Div(y, Pow(x, 2)),))))
     assert Add((Mul((Const(3), x)), Fun("sin", (Div(y, Pow(x, 2)),)))) is built
     # the parser, normalize and the constructors meet in one node
@@ -717,10 +747,7 @@ def _full_diff(e, name):
                          for i, f in enumerate(fs)))
     if isinstance(e, Pow):
         n = e.exponent
-        less = Fraction(n) - 1
-        return Mul((Const(Fraction(n)),
-                    Pow(e.base, int(less) if less.denominator == 1 else less),
-                    _full_diff(e.base, name)))
+        return Mul((Const(n), Pow(e.base, n - 1), _full_diff(e.base, name)))
     if isinstance(e, Div):
         du, dv = _full_diff(e.num, name), _full_diff(e.den, name)
         return Div(Add((Mul((du, e.den)), Mul((Const(-1), e.num, dv)))),

@@ -13,10 +13,24 @@ from emq.reduction import (
     jacobi_liouville_check, run_reduction, verify_canonicity,
 )
 from emq.symplectic import FlowSystem
+from emq.sysfile import bundled_text, loads_model
 
 
 def _h(model, text):
     return expand(normalize(parse(text, model.symbols)))
+
+
+@pytest.fixture(scope="module")
+def ho_y_model():
+    """harmonic with the coordinate y eliminated in place of p_x: the one
+    model that takes the chain-rule branch of eliminate_primary."""
+    text = bundled_text("harmonic")
+    for old, new in (("eliminate = p_x", "eliminate = y"),
+                     ("solution = x/alpha - a1*y",
+                      "solution = (x/alpha - p_x)/a1")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return loads_model(text, name="harmonic_y")
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +103,9 @@ def presymplectic_direct(sys: FlowSystem, c: ConstraintSpec) -> PresymplecticFor
     return PresymplecticForm(reduced_vars, tuple(rows))
 
 
-def test_presymplectic_matches_direct_formula(free_model, ho_model):
-    for m in (free_model, ho_model):
+def test_presymplectic_matches_direct_formula(free_model, ho_model,
+                                             ho_y_model):
+    for m in (free_model, ho_model, ho_y_model):
         _, f = eliminate_primary(m.system, m.constraint)
         g = presymplectic_direct(m.system, m.constraint)
         assert f.variables == g.variables
@@ -166,10 +181,12 @@ def test_transformed_hamiltonian_lives_on_targets(ho_model):
     assert transformed.hamiltonian.free_symbols() <= allowed
 
 
-def test_reduced_hamiltonian_closed_forms(free_model, ho_model, lam_model):
+def test_reduced_hamiltonian_closed_forms(free_model, ho_model, lam_model,
+                                         ho_y_model):
     cases = (
         (free_model, "a1*p_zeta^2"),
         (ho_model, "p_zeta^2/(2*a1) + (a1/2)*zeta^2"),
+        (ho_y_model, "p_zeta^2/(2*a1) + (a1/2)*zeta^2"),
         (lam_model, "(a1 + lam)*p_zeta^2"),
     )
     for model, text in cases:
