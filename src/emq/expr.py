@@ -33,12 +33,15 @@ process by a functools.lru_cache each, so an equal subtree is worked out
 once and a cache hit is found by identity.  Each cache holds at most 2^16
 entries and drops its least recently used one when full; a call that
 raises stores nothing, so it raises again next time.
-SampleDomain.sample_columns() likewise draws each (domain, n, seed) once
-(at most 2^6 sets), and sampled_check() works out each seeded sampled
-result once for its arguments (at most 2^12 results): numeric_compare()
-for each (a, b, domain, n, tol, seed), sampled_values() for each (e,
-domain, n, seed), and the chart volume check of emq.reduction.  Each
-cache counts its hits and misses in cache_info().
+SampleDomain.sample_columns() reads one candidate stream per (domain,
+seed), drawn from random.Random(seed) once per process and only as far
+as requests have needed (at most 2^4 streams): every sample count n is
+the first n points of that stream, and a request the stream cannot serve
+falls back to a fresh draw.  sampled_check() works out each seeded
+sampled result once for its arguments (at most 2^12 results):
+numeric_compare() for each (a, b, domain, n, tol, seed), sampled_values()
+for each (e, domain, n, seed), and the chart volume check of
+emq.reduction.  Each cache counts its hits and misses in cache_info().
 
 A sample set's points are drawn in vectorized blocks, bit for bit the
 points of a one-at-a-time rng.uniform draw (see SampleDomain), and come
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import re
 import sys
@@ -392,13 +396,30 @@ def _is_one(e: Expr) -> bool:
 def _const_mul(a: Number, b: Number) -> Number:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
-    return float(a) * float(b)
+    return _float_fold(a, "*", b)
 
 
 def _const_add(a: Number, b: Number) -> Number:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    return float(a) + float(b)
+    return _float_fold(a, "+", b)
+
+
+_FLOAT_OPS = {"+": operator.add, "*": operator.mul, "/": operator.truediv,
+              "^": operator.pow}
+
+
+def _float_fold(a: Number, op: str, b: Number) -> float:
+    """a op b taken in floats.  A result beyond float range from operands
+    within it is an EvalError, as in evaluate(), not a bare OverflowError
+    or a silent inf."""
+    try:
+        value = _FLOAT_OPS[op](float(a), float(b))
+        if not math.isinf(value) or math.isinf(a) or math.isinf(b):
+            return value
+    except OverflowError:
+        pass
+    raise EvalError(f"constant {a}{op}{b} is beyond float range")
 
 
 def _split_coefficient(term: Expr):
@@ -627,7 +648,7 @@ def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
     if isinstance(n_coeff, Fraction) and isinstance(d_coeff, Fraction):
         coeff = n_coeff / d_coeff
     else:
-        coeff = float(n_coeff) / float(d_coeff)
+        coeff = _float_fold(n_coeff, "/", d_coeff)
     num_expr = _normalize_mul([Const(coeff)] + new_num)
     den_parts = []
     for base in sorted(d_map, key=sort_key):
@@ -663,7 +684,8 @@ def _normalize_pow(base: Expr, exp: int) -> Expr:
                 raise _too_long_to_print()
         elif v == 0.0 and exp < 0:
             raise DivisionByZeroError("0.0 raised to a negative power")
-        return Const(v ** exp)
+        return Const(v ** exp if isinstance(v, Fraction)
+                     else _float_fold(v, "^", exp))
     if isinstance(base, Pow):
         return _normalize_pow(base.base, base.exponent * exp)
     if isinstance(base, Mul):
@@ -1319,28 +1341,56 @@ class SampleDomain:
     singular sets (denominators, branch cuts, degenerate parameters).
 
     A point takes rng.uniform(lo, hi) for each range in order, and a draw
-    stops at the n-th accepted point.  The candidates come in blocks, each
-    from one rng.getrandbits(64*k) call rebuilt into the k doubles that k
-    rng.random() calls give, so the points, and the state the generator is
-    left in, are those of a one-at-a-time draw.  A caller's rng is used only
-    through getrandbits(): a random.Random, or a subclass that keeps its
-    random() and getrandbits(), gives the points its uniform() would.
+    stops at the n-th accepted point; it fails when that point is not among
+    the first max(1000, 200*n) candidates.  The candidates come in blocks,
+    each from one rng.getrandbits(64*k) call rebuilt into the k doubles
+    that k rng.random() calls give, so the points, and the state the
+    generator is left in, are those of a one-at-a-time draw.  A caller's
+    rng is used only through getrandbits(): a random.Random, or a subclass
+    that keeps its random() and getrandbits(), gives the points its
+    uniform() would.
+
+    sample_columns() reads one candidate stream per (domain, seed) and
+    process: the one-at-a-time candidate sequence of random.Random(seed),
+    drawn only as far as requests have needed, so n points are the first n
+    accepted ones whatever was asked before.  A request that the stream
+    cannot serve, because a guard failed while it was extended or the n-th
+    point came too late, is drawn afresh by _draw(), so it gives the
+    points, or the error, of a one-at-a-time draw of n points.
     """
 
     ranges: tuple
     guards: tuple = ()
 
-    def _draw(self, n: int, seed: int = 0,
-              rng: Optional[random.Random] = None) -> Dict[str, np.ndarray]:
-        """The one drawing core: n accepted points, one column per range,
-        drawn in blocks of the number still missing."""
-        if rng is None:
-            rng = random.Random(seed)
+    def _block(self, rng: random.Random,
+               take: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next take candidates of rng, one row per range, and the mask
+        of those every guard accepts."""
         names = [name for name, _, _ in self.ranges]
         # spans are taken in Python floats, as rng.uniform takes them: one
         # that overflows is inf, not a numpy warning
         low = np.array([[float(lo)] for _, lo, _ in self.ranges])
         span = np.array([[float(hi - lo)] for _, lo, hi in self.ranges])
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = low + span * _uniforms(
+                rng, take * len(names)).reshape(take, len(names)).T
+        keep = np.ones(take, dtype=bool)
+        for guard, g_lo, g_hi in self.guards:
+            # each guard sees only the points the earlier guards passed
+            idx = np.flatnonzero(keep)
+            try:
+                val = evaluate(guard, dict(zip(names, block[:, idx])))
+            except EvalError as exc:
+                raise DomainError(f"guard {guard} failed: {exc}") from exc
+            keep[idx] = (g_lo <= val) & (val <= g_hi)
+        return block, keep
+
+    def _draw(self, n: int, seed: int = 0,
+              rng: Optional[random.Random] = None) -> Dict[str, np.ndarray]:
+        """The reference draw: n accepted points, one column per range,
+        drawn in blocks of the number still missing."""
+        if rng is None:
+            rng = random.Random(seed)
         kept = []
         count = attempts = 0
         limit = max(1000, 200 * n)
@@ -1351,20 +1401,10 @@ class SampleDomain:
                     f"guard rejection too high: {count} of {n} points "
                     f"after {attempts} attempts")
             attempts += take
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = low + span * _uniforms(
-                    rng, take * len(names)).reshape(take, len(names)).T
-            keep = np.ones(take, dtype=bool)
-            for guard, g_lo, g_hi in self.guards:
-                # each guard sees only the points the earlier guards passed
-                idx = np.flatnonzero(keep)
-                try:
-                    val = evaluate(guard, dict(zip(names, block[:, idx])))
-                except EvalError as exc:
-                    raise DomainError(f"guard {guard} failed: {exc}") from exc
-                keep[idx] = (g_lo <= val) & (val <= g_hi)
+            block, keep = self._block(rng, take)
             kept.append(block[:, keep])
             count += int(keep.sum())
+        names = [name for name, _, _ in self.ranges]
         return dict(zip(names, np.concatenate(kept, axis=1)))
 
     def sample(self, n: int, seed: int = 0,
@@ -1376,19 +1416,74 @@ class SampleDomain:
 
     def sample_columns(self, n: int, seed: int = 0) -> Mapping[str, np.ndarray]:
         """The points of self.sample(n, seed) as read-only columns in a
-        read-only mapping, drawn once per process for each (domain, n,
-        seed)."""
-        return _sample_columns(self, n, seed)
+        read-only mapping, read from this domain's stream for seed (see the
+        class docstring) and kept for each n."""
+        return _stream(self, seed).columns(n)
 
 
-# a sample set holds n points per symbol, so its cache has a smaller bound
-@functools.lru_cache(maxsize=1 << 6)
-def _sample_columns(domain: SampleDomain, n: int,
-                    seed: int) -> Mapping[str, np.ndarray]:
-    drawn = domain._draw(n, seed=seed)
-    for col in drawn.values():
-        col.flags.writeable = False
-    return types.MappingProxyType(drawn)
+# a stream keeps every point it accepted, so its cache has a smaller bound
+@functools.lru_cache(maxsize=1 << 4)
+def _stream(domain: SampleDomain, seed: int) -> _Stream:
+    return _Stream(domain, seed)
+
+
+class _Stream:
+    """The accepted candidates of random.Random(seed) on one domain, drawn
+    as far as requests have needed them, and the read-only mapping served
+    for each n since the points last grew."""
+
+    def __init__(self, domain: SampleDomain, seed: int):
+        self.domain, self.seed = domain, seed
+        self.rng = random.Random(seed)
+        self.points = np.empty((len(domain.ranges), 0))
+        # candidates drawn in all, and up to and including each accepted point
+        self.attempts = 0
+        self.tries = []
+        self.views = {}
+        self.broken = False
+
+    def columns(self, n: int) -> Mapping[str, np.ndarray]:
+        view = self.views.get(n)
+        if view is not None:
+            return view
+        limit = max(1000, 200 * n)
+        if not self.broken and len(self.tries) < n:
+            try:
+                self._extend(n, limit)
+            except Exception:
+                # _draw() finds the error a one-at-a-time draw of n points
+                # meets, which may come before the one met here or not at all
+                self.broken = True
+        if self.broken or not 0 < n <= len(self.tries) \
+                or self.tries[n - 1] > limit:
+            cols = self.domain._draw(n, seed=self.seed)
+            for col in cols.values():
+                col.flags.writeable = False
+        else:
+            cols = {name: row[:n] for (name, _, _), row
+                    in zip(self.domain.ranges, self.points)}
+        view = self.views[n] = types.MappingProxyType(cols)
+        return view
+
+    def _extend(self, n: int, limit: int) -> None:
+        """Draw until n points are accepted or limit candidates are drawn;
+        points accepted past n stay for later requests."""
+        while len(self.tries) < n and self.attempts < limit:
+            count = len(self.tries)
+            # the first block is the number missing; later ones scale it by
+            # the candidates drawn per accepted point so far, or double the
+            # draw while none was accepted
+            take = (-(-(n - count) * self.attempts // count) if count
+                    else max(n, self.attempts))
+            take = min(take, limit - self.attempts)
+            block, keep = self.domain._block(self.rng, take)
+            self.tries += (np.flatnonzero(keep) + self.attempts + 1).tolist()
+            self.attempts += take
+            self.points = np.concatenate((self.points, block[:, keep]), axis=1)
+            self.points.flags.writeable = False
+        # a view of a shorter array would keep it alive; each n is served
+        # again from the longer one
+        self.views.clear()
 
 
 def _uniforms(rng: random.Random, k: int) -> np.ndarray:

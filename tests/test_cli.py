@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -52,30 +53,36 @@ def test_verify_without_chi_has_no_gauge_pair_line(tmp_path, capsys):
 
 
 def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
-    draws = []
-    draw = SampleDomain._draw
+    drawn = []
+    uniforms = expr._uniforms
 
-    def counting(self, n, seed=0, rng=None):
-        draws.append((n, seed))
-        return draw(self, n, seed=seed, rng=rng)
+    def counting(rng, k):
+        drawn.append((rng, rng.getstate()))
+        return uniforms(rng, k)
 
-    monkeypatch.setattr(SampleDomain, "_draw", counting)
+    monkeypatch.setattr(expr, "_uniforms", counting)
     # --seed reaches every sampled check, the constraint validation included
     # the sampled checks are memoized too; cleared, each compares afresh
     for s in (5, 0):
-        draws.clear()
-        expr._sample_columns.cache_clear()
+        drawn.clear()
+        expr._stream.cache_clear()
         expr.sampled_check.cache_clear()
         assert main(["reduce", "harmonic", "--json", "--seed", str(s)]) \
             == EXIT_OK
         cached = json.loads(capsys.readouterr().out)
-        assert sorted(draws) == [(1, s), (64, s), (200, s)]
-        # a second run at the same seed shares every set, the point at which
-        # the presymplectic rank is logged included
+        # every set, of 1, 64 and 200 points, is a prefix of the chart's
+        # one stream: one generator, seeded once, drew every candidate
+        seeded = random.Random(s).getstate()
+        assert [state == seeded for _, state in drawn] == \
+            [True] + [False] * (len(drawn) - 1)
+        assert all(rng is drawn[0][0] for rng, _ in drawn)
+        # a second run at the same seed draws no candidate, the point at
+        # which the presymplectic rank is logged included
+        drawn.clear()
         assert main(["reduce", "harmonic", "--json", "--seed", str(s)]) \
             == EXIT_OK
         again = json.loads(capsys.readouterr().out)
-        assert sorted(draws) == [(1, s), (64, s), (200, s)]
+        assert drawn == []
         assert again["provenance"] == cached["provenance"]
 
     # the same report when every comparison draws its points afresh
@@ -84,7 +91,8 @@ def test_reduce_draws_each_sample_set_once(monkeypatch, capsys):
     expr.sampled_check.cache_clear()
     assert main(["reduce", "harmonic", "--json"]) == EXIT_OK
     fresh = json.loads(capsys.readouterr().out)
-    assert len(draws) > 10
+    # each comparison seeded a generator of its own
+    assert len({id(rng) for rng, _ in drawn}) > 5
     assert cached["checks"] == fresh["checks"]
     assert cached["metrics"] == fresh["metrics"]
 
@@ -1179,11 +1187,11 @@ def test_warm_and_cold_runs_give_the_same_reports(tmp_path, monkeypatch,
 
 
 def test_each_cache_keeps_its_bound():
-    # a sample set holds n points per symbol and a model a whole file, so
-    # their caches are smaller than the symbolic ones
+    # a candidate stream keeps every point it accepted and a model a whole
+    # file, so their caches are smaller than the symbolic ones
     bounds = {expr._parse: 1 << 16, expr._normalize_node: 1 << 16,
               expr._expand: 1 << 16, expr._differentiate: 1 << 16,
-              expr._substitute: 1 << 16, expr._sample_columns: 1 << 6,
+              expr._substitute: 1 << 16, expr._stream: 1 << 4,
               expr.sampled_check: 1 << 12, sysfile._assemble: 1 << 6,
               cli._parser: 1}
     assert memos() == set(bounds)

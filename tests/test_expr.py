@@ -292,6 +292,28 @@ def test_a_constant_too_long_to_print_is_a_typed_error():
             parse(text, TABLE)
 
 
+def test_a_float_fold_beyond_float_range_is_a_typed_error():
+    x, y = Sym("x"), Sym("y")
+    for make, text in (
+            (lambda: substitute(parse("x^2", TABLE), {"x": 1e300}),
+             "1e+300^2"),
+            (lambda: normalize(Mul((Const(1e300), Const(1e300)))),
+             "1e+300*1e+300"),
+            (lambda: normalize(Add((Const(1e308), Const(1e308)))),
+             "1e+308+1e+308"),
+            (lambda: normalize(Div(Mul((Const(1e300), x)),
+                                   Mul((Const(1e-300), y)))),
+             "1e+300/1e-300"),
+            (lambda: normalize(Mul((Const(Fraction(10 ** 400)), Const(0.5)))),
+             f"{10 ** 400}*0.5")):
+        with pytest.raises(EvalError) as info:
+            make()
+        assert str(info.value) == f"constant {text} is beyond float range"
+    # a fold within range is kept, and so is one of an infinite operand
+    assert normalize(Mul((Const(1e150), Const(1e150)))).value == 1e150 * 1e150
+    assert normalize(Mul((Const(math.inf), Const(2.0)))) is Const(math.inf)
+
+
 def test_division_by_zero_constant_is_structural():
     with pytest.raises(DivisionByZeroError):
         normalize(Div(Sym("x"), ZERO))
@@ -979,19 +1001,21 @@ def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):
     dom = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", 0.5, 2.0)),
                        guards=((parse("x*y", TABLE), -0.5, 1.0),))
     fresh = dom.sample(30, seed=4)
-    draws = []
-    draw = SampleDomain._draw
+    drawn = []
+    uniforms = expr_module._uniforms
 
-    def counting(self, n, seed=0, rng=None):
-        draws.append((n, seed))
-        return draw(self, n, seed=seed, rng=rng)
+    def counting(rng, k):
+        drawn.append(rng)
+        return uniforms(rng, k)
 
-    monkeypatch.setattr(SampleDomain, "_draw", counting)
-    expr_module._sample_columns.cache_clear()
+    monkeypatch.setattr(expr_module, "_uniforms", counting)
+    expr_module._stream.cache_clear()
     expr_module.sampled_check.cache_clear()
     a, b = parse("x*y", TABLE), parse("x*y + x^3/1000", TABLE)
     results = [numeric_compare(a, b, dom, n=30, seed=4) for _ in range(3)]
-    assert draws == [(30, 4)]
+    # one generator, seeded once, drew every candidate
+    assert drawn and all(rng is drawn[0] for rng in drawn)
+    blocks = len(drawn)
     # the worst point and error are those of a fresh draw
     va, vb = (evaluate(e, columns(fresh)) for e in (a, b))
     scaled = np.abs(va - vb) / (1.0 + np.abs(va))
@@ -1000,14 +1024,128 @@ def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):
         assert res.max_scaled_err == float(np.max(scaled))
         assert not res.equal and res.n_points == 30
     cols = dom.sample_columns(30, seed=4)
-    assert draws == [(30, 4)]
     assert all(cols[k].tolist() == [pt[k] for pt in fresh] for k in ("x", "y"))
     with pytest.raises(ValueError):
         cols["x"][0] = 0.0
+    # a smaller set is a prefix of the same stream: no candidate is drawn
+    assert dom.sample_columns(7, seed=4)["y"].tolist() == \
+        [pt["y"] for pt in fresh[:7]]
+    assert len(drawn) == blocks
     # a caller's own generator always draws
     assert dom.sample(30, rng=random.Random(4)) == fresh
-    assert len(draws) == 2
+    assert len(drawn) > blocks
     assert dom.sample_columns(30, seed=5)["x"].tolist() != cols["x"].tolist()
+
+
+# the halves domain of test_block_sampling_matches_one_at_a_time
+_HALVES = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", 0.5, 2.0)),
+                       guards=((parse("x", TABLE), 0.0, 1.0),
+                               (parse("sqrt(x)*y", TABLE), 0.0, 1.5)))
+
+
+def _drawn(dom, n, seed):
+    """dom._draw(n, seed) as bytes per column, or its error's text."""
+    try:
+        return {k: v.tobytes() for k, v in dom._draw(n, seed=seed).items()}
+    except DomainError as exc:
+        return str(exc)
+
+
+def _served(dom, n, seed):
+    """dom.sample_columns(n, seed) as bytes per column, or its error's
+    text; the columns are read-only."""
+    try:
+        cols = dom.sample_columns(n, seed=seed)
+    except DomainError as exc:
+        return str(exc)
+    assert not any(v.flags.writeable for v in cols.values())
+    return {k: v.tobytes() for k, v in cols.items()}
+
+
+@given(st.lists(st.tuples(
+    st.integers(0, 3),
+    st.one_of(st.sampled_from((1, 25, 32, 64, 100, 200)), st.integers(1, 300)),
+    st.one_of(st.sampled_from((0, 3, -7, 2**70 + 3)), st.integers(-50, 50))),
+    min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_sample_count_is_the_fresh_draw(free_model, ho_model,
+                                              lam_model, requests):
+    # whatever was asked before on the same (chart, seed), n points are
+    # bit for bit those of a fresh draw of n
+    charts = [_HALVES] + [m.system.chart for m in (free_model, ho_model,
+                                                   lam_model)]
+    expr_module._stream.cache_clear()
+    for chart, n, seed in requests:
+        dom = charts[chart]
+        assert _served(dom, n, seed) == _drawn(dom, n, seed)
+
+
+def _singular_at(point):
+    """x, y in [0, 1]; a guard keeps x <= 1/2, and a second one is singular
+    (a division by zero) only at this point's y."""
+    return SampleDomain(
+        ranges=(("x", 0.0, 1.0), ("y", 0.0, 1.0)),
+        guards=((Sym("x"), 0.0, 0.5),
+                (Div(ONE, Add((Sym("y"), Const(-point["y"])))),
+                 -1e300, 1e300)))
+
+
+def _passed_while_drawing(n, seed):
+    """The candidates x <= 1/2, in order, among those the stream of seed
+    draws for n points of the domain of _singular_at without its second
+    guard: past the n-th they were drawn ahead for later requests."""
+    plain = SampleDomain(ranges=(("x", 0.0, 1.0), ("y", 0.0, 1.0)),
+                         guards=((Sym("x"), 0.0, 0.5),))
+    plain.sample_columns(n, seed=seed)
+    rng = random.Random(seed)
+    candidates = [{"x": rng.uniform(0.0, 1.0), "y": rng.uniform(0.0, 1.0)}
+                  for _ in range(expr_module._stream(plain, seed).attempts)]
+    return [pt for pt in candidates if pt["x"] <= 0.5]
+
+
+def test_a_guard_error_is_met_where_a_fresh_draw_meets_it():
+    n = 20
+    expr_module._stream.cache_clear()
+    seed = next(s for s in range(100) if len(_passed_while_drawing(n, s)) > n)
+    passed = _passed_while_drawing(n, seed)
+    # singular only past the n-th point: the stream meets the error while
+    # it draws ahead, and n points are still served
+    late = _singular_at(passed[n])
+    assert _served(late, n, seed) == _drawn(late, n, seed)
+    assert isinstance(_drawn(late, n, seed), dict)
+    assert expr_module._stream(late, seed).broken
+    assert _served(late, n - 1, seed) == _drawn(late, n - 1, seed)
+    assert _served(late, n + 1, seed).startswith("guard ")
+    # singular before the n-th point: the error of a fresh draw of n,
+    # however many points were asked for before
+    early = _singular_at(passed[n // 2])
+    for asked in ((), (n // 2,), (n // 2 + 1,), (n, n // 2)):
+        expr_module._stream.cache_clear()
+        for m in asked + (n,):
+            assert _served(early, m, seed) == _drawn(early, m, seed)
+        message = _drawn(early, n, seed)
+        assert message.startswith("guard 1/(y - ") and "division" in message
+        assert _served(early, n // 2, seed) == _drawn(early, n // 2, seed)
+
+
+def test_a_point_past_its_attempt_limit_is_not_served():
+    # a sparse guard whose first point lies past attempt 1000 (the limit of
+    # a draw of 1) but within 2000 (that of a draw of 10)
+    sparse = SampleDomain(ranges=(("x", 0.0, 1.0),),
+                          guards=((Sym("x"), 0.0, 0.0007),))
+
+    def first_accepted(seed):
+        rng = random.Random(seed)
+        return next(i for i in range(1, 10**6)
+                    if rng.uniform(0.0, 1.0) <= 0.0007)
+
+    seed = next(s for s in range(1000) if 1000 < first_accepted(s) <= 2000)
+    expr_module._stream.cache_clear()
+    assert _served(sparse, 10, seed) == _drawn(sparse, 10, seed)
+    message = _drawn(sparse, 1, seed)
+    assert message == "guard rejection too high: 0 of 1 points after 1000 " \
+        "attempts"
+    assert _served(sparse, 1, seed) == message
 
 
 _BOX = SampleDomain(ranges=tuple((name, -2.0, 2.0) for name in NAMES))
