@@ -40,8 +40,10 @@ the first n points of that stream, and a request the stream cannot serve
 falls back to a fresh draw.  sampled_check() works out each seeded
 sampled result once for its arguments (at most 2^12 results):
 numeric_compare() for each (a, b, domain, n, tol, seed), sampled_values()
-for each (e, domain, n, seed), and the chart volume check of
-emq.reduction.  Each cache counts its hits and misses in cache_info().
+for each (e, domain, n, seed), and the chart volume check and the
+reduction pipeline of emq.reduction.  str() prints each tree once per
+process (at most 2^12 texts).  Each cache counts its hits and misses in
+cache_info().
 
 A sample set's points are drawn in vectorized blocks, bit for bit the
 points of a one-at-a-time rng.uniform draw (see SampleDomain), and come
@@ -139,7 +141,7 @@ class Expr:
         raise AttributeError("Expr nodes are immutable")
 
     def __str__(self):
-        return _render(self, 0)
+        return _text(self)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"
@@ -1322,6 +1324,13 @@ def _render(e: Expr, parent_prec: int) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _text(e: Expr) -> str:
+    # str() of a tree, printed once per process: a report prints the same
+    # interned trees on every run
+    return _render(e, 0)
+
+
 def _wrap(text: str, prec: int, parent_prec: int) -> str:
     if prec < parent_prec:
         return f"({text})"
@@ -1342,10 +1351,11 @@ class SampleDomain:
 
     A point takes rng.uniform(lo, hi) for each range in order, and a draw
     stops at the n-th accepted point; it fails when that point is not among
-    the first max(1000, 200*n) candidates.  The candidates come in blocks,
-    each from one rng.getrandbits(64*k) call rebuilt into the k doubles
-    that k rng.random() calls give, so the points, and the state the
-    generator is left in, are those of a one-at-a-time draw.  A caller's
+    the first max(1000, 200*n) candidates, and at once for n below 1.  The
+    candidates come in blocks, each from one rng.getrandbits(64*k) call
+    rebuilt into the k doubles that k rng.random() calls give, so the
+    points, and the state the generator is left in, are those of a
+    one-at-a-time draw.  A caller's
     rng is used only through getrandbits(): a random.Random, or a subclass
     that keeps its random() and getrandbits(), gives the points its
     uniform() would.
@@ -1389,6 +1399,8 @@ class SampleDomain:
               rng: Optional[random.Random] = None) -> Dict[str, np.ndarray]:
         """The reference draw: n accepted points, one column per range,
         drawn in blocks of the number still missing."""
+        if n < 1:
+            raise DomainError(f"need at least 1 sample point, asked for {n}")
         if rng is None:
             rng = random.Random(seed)
         kept = []

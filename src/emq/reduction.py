@@ -15,9 +15,13 @@ Maps are checked, not trusted: canonicity brackets and the presymplectic
 cross-derivation run on the model's sampling chart inside run_reduction,
 before any map is used.  The Jacobian identity of the constrained chart
 (jacobi_liouville_check) is a separate check: `emq verify` runs it, and
-run_reduction does not.  The presymplectic form and the transformed
-velocity matrix are antisymmetric, so each is built once per pair i < j,
-and the velocity matrix is checked once per pair.
+run_reduction does not.  Both are worked out once per process for their
+arguments (see expr.sampled_check): run_reduction for each (system,
+constraint, map, seed), so `reduce`, `propagate` and another file with
+the same system, constraint and map share one pipeline run.  The
+presymplectic form and the transformed velocity matrix are
+antisymmetric, so each is built once per pair i < j, and the velocity
+matrix is checked once per pair.
 """
 
 from __future__ import annotations
@@ -425,7 +429,19 @@ def _jacobi_liouville(map: CanonicalMap, c: ConstraintSpec, sys: FlowSystem,
 
 def run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
                   seed: int = 0):
-    """Full pipeline with a provenance log; returns the pieces and the log."""
+    """Full pipeline with a provenance log; returns the pieces and the log.
+
+    Memoized per process for each (sys, c, map, seed) (see sampled_check):
+    the pipeline reads nothing else, and its result is a tuple of frozen
+    dataclasses that no caller changes.  A call that raises stores nothing.
+    """
+    return sampled_check(_run_reduction, sys, c, map, seed)
+
+
+def _run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
+                   seed: int):
+    # the stages are looked up as module globals, so a function put in
+    # their place after import is the one that runs
     steps = []
     c.validate(sys, seed=seed)
     L_R, f = eliminate_primary(sys, c)

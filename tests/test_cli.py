@@ -1192,8 +1192,8 @@ def test_each_cache_keeps_its_bound():
     bounds = {expr._parse: 1 << 16, expr._normalize_node: 1 << 16,
               expr._expand: 1 << 16, expr._differentiate: 1 << 16,
               expr._substitute: 1 << 16, expr._stream: 1 << 4,
-              expr.sampled_check: 1 << 12, sysfile._assemble: 1 << 6,
-              cli._parser: 1}
+              expr.sampled_check: 1 << 12, expr._text: 1 << 12,
+              sysfile._assemble: 1 << 6, cli._parser: 1}
     assert memos() == set(bounds)
     for memo, size in bounds.items():
         assert memo.cache_parameters() == {"maxsize": size, "typed": False}

@@ -198,6 +198,18 @@ def test_print_then_parse_round_trips(e):
 
 @given(_trees())
 @settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_printed_tree_is_its_render_warm_and_cold(e):
+    text = expr_module._render(e, 0)
+    str(e)
+    hits = expr_module._text.cache_info().hits
+    assert str(e) == text
+    assert expr_module._text.cache_info().hits == hits + 1
+    clear_memos()
+    assert str(e) == text
+
+
+@given(_trees())
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_normalize_preserves_value(e):
     n = _normalized_or_discard(e)
     try:
@@ -995,6 +1007,20 @@ def test_sample_domain_impossible_guard():
                        guards=((parse("x", TABLE), 5.0, 6.0),))
     with pytest.raises(DomainError):
         dom.sample(5, seed=0)
+
+
+def test_a_count_below_one_is_a_domain_error():
+    dom = SampleDomain(ranges=(("x", -1.0, 1.0),))
+    for n, call in ((0, lambda: dom.sample(0)),
+                    (0, lambda: dom.sample_columns(0)),
+                    (-3, lambda: dom.sample_columns(-3, 2))):
+        with pytest.raises(DomainError,
+                           match=f"^need at least 1 sample point, "
+                                 f"asked for {n}$"):
+            call()
+    # the stream the refused requests reached still serves a count of 1
+    assert dom.sample_columns(1, 2)["x"].tolist() == \
+        dom._draw(1, seed=2)["x"].tolist()
 
 
 def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):

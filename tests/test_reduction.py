@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -12,8 +13,9 @@ from emq.reduction import (
     UnsupportedPatternError, apply_darboux, eliminate_primary, eliminate_z,
     jacobi_liouville_check, run_reduction, verify_canonicity,
 )
+from emq.cli import EXIT_CHECK, EXIT_OK, main
 from emq.symplectic import FlowSystem
-from emq.sysfile import bundled_text, loads_model
+from emq.sysfile import bundled_text, load_bundled, load_model, loads_model
 
 
 def _h(model, text):
@@ -285,3 +287,93 @@ def test_jacobi_liouville_is_memoized_on_its_arguments(free_model,
             jacobi_liouville_check(flat, m.constraint, m.system)
         assert len(runs) == count
     assert expr_module.sampled_check.cache_info().currsize == 3
+
+
+# ---------------------------------------------------------------------------
+# the reduction memo
+# ---------------------------------------------------------------------------
+
+def _edited(tmp_path, name, *edits):
+    """harmonic with each (old, new) line replaced once, written to name."""
+    text = bundled_text("harmonic")
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _counted_pipeline(monkeypatch):
+    """The arguments of every run of run_reduction's body, from an empty
+    sampled-check cache."""
+    runs = []
+    body = reduction._run_reduction
+
+    def counting(*args):
+        runs.append(args)
+        return body(*args)
+
+    monkeypatch.setattr(reduction, "_run_reduction", counting)
+    expr_module.sampled_check.cache_clear()
+    return runs
+
+
+def _report(argv, capsys):
+    code = main(argv + ["--json"])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("elapsed_s")
+    return code, report
+
+
+def test_a_repeated_reduction_runs_its_pipeline_once(tmp_path, monkeypatch,
+                                                     capsys):
+    # a classical-mode copy of harmonic: another file, the same system,
+    # constraint and map
+    classical = _edited(tmp_path, "classical.sys",
+                        ("mode = imaginary\n", "mode = classical\n"),
+                        ("beta = 1.0\n", "time = 1.0\n"))
+    runs = _counted_pipeline(monkeypatch)
+    reports = [_report([command, spec, "--seed", "4"], capsys)
+               for spec in ("harmonic", classical)
+               for command in ("reduce", "propagate", "reduce")]
+    assert [code for code, _ in reports] == [EXIT_OK] * 6
+    assert len(runs) == 1
+    first = reports[0][1]
+    for _, rep in reports[2::3]:
+        assert (rep["notes"], rep["provenance"]) == \
+            (first["notes"], first["provenance"])
+    # a new seed runs the pipeline again, and so does an emptied cache
+    assert _report(["reduce", "harmonic", "--seed", "5"], capsys)[0] \
+        == EXIT_OK
+    assert len(runs) == 2
+    expr_module.sampled_check.cache_clear()
+    assert _report(["reduce", classical, "--seed", "4"], capsys) \
+        == reports[5]
+    assert len(runs) == 3
+
+
+def test_the_reduction_memo_keys_on_the_map(tmp_path, monkeypatch, capsys):
+    # the zeta sign flip changes the map alone: a memo keyed without it
+    # would hand back harmonic's reduction
+    flipped = _edited(tmp_path, "flipped.sys",
+                      ("zeta = -(p_x - x/alpha - a1*y)/(sqrt(2)*a1)",
+                       "zeta = (p_x - x/alpha - a1*y)/(sqrt(2)*a1)"))
+    ho, bad = load_bundled("harmonic"), load_model(flipped)
+    assert (bad.system, bad.constraint) == (ho.system, ho.constraint)
+    assert bad.darboux != ho.darboux
+    runs = _counted_pipeline(monkeypatch)
+    assert _report(["reduce", "harmonic", "--seed", "6"], capsys)[0] \
+        == EXIT_OK
+    # a pipeline that raises stores nothing: it raises again on every call
+    for count in (2, 3):
+        code, rep = _report(["reduce", flipped, "--seed", "6"], capsys)
+        assert code == EXIT_CHECK
+        assert [(c["name"], c["ok"]) for c in rep["checks"]] == \
+            [("reduction pipeline", False)]
+        assert rep["checks"][0]["detail"].startswith("CanonicityError:")
+        assert len(runs) == count
+    for count in (4, 5):
+        with pytest.raises(CanonicityError):
+            run_reduction(bad.system, bad.constraint, bad.darboux, seed=6)
+        assert len(runs) == count
