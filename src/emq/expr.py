@@ -1355,10 +1355,9 @@ class SampleDomain:
     candidates come in blocks, each from one rng.getrandbits(64*k) call
     rebuilt into the k doubles that k rng.random() calls give, so the
     points, and the state the generator is left in, are those of a
-    one-at-a-time draw.  A caller's
-    rng is used only through getrandbits(): a random.Random, or a subclass
-    that keeps its random() and getrandbits(), gives the points its
-    uniform() would.
+    one-at-a-time draw.  A caller's rng is used only through getrandbits():
+    a random.Random, or a subclass that keeps its random() and
+    getrandbits(), gives the points its uniform() would.
 
     sample_columns() reads one candidate stream per (domain, seed) and
     process: the one-at-a-time candidate sequence of random.Random(seed),

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from emq import expr as expr_module, reduction
+from emq.cli import EXIT_CHECK, EXIT_OK, main
 from emq.expr import (
     Add, Const, DomainError, Mul, SampleDomain, Sym, ZERO, differentiate,
     evaluate, expand, normalize, numeric_compare, parse,
@@ -13,7 +14,6 @@ from emq.reduction import (
     UnsupportedPatternError, apply_darboux, eliminate_primary, eliminate_z,
     jacobi_liouville_check, run_reduction, verify_canonicity,
 )
-from emq.cli import EXIT_CHECK, EXIT_OK, main
 from emq.symplectic import FlowSystem
 from emq.sysfile import bundled_text, load_bundled, load_model, loads_model
 
