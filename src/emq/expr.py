@@ -10,10 +10,11 @@ functions (sin, cos, sqrt, atan2).  The text grammar is
     atom   := number | identifier | fun '(' expr (',' expr)* ')'
             | '(' expr ')' | '-' atom
 
-Decimal literals are converted to exact fractions; floats only appear if a
-caller constructs them directly.  A fraction whose numerator or denominator
-has more digits than sys.get_int_max_str_digits() lets str() print is an
-ExprError where its Const is built.  normalize() flattens sums/products, merges
+Every constant is an exact rational: decimal literals are converted to exact
+fractions, and a float that substitute() binds enters as its exact binary
+value, Fraction(value).  A fraction whose numerator or denominator has more
+digits than sys.get_int_max_str_digits() lets str() print is an ExprError
+where its Const is built.  normalize() flattens sums/products, merges
 constants and collects identical terms/factors, and is idempotent.  There is
 deliberately no trig or polynomial canonicalizer: semantic equality is decided
 by sampled numeric comparison (numeric_compare), structural equality by ==.
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 import re
 import sys
@@ -88,8 +88,6 @@ __all__ = [
 ]
 
 FUNCTIONS = {"sin": 1, "cos": 1, "sqrt": 1, "atan2": 2}
-
-Number = Union[int, float, Fraction]
 
 
 class ExprError(Exception):
@@ -195,9 +193,13 @@ def _intern(cls, key, sort_value, **fields) -> Expr:
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
     if isinstance(value, float):
+        # a float is a dyadic rational, and Fraction(value) is that value
+        # exactly; NaN and inf are none
+        if not math.isfinite(value):
+            raise ExprError(f"cannot bind the non-finite value {value!r}")
+        return Const(Fraction(value))
+    if isinstance(value, (int, Fraction)):
         return Const(value)
     raise TypeError(f"cannot build an expression from {value!r}")
 
@@ -219,36 +221,26 @@ def _check_printable(value: Fraction) -> None:
             raise _too_long_to_print()
 
 
-def _const_label(v: Number) -> tuple:
-    # 1 and 1.0 differ, and so do 0.0 and -0.0: atan2 and the printed form
-    # tell the signed zeros apart
-    return type(v), v, math.copysign(1.0, v) if type(v) is float else 0
-
-
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __new__(cls, value: Number):
-        if isinstance(value, bool):
-            raise TypeError("boolean is not a constant")
-        if isinstance(value, int):
+    def __new__(cls, value: Union[int, Fraction]):
+        if type(value) is int:
             value = Fraction(value)
-        elif not isinstance(value, (Fraction, float)):
+        elif type(value) is not Fraction:
             raise TypeError(f"bad constant {value!r}")
-        key = (cls,) + _const_label(value)
+        key = (cls, value)
         ref = _NODES.get(key)
         node = ref and ref()
         if node is None:
-            if isinstance(value, Fraction):
-                _check_printable(value)
+            _check_printable(value)
             # the sort key compares exactly: float() would overflow on
             # huge rationals
-            node = _intern(cls, key, (0, value, isinstance(value, float)),
-                           value=value)
+            node = _intern(cls, key, (0, value), value=value)
         return node
 
     def _parts(self):
-        return _const_label(self.value), ()
+        return self.value, ()
 
 
 class Sym(Expr):
@@ -395,58 +387,29 @@ def _is_one(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 1
 
 
-def _const_mul(a: Number, b: Number) -> Number:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return _float_fold(a, "*", b)
-
-
-def _const_add(a: Number, b: Number) -> Number:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return _float_fold(a, "+", b)
-
-
-_FLOAT_OPS = {"+": operator.add, "*": operator.mul, "/": operator.truediv,
-              "^": operator.pow}
-
-
-def _float_fold(a: Number, op: str, b: Number) -> float:
-    """a op b taken in floats.  A result beyond float range from operands
-    within it is an EvalError, as in evaluate(), not a bare OverflowError
-    or a silent inf."""
-    try:
-        value = _FLOAT_OPS[op](float(a), float(b))
-        if not math.isinf(value) or math.isinf(a) or math.isinf(b):
-            return value
-    except OverflowError:
-        pass
-    raise EvalError(f"constant {a}{op}{b} is beyond float range")
-
-
 def _split_coefficient(term: Expr):
     """term -> (constant coefficient, tuple of non-constant factors)."""
     if isinstance(term, Const):
         return term.value, ()
     if isinstance(term, Mul):
-        coeff: Number = Fraction(1)
+        coeff = Fraction(1)
         rest = []
         for f in term.factors:
             if isinstance(f, Const):
-                coeff = _const_mul(coeff, f.value)
+                coeff *= f.value
             else:
                 rest.append(f)
         return coeff, tuple(rest)
     return Fraction(1), (term,)
 
 
-def _rebuild_product(coeff: Number, factors: Sequence[Expr]) -> Expr:
+def _rebuild_product(coeff: Fraction, factors: Sequence[Expr]) -> Expr:
     if coeff == 0:
-        return Const(coeff if isinstance(coeff, Fraction) else 0.0)
+        return ZERO
     parts = list(factors)
     if not parts:
         return Const(coeff)
-    if coeff != 1 or (isinstance(coeff, float)):
+    if coeff != 1:
         parts = [Const(coeff)] + parts
     if len(parts) == 1:
         return parts[0]
@@ -488,18 +451,16 @@ def _normalize_add(terms) -> Expr:
             else:
                 reflat.append(t)
         flat = reflat
-    # terms collect by their factor nodes, not by sort key, which does not
-    # tell 0.0 from -0.0
-    const_sum: Number = Fraction(0)
+    # terms collect by their factor nodes
+    const_sum = Fraction(0)
     by_rest = {}
     for t in flat:
         coeff, rest = _split_coefficient(t)
         if not rest:
-            const_sum = _const_add(const_sum, coeff)
+            const_sum += coeff
             continue
         prev_coeff = by_rest.get(rest)
-        by_rest[rest] = (coeff if prev_coeff is None
-                         else _const_add(prev_coeff, coeff))
+        by_rest[rest] = coeff if prev_coeff is None else prev_coeff + coeff
     out = []
     pending = []
     for rest in sorted(by_rest, key=lambda r: tuple(sort_key(f) for f in r)):
@@ -511,8 +472,7 @@ def _normalize_add(terms) -> Expr:
             # remerge so the pieces can combine with sibling terms
             for sub in rest[0].terms:
                 sc, sf = _split_coefficient(sub)
-                pending.append(_normalize_mul(
-                    [Const(_const_mul(coeff, sc))] + list(sf)))
+                pending.append(_normalize_mul([Const(coeff * sc)] + list(sf)))
         else:
             out.append(_rebuild_product(coeff, rest))
     if pending:
@@ -553,17 +513,17 @@ def _normalize_mul(factors) -> Expr:
         dens = [f.den for f in flat if isinstance(f, Div)]
         return normalize(Div(_raw_product(nums), _raw_product(dens)))
     # factors collect by their base node, as terms do in _normalize_add
-    coeff: Number = Fraction(1)
+    coeff = Fraction(1)
     by_base = {}
     for f in flat:
         if isinstance(f, Const):
-            coeff = _const_mul(coeff, f.value)
+            coeff *= f.value
             continue
         base, exp = _as_base_exp(f)
         prev_exp = by_base.get(base)
         by_base[base] = exp if prev_exp is None else prev_exp + exp
     if coeff == 0:
-        return Const(coeff if isinstance(coeff, Fraction) else 0.0)
+        return ZERO
     out = []
     rerun = []
     for base in sorted(by_base, key=sort_key):
@@ -571,7 +531,7 @@ def _normalize_mul(factors) -> Expr:
         if _is_one(piece):
             continue
         if isinstance(piece, Const):
-            coeff = _const_mul(coeff, piece.value)
+            coeff *= piece.value
         elif isinstance(piece, Mul) or _as_base_exp(piece)[0] != base:
             # a power fold expanded or changed its base; remerge from scratch
             rerun.append(piece)
@@ -581,14 +541,14 @@ def _normalize_mul(factors) -> Expr:
         return _normalize_mul([Const(coeff)] + out + rerun)
     # a merged constant can be 0 (e.g. sin(0) folded inside a product)
     if coeff == 0:
-        return Const(coeff if isinstance(coeff, Fraction) else 0.0)
+        return ZERO
     if len(out) == 1 and isinstance(out[0], Add) and coeff != 1:
         # distribute plain constants over a lone sum so that -(a+b) can
         # cancel against a and b; genuine products of sums stay factored
         scaled = []
         for t in out[0].terms:
             tc, tf = _split_coefficient(t)
-            scaled.append(_normalize_mul([Const(_const_mul(coeff, tc))] + list(tf)))
+            scaled.append(_normalize_mul([Const(coeff * tc)] + list(tf)))
         return _normalize_add(scaled)
     return _rebuild_product(coeff, out)
 
@@ -634,7 +594,7 @@ def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
     for f in d_factors:
         base, exp = _as_base_exp(f)
         d_map[base] = exp
-    changed = d_coeff != 1 or isinstance(d_coeff, float)
+    changed = d_coeff != 1
     new_num = []
     for f in n_factors:
         base, exp = _as_base_exp(f)
@@ -647,11 +607,7 @@ def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
             new_num.append(_normalize_pow(base, exp))
     if not changed:
         return None
-    if isinstance(n_coeff, Fraction) and isinstance(d_coeff, Fraction):
-        coeff = n_coeff / d_coeff
-    else:
-        coeff = _float_fold(n_coeff, "/", d_coeff)
-    num_expr = _normalize_mul([Const(coeff)] + new_num)
+    num_expr = _normalize_mul([Const(n_coeff / d_coeff)] + new_num)
     den_parts = []
     for base in sorted(d_map, key=sort_key):
         exp = d_map[base]
@@ -675,19 +631,15 @@ def _normalize_pow(base: Expr, exp: int) -> Expr:
         return _normalize_mul([_normalize_pow(u, (exp - 1) // 2), base])
     if isinstance(base, Const):
         v = base.value
-        if isinstance(v, Fraction):
-            if v == 0 and exp < 0:
-                raise DivisionByZeroError("0 raised to a negative power")
-            # refused unbuilt when sure to be too long: a part of b bits to
-            # the power exp has more than (b - 1)*|exp| bits, and 4 bits a
-            # digit is more than a decimal digit takes
-            bits = max(abs(v.numerator), v.denominator).bit_length() - 1
-            if bits * abs(exp) > 4 * sys.get_int_max_str_digits() > 0:
-                raise _too_long_to_print()
-        elif v == 0.0 and exp < 0:
-            raise DivisionByZeroError("0.0 raised to a negative power")
-        return Const(v ** exp if isinstance(v, Fraction)
-                     else _float_fold(v, "^", exp))
+        if v == 0 and exp < 0:
+            raise DivisionByZeroError("0 raised to a negative power")
+        # refused unbuilt when sure to be too long: a part of b bits to the
+        # power exp has more than (b - 1)*|exp| bits, and 4 bits a digit is
+        # more than a decimal digit takes
+        bits = max(abs(v.numerator), v.denominator).bit_length() - 1
+        if bits * abs(exp) > 4 * sys.get_int_max_str_digits() > 0:
+            raise _too_long_to_print()
+        return Const(v ** exp)
     if isinstance(base, Pow):
         return _normalize_pow(base.base, base.exponent * exp)
     if isinstance(base, Mul):
@@ -711,7 +663,7 @@ _EXACT_FUN_VALUES = {
 def _normalize_fun(name: str, args) -> Expr:
     if name == "sqrt":
         (a,) = args
-        if isinstance(a, Const) and isinstance(a.value, Fraction):
+        if isinstance(a, Const):
             if a.value < 0:
                 raise NegativeSqrtError(f"sqrt of negative constant {a.value}")
             exact = _exact_sqrt(a.value)
@@ -720,15 +672,14 @@ def _normalize_fun(name: str, args) -> Expr:
         return Fun("sqrt", (a,))
     if name in ("sin", "cos"):
         (a,) = args
-        if isinstance(a, Const) and isinstance(a.value, Fraction):
+        if isinstance(a, Const):
             hit = _EXACT_FUN_VALUES.get((name, a.value))
             if hit is not None:
                 return Const(hit)
         return Fun(name, (a,))
     if name == "atan2":
         u, v = args
-        if (isinstance(u, Const) and isinstance(u.value, Fraction) and u.value == 0
-                and isinstance(v, Const) and isinstance(v.value, Fraction) and v.value > 0):
+        if _is_zero(u) and isinstance(v, Const) and v.value > 0:
             return ZERO
         return Fun("atan2", (u, v))
     return Fun(name, tuple(args))
@@ -789,9 +740,7 @@ def _normalize_div(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Const):
         if den.value == 0:
             raise DivisionByZeroError("division by a zero constant")
-        if isinstance(den.value, Fraction):
-            return _normalize_mul([num, Const(Fraction(1) / den.value)])
-        return _normalize_mul([num, Const(1.0 / den.value)])
+        return _normalize_mul([num, Const(1 / den.value)])
     if _is_zero(num):
         return num
     if num == den:
@@ -937,7 +886,7 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
     for k, v in mapping.items():
         name = k.name if isinstance(k, Sym) else k
         table[name] = _coerce(v)
-    # coerced values key the cache: 1, 1.0 and -0.0 are distinct constants
+    # coerced values key the cache: 1, 1.0 and Fraction(1) give one entry
     return _substitute(e, tuple(sorted(table.items())))
 
 
@@ -1270,12 +1219,10 @@ def _parse(text: str, names: Optional[frozenset]) -> Expr:
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
 
-def _render_const(value: Number) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return repr(value)
+def _render_const(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _render(e: Expr, parent_prec: int) -> str:

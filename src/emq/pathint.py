@@ -183,6 +183,9 @@ def bind_reduced_hamiltonian(rs: ReducedSystem,
                              params: Mapping[str, float]) -> QuadraticHamiltonian:
     """Numeric c_p, c_q from h_star after parameter substitution.
 
+    Each parameter is substituted as its exact value (a float is a dyadic
+    rational), so the bound h_star is exact and evaluate() rounds each
+    coefficient to a float once; one past float range is an EvalError.
     Rejects anything that is not a centered quadratic in (zeta, p_zeta):
     the lattice machinery is only claimed for that class.  The constant,
     linear and cross terms are read at the origin, and every third partial

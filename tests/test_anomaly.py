@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,29 @@ def test_sliced_expansion_flags_chart_degeneracy(ho_model):
     with pytest.raises(ChartSingularityError):
         sliced_expansion_check(ho_model.generating_function, ho_model.darboux,
                                ho_model.system.hamiltonian, pinned)
+
+
+def test_sliced_expansion_flags_a_vanishing_determinant(ho_model):
+    # the old-momentum determinant is 2*sqrt(2)*a1^2*alpha^2/(a1^2*alpha^2
+    # - 1): finite, and 0 at a1 = 0
+    pinned = SampleDomain(ranges=(
+        ("zeta", -1.0, 1.0), ("p_zeta", 0.5, 1.5),
+        ("a1", 0.0, 0.0), ("alpha", 0.5, 0.5)))
+    with pytest.raises(ChartSingularityError, match=(
+            r"old-momentum solve degenerates at \{'zeta': .*, "
+            r"'a1': 0\.0, 'alpha': 0\.5\}")):
+        sliced_expansion_check(ho_model.generating_function, ho_model.darboux,
+                               ho_model.system.hamiltonian, pinned)
+
+
+def test_sliced_expansion_needs_two_pairs_of_each_kind(ho_model):
+    gen = ho_model.generating_function
+    for pairs in ({"momentum_pairs": gen.momentum_pairs[:1]},
+                  {"coordinate_pairs": gen.coordinate_pairs[:1]}):
+        with pytest.raises(UnsupportedPatternError, match=(
+                "sliced expansion expects two old pairs and two new pairs")):
+            sliced_expansion_check(replace(gen, **pairs), ho_model.darboux,
+                                   ho_model.system.hamiltonian, ho_model.chart)
 
 
 def test_sliced_expansion_needs_affine_momentum_relations(ho_model):

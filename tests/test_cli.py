@@ -510,6 +510,11 @@ CORRUPTIONS = [
     _row("propagate:sigma-1e-300", "propagate", "free_particle",
          (("source_sigma_cells = 6.0\n", "source_sigma_cells = 1e-300\n"),),
          ["lattice propagation"], _RANGE.format("real")),
+    # a1 binds as its exact value 2^-1074, so H*'s kinetic coefficient
+    # 1/(2*a1) is exact too, and too large for the lattice's floats
+    _row("propagate:a1-5e-324", "propagate", "harmonic",
+         (("a1 = 1.0\n", "a1 = 5e-324\n"),),
+         ["lattice propagation"], "EvalError: value does not fit a float"),
     _row("anomaly:reference-0", "anomaly", "free_particle",
          ((_FREE_REFERENCE, "reference_A_z = 0"),),
          ["gauge-coordinate coefficient nonzero off the surface"],

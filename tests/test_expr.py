@@ -18,6 +18,7 @@ from emq.expr import (
     columns, differentiate, evaluate, expand, is_quadratic, normalize,
     numeric_compare, parse, sampled_values, sort_key, substitute,
 )
+from emq.pathint import bind_reduced_hamiltonian
 
 NAMES = ("a", "b", "x", "y")
 TABLE = SymbolTable()
@@ -304,26 +305,73 @@ def test_a_constant_too_long_to_print_is_a_typed_error():
             parse(text, TABLE)
 
 
-def test_a_float_fold_beyond_float_range_is_a_typed_error():
-    x, y = Sym("x"), Sym("y")
-    for make, text in (
-            (lambda: substitute(parse("x^2", TABLE), {"x": 1e300}),
-             "1e+300^2"),
-            (lambda: normalize(Mul((Const(1e300), Const(1e300)))),
-             "1e+300*1e+300"),
-            (lambda: normalize(Add((Const(1e308), Const(1e308)))),
-             "1e+308+1e+308"),
-            (lambda: normalize(Div(Mul((Const(1e300), x)),
-                                   Mul((Const(1e-300), y)))),
-             "1e+300/1e-300"),
-            (lambda: normalize(Mul((Const(Fraction(10 ** 400)), Const(0.5)))),
-             f"{10 ** 400}*0.5")):
-        with pytest.raises(EvalError) as info:
-            make()
-        assert str(info.value) == f"constant {text} is beyond float range"
-    # a fold within range is kept, and so is one of an infinite operand
-    assert normalize(Mul((Const(1e150), Const(1e150)))).value == 1e150 * 1e150
-    assert normalize(Mul((Const(math.inf), Const(2.0)))) is Const(math.inf)
+def test_a_constant_is_an_int_or_a_fraction():
+    for value in (0.5, 1.0, float("nan"), math.inf, True, "1", None):
+        with pytest.raises(TypeError, match="bad constant"):
+            Const(value)
+    assert Const(3) is Const(Fraction(3)) and Const(3).value == 3
+
+
+def test_a_substituted_float_enters_as_its_exact_value():
+    x = Sym("x")
+    assert substitute(x, {x: 0.1}) is Const(Fraction(0.1))
+    assert Fraction(0.1) != Fraction(1, 10)
+    # the smallest subnormal is 2^-1074, and its reciprocal is exact too
+    assert substitute(parse("1/x", TABLE), {"x": 5e-324}) is Const(2 ** 1074)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ExprError, match="non-finite"):
+            substitute(x, {x: value})
+    with pytest.raises(TypeError, match="bad constant True"):
+        substitute(x, {x: True})
+
+
+def test_a_value_beyond_float_range_is_exact_until_evaluated():
+    # 1e300^2 is a rational of 600 digits; only evaluate() needs a float
+    square = substitute(parse("x^2", TABLE), {"x": 1e300})
+    assert square is Const(Fraction(1e300) ** 2)
+    with pytest.raises(EvalError, match="value does not fit a float"):
+        evaluate(square, {})
+
+
+# the exact second derivatives (d2H*/dp_zeta^2, d2H*/dzeta^2) of the three
+# bundled reduced Hamiltonians, in the bound parameters
+_EXACT_CURVATURES = {
+    "free": lambda a1, lam: (2 * a1, Fraction(0)),
+    "ho": lambda a1, lam: (1 / a1, a1),
+    "lam": lambda a1, lam: (2 * (a1 + lam), Fraction(0)),
+}
+
+
+def _float_or_none(value: Fraction):
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+_PARAMETERS = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@given(st.sampled_from(sorted(_EXACT_CURVATURES)), _PARAMETERS, _PARAMETERS)
+@example("ho", 5e-324, 1.0)
+@example("ho", 1e300, 1.0)
+@example("lam", 1e300, 1e300)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_bound_coefficients_are_the_exact_ones_rounded_once(
+        free_reduced, ho_reduced, lam_reduced, model, a1, lam):
+    reduced = {"free": free_reduced, "ho": ho_reduced,
+               "lam": lam_reduced}[model]
+    params = {"a1": a1, "lam": lam, "alpha": 0.5, "m": 1.0, "hbar": 1.0}
+    q_p, q_q = _EXACT_CURVATURES[model](Fraction(a1), Fraction(lam))
+    fp, fq = _float_or_none(q_p), _float_or_none(q_q)
+    # every coefficient of H* is at most the larger curvature, so the
+    # binding fails exactly when a curvature is beyond float range
+    if fp is None or fq is None:
+        with pytest.raises(ExprError):
+            bind_reduced_hamiltonian(reduced, params)
+        return
+    quad = bind_reduced_hamiltonian(reduced, params)
+    assert quad.c_p == 0.5 * fp and quad.c_q == 0.5 * fq
 
 
 def test_division_by_zero_constant_is_structural():
@@ -380,44 +428,6 @@ def test_warm_memo_gives_the_cold_derivative(e, name, others):
     assert warm == cold and str(warm) == str(cold)
 
 
-def test_memo_keeps_exact_and_float_constants_apart():
-    x = Sym("x")
-    cases = [
-        # 1*x is x, but 1.0*x keeps its float coefficient
-        [Mul((Const(1), x)), Mul((Const(1.0), x))],
-        # (+-0.0)^3 keeps the sign, which atan2 then sees
-        [Fun("atan2", (Pow(Const(0.0), 3), Const(-1))),
-         Fun("atan2", (Pow(Const(-0.0), 3), Const(-1)))],
-    ]
-    for pair in cases:
-        cold = []
-        for e in pair:
-            clear_memos()
-            cold.append(normalize(e))
-        assert str(cold[0]) != str(cold[1])
-        for order in (pair, pair[::-1]):
-            clear_memos()
-            for e in order:
-                assert str(normalize(e)) == str(cold[pair.index(e)])
-    assert evaluate(normalize(cases[1][0]), {}) == pytest.approx(math.pi)
-    assert evaluate(normalize(cases[1][1]), {}) == pytest.approx(-math.pi)
-
-
-def test_terms_and_factors_with_signed_zeros_stay_apart():
-    # atan2(0.0, -1) is pi and atan2(-0.0, -1) is -pi, but their sort keys
-    # are equal; collecting them as one term or factor changes the value
-    pos = Fun("atan2", (Const(0.0), Const(-1)))
-    neg = Fun("atan2", (Const(-0.0), Const(-1)))
-    x = Sym("x")
-    for e in (Add((pos, neg)), Mul((pos, neg)), Div(pos, neg),
-              Add((Div(x, pos), Div(x, neg)))):
-        clear_memos()
-        n = normalize(e)
-        assert n == normalize(n)
-        assert evaluate(n, {"x": 0.4}) == pytest.approx(
-            evaluate(e, {"x": 0.4}), abs=1e-12)
-
-
 def test_typed_errors_raise_on_every_call():
     for e, error in ((Div(Sym("x"), ZERO), DivisionByZeroError),
                      (Mul((Sym("x"), Fun("sqrt", (Const(-1),)))),
@@ -440,7 +450,7 @@ def test_typed_errors_raise_on_every_call():
 def _fresh_sort_key(e):
     """sort_key worked out from scratch, as a recursive walk."""
     if isinstance(e, Const):
-        return (0, e.value, isinstance(e.value, float))
+        return (0, e.value)
     if isinstance(e, Sym):
         return (1, e.name)
     if isinstance(e, Fun):
@@ -578,19 +588,6 @@ def test_a_late_callback_leaves_a_newer_entry_alone():
     assert nodes[key] is live and Sym("late_probe") is probe
 
 
-def test_constants_that_equal_differently_are_distinct_nodes():
-    assert Const(1) is not Const(1.0) and Const(1) != Const(1.0)
-    assert Const(0.0) is not Const(-0.0) and Const(0.0) != Const(-0.0)
-    assert Const(-0.0) is Const(-0.0) and Const(1.0) is Const(1.0)
-    assert str(Const(-0.0)) == "-0.0"
-    nan = float("nan")
-    assert Const(nan) is Const(nan)
-    other = Const(float("nan"))
-    assert other is not Const(nan) and other != Const(nan)
-    assert all(Const(nan) is not Const(v) for v in (0.0, 1.0, math.inf))
-    assert Mul((Const(1), Sym("x"))) is not Mul((Const(1.0), Sym("x")))
-
-
 @given(_trees())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_cached_sort_key_is_the_recursive_one(e):
@@ -656,13 +653,14 @@ def test_substitute_memo_keys_coerced_values():
     assert substitute(e, {"x": Const(2)}) is two
     assert substitute(e, {"x": Fraction(2)}) is two
     assert _size(expr_module._substitute) == 1
-    # 1 and 1.0, 0.0 and -0.0 are distinct constants, so distinct entries
+    # a float binds its exact value: 1 and 1.0 give one constant, and so
+    # do 0.0 and -0.0, so each pair is one entry
     values = (1, 1.0, 0.0, -0.0)
     results = [substitute(e, {"x": v}) for v in values]
-    assert _size(expr_module._substitute) == 1 + len(values)
-    assert len({str(r) for r in results}) == len(values)
+    assert _size(expr_module._substitute) == 3
+    assert results[0] is results[1] and results[2] is results[3]
+    assert results[2] == substitute(e, {"x": ZERO})
     assert evaluate(results[2], {}) == pytest.approx(math.pi)
-    assert evaluate(results[3], {}) == pytest.approx(-math.pi)
     for v, warm in zip(values, results):
         clear_memos()
         cold = substitute(e, {"x": v})
@@ -1112,7 +1110,7 @@ def _singular_at(point):
     return SampleDomain(
         ranges=(("x", 0.0, 1.0), ("y", 0.0, 1.0)),
         guards=((Sym("x"), 0.0, 0.5),
-                (Div(ONE, Add((Sym("y"), Const(-point["y"])))),
+                (Div(ONE, Add((Sym("y"), Const(Fraction(-point["y"]))))),
                  -1e300, 1e300)))
 
 

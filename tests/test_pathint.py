@@ -131,6 +131,17 @@ def test_inverted_oscillator_overflow_is_a_range_error(ho_model):
         propagate_quantum(inverted, _classical(800.0), {})
 
 
+def test_a_jacobi_phase_beyond_float_range_is_a_range_error(ho_model):
+    # omega = 1e10 over T = 1e300: the phase omega*T is past float range, in
+    # the sin branch and in the sinh one
+    for h in ("p_zeta^2/2 + 5*10^19*zeta^2", "p_zeta^2/2 - 5*10^19*zeta^2"):
+        with pytest.raises(LatticeRangeError, match=(
+                r"classical-mode lattice leaves the float range: "
+                r"OverflowError: Jacobi-field phase 1e\+10 \* 1e\+300 overflows")):
+            propagate_quantum(_reduced(h, ho_model.symbols),
+                              _classical(1e300), {})
+
+
 # ---------------------------------------------------------------------------
 # quadratic binding
 # ---------------------------------------------------------------------------
