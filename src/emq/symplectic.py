@@ -7,10 +7,17 @@ every momentum (H = f^a(q) p_a, optionally plus a momentum-free potential)
 get their q-dynamics decoupled from the momenta; conserved charges and a
 positive combination rho of them drive the splitting H = H_plus - H_minus
 with both halves nonnegative wherever rho > 0.
+
+A Poisson bracket sums only the terms whose two factors can be nonzero,
+read off each side's free symbols, and is kept per process for each
+(f, g, phase space) by a functools.lru_cache of at most 2^12 brackets; a
+call that raises stores nothing.  A FlowSystem builds its Hamiltonian and
+rho once, on first use, and keeps them for as long as it lives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -76,12 +83,27 @@ class PhaseSpace:
         return self.momenta[self.coordinates.index(coordinate)]
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def poisson_bracket(f: Expr, g: Expr, ps: PhaseSpace) -> Expr:
-    """{f, g} = sum_a df/dq^a dg/dp_a - df/dp_a dg/dq^a, normalized."""
+    """{f, g} = sum_a df/dq^a dg/dp_a - df/dp_a dg/dq^a, normalized.
+
+    A term enters the sum only when both of its factors can be nonzero:
+    df/dq dg/dp when f holds q and g holds p, df/dp dg/dq when f holds p
+    and g holds q.  The result is the node the full sum normalizes to, and
+    is kept per process for each (f, g, ps), at most 2^12 brackets.
+    """
+    ff, fg = f.free_symbols(), g.free_symbols()
     terms = []
     for q, p in zip(ps.coordinates, ps.momenta):
-        terms.append(Mul((differentiate(f, q), differentiate(g, p))))
-        terms.append(Mul((Const(-1), differentiate(f, p), differentiate(g, q))))
+        if q in ff and p in fg:
+            terms.append(Mul((differentiate(f, q), differentiate(g, p))))
+        if p in ff and q in fg:
+            terms.append(
+                Mul((Const(-1), differentiate(f, p), differentiate(g, q))))
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        return normalize(terms[0])
     return normalize(Add(tuple(terms)))
 
 
@@ -128,7 +150,7 @@ class FlowSystem:
             if name not in names:
                 raise StructureError(f"rho references unknown charge {name!r}")
 
-    @property
+    @functools.cached_property
     def hamiltonian(self) -> Expr:
         terms = [Mul((v, Sym(p))) for v, p in zip(self.velocities, self.space.momenta)]
         if not _structurally_zero(self.potential):
@@ -137,7 +159,7 @@ class FlowSystem:
             return normalize(terms[0])
         return normalize(Add(tuple(terms)))
 
-    @property
+    @functools.cached_property
     def rho(self) -> Expr:
         by_name = dict(self.charges)
         terms = [Mul((coeff, by_name[name])) for name, coeff in self.rho_coefficients]

@@ -1198,10 +1198,28 @@ def test_each_cache_keeps_its_bound():
               expr._expand: 1 << 16, expr._differentiate: 1 << 16,
               expr._substitute: 1 << 16, expr._stream: 1 << 4,
               expr.sampled_check: 1 << 12, expr._text: 1 << 12,
-              sysfile._assemble: 1 << 6, cli._parser: 1}
+              sysfile._assemble: 1 << 6, cli._parser: 1,
+              symplectic.poisson_bracket: 1 << 12}
     assert memos() == set(bounds)
     for memo, size in bounds.items():
         assert memo.cache_parameters() == {"maxsize": size, "typed": False}
+
+
+def test_a_second_seed_takes_every_bracket_from_the_memo(capsys):
+    # a bracket does not depend on the seed
+    def run(seed):
+        assert main(["verify", "harmonic", "--json", "--seed", seed]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        report.pop("elapsed_s")
+        return report
+
+    run("5")
+    before = symplectic.poisson_bracket.cache_info()
+    second = run("6")
+    after = symplectic.poisson_bracket.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    symplectic.poisson_bracket.cache_clear()
+    assert run("6") == second
 
 
 def test_a_second_run_hits_the_symbolic_caches_and_misses_none(capsys):

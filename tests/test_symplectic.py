@@ -1,19 +1,23 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emq.expr import (
-    Add, Const, Mul, Pow, SampleDomain, Sym, ZERO, evaluate, normalize,
-    numeric_compare, parse, substitute,
+    Add, Const, Mul, Pow, SampleDomain, Sym, ZERO, differentiate, evaluate,
+    normalize, numeric_compare, parse, substitute,
 )
 from emq.symplectic import (
     FlowSystem, PhaseSpace, RhoNotConservedError, StructureError,
     poisson_bracket, split_hamiltonian, verify_charges,
 )
+from emq.sysfile import load_bundled
 
 PS2 = PhaseSpace.from_coordinates(("x", "y"))
+# the drawn trees hold x, y and their momenta only, so the pair (w, p_w)
+# never occurs in them
+PS3 = PhaseSpace.from_coordinates(("x", "w", "y"))
 DOM2 = SampleDomain(ranges=(
     ("x", -2.0, 2.0), ("y", -2.0, 2.0),
     ("p_x", -2.0, 2.0), ("p_y", -2.0, 2.0),
@@ -86,6 +90,31 @@ def test_canonical_brackets():
     assert poisson_bracket(Sym("x"), Sym("p_y"), PS2) == ZERO
 
 
+def _dense_bracket(f, g, ps):
+    # every term of every pair, unnormalized
+    terms = []
+    for q, p in zip(ps.coordinates, ps.momenta):
+        terms.append(Mul((differentiate(f, q), differentiate(g, p))))
+        terms.append(Mul((Const(-1), differentiate(f, p), differentiate(g, q))))
+    return Add(tuple(terms))
+
+
+_X, _Y, _PX, _PY = (Sym(n) for n in ("x", "y", "p_x", "p_y"))
+
+
+@given(_phase_polys(), _phase_polys(), st.sampled_from((PS2, PS3)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+# no pair that f holds a half of has its other half in g: no term is left
+@example(Mul((_X, _PX)), Mul((_Y, _PY)), PS2)
+@example(_X, _Y, PS3)
+# one surviving term, df/dx dg/dp_x, and one whose derivative is 0 once
+# normalized
+@example(Pow(_X, 2), Mul((_PX, _Y)), PS3)
+@example(Add((_X, Mul((Const(-1), _X)))), _PX, PS2)
+def test_sparse_bracket_is_the_dense_sum(f, g, ps):
+    assert poisson_bracket(f, g, ps) is normalize(_dense_bracket(f, g, ps))
+
+
 @given(_phase_polys(), _phase_polys())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_bracket_antisymmetry(f, g):
@@ -155,6 +184,28 @@ def test_hamiltonian_assembly_is_momentum_linear():
     assert sys.rho == normalize(parse("a1*(x^2 + y^2)", _table()))
     assert dict(sys.charges)["radius"] == normalize(parse("x^2 + y^2",
                                                           _table()))
+
+
+@pytest.mark.parametrize("name", ["harmonic", "free_particle",
+                                  "free_particle_lambda"])
+def test_hamiltonian_and_rho_are_built_once(name):
+    sys = load_bundled(name).system
+    assert sys.hamiltonian is sys.hamiltonian
+    assert sys.rho is sys.rho
+    # the construction each read used to repeat
+    def total(terms):
+        if not terms:
+            return ZERO
+        return normalize(terms[0] if len(terms) == 1 else Add(tuple(terms)))
+
+    terms = [Mul((v, Sym(p))) for v, p in zip(sys.velocities,
+                                               sys.space.momenta)]
+    if normalize(sys.potential) != ZERO:
+        terms.append(sys.potential)
+    assert sys.hamiltonian is total(terms)
+    by_name = dict(sys.charges)
+    assert sys.rho is total([Mul((coeff, by_name[c]))
+                             for c, coeff in sys.rho_coefficients])
 
 
 def test_structure_errors():
