@@ -239,16 +239,12 @@ class SlicedExpansionReport:
 
 def _midpoint_shift(e: Expr, block: Sequence[str]) -> Expr:
     """e minus half its differential along the block's increments."""
+    # a zero differential adds a zero term, which the normal form drops
     terms = [e]
     for name in block:
-        d = differentiate(e, name)
-        if d == ZERO:
-            continue
-        terms.append(Mul((Const(Fraction(-1, 2)), d,
+        terms.append(Mul((Const(Fraction(-1, 2)), differentiate(e, name),
                           Sym(increment_symbol(name)))))
-    if len(terms) == 1:
-        return normalize(e)
-    return normalize(Add(tuple(terms)))
+    return normalize(Add(terms))
 
 
 def sliced_expansion_check(gen: GeneratingFunction, map: CanonicalMap,
@@ -341,8 +337,7 @@ def sliced_expansion_check(gen: GeneratingFunction, map: CanonicalMap,
             pieces.append(Mul((d, Sym(increment_symbol(t)))))
         if not pieces:
             raise AnomalyError(f"inverse expression for {b} is constant")
-        delta_subs[increment_symbol(b)] = (
-            pieces[0] if len(pieces) == 1 else Add(tuple(pieces)))
+        delta_subs[increment_symbol(b)] = Add(pieces)
 
     h1 = substitute(hamiltonian,
                     {coord: sym_rel[coord] for _, coord in gen.momentum_pairs})

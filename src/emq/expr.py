@@ -21,7 +21,9 @@ by sampled numeric comparison (numeric_compare), structural equality by ==.
 
 Nodes are interned (hash-consed): a constructor returns the live node for
 the same type, label and child objects, so there is one live node per
-structure, however it was built, and == is identity.  The node table holds
+structure, however it was built, and == is identity (a zero constant is
+always ZERO, a one ONE).  Add and Mul take any number of parts: one part is
+that part, and none is 0 for a sum, 1 for a product.  The node table holds
 each node weakly and loses an entry when its node dies, so it needs no
 bound.  Each node computes its sort_key() once, at construction, and its
 free_symbols() set on first use, from its children's sets.
@@ -272,7 +274,7 @@ class Add(Expr):
         node = ref and ref()
         if node is None:
             if len(terms) < 2:
-                raise ValueError("Add needs at least two terms")
+                return terms[0] if terms else ZERO
             node = _intern(cls, key, (6, tuple(t._key for t in terms)),
                            terms=terms)
         return node
@@ -291,7 +293,7 @@ class Mul(Expr):
         node = ref and ref()
         if node is None:
             if len(factors) < 2:
-                raise ValueError("Mul needs at least two factors")
+                return factors[0] if factors else ONE
             node = _intern(cls, key, (5, tuple(f._key for f in factors)),
                            factors=factors)
         return node
@@ -379,14 +381,6 @@ def sort_key(e: Expr):
 # normalization
 # ---------------------------------------------------------------------------
 
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1
-
-
 def _split_coefficient(term: Expr):
     """term -> (constant coefficient, tuple of non-constant factors)."""
     if isinstance(term, Const):
@@ -406,14 +400,9 @@ def _split_coefficient(term: Expr):
 def _rebuild_product(coeff: Fraction, factors: Sequence[Expr]) -> Expr:
     if coeff == 0:
         return ZERO
-    parts = list(factors)
-    if not parts:
-        return Const(coeff)
     if coeff != 1:
-        parts = [Const(coeff)] + parts
-    if len(parts) == 1:
-        return parts[0]
-    return Mul(tuple(parts))
+        factors = (Const(coeff),) + tuple(factors)
+    return Mul(factors)
 
 
 def _combine_fractions(flat):
@@ -476,27 +465,16 @@ def _normalize_add(terms) -> Expr:
         else:
             out.append(_rebuild_product(coeff, rest))
     if pending:
-        extra = [Const(const_sum)] if const_sum != 0 else []
-        return _normalize_add(out + pending + extra)
-    if const_sum != 0 or not out:
+        return _normalize_add(out + pending + [Const(const_sum)])
+    if const_sum != 0:
         out.insert(0, Const(const_sum))
-    if len(out) == 1:
-        return out[0]
-    return Add(tuple(out))
+    return Add(out)
 
 
 def _as_base_exp(f: Expr):
     if isinstance(f, Pow):
         return f.base, f.exponent
     return f, 1
-
-
-def _raw_product(factors) -> Expr:
-    if not factors:
-        return ONE
-    if len(factors) == 1:
-        return factors[0]
-    return Mul(tuple(factors))
 
 
 def _normalize_mul(factors) -> Expr:
@@ -511,7 +489,7 @@ def _normalize_mul(factors) -> Expr:
     if any(isinstance(f, Div) for f in flat):
         nums = [f.num if isinstance(f, Div) else f for f in flat]
         dens = [f.den for f in flat if isinstance(f, Div)]
-        return normalize(Div(_raw_product(nums), _raw_product(dens)))
+        return normalize(Div(Mul(nums), Mul(dens)))
     # factors collect by their base node, as terms do in _normalize_add
     coeff = Fraction(1)
     by_base = {}
@@ -528,7 +506,7 @@ def _normalize_mul(factors) -> Expr:
     rerun = []
     for base in sorted(by_base, key=sort_key):
         piece = _normalize_pow(base, by_base[base])
-        if _is_one(piece):
+        if piece == ONE:
             continue
         if isinstance(piece, Const):
             coeff *= piece.value
@@ -575,8 +553,8 @@ def _rationalize(num: Expr, den: Expr) -> Optional[Expr]:
             new_den.append(f)
     if not moved:
         return None
-    return normalize(Div(_raw_product([num] + moved),
-                         _raw_product([Const(d_coeff)] + new_den)))
+    return normalize(Div(Mul([num] + moved),
+                         Mul([Const(d_coeff)] + new_den)))
 
 
 def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
@@ -615,7 +593,7 @@ def _cancel_quotient(num: Expr, den: Expr) -> Optional[Expr]:
             den_parts.append(_normalize_pow(base, exp))
     if not den_parts:
         return num_expr
-    return normalize(Div(num_expr, _raw_product(den_parts)))
+    return normalize(Div(num_expr, Mul(den_parts)))
 
 
 def _normalize_pow(base: Expr, exp: int) -> Expr:
@@ -679,7 +657,7 @@ def _normalize_fun(name: str, args) -> Expr:
         return Fun(name, (a,))
     if name == "atan2":
         u, v = args
-        if _is_zero(u) and isinstance(v, Const) and v.value > 0:
+        if u == ZERO and isinstance(v, Const) and v.value > 0:
             return ZERO
         return Fun("atan2", (u, v))
     return Fun(name, tuple(args))
@@ -741,7 +719,7 @@ def _normalize_div(num: Expr, den: Expr) -> Expr:
         if den.value == 0:
             raise DivisionByZeroError("division by a zero constant")
         return _normalize_mul([num, Const(1 / den.value)])
-    if _is_zero(num):
+    if num == ZERO:
         return num
     if num == den:
         # valid off the zero set of den; charts exclude it anyway
@@ -770,7 +748,7 @@ def _expand_node(e: Expr) -> Expr:
             if isinstance(f, Add):
                 rest = factors[:i] + factors[i + 1:]
                 return _normalize_add(
-                    [_expand_node(_raw_product(rest + [t])) for t in f.terms])
+                    [_expand_node(Mul(rest + [t])) for t in f.terms])
         return _normalize_mul(factors)
     if isinstance(e, Pow):
         base = _expand_node(e.base)
@@ -778,7 +756,7 @@ def _expand_node(e: Expr) -> Expr:
         if isinstance(base, Add) and 2 <= exp <= 16:
             out = base
             for _ in range(exp - 1):
-                out = _expand_node(_raw_product([out, base]))
+                out = _expand_node(Mul([out, base]))
             return out
         return _normalize_pow(base, exp)
     if isinstance(e, Div):
@@ -823,12 +801,12 @@ def _diff(e: Expr, name: str) -> Expr:
     if isinstance(e, Add):
         terms = tuple(_diff(t, name) for t in e.terms
                       if name in t.free_symbols())
-        return Add(terms) if len(terms) > 1 else terms[0]
+        return Add(terms)
     if isinstance(e, Mul):
         fs = e.factors
         terms = tuple(Mul(fs[:i] + (_diff(f, name),) + fs[i + 1:])
                       for i, f in enumerate(fs) if name in f.free_symbols())
-        return Add(terms) if len(terms) > 1 else terms[0]
+        return Add(terms)
     if isinstance(e, Pow):
         n = e.exponent
         db = _diff(e.base, name)
@@ -1119,7 +1097,7 @@ class _Parser:
             op = self.advance()
             rhs = self.parse_term()
             terms.append(rhs if op.kind == "+" else Mul((Const(-1), rhs)))
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
+        return Add(terms)
 
     def parse_term(self) -> Expr:
         factors = [self.parse_factor()]
@@ -1131,9 +1109,8 @@ class _Parser:
             else:
                 # Div stays binary and left-associative: a*b/c*d is
                 # ((a*b)/c)*d
-                lhs = factors[0] if len(factors) == 1 else Mul(tuple(factors))
-                factors = [Div(lhs, rhs)]
-        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+                factors = [Div(Mul(factors), rhs)]
+        return Mul(factors)
 
     def parse_factor(self) -> Expr:
         node = self.parse_atom()

@@ -113,10 +113,10 @@ class LatticeConfig:
     """
 
     mode: str
-    n: int
-    length: float
-    slices: int
     duration: float
+    n: int = 256
+    length: float = 16.0
+    slices: int = 128
     hbar: float = 1.0
     source_center: float = 0.0
     source_sigma_cells: float = 6.0

@@ -26,6 +26,7 @@ matrix is checked once per pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -165,8 +166,7 @@ def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
     if c.eliminated in ps.coordinates:
         chain = [Mul((differentiate(c.solution, v), Sym(velocity_symbol(v))))
                  for v in reduced_vars]
-        mapping[velocity_symbol(c.eliminated)] = normalize(Add(tuple(chain))) \
-            if len(chain) > 1 else normalize(chain[0])
+        mapping[velocity_symbol(c.eliminated)] = normalize(Add(chain))
     L_R = substitute(L_full, mapping)
 
     f = _antisymmetrized(_one_form(L_R, reduced_vars), reduced_vars)
@@ -182,7 +182,8 @@ class CanonicalMap:
     forward: target-name -> expression over the original phase space;
     inverse: original-name -> expression over the targets.  The inverse is
     part of the map data because the transformed Lagrangian and the
-    generating-function machinery both need it explicitly.
+    generating-function machinery both need it explicitly.  The forward
+    and bracket tables are built once per map, on first use.
     """
 
     pairs: Tuple[Tuple[str, str], ...]
@@ -191,10 +192,9 @@ class CanonicalMap:
     inverse: Tuple[Tuple[str, Expr], ...]
 
     def __post_init__(self):
-        fwd = dict(self.forward)
         for coord, mom in self.pairs + (self.gauge,):
             for name in (coord, mom):
-                if name not in fwd:
+                if name not in self._forward_table:
                     raise DomainError(f"map lacks a forward expression for {name!r}")
 
     @property
@@ -217,16 +217,24 @@ class CanonicalMap:
         """Surface variables: reduced momenta, reduced coordinates, z."""
         return self.target_names[:-1]
 
+    @functools.cached_property
+    def _forward_table(self) -> Dict[str, Expr]:
+        return dict(self.forward)
+
+    @functools.cached_property
+    def _bracket_table(self) -> Dict[Tuple[str, str], int]:
+        # {coord, mom} = 1, {mom, coord} = -1: the first pair naming both wins
+        table = {}
+        for coord, mom in self.pairs + (self.gauge,):
+            table.setdefault((coord, mom), 1)
+            table.setdefault((mom, coord), -1)
+        return table
+
     def forward_expr(self, name: str) -> Expr:
-        return dict(self.forward)[name]
+        return self._forward_table[name]
 
     def expected_bracket(self, a: str, b: str) -> int:
-        for coord, mom in self.pairs + (self.gauge,):
-            if (a, b) == (coord, mom):
-                return 1
-            if (a, b) == (mom, coord):
-                return -1
-        return 0
+        return self._bracket_table.get((a, b), 0)
 
 
 def verify_canonicity(map: CanonicalMap, ps: PhaseSpace, chart: SampleDomain,

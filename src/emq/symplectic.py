@@ -100,16 +100,7 @@ def poisson_bracket(f: Expr, g: Expr, ps: PhaseSpace) -> Expr:
         if p in ff and q in fg:
             terms.append(
                 Mul((Const(-1), differentiate(f, p), differentiate(g, q))))
-    if not terms:
-        return ZERO
-    if len(terms) == 1:
-        return normalize(terms[0])
-    return normalize(Add(tuple(terms)))
-
-
-def _structurally_zero(e: Expr) -> bool:
-    n = normalize(e)
-    return isinstance(n, Const) and n.value == 0
+    return normalize(Add(terms))
 
 
 def _is_momentum_free(e: Expr, ps: PhaseSpace) -> bool:
@@ -153,21 +144,13 @@ class FlowSystem:
     @functools.cached_property
     def hamiltonian(self) -> Expr:
         terms = [Mul((v, Sym(p))) for v, p in zip(self.velocities, self.space.momenta)]
-        if not _structurally_zero(self.potential):
-            terms.append(self.potential)
-        if len(terms) == 1:
-            return normalize(terms[0])
-        return normalize(Add(tuple(terms)))
+        return normalize(Add(terms + [self.potential]))
 
     @functools.cached_property
     def rho(self) -> Expr:
         by_name = dict(self.charges)
-        terms = [Mul((coeff, by_name[name])) for name, coeff in self.rho_coefficients]
-        if not terms:
-            return ZERO
-        if len(terms) == 1:
-            return normalize(terms[0])
-        return normalize(Add(tuple(terms)))
+        return normalize(Add(Mul((coeff, by_name[name]))
+                             for name, coeff in self.rho_coefficients))
 
 
 def verify_charges(sys: FlowSystem, n: int = 100, tol: float = 1e-12,
@@ -196,7 +179,7 @@ def split_hamiltonian(sys: FlowSystem, n: int = 64, tol: float = 1e-9,
     """
     H = sys.hamiltonian
     rho = sys.rho
-    if _structurally_zero(rho):
+    if rho == ZERO:
         raise RhoNotConservedError("rho is identically zero")
     bracket = poisson_bracket(rho, H, sys.space)
     try:

@@ -380,19 +380,21 @@ def _assemble(text: str, name: str, path: Optional[str]) -> Model:
                            else ("time", "beta"))
         if "time" in lat.values and "beta" in lat.values:
             raise lat.error("[lattice] sets both time and beta", other)
+        # a key the file leaves out keeps LatticeConfig's default
+        settings = {
+            "n": lat.take("n", _number, int, default=None),
+            "length": lat.take("length", _number, default=None),
+            "slices": lat.take("slices", _number, int, default=None),
+            "duration": lat.take(duration, _number),
+            "source_center": lat.take("source_center", _number, default=None),
+            "source_sigma_cells": lat.take("source_sigma_cells", _number,
+                                           default=None),
+            "tolerance": lat.take("tolerance", _number, default=None),
+        }
         try:
             lattice = LatticeConfig(
-                mode=mode,
-                n=lat.take("n", _number, int, default=256),
-                length=lat.take("length", _number, default=16.0),
-                slices=lat.take("slices", _number, int, default=128),
-                duration=lat.take(duration, _number),
-                hbar=params.get("hbar", 1.0),
-                source_center=lat.take("source_center", _number, default=0.0),
-                source_sigma_cells=lat.take("source_sigma_cells", _number,
-                                            default=6.0),
-                tolerance=lat.take("tolerance", _number, default=1e-4),
-            )
+                mode=mode, hbar=params.get("hbar", 1.0),
+                **{k: v for k, v in settings.items() if v is not None})
         except ValueError as exc:
             # the defaults are valid, so the rejected field is in the file
             message, field = exc.args

@@ -588,6 +588,38 @@ def test_a_late_callback_leaves_a_newer_entry_alone():
     assert nodes[key] is live and Sym("late_probe") is probe
 
 
+def _sum_by_count(ts):
+    # the branch callers wrote around Add before the constructor decided it
+    if not ts:
+        return ZERO
+    if len(ts) == 1:
+        return normalize(ts[0])
+    return normalize(Add(tuple(ts)))
+
+
+@given(st.lists(_trees(), max_size=4))
+@example([])
+@example([Const(3)])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_sum_or_product_of_under_two_parts_is_no_node(ts):
+    for cls, empty, parts in ((Add, ZERO, "terms"), (Mul, ONE, "factors")):
+        built = cls(ts)
+        if not ts:
+            assert built is empty, cls
+        elif len(ts) == 1:
+            assert built is ts[0], cls
+        else:
+            assert type(built) is cls and getattr(built, parts) == tuple(ts)
+    assert _outcome(lambda: normalize(Add(ts))) == _outcome(_sum_by_count, ts)
+
+
+def test_a_zero_or_one_constant_is_the_shared_node():
+    for value in (0, Fraction(0, 7), -0):
+        assert Const(value) is ZERO
+    for value in (1, Fraction(3, 3)):
+        assert Const(value) is ONE
+
+
 @given(_trees())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_cached_sort_key_is_the_recursive_one(e):

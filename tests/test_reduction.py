@@ -16,6 +16,7 @@ from emq.reduction import (
 )
 from emq.symplectic import FlowSystem
 from emq.sysfile import bundled_text, load_bundled, load_model, loads_model
+from product_models import product_model
 
 
 def _h(model, text):
@@ -141,6 +142,30 @@ def test_map_orderings_and_bracket_table(ho_model):
     assert m.expected_bracket("p_zeta", "zeta") == -1
     assert m.expected_bracket("z", "p_z") == 1
     assert m.expected_bracket("zeta", "z") == 0
+
+
+def _scanned_bracket(m, a, b):
+    # the scan expected_bracket made on each call before it read a table
+    for coord, mom in m.pairs + (m.gauge,):
+        if (a, b) == (coord, mom):
+            return 1
+        if (a, b) == (mom, coord):
+            return -1
+    return 0
+
+
+@pytest.mark.parametrize("name", ["free_particle", "harmonic",
+                                  "free_particle_lambda", "product4"])
+def test_map_tables_give_the_scanned_lookups(name):
+    m = (loads_model(product_model(4), name=name) if name == "product4"
+         else load_bundled(name)).darboux
+    names = m.target_names + ("not_a_target",)
+    for a in names:
+        for b in names:
+            assert m.expected_bracket(a, b) == _scanned_bracket(m, a, b), (a, b)
+    forward = dict(m.forward)
+    for t in m.target_names:
+        assert m.forward_expr(t) is forward[t]
 
 
 def test_map_requires_all_forward_expressions(ho_model):

@@ -5,6 +5,7 @@ import pytest
 from conftest import clear_memos
 from emq import sysfile
 from emq.cli import EXIT_CHECK, EXIT_OK, main
+from emq.pathint import LatticeConfig
 from emq.sysfile import (
     Model, SysFileError, bundled_names, bundled_text, load_bundled,
     load_model, loads_model,
@@ -55,6 +56,18 @@ def test_load_model_from_path(tmp_path):
     m = load_model(str(p))
     assert m.name == "copy"
     assert m.path == str(p)
+
+
+def test_a_lattice_key_left_out_takes_the_config_default():
+    start = BASE.index("[lattice]")
+    end = BASE.index("[anomaly]")
+    text = BASE[:start] + "[lattice]\nmode = real\ntime = 1\n\n" + BASE[end:]
+    m = loads_model(text, name="t")
+    assert m.params["hbar"] == 1.0
+    assert m.lattice == LatticeConfig(mode="real", duration=1.0)
+    assert (m.lattice.n, m.lattice.length, m.lattice.slices,
+            m.lattice.source_center, m.lattice.source_sigma_cells,
+            m.lattice.tolerance) == (256, 16.0, 128, 0.0, 6.0, 1e-4)
 
 
 def test_params_are_read_only_and_every_load_reads_the_file_values(
