@@ -57,7 +57,7 @@ def run_spectrum(out_dir: str) -> None:
           f" {sweep['slope']:.3f} (expect -2)")
     path = os.path.join(out_dir, "spectrum_sweep.json")
     with open(path, "w") as fh:
-        json.dump({"partition": res.metrics, "sweep": {
+        json.dump({"partition": dict(res.metrics), "sweep": {
             "slice_counts": list(sweep["slice_counts"]),
             "errors": list(sweep["errors"]),
             "slope": sweep["slope"]}}, fh, indent=2)

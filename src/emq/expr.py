@@ -910,11 +910,12 @@ def evaluate(e: Expr, bindings: Mapping[str, Union[float, np.ndarray]]):
             value = _eval(e, bindings, {})
     except OverflowError as exc:
         raise EvalError(f"value does not fit a float: {exc}") from None
-    batch = [v for v in bindings.values() if isinstance(v, np.ndarray)]
-    if batch and not isinstance(value, np.ndarray):
-        value = np.full(batch[0].shape, value)
+    column = next((v for v in bindings.values() if isinstance(v, np.ndarray)),
+                  None)
+    if column is not None and not isinstance(value, np.ndarray):
+        value = np.full(column.shape, value)
     _check(~np.isfinite(value), EvalError, "non-finite value", e, bindings)
-    return value if batch else float(value)
+    return value if column is not None else float(value)
 
 
 def _check(bad, error, what: str, e: Expr, bindings) -> None:

@@ -42,19 +42,33 @@ few-cell Gaussian suppresses those modes and still admits an exact
 continuum reference (the kernel convolved with the source, a single
 complex-Gaussian integral).
 
+A lattice run reads only H*, the lattice config and the parameters, never
+a seed, so propagate_quantum keeps the last four results of a process and
+hands a repeat the kept one.  Every caller shares a kept result, so its
+arrays are read-only and its metrics a read-only mapping; a run that
+raises keeps nothing.  At the grid cap one result holds 40 bytes a point,
+so the four hold at most 160 MiB.
+
 Output: write_kernel stores a real- or imaginary-mode result as one NumPy
 .npy file (NEP 1) holding a structured array of n rows with the fields
 zeta (float64), psi and reference (complex128): the grid, the lattice
 column (real mode) or diagonal (imaginary mode), and its closed form.  The
 values are bit-equal to the result's arrays; the pointwise error is
-abs(psi - reference).
+abs(psi - reference).  write_in_place writes an artifact over the file it
+replaces, reusing its blocks, and cuts a regular file to the new length; a
+device path such as /dev/null is written through.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import io
 import math
+import os
+import stat
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,7 +83,8 @@ __all__ = [
     "propagate_quantum", "partition_closed_form",
     "partition_slice_closed_form", "trotter_sweep",
     "brownian_increment_report", "holder_slopes",
-    "write_kernel", "FocalPointError", "CoverageError", "LatticeRangeError",
+    "write_kernel", "write_in_place",
+    "FocalPointError", "CoverageError", "LatticeRangeError",
 ]
 
 
@@ -450,7 +465,7 @@ class PropagatorResult:
     zeta: Optional[np.ndarray]
     psi: Optional[np.ndarray]
     reference: Optional[np.ndarray]
-    metrics: Dict[str, float]
+    metrics: Mapping[str, float]
 
 
 def _central_errors(zeta: np.ndarray, psi: np.ndarray, ref: np.ndarray,
@@ -477,14 +492,29 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
     hbar or source width near the ends of the float range) makes a step
     overflow, divide by zero or lose its value: the run cannot represent
     the lattice, so it fails rather than report poisoned numbers.
+
+    The result is the kept one of an earlier call with the same rs, cfg and
+    params, if the process still holds it: its arrays are read-only and its
+    metrics a read-only mapping.
     """
+    return _lattice_run(rs, cfg, tuple(params.items()))
+
+
+@functools.lru_cache(maxsize=4)
+def _lattice_run(rs: ReducedSystem, cfg: LatticeConfig,
+                 params: Tuple[Tuple[str, float], ...]) -> PropagatorResult:
+    # a run that raises returns nothing, so nothing of it is kept
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _propagate(rs, cfg, params)
+            result = _propagate(rs, cfg, dict(params))
     except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
         raise LatticeRangeError(
             f"{cfg.mode}-mode lattice leaves the float range: "
             f"{type(exc).__name__}: {exc}") from None
+    for array in (result.zeta, result.psi, result.reference):
+        if array is not None:
+            array.flags.writeable = False
+    return replace(result, metrics=MappingProxyType(result.metrics))
 
 
 def _propagate(rs: ReducedSystem, cfg: LatticeConfig,
@@ -738,6 +768,25 @@ _KERNEL_DTYPE = np.dtype([("zeta", "<f8"), ("psi", "<c16"),
                           ("reference", "<c16")])
 
 
+def write_in_place(path: str, data: bytes) -> None:
+    """Write data, any bytes-like object, to path over what the file held.
+
+    The file is opened without O_TRUNC, so a rewrite reuses its blocks
+    rather than freeing and allocating them again, and is then cut to the
+    written length.  Only a regular file is cut: a device such as
+    /dev/null or /dev/stdout has no length to cut and is written through.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_kernel(result: PropagatorResult, base: str) -> str:
     """Write the grid, the lattice column and its reference to base + '.npy'
     as one structured array with the fields zeta, psi and reference, n rows,
@@ -749,5 +798,7 @@ def write_kernel(result: PropagatorResult, base: str) -> str:
     table["psi"] = result.psi
     table["reference"] = result.reference
     path = base + ".npy"
-    np.save(path, table, allow_pickle=False)
+    buf = io.BytesIO()
+    np.save(buf, table, allow_pickle=False)
+    write_in_place(path, buf.getbuffer())
     return path

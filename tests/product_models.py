@@ -76,7 +76,7 @@ def expected_h_star(k: int):
         s, t = f"s{i}", f"t{i}"
         terms.append(Mul((Sym(s), Sym(f"p_{t}"))))
         terms.append(Mul((Const(-1), Sym(t), Sym(f"p_{s}"))))
-    return normalize(Add(tuple(terms)) if k else terms[0])
+    return normalize(Add(tuple(terms)))
 
 
 if __name__ == "__main__":

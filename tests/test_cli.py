@@ -9,12 +9,13 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import clear_memos, memos
-from emq import __version__, cli, expr, symplectic, sysfile
+from emq import __version__, cli, expr, pathint, symplectic, sysfile
 from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.expr import MAX_NESTING, SampleDomain, columns
 from emq.pathint import propagate_quantum
@@ -270,6 +271,59 @@ def test_propagate_partition_mode(tmp_path, monkeypatch, capsys):
     assert "partition" in out
     assert json.loads(out)["outputs"] == {}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_rewritten_out_report_keeps_no_tail(tmp_path, monkeypatch, capsys):
+    # a report carries its elapsed time: a fixed clock makes two reports of
+    # the same run byte-equal
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    out, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
+    assert main(["anomaly", "harmonic", "--out", str(out)]) == EXIT_OK
+    longer = out.stat().st_size
+    assert main(["verify", "harmonic", "--out", str(out)]) == EXIT_OK
+    assert main(["verify", "harmonic", "--out", str(fresh)]) == EXIT_OK
+    capsys.readouterr()
+    assert fresh.stat().st_size < longer
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_rewritten_propagate_artifacts_keep_no_tail(tmp_path, capsys):
+    # the free particle's table has 1024 rows, the oscillator's 256
+    base, fresh = str(tmp_path / "run"), str(tmp_path / "fresh")
+    assert main(["propagate", "free_particle", "--out", base]) == EXIT_OK
+    longer = os.path.getsize(base + ".npy")
+    assert main(["propagate", "harmonic", "--out", base]) == EXIT_OK
+    assert main(["propagate", "harmonic", "--out", fresh]) == EXIT_OK
+    capsys.readouterr()
+    assert os.path.getsize(fresh + ".npy") < longer
+    for suffix in (".npy", "_metrics.json"):
+        assert (Path(base + suffix).read_bytes()
+                == Path(fresh + suffix).read_bytes()), suffix
+
+
+def test_out_may_name_a_device(capsys):
+    # a device has no length to cut: the report is written through
+    assert main(["verify", "harmonic", "--out", os.devnull]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_the_command_line_runs_blas_on_one_thread_unless_told():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    show = ("import os, sys, emq.__main__; "
+            "print(*(os.environ[name] for name in sys.argv[1:]))")
+
+    def threads(**preset):
+        run = subprocess.run([sys.executable, "-c", show, *names],
+                             capture_output=True, text=True, check=True,
+                             env=dict(env, **preset))
+        return run.stdout.split()
+
+    assert threads() == ["1", "1", "1"]
+    assert threads(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
 
 
 @pytest.mark.parametrize("T", [1000.0, 10000.0])
@@ -1192,14 +1246,15 @@ def test_warm_and_cold_runs_give_the_same_reports(tmp_path, monkeypatch,
 
 
 def test_each_cache_keeps_its_bound():
-    # a candidate stream keeps every point it accepted and a model a whole
-    # file, so their caches are smaller than the symbolic ones
+    # a candidate stream keeps every point it accepted, a model a whole
+    # file and a lattice run its grid arrays, so their caches are smaller
+    # than the symbolic ones
     bounds = {expr._parse: 1 << 16, expr._normalize_node: 1 << 16,
               expr._expand: 1 << 16, expr._differentiate: 1 << 16,
               expr._substitute: 1 << 16, expr._stream: 1 << 4,
               expr.sampled_check: 1 << 12, expr._text: 1 << 12,
               sysfile._assemble: 1 << 6, cli._parser: 1,
-              symplectic.poisson_bracket: 1 << 12}
+              symplectic.poisson_bracket: 1 << 12, pathint._lattice_run: 4}
     assert memos() == set(bounds)
     for memo, size in bounds.items():
         assert memo.cache_parameters() == {"maxsize": size, "typed": False}
@@ -1219,6 +1274,24 @@ def test_a_second_seed_takes_every_bracket_from_the_memo(capsys):
     after = symplectic.poisson_bracket.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
     symplectic.poisson_bracket.cache_clear()
+    assert run("6") == second
+
+
+def test_a_second_seed_takes_the_lattice_run_from_the_memo(capsys):
+    # a lattice run reads H*, [lattice] and [params], never the seed
+    def run(seed):
+        assert main(["propagate", "harmonic", "--json", "--seed",
+                     seed]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        report.pop("elapsed_s")
+        return report
+
+    run("5")
+    before = pathint._lattice_run.cache_info()
+    second = run("6")
+    after = pathint._lattice_run.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+    pathint._lattice_run.cache_clear()
     assert run("6") == second
 
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from emq.pathint import (
 )
 from emq.pathint import (
     PropagatorResult, _evolve, _grid, _increment_weights, _kinetic_factor,
-    _mode_eigenvalues, _parity_blocks, _power_trace_and_diagonal,
-    _split_step_factors, _thermal_increment_sum,
+    _lattice_run, _mode_eigenvalues, _parity_blocks,
+    _power_trace_and_diagonal, _split_step_factors, _thermal_increment_sum,
 )
 from emq.reduction import PhaseSpace, ReducedSystem
 
@@ -792,6 +793,36 @@ def test_holder_flow_is_the_exact_rotation(ho_reduced, ho_model, a1):
 
 
 # ---------------------------------------------------------------------------
+# the lattice memo
+# ---------------------------------------------------------------------------
+
+def test_a_kept_result_is_read_only(free_reduced, free_model, ho_reduced,
+                                    ho_model):
+    for rs, model in ((free_reduced, free_model), (ho_reduced, ho_model)):
+        res = propagate_quantum(rs, model.lattice, model.params)
+        assert propagate_quantum(rs, model.lattice, dict(model.params)) is res
+        for name in ("zeta", "psi", "reference"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(res, name)[0] = 0.0
+        with pytest.raises(TypeError):
+            res.metrics["mass"] = 0.0
+
+
+def test_a_run_that_raises_is_not_kept(lam_reduced, lam_model, ho_reduced,
+                                       ho_model):
+    hot = replace(ho_model.lattice, duration=1e300)
+    _lattice_run.cache_clear()
+    for rs, cfg, params, error in (
+            (lam_reduced, lam_model.lattice, lam_model.params, CoverageError),
+            (ho_reduced, hot, ho_model.params, LatticeRangeError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                propagate_quantum(rs, cfg, params)
+    info = _lattice_run.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+
+# ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
 
@@ -805,6 +836,20 @@ def test_kernel_npy_fields(free_reduced, free_model, tmp_path):
     assert table.shape == (free_model.lattice.n,)
     for name in table.dtype.names:
         assert np.array_equal(table[name], getattr(res, name)), name
+
+
+def test_kernel_npy_is_what_np_save_writes(ho_reduced, ho_model, tmp_path):
+    # written in place over a longer file: the bytes of a fresh np.save
+    res = propagate_quantum(ho_reduced, ho_model.lattice, ho_model.params)
+    base = tmp_path / "kernel"
+    (tmp_path / "kernel.npy").write_bytes(b"x" * (1 << 16))
+    path = write_kernel(res, str(base))
+    table = np.empty(len(res.zeta), dtype=[("zeta", "<f8"), ("psi", "<c16"),
+                                           ("reference", "<c16")])
+    for name in table.dtype.names:
+        table[name] = getattr(res, name)
+    np.save(tmp_path / "saved.npy", table, allow_pickle=False)
+    assert (tmp_path / "saved.npy").read_bytes() == Path(path).read_bytes()
 
 
 def test_kernel_npy_keeps_every_bit(tmp_path):

@@ -1,6 +1,7 @@
 """Every experiment script imports cleanly against the current library."""
 
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -42,3 +43,14 @@ def test_kernel_script_writes_the_free_kernel_table(tmp_path, capsys):
     table = np.load(tmp_path / "free_kernel.npy", allow_pickle=False)
     assert table.dtype.names == ("zeta", "psi", "reference")
     assert "free_kernel.npy" in capsys.readouterr().out
+
+
+def test_kernel_script_writes_the_spectrum_sweep(tmp_path, capsys):
+    assert _script("kernel_experiments.py").main(
+        ["--only", "spectrum", "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["spectrum_sweep.json"]
+    with open(tmp_path / "spectrum_sweep.json") as fh:
+        sweep = json.load(fh)
+    assert sweep["partition"]["partition_rel_err"] < 1e-2
+    assert sweep["sweep"]["slice_counts"] == [32, 64, 128, 256, 512]
+    assert "spectrum_sweep.json" in capsys.readouterr().out
