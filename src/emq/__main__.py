@@ -1,18 +1,3 @@
-"""Command-line entry point: python -m emq, and the emq script.
+from .cli import main
 
-The lattice runs are small, so BLAS threads cost more to start and
-synchronize than they save: unless the environment says otherwise, the
-command line runs numpy's BLAS on one thread.  The setting must come
-before numpy is imported, so it is made here, before .cli is imported;
-an import of the emq library leaves the environment alone.
-"""
-
-import os
-
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-
-from .cli import main  # noqa: E402
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+raise SystemExit(main())

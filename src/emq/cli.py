@@ -27,7 +27,7 @@ from .expr import (Add, ComparisonResult, Const, ExprError, Mul,
 from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_model
 from .symplectic import poisson_bracket, split_hamiltonian, verify_charges
 from .reduction import jacobi_liouville_check, run_reduction, verify_canonicity
-from .pathint import propagate_quantum, write_in_place, write_kernel
+from .pathint import propagate_quantum, write_kernel
 from .anomaly import (anomaly_coefficients, consistency_report,
                       constraint_surface_vanishing, correction_scaling,
                       sliced_expansion_check)
@@ -125,11 +125,6 @@ class RunReport:
         lines.append(f"result: {verdict} ({len(self.checks)} checks, "
                      f"{self.elapsed_s:.2f}s)")
         return "\n".join(lines)
-
-
-def _json_bytes(payload: dict) -> bytes:
-    # an --out JSON file: indented, one trailing newline, ASCII only
-    return (json.dumps(payload, indent=2) + "\n").encode("ascii")
 
 
 def _load(spec: str) -> Model:
@@ -266,7 +261,9 @@ def cmd_propagate(model: Model, rep: RunReport,
                    "slices": cfg.slices, "n": cfg.n, "length": cfg.length,
                    "duration": cfg.duration, "tolerance": cfg.tolerance,
                    "metrics": rep.metrics}
-        write_in_place(base + "_metrics.json", _json_bytes(payload))
+        with open(base + "_metrics.json", "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
         rep.outputs["metrics_json"] = base + "_metrics.json"
 
 
@@ -384,7 +381,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "anomaly": cmd_anomaly}[args.command](model, rep)
         rep.elapsed_s = time.perf_counter() - t0
         if args.out and args.command != "propagate":
-            write_in_place(args.out, _json_bytes(rep.to_dict()))
+            with open(args.out, "w") as fh:
+                json.dump(rep.to_dict(), fh, indent=2)
+                fh.write("\n")
     except SysFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

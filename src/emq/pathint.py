@@ -54,19 +54,14 @@ Output: write_kernel stores a real- or imaginary-mode result as one NumPy
 zeta (float64), psi and reference (complex128): the grid, the lattice
 column (real mode) or diagonal (imaginary mode), and its closed form.  The
 values are bit-equal to the result's arrays; the pointwise error is
-abs(psi - reference).  write_in_place writes an artifact over the file it
-replaces, reusing its blocks, and cuts a regular file to the new length; a
-device path such as /dev/null is written through.
+abs(psi - reference).
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import io
 import math
-import os
-import stat
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -83,8 +78,7 @@ __all__ = [
     "propagate_quantum", "partition_closed_form",
     "partition_slice_closed_form", "trotter_sweep",
     "brownian_increment_report", "holder_slopes",
-    "write_kernel", "write_in_place",
-    "FocalPointError", "CoverageError", "LatticeRangeError",
+    "write_kernel", "FocalPointError", "CoverageError", "LatticeRangeError",
 ]
 
 
@@ -461,6 +455,10 @@ def _power_trace_and_diagonal(block: np.ndarray, power: int):
 
 @dataclass(frozen=True)
 class PropagatorResult:
+    """One lattice run.  propagate_quantum hands every caller with the same
+    (H*, lattice, params) the same kept result, so a result from it is
+    shared and frozen: its arrays are read-only and its metrics a read-only
+    mapping.  Copy them (np.array(res.psi), dict(res.metrics)) to edit."""
     mode: str
     zeta: Optional[np.ndarray]
     psi: Optional[np.ndarray]
@@ -768,25 +766,6 @@ _KERNEL_DTYPE = np.dtype([("zeta", "<f8"), ("psi", "<c16"),
                           ("reference", "<c16")])
 
 
-def write_in_place(path: str, data: bytes) -> None:
-    """Write data, any bytes-like object, to path over what the file held.
-
-    The file is opened without O_TRUNC, so a rewrite reuses its blocks
-    rather than freeing and allocating them again, and is then cut to the
-    written length.  Only a regular file is cut: a device such as
-    /dev/null or /dev/stdout has no length to cut and is written through.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
-
-
 def write_kernel(result: PropagatorResult, base: str) -> str:
     """Write the grid, the lattice column and its reference to base + '.npy'
     as one structured array with the fields zeta, psi and reference, n rows,
@@ -798,7 +777,5 @@ def write_kernel(result: PropagatorResult, base: str) -> str:
     table["psi"] = result.psi
     table["reference"] = result.reference
     path = base + ".npy"
-    buf = io.BytesIO()
-    np.save(buf, table, allow_pickle=False)
-    write_in_place(path, buf.getbuffer())
+    np.save(path, table, allow_pickle=False)
     return path

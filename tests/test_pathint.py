@@ -2,7 +2,6 @@ import cmath
 import math
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -836,20 +835,6 @@ def test_kernel_npy_fields(free_reduced, free_model, tmp_path):
     assert table.shape == (free_model.lattice.n,)
     for name in table.dtype.names:
         assert np.array_equal(table[name], getattr(res, name)), name
-
-
-def test_kernel_npy_is_what_np_save_writes(ho_reduced, ho_model, tmp_path):
-    # written in place over a longer file: the bytes of a fresh np.save
-    res = propagate_quantum(ho_reduced, ho_model.lattice, ho_model.params)
-    base = tmp_path / "kernel"
-    (tmp_path / "kernel.npy").write_bytes(b"x" * (1 << 16))
-    path = write_kernel(res, str(base))
-    table = np.empty(len(res.zeta), dtype=[("zeta", "<f8"), ("psi", "<c16"),
-                                           ("reference", "<c16")])
-    for name in table.dtype.names:
-        table[name] = getattr(res, name)
-    np.save(tmp_path / "saved.npy", table, allow_pickle=False)
-    assert (tmp_path / "saved.npy").read_bytes() == Path(path).read_bytes()
 
 
 def test_kernel_npy_keeps_every_bit(tmp_path):
