@@ -42,7 +42,7 @@ def walkthrough(name: str, seed: int) -> None:
     print(f"  H_plus - H_minus - H : max scaled err {cmp_sum.max_scaled_err:.2e}")
     print(f"  {{H_plus, H_minus}}    : max scaled err {cmp_brk.max_scaled_err:.2e}")
 
-    L_R, form, transformed, result = run_reduction(
+    _, form, result = run_reduction(
         sys_, model.constraint, model.darboux, seed=seed)
     pt = model.chart.sample_columns(1, seed=seed)
     print(f"  presymplectic rank   : {form.rank_at(pt)}"

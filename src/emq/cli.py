@@ -212,11 +212,10 @@ def cmd_verify(model: Model, rep: RunReport) -> None:
 def cmd_reduce(model: Model, rep: RunReport) -> None:
     """Run the elimination pipeline and print every intermediate object."""
     with _stage(rep, "reduction pipeline") as check:
-        L_R, form, transformed, result = run_reduction(
+        L_R, _, result = run_reduction(
             model.system, model.constraint, model.darboux, seed=rep.seed)
         check(True)
         rep.notes.append(f"reduced lagrangian: {L_R.lagrangian}")
-        rep.notes.append(f"transformed lagrangian: {transformed.lagrangian}")
         rep.notes.append(f"gauge condition: {result.chi} = 0")
         if result.z_solution is not None:
             rep.notes.append(f"gauge variable fixed at "

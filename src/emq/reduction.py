@@ -1,34 +1,37 @@
 """Constraint elimination, Darboux charts, and the reduced bounded Hamiltonian.
 
 Pipeline: a declared constraint phi = 0 with an explicit solution for one
-phase-space variable turns the first-order Lagrangian p q-dot - H into a
-reduced Lagrangian on the remaining 2N-1 variables; its antisymmetrized
-velocity-coefficient matrix is the presymplectic form, degenerate along one
+phase-space variable pulls the first-order Lagrangian p q-dot - H back to
+a reduced Lagrangian on the remaining 2N-1 variables; the two-form of its
+velocity coefficients is the presymplectic form, degenerate along one
 direction.  A verified canonical map (shipped with each model, never
-constructed here) brings the velocity part to canonical block form with one
-nondynamical gauge variable z, which the final step removes either as pure
-gauge (z absent from the Hamiltonian) or by solving the linear stationarity
-condition dH/dz = 0.  The surviving Hamiltonian h_star is bounded below on
-the chart; that boundedness is the entire point of the construction.
+constructed here) pulls that Lagrangian back again, onto a chart where
+the two-form is in canonical block form with one nondynamical gauge
+variable z; the velocity-free remainder, sign flipped, is the transformed
+Hamiltonian H'.  The final step removes z either as pure gauge (z absent
+from H') or by solving the linear stationarity condition dH'/dz = 0.  The
+surviving Hamiltonian h_star is bounded below on the chart; that
+boundedness is the entire point of the construction.
 
-Maps are checked, not trusted: canonicity brackets and the presymplectic
-cross-derivation run on the model's sampling chart inside run_reduction,
-before any map is used.  The Jacobian identity of the constrained chart
+Both steps share one pull-back (_pull_back: each variable by its
+expression, each velocity by the chain rule) and one two-form
+(_two_form: f_ij = d_i c_j - d_j c_i of the velocity coefficients c, kept
+for i < j only, since f is antisymmetric).
+
+Maps are checked, not trusted: canonicity brackets and the velocity
+two-form run on the model's sampling chart inside run_reduction, before
+any map is used.  The Jacobian identity of the constrained chart
 (jacobi_liouville_check) is a separate check: `emq verify` runs it, and
 run_reduction does not.  Both are worked out once per process for their
 arguments (see expr.sampled_check): run_reduction for each (system,
 constraint, map, seed), so `reduce`, `propagate` and another file with
-the same system, constraint and map share one pipeline run.  The
-presymplectic form and the transformed velocity matrix are
-antisymmetric, so each is built once per pair i < j, and the velocity
-matrix is checked once per pair.
+the same system, constraint and map share one pipeline run.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +46,7 @@ from .symplectic import PhaseSpace, FlowSystem, poisson_bracket
 
 __all__ = [
     "ConstraintSpec", "CanonicalMap", "PresymplecticForm",
-    "ReducedLagrangian", "TransformedLagrangian", "ReducedSystem",
+    "ReducedLagrangian", "ReducedSystem",
     "EliminationResult",
     "eliminate_primary", "verify_canonicity",
     "apply_darboux", "eliminate_z", "jacobi_liouville_check",
@@ -97,17 +100,20 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class PresymplecticForm:
+    """The two-form of the reduced Lagrangian above the diagonal: row i of
+    upper holds f_ij for j = i+1 .. dim-1, in the order of variables."""
+
     variables: Tuple[str, ...]
-    matrix: Tuple[Tuple[Expr, ...], ...]
+    upper: Tuple[Tuple[Expr, ...], ...]
 
     def rank_at(self, point: Mapping[str, np.ndarray]) -> int:
         """Rank at the one point of columns from sample_columns(1, seed)."""
         dim = len(self.variables)
-        upper = np.zeros((dim, dim))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                upper[i, j] = evaluate(self.matrix[i][j], point)[0]
-        sv = np.linalg.svd(upper - upper.T, compute_uv=False)
+        f = np.zeros((dim, dim))
+        for i, row in enumerate(self.upper):
+            for j, entry in enumerate(row, start=i + 1):
+                f[i, j] = evaluate(entry, point)[0]
+        sv = np.linalg.svd(f - f.T, compute_uv=False)
         if len(sv) == 0:
             return 0
         return int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
@@ -122,39 +128,39 @@ class ReducedLagrangian:
     lagrangian: Expr
 
 
-def _one_form(L: Expr, variables: Sequence[str]) -> Tuple[Expr, ...]:
-    """The velocity coefficients c_j of L, indexed like variables."""
-    return tuple(differentiate(L, velocity_symbol(v)) for v in variables)
+def _pull_back(L: Expr, exprs: Mapping[str, Expr],
+               over: Sequence[str]) -> Expr:
+    """L with each named variable replaced by its expression over `over`
+    and its velocity by the chain rule: sum over m of d(expr)/dm m-dot."""
+    mapping = dict(exprs)
+    for name, e in exprs.items():
+        mapping[velocity_symbol(name)] = normalize(Add(tuple(
+            Mul((differentiate(e, m), Sym(velocity_symbol(m)))) for m in over)))
+    return substitute(L, mapping)
 
 
-def _two_form_entry(one_form: Sequence[Expr], variables: Sequence[str],
-                    i: int, j: int) -> Expr:
-    """f_ij = d_i c_j - d_j c_i of the velocity coefficients c."""
-    return normalize(Add((
-        differentiate(one_form[j], variables[i]),
-        Mul((Const(-1), differentiate(one_form[i], variables[j]))),
-    )))
-
-
-def _antisymmetrized(one_form: Sequence[Expr], variables: Sequence[str]):
-    """f_ij once per pair i < j; ZERO on the diagonal, normal(-f_ij) below."""
-    dim = len(variables)
-    f = [[ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            f[i][j] = _two_form_entry(one_form, variables, i, j)
-            f[j][i] = normalize(Mul((Const(-1), f[i][j])))
-    return tuple(tuple(row) for row in f)
+def _two_form(L: Expr, variables: Sequence[str]
+              ) -> Tuple[Tuple[Expr, ...], ...]:
+    """f_ij = d_i c_j - d_j c_i of the velocity coefficients c_j of L, for
+    i < j only: row i holds j = i+1 .. dim-1."""
+    c = [differentiate(L, velocity_symbol(v)) for v in variables]
+    return tuple(
+        tuple(normalize(Add((
+            differentiate(c[j], vi),
+            Mul((Const(-1), differentiate(c[i], variables[j]))),
+        ))) for j in range(i + 1, len(variables)))
+        for i, vi in enumerate(variables))
 
 
 def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
-    """Substitute the constraint solution into p q-dot - H.
+    """Pull p q-dot - H back onto the constraint surface.
 
     Returns (ReducedLagrangian, PresymplecticForm) on the 2N-1 surviving
-    variables, momenta first.  Eliminating a coordinate rewrites its
-    velocity by the chain rule; eliminating a momentum needs no extra term
-    because momentum velocities are absent from this form of L.  The
-    constraint is taken as given: run_reduction validates it first.
+    variables, momenta first.  The eliminated variable and its velocity are
+    replaced by the one pull-back; a momentum's velocity is absent from
+    this form of L, so only a coordinate's chain rule changes anything.
+    The form keeps its entries for i < j.  The constraint is taken as
+    given: run_reduction validates it first.
     """
     ps = sys.space
     kin_terms = [Mul((Sym(p), Sym(velocity_symbol(q))))
@@ -162,16 +168,9 @@ def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
     L_full = Add(tuple(kin_terms) + (Mul((Const(-1), sys.hamiltonian)),))
 
     reduced_vars = tuple(v for v in ps.xi if v != c.eliminated)
-    mapping: Dict[str, Expr] = {c.eliminated: c.solution}
-    if c.eliminated in ps.coordinates:
-        chain = [Mul((differentiate(c.solution, v), Sym(velocity_symbol(v))))
-                 for v in reduced_vars]
-        mapping[velocity_symbol(c.eliminated)] = normalize(Add(chain))
-    L_R = substitute(L_full, mapping)
-
-    f = _antisymmetrized(_one_form(L_R, reduced_vars), reduced_vars)
+    L_R = _pull_back(L_full, {c.eliminated: c.solution}, reduced_vars)
     return (ReducedLagrangian(reduced_vars, L_R),
-            PresymplecticForm(reduced_vars, f))
+            PresymplecticForm(reduced_vars, _two_form(L_R, reduced_vars)))
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ class CanonicalMap:
     pairs: reduced (coordinate, momentum) name pairs; gauge: (z, p_z) names;
     forward: target-name -> expression over the original phase space;
     inverse: original-name -> expression over the targets.  The inverse is
-    part of the map data because the transformed Lagrangian and the
+    part of the map data because the Darboux pull-back and the
     generating-function machinery both need it explicitly.  The forward
     and bracket tables are built once per map, on first use.
     """
@@ -250,27 +249,17 @@ def verify_canonicity(map: CanonicalMap, ps: PhaseSpace, chart: SampleDomain,
             for i, a in enumerate(names) for b in names[i + 1:]}
 
 
-@dataclass(frozen=True)
-class TransformedLagrangian:
-    """Canonical-form Lagrangian in the (reduced pairs, z) chart."""
-
-    variables: Tuple[str, ...]
-    lagrangian: Expr
-    hamiltonian: Expr
-
-
 def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
-                  chart: SampleDomain, seed: int = 0) -> TransformedLagrangian:
-    """Rewrite L_R in map targets; verify the velocity matrix is canonical.
+                  chart: SampleDomain, seed: int = 0) -> Expr:
+    """Pull L_R back to the map targets; verify its two-form is canonical.
 
-    The constraint momentum p_z vanishes identically on the constrained
-    chart, so the inverse map is restricted to p_z = 0 before substitution.
-    Velocities transform by the chain rule over eta = (momenta, coords, z).
-    The returned Lagrangian uses the antisymmetric kinetic normal form, which
-    equals the substituted one up to a total time derivative; legitimacy of
-    that rewrite is exactly the velocity-matrix check performed here.  The
-    matrix is antisymmetric by construction, so each pair i < j is built and
-    compared once, in row-major order.
+    Returns the transformed Hamiltonian H', the velocity-free remainder of
+    the pulled-back Lagrangian with its sign restored.  The constraint
+    momentum p_z vanishes identically on the constrained chart, so the
+    inverse map is restricted to p_z = 0 before the pull-back over
+    eta = (momenta, coords, z).  The two-form, kept for i < j, must equal
+    the expected brackets entry by entry in row-major order: then the
+    Lagrangian is canonical p q-dot - H' up to a total time derivative.
     """
     for (a, b), cmp in verify_canonicity(map, ps, chart, seed=seed).items():
         if not cmp.equal:
@@ -282,24 +271,15 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
     eta = map.eta
     surface_inverse = {name: substitute(e, {map.p_z: 0})
                        for name, e in map.inverse}
-    mapping: Dict[str, Expr] = {}
-    for name in L_R.variables:
-        inv = surface_inverse[name]
-        mapping[name] = inv
-        chain = [Mul((differentiate(inv, m), Sym(velocity_symbol(m))))
-                 for m in eta]
-        mapping[velocity_symbol(name)] = normalize(Add(tuple(chain)))
-    L_t = substitute(L_R.lagrangian, mapping)
-
-    one_form = _one_form(L_t, eta)
-    # the velocity-free remainder, with its sign restored
+    L_t = _pull_back(L_R.lagrangian,
+                     {name: surface_inverse[name] for name in L_R.variables},
+                     eta)
     H_prime = normalize(Mul((Const(-1), substitute(
         L_t, {velocity_symbol(v): 0 for v in eta}))))
 
-    for i, vi in enumerate(eta):
-        for j in range(i + 1, len(eta)):
-            vj = eta[j]
-            f_ij = _two_form_entry(one_form, eta, i, j)
+    for i, row in enumerate(_two_form(L_t, eta)):
+        for j, f_ij in enumerate(row, start=i + 1):
+            vi, vj = eta[i], eta[j]
             want = map.expected_bracket(vj, vi)
             cmp = numeric_compare(f_ij, Const(want), chart, seed=seed)
             if not cmp.equal:
@@ -307,15 +287,7 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
                     f"velocity matrix entry ({vi}, {vj}) = {f_ij} "
                     f"!= {want} (max scaled err {cmp.max_scaled_err:.3e}); "
                     f"transform is not canonical up to a total derivative")
-
-    kin_terms = []
-    for coord, mom in map.pairs:
-        kin_terms.append(Mul((Const(Fraction(1, 2)), Sym(mom),
-                              Sym(velocity_symbol(coord)))))
-        kin_terms.append(Mul((Const(Fraction(-1, 2)), Sym(coord),
-                              Sym(velocity_symbol(mom)))))
-    L_canon = normalize(Add(tuple(kin_terms) + (Mul((Const(-1), H_prime)),)))
-    return TransformedLagrangian(eta, L_canon, H_prime)
+    return H_prime
 
 
 @dataclass(frozen=True)
@@ -437,7 +409,8 @@ def _jacobi_liouville(map: CanonicalMap, c: ConstraintSpec, sys: FlowSystem,
 
 def run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
                   seed: int = 0):
-    """Full pipeline with a provenance log; returns the pieces and the log.
+    """Full pipeline with a provenance log: returns (L_R, presymplectic
+    form, EliminationResult), the log riding on the result's system.
 
     Memoized per process for each (sys, c, map, seed) (see sampled_check):
     the pipeline reads nothing else, and its result is a tuple of frozen
@@ -457,9 +430,9 @@ def _run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
     point = sys.chart.sample_columns(1, seed=seed)
     steps.append(f"presymplectic rank at chart points: "
                  f"{f.rank_at(point)} of {len(f.variables)}")
-    transformed = apply_darboux(L_R, map, sys.space, sys.chart, seed=seed)
+    H_prime = apply_darboux(L_R, map, sys.space, sys.chart, seed=seed)
     steps.append(f"canonical chart ({', '.join(map.eta)}) verified; "
                  f"velocity matrix in normal form")
-    result = eliminate_z(transformed.hamiltonian, map, sys.chart, seed=seed,
+    result = eliminate_z(H_prime, map, sys.chart, seed=seed,
                          provenance=tuple(steps))
-    return L_R, f, transformed, result
+    return L_R, f, result

@@ -37,16 +37,19 @@ def lam_model():
 @pytest.fixture(scope="session")
 def free_reduced(free_model):
     m = free_model
-    return run_reduction(m.system, m.constraint, m.darboux)[3].system
+    *_, result = run_reduction(m.system, m.constraint, m.darboux)
+    return result.system
 
 
 @pytest.fixture(scope="session")
 def ho_reduced(ho_model):
     m = ho_model
-    return run_reduction(m.system, m.constraint, m.darboux)[3].system
+    *_, result = run_reduction(m.system, m.constraint, m.darboux)
+    return result.system
 
 
 @pytest.fixture(scope="session")
 def lam_reduced(lam_model):
     m = lam_model
-    return run_reduction(m.system, m.constraint, m.darboux)[3].system
+    *_, result = run_reduction(m.system, m.constraint, m.darboux)
+    return result.system

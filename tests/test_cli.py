@@ -199,11 +199,31 @@ def test_constants_beyond_float_range_fail_typed(constant, tmp_path, capsys):
 # reduce
 # ---------------------------------------------------------------------------
 
-def test_reduce_reports_the_closed_form(capsys):
-    assert main(["reduce", "harmonic"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "reduced hamiltonian" in out
-    assert "p_zeta" in out
+_REDUCE_NOTES = ("reduced lagrangian:", "gauge condition:",
+                 "gauge variable fixed at", "reduced hamiltonian:")
+# the bundled models whose z is solved, not pure gauge
+_REDUCE_SOLVES_Z = {"harmonic": True, "free_particle": False,
+                    "free_particle_lambda": False}
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCE_SOLVES_Z))
+def test_reduce_reports_the_closed_form(name, capsys):
+    assert main(["reduce", name, "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    prefixes = [p for p in _REDUCE_NOTES
+                if _REDUCE_SOLVES_Z[name] or p != "gauge variable fixed at"]
+    notes = report["notes"]
+    assert len(notes) == len(prefixes), notes
+    for note, prefix in zip(notes, prefixes):
+        assert note.startswith(prefix), (note, prefix)
+    assert "p_zeta" in notes[-1]
+    assert ("presymplectic rank at chart points: 2 of 3"
+            in report["provenance"])
+    # the text report prints the same notes in the same order
+    assert main(["reduce", name]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.removeprefix("  note: ") for line in lines
+            if line.startswith("  note: ")] == notes
 
 
 # ---------------------------------------------------------------------------

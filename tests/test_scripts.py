@@ -54,3 +54,10 @@ def test_kernel_script_writes_the_spectrum_sweep(tmp_path, capsys):
     assert sweep["partition"]["partition_rel_err"] < 1e-2
     assert sweep["sweep"]["slice_counts"] == [32, 64, 128, 256, 512]
     assert "spectrum_sweep.json" in capsys.readouterr().out
+
+
+def test_walkthrough_runs_end_to_end(capsys):
+    assert _script("reduction_walkthrough.py").main(["harmonic"]) == 0
+    out = capsys.readouterr().out
+    assert "presymplectic rank   : 2 of 3 retained variables" in out
+    assert "  H*   = 1/2*a1*zeta^2 + 1/2*p_zeta^2/a1\n" in out
