@@ -392,7 +392,14 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
-    print(json.dumps(rep.to_dict(), indent=2) if args.json else rep.render())
+    try:
+        print(json.dumps(rep.to_dict(), indent=2) if args.json
+              else rep.render(), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: the verdict stands, and the exit flush
+        # writes what is left to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return rep.exit_code
 
 

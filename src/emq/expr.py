@@ -39,18 +39,18 @@ raises stores nothing, so it raises again next time.
 SampleDomain.sample_columns() reads one candidate stream per (domain,
 seed), drawn from random.Random(seed) once per process and only as far
 as requests have needed (at most 2^4 streams): every sample count n is
-the first n points of that stream, and a request the stream cannot serve
-falls back to a fresh draw.  sampled_check() works out each seeded
-sampled result once for its arguments (at most 2^12 results):
-numeric_compare() for each (a, b, domain, n, tol, seed), sampled_values()
-for each (e, domain, n, seed), and the chart volume check and the
-reduction pipeline of emq.reduction.  str() prints each tree once per
-process (at most 2^12 texts).  Each cache counts its hits and misses in
-cache_info().
+the first n points of that stream, or the error a one-at-a-time draw of
+n points meets, and a guard error ends the stream.  sampled_check() works
+out each seeded sampled result once for its arguments (at most 2^12
+results): numeric_compare() for each (a, b, domain, n, tol, seed),
+sampled_values() for each (e, domain, n, seed), and the chart volume
+check and the reduction pipeline of emq.reduction.  str() prints each
+tree once per process (at most 2^12 texts).  Each cache counts its hits
+and misses in cache_info().
 
-A sample set's points are drawn in vectorized blocks, bit for bit the
-points of a one-at-a-time rng.uniform draw (see SampleDomain), and come
-back as read-only numpy columns, one per symbol, in a read-only mapping.
+One loop draws sample points in vectorized blocks, bit for bit the points
+and the error of a one-at-a-time rng.uniform draw (see SampleDomain); they
+come back as read-only numpy columns, one per symbol, in a read-only mapping.
 evaluate() works out each distinct subtree above the leaves once per
 call, for floats or for a batch of points given as equal-length columns
 (see columns()), and keeps nothing after the call.
@@ -63,6 +63,7 @@ surface as errors, not poisoned numerics.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import random
@@ -664,9 +665,9 @@ def _normalize_fun(name: str, args) -> Expr:
 
 
 # per-process caches (see the module docstring): a public function that
-# shapes its key, or that the benchmark tracer wraps by name, calls one
-# private cached function positionally, and recursive calls go through the
-# public names
+# shapes its key calls one private cached function positionally, one that
+# shapes none is its own cache (the benchmark tracer wraps either form
+# alike), and recursive calls go through the public names
 @functools.lru_cache(maxsize=1 << 12)
 def sampled_check(check, *args):
     """check(*args), worked out once per process for each argument tuple.
@@ -771,6 +772,7 @@ def _expand_node(e: Expr) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def expand(e: Expr) -> Expr:
     """Distribute products and small integer powers over sums; normalized.
 
@@ -778,11 +780,6 @@ def expand(e: Expr) -> Expr:
     what symbolic intermediates want); expansion is the opt-in step that
     collapses cross-term cancellations down to closed forms.
     """
-    return _expand(e)
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _expand(e: Expr) -> Expr:
     return _expand_node(normalize(e))
 
 
@@ -1276,30 +1273,32 @@ class SampleDomain:
 
     A point takes rng.uniform(lo, hi) for each range in order, and a draw
     stops at the n-th accepted point; it fails when that point is not among
-    the first max(1000, 200*n) candidates, and at once for n below 1.  The
-    candidates come in blocks, each from one rng.getrandbits(64*k) call
-    rebuilt into the k doubles that k rng.random() calls give, so the
-    points, and the state the generator is left in, are those of a
-    one-at-a-time draw.  A caller's rng is used only through getrandbits():
-    a random.Random, or a subclass that keeps its random() and
-    getrandbits(), gives the points its uniform() would.
+    the first max(1000, 200*n) candidates, at the first candidate a guard
+    cannot be evaluated on (guards tried in order) if that comes first, and
+    at once for n below 1.  One loop draws every candidate (see _Stream),
+    in blocks, each from one rng.getrandbits(64*k) call rebuilt into the k
+    doubles that k rng.random() calls give, so the points and the error
+    are those of a one-at-a-time draw.  A caller's rng is used only
+    through getrandbits(): a random.Random, or a subclass that keeps its
+    random() and getrandbits(), gives the points its uniform() would; a
+    block may draw candidates past the n-th point, so the rng is not left
+    where a one-at-a-time draw leaves it.
 
     sample_columns() reads one candidate stream per (domain, seed) and
     process: the one-at-a-time candidate sequence of random.Random(seed),
     drawn only as far as requests have needed, so n points are the first n
-    accepted ones whatever was asked before.  A request that the stream
-    cannot serve, because a guard failed while it was extended or the n-th
-    point came too late, is drawn afresh by _draw(), so it gives the
-    points, or the error, of a one-at-a-time draw of n points.
+    accepted ones whatever was asked before.
     """
 
     ranges: tuple
     guards: tuple = ()
 
-    def _block(self, rng: random.Random,
-               take: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next take candidates of rng, one row per range, and the mask
-        of those every guard accepts."""
+    def _block(self, rng: random.Random, take: int
+               ) -> tuple[np.ndarray, np.ndarray, Optional[DomainError]]:
+        """The next take candidates of rng, one row per range, the mask of
+        those every guard accepts, and None.  When a guard cannot be
+        evaluated on one of them: the candidates before the first such one
+        (guards tried in order), their mask, and that guard's error."""
         names = [name for name, _, _ in self.ranges]
         # spans are taken in Python floats, as rng.uniform takes them: one
         # that overflows is inf, not a numpy warning
@@ -1308,7 +1307,22 @@ class SampleDomain:
         with np.errstate(over="ignore", invalid="ignore"):
             block = low + span * _uniforms(
                 rng, take * len(names)).reshape(take, len(names)).T
-        keep = np.ones(take, dtype=bool)
+        try:
+            return block, self._accepted(names, block), None
+        except DomainError:
+            # a guard may raise on a later candidate than another one does,
+            # so the first failing candidate is found one at a time
+            for i in range(take):
+                try:
+                    self._accepted(names, block[:, i:i + 1])
+                except DomainError as exc:
+                    head = block[:, :i]
+                    return head, self._accepted(names, head), exc
+            raise
+
+    def _accepted(self, names: list, block: np.ndarray) -> np.ndarray:
+        """The mask of the candidates of block every guard accepts."""
+        keep = np.ones(block.shape[1], dtype=bool)
         for guard, g_lo, g_hi in self.guards:
             # each guard sees only the points the earlier guards passed
             idx = np.flatnonzero(keep)
@@ -1317,36 +1331,14 @@ class SampleDomain:
             except EvalError as exc:
                 raise DomainError(f"guard {guard} failed: {exc}") from exc
             keep[idx] = (g_lo <= val) & (val <= g_hi)
-        return block, keep
-
-    def _draw(self, n: int, seed: int = 0,
-              rng: Optional[random.Random] = None) -> Dict[str, np.ndarray]:
-        """The reference draw: n accepted points, one column per range,
-        drawn in blocks of the number still missing."""
-        if n < 1:
-            raise DomainError(f"need at least 1 sample point, asked for {n}")
-        if rng is None:
-            rng = random.Random(seed)
-        kept = []
-        count = attempts = 0
-        limit = max(1000, 200 * n)
-        while count < n:
-            take = min(n - count, limit - attempts)
-            if take == 0:
-                raise DomainError(
-                    f"guard rejection too high: {count} of {n} points "
-                    f"after {attempts} attempts")
-            attempts += take
-            block, keep = self._block(rng, take)
-            kept.append(block[:, keep])
-            count += int(keep.sum())
-        names = [name for name, _, _ in self.ranges]
-        return dict(zip(names, np.concatenate(kept, axis=1)))
+        return keep
 
     def sample(self, n: int, seed: int = 0,
                rng: Optional[random.Random] = None):
-        """n accepted points as dicts (see the class docstring)."""
-        cols = self._draw(n, seed=seed, rng=rng)
+        """n accepted points as dicts, drawn from rng, or from
+        random.Random(seed) when rng is None (see the class docstring)."""
+        rng = random.Random(seed) if rng is None else rng
+        cols = _Stream(self, rng).columns(n)
         rows = zip(*(col.tolist() for col in cols.values()))
         return [dict(zip(cols, row)) for row in rows]
 
@@ -1360,66 +1352,63 @@ class SampleDomain:
 # a stream keeps every point it accepted, so its cache has a smaller bound
 @functools.lru_cache(maxsize=1 << 4)
 def _stream(domain: SampleDomain, seed: int) -> _Stream:
-    return _Stream(domain, seed)
+    return _Stream(domain, random.Random(seed))
 
 
 class _Stream:
-    """The accepted candidates of random.Random(seed) on one domain, drawn
-    as far as requests have needed them, and the read-only mapping served
-    for each n since the points last grew."""
+    """The accepted candidates of rng on one domain, drawn as far as
+    requests have needed them, and the read-only mapping served for each n
+    since the points last grew.  A guard error ends the stream: a request
+    that needs the candidate the guard failed on raises that error again."""
 
-    def __init__(self, domain: SampleDomain, seed: int):
-        self.domain, self.seed = domain, seed
-        self.rng = random.Random(seed)
+    def __init__(self, domain: SampleDomain, rng: random.Random):
+        self.domain, self.rng = domain, rng
         self.points = np.empty((len(domain.ranges), 0))
         # candidates drawn in all, and up to and including each accepted point
         self.attempts = 0
         self.tries = []
         self.views = {}
-        self.broken = False
+        self.error = None
 
     def columns(self, n: int) -> Mapping[str, np.ndarray]:
         view = self.views.get(n)
         if view is not None:
             return view
+        if n < 1:
+            raise DomainError(f"need at least 1 sample point, asked for {n}")
         limit = max(1000, 200 * n)
-        if not self.broken and len(self.tries) < n:
-            try:
-                self._extend(n, limit)
-            except Exception:
-                # _draw() finds the error a one-at-a-time draw of n points
-                # meets, which may come before the one met here or not at all
-                self.broken = True
-        if self.broken or not 0 < n <= len(self.tries) \
-                or self.tries[n - 1] > limit:
-            cols = self.domain._draw(n, seed=self.seed)
-            for col in cols.values():
-                col.flags.writeable = False
-        else:
-            cols = {name: row[:n] for (name, _, _), row
-                    in zip(self.domain.ranges, self.points)}
-        view = self.views[n] = types.MappingProxyType(cols)
-        return view
-
-    def _extend(self, n: int, limit: int) -> None:
-        """Draw until n points are accepted or limit candidates are drawn;
-        points accepted past n stay for later requests."""
-        while len(self.tries) < n and self.attempts < limit:
+        while len(self.tries) < n and self.attempts < limit \
+                and self.error is None:
             count = len(self.tries)
             # the first block is the number missing; later ones scale it by
             # the candidates drawn per accepted point so far, or double the
-            # draw while none was accepted
+            # draw while none was accepted; points drawn past n stay for
+            # later requests
             take = (-(-(n - count) * self.attempts // count) if count
                     else max(n, self.attempts))
             take = min(take, limit - self.attempts)
-            block, keep = self.domain._block(self.rng, take)
+            block, keep, error = self.domain._block(self.rng, take)
+            # the text only: the error's traceback holds the whole block
+            self.error = None if error is None else str(error)
             self.tries += (np.flatnonzero(keep) + self.attempts + 1).tolist()
-            self.attempts += take
+            self.attempts += block.shape[1]
             self.points = np.concatenate((self.points, block[:, keep]), axis=1)
             self.points.flags.writeable = False
-        # a view of a shorter array would keep it alive; each n is served
-        # again from the longer one
-        self.views.clear()
+            # a view of a shorter array would keep it alive; each n is
+            # served again from the longer one
+            self.views.clear()
+        if len(self.tries) < n or self.tries[n - 1] > limit:
+            if self.error is not None and self.attempts < limit:
+                # a fresh error: one raised again grows its traceback
+                raise DomainError(self.error)
+            raise DomainError(
+                f"guard rejection too high: "
+                f"{bisect.bisect_right(self.tries, limit)} of {n} points "
+                f"after {limit} attempts")
+        cols = {name: row[:n] for (name, _, _), row
+                in zip(self.domain.ranges, self.points)}
+        view = self.views[n] = types.MappingProxyType(cols)
+        return view
 
 
 def _uniforms(rng: random.Random, k: int) -> np.ndarray:

@@ -29,6 +29,13 @@ def _write(tmp_path, text, name="model.sys"):
     return str(p)
 
 
+def _bare_env():
+    """The environment of a bare `python -m emq` process on this source."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -170,15 +177,32 @@ def test_nesting_limit_is_the_same_in_a_bare_process(tmp_path, capsys,
     path = _write(tmp_path, text)
     assert main(["reduce", path]) == code
     err = capsys.readouterr().err
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     bare = subprocess.run([sys.executable, "-m", "emq", "reduce", path],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_bare_env())
     assert bare.returncode == code
     assert bare.stderr == err
     if code == EXIT_USAGE:
         assert f"{path}:{lineno}:" in err and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce", "propagate",
+                                     "anomaly"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_a_closed_stdout_keeps_the_exit_code(command, fmt, capsys):
+    # the reader of stdout is gone before the report is printed: the run
+    # still exits with its report's code, and says nothing on stderr
+    argv = [command, "harmonic", *fmt]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = subprocess.run([sys.executable, "-m", "emq", *argv],
+                                stdout=write, stderr=subprocess.PIPE,
+                                text=True, env=_bare_env())
+    finally:
+        os.close(write)
+    assert closed.returncode == main(argv)
+    assert "Traceback" not in closed.stderr
+    assert "Exception ignored" not in closed.stderr
 
 
 _HUGE = "1" + "0" * 400
@@ -424,6 +448,10 @@ _INV_X = (("inv_x = p_zeta/(sqrt(2)*a1) - z\n",
 # a forward map, and an added guard, that cannot be evaluated on the chart
 _SQRT_MAP = (("p_zeta = (p_y + a1*x - y/alpha)/sqrt(2)", "p_zeta = sqrt(x)"),)
 _SQRT_GUARD = (("in 0.0, 0.88", "in 0.0, 0.88\nguard = sqrt(x) in 0.0, 9.0"),)
+# sqrt(y) is tried first on every candidate of a block, but a one-at-a-time
+# draw meets sqrt(x) first
+_TWO_SQRT_GUARDS = (("in 0.0, 0.88", "in 0.0, 0.88\nguard = sqrt(y) in 0.0, "
+                     "9.0\nguard = sqrt(x) in 0.0, 9.0"),)
 _NEGATIVE_SQRT = "sqrt of negative value in sqrt(x) at "
 _SINGULAR = "DomainError: sampling hit a singular point: " + _NEGATIVE_SQRT
 _GUARD_FAILS = "DomainError: guard sqrt(x) failed: " + _NEGATIVE_SQRT
@@ -489,9 +517,16 @@ CORRUPTIONS = [
           "rho conserved along the flow", "canonical bracket table",
           "gauge pair second class", "constrained chart volume constant"],
          _GUARD_FAILS),
+    _row("verify:two-sqrt-guards", "verify", "harmonic", _TWO_SQRT_GUARDS,
+         ["constraint solution solves phi = 0", "charges conserved",
+          "rho conserved along the flow", "canonical bracket table",
+          "gauge pair second class", "constrained chart volume constant"],
+         _GUARD_FAILS),
     _row("reduce:sqrt-map", "reduce", "harmonic", _SQRT_MAP,
          ["reduction pipeline"], _SINGULAR),
     _row("reduce:sqrt-guard", "reduce", "harmonic", _SQRT_GUARD,
+         ["reduction pipeline"], _GUARD_FAILS),
+    _row("reduce:two-sqrt-guards", "reduce", "harmonic", _TWO_SQRT_GUARDS,
          ["reduction pipeline"], _GUARD_FAILS),
     _row("reduce:inv_x", "reduce", "harmonic", _INV_X,
          ["reduction pipeline"], _SKEWED.format("(zeta, z)")),
@@ -566,6 +601,10 @@ CORRUPTIONS = [
     _row("anomaly:sqrt-map", "anomaly", "harmonic", _SQRT_MAP,
          ["relations consistent with the chart"], _SINGULAR),
     _row("anomaly:sqrt-guard", "anomaly", "harmonic", _SQRT_GUARD,
+         ["relations consistent with the chart",
+          "coefficients vanish on the gauge surface",
+          "sliced expansion matches reference"], _GUARD_FAILS),
+    _row("anomaly:two-sqrt-guards", "anomaly", "harmonic", _TWO_SQRT_GUARDS,
          ["relations consistent with the chart",
           "coefficients vanish on the gauge surface",
           "sliced expansion matches reference"], _GUARD_FAILS),
@@ -1237,7 +1276,7 @@ def test_each_cache_keeps_its_bound():
     # file and a lattice run its grid arrays, so their caches are smaller
     # than the symbolic ones
     bounds = {expr._parse: 1 << 16, expr._normalize_node: 1 << 16,
-              expr._expand: 1 << 16, expr._differentiate: 1 << 16,
+              expr.expand: 1 << 16, expr._differentiate: 1 << 16,
               expr._substitute: 1 << 16, expr._stream: 1 << 4,
               expr.sampled_check: 1 << 12, expr._text: 1 << 12,
               sysfile._assemble: 1 << 6, cli._parser: 1,

@@ -721,14 +721,14 @@ def test_expand_memo_hands_out_the_identical_tree():
     assert expand(e) is first
     # keyed by the tree, so an equal tree parsed from another text hits it
     assert expand(parse("(x+y)^2-(x-y)^2", TABLE)) is first
-    assert _size(expr_module._expand) == 1
+    assert _size(expr_module.expand) == 1
     # a raising call stores nothing and raises again
     bad = Div(Mul((Sym("x"), Add((Sym("x"), Sym("y"))))), Add((
         Sym("x"), Mul((Const(-1), Sym("x"))))))
     for _ in range(2):
         with pytest.raises(DivisionByZeroError):
             expand(bad)
-    assert _size(expr_module._expand) == 1
+    assert _size(expr_module.expand) == 1
 
 
 @given(_trees(), st.lists(_trees(), max_size=3))
@@ -1009,11 +1009,8 @@ def test_block_sampling_matches_one_at_a_time(free_model, ho_model,
                 cols = dom.sample_columns(n, seed=seed)
                 assert {k: v.tolist() for k, v in cols.items()} == {
                     k: [pt[k] for pt in want] for k in want[0]}
-                # a caller's generator ends where the per-point draw leaves it
-                mine, ref = random.Random(seed), random.Random(seed)
-                assert dom.sample(n, rng=mine) == \
-                    _sample_one_at_a_time(dom, n, ref)
-                assert mine.getstate() == ref.getstate()
+                # a caller's generator gives the points of its own draw
+                assert dom.sample(n, rng=random.Random(seed)) == want
 
 
 def test_sample_domain_bounds_and_determinism():
@@ -1050,7 +1047,7 @@ def test_a_count_below_one_is_a_domain_error():
             call()
     # the stream the refused requests reached still serves a count of 1
     assert dom.sample_columns(1, 2)["x"].tolist() == \
-        dom._draw(1, seed=2)["x"].tolist()
+        [pt["x"] for pt in dom.sample(1, seed=2)]
 
 
 def test_sample_columns_are_drawn_once_and_read_only(monkeypatch):
@@ -1100,11 +1097,32 @@ _HALVES = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", 0.5, 2.0)),
 
 
 def _drawn(dom, n, seed):
-    """dom._draw(n, seed) as bytes per column, or its error's text."""
-    try:
-        return {k: v.tobytes() for k, v in dom._draw(n, seed=seed).items()}
-    except DomainError as exc:
-        return str(exc)
+    """A one-at-a-time draw of n points of dom from random.Random(seed), as
+    bytes per column, or its error's text: one rng.uniform per range, the
+    guards in order on 1-point columns, at most max(1000, 200*n)
+    candidates."""
+    if n < 1:
+        return f"need at least 1 sample point, asked for {n}"
+    rng = random.Random(seed)
+    points = []
+    limit = max(1000, 200 * n)
+    for _ in range(limit):
+        pt = {name: np.array([rng.uniform(lo, hi)])
+              for name, lo, hi in dom.ranges}
+        for guard, lo, hi in dom.guards:
+            try:
+                value = evaluate(guard, pt)[0]
+            except EvalError as exc:
+                return f"guard {guard} failed: {exc}"
+            if not lo <= value <= hi:
+                break
+        else:
+            points.append(pt)
+            if len(points) == n:
+                return {name: np.concatenate([pt[name] for pt in points])
+                        .tobytes() for name, _, _ in dom.ranges}
+    return f"guard rejection too high: {len(points)} of {n} points after " \
+        f"{limit} attempts"
 
 
 def _served(dom, n, seed):
@@ -1146,32 +1164,50 @@ def _singular_at(point):
                  -1e300, 1e300)))
 
 
-def _passed_while_drawing(n, seed):
-    """The candidates x <= 1/2, in order, among those the stream of seed
+def _passed_while_drawing(n, seed, monkeypatch):
+    """The candidates x <= 1/2, in order, among those a stream of seed
     draws for n points of the domain of _singular_at without its second
     guard: past the n-th they were drawn ahead for later requests."""
     plain = SampleDomain(ranges=(("x", 0.0, 1.0), ("y", 0.0, 1.0)),
                          guards=((Sym("x"), 0.0, 0.5),))
-    plain.sample_columns(n, seed=seed)
+    drawn = []
+    uniforms = expr_module._uniforms
+
+    def counting(rng, k):
+        drawn.append(k)
+        return uniforms(rng, k)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(expr_module, "_uniforms", counting)
+        plain.sample(n, seed=seed)
     rng = random.Random(seed)
     candidates = [{"x": rng.uniform(0.0, 1.0), "y": rng.uniform(0.0, 1.0)}
-                  for _ in range(expr_module._stream(plain, seed).attempts)]
+                  for _ in range(sum(drawn) // 2)]
     return [pt for pt in candidates if pt["x"] <= 0.5]
 
 
-def test_a_guard_error_is_met_where_a_fresh_draw_meets_it():
+def test_a_guard_error_is_met_where_a_fresh_draw_meets_it(monkeypatch):
     n = 20
-    expr_module._stream.cache_clear()
-    seed = next(s for s in range(100) if len(_passed_while_drawing(n, s)) > n)
-    passed = _passed_while_drawing(n, seed)
+    seed = next(s for s in range(100)
+                if len(_passed_while_drawing(n, s, monkeypatch)) > n)
+    passed = _passed_while_drawing(n, seed, monkeypatch)
     # singular only past the n-th point: the stream meets the error while
     # it draws ahead, and n points are still served
     late = _singular_at(passed[n])
+    expr_module._stream.cache_clear()
     assert _served(late, n, seed) == _drawn(late, n, seed)
     assert isinstance(_drawn(late, n, seed), dict)
-    assert expr_module._stream(late, seed).broken
     assert _served(late, n - 1, seed) == _drawn(late, n - 1, seed)
-    assert _served(late, n + 1, seed).startswith("guard ")
+    message = _drawn(late, n + 1, seed)
+    assert message.startswith("guard 1/(y - ") and "division" in message
+    # the error ended the stream: each request past it raises a new error
+    raised = []
+    for _ in range(2):
+        with pytest.raises(DomainError) as caught:
+            late.sample_columns(n + 1, seed=seed)
+        assert str(caught.value) == message
+        raised.append(caught.value)
+    assert raised[0] is not raised[1]
     # singular before the n-th point: the error of a fresh draw of n,
     # however many points were asked for before
     early = _singular_at(passed[n // 2])
@@ -1182,6 +1218,33 @@ def test_a_guard_error_is_met_where_a_fresh_draw_meets_it():
         message = _drawn(early, n, seed)
         assert message.startswith("guard 1/(y - ") and "division" in message
         assert _served(early, n // 2, seed) == _drawn(early, n // 2, seed)
+
+
+def test_the_first_candidate_a_guard_fails_on_is_the_error():
+    # sqrt(y) is tried first, on every candidate of a block, but the first
+    # candidate has y >= 0 > x and the second y < 0: a one-at-a-time draw
+    # fails on the first, at sqrt(x)
+    dom = SampleDomain(ranges=(("x", -1.0, 1.0), ("y", -1.0, 1.0)),
+                       guards=((parse("sqrt(y)", TABLE), 0.0, 9.0),
+                               (parse("sqrt(x)", TABLE), 0.0, 9.0)))
+
+    def first_two(seed):
+        rng = random.Random(seed)
+        return [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                for _ in range(2)]
+
+    seed = next(s for s in range(1000)
+                if first_two(s)[0][1] >= 0 > first_two(s)[0][0]
+                and first_two(s)[1][1] < 0)
+    x = first_two(seed)[0][0]
+    message = _drawn(dom, 4, seed)
+    assert message.startswith("guard sqrt(x) failed: sqrt of negative value "
+                              f"in sqrt(x) at {{'x': {x!r}, ")
+    expr_module._stream.cache_clear()
+    for n in (4, 1, 4):
+        assert _served(dom, n, seed) == message
+        with pytest.raises(DomainError, match=r"^guard sqrt\(x\) failed"):
+            dom.sample(n, seed=seed)
 
 
 def test_a_point_past_its_attempt_limit_is_not_served():
