@@ -392,8 +392,7 @@ def correction_scaling(report: SlicedExpansionReport, chart: SampleDomain,
     c_p = report.derived["momentum_shift"]
     c_q = report.derived["coordinate_shift"]
     point = chart.sample_columns(1, seed=seed)
-    vp = float(evaluate(c_p, point)[0])
-    vq = float(evaluate(c_q, point)[0])
+    vp, vq = evaluate((c_p, c_q), point)[:, 0].tolist()
     rng = np.random.default_rng(abs(seed))
     means = []
     for eps in widths:

@@ -384,23 +384,27 @@ def main(argv: Optional[List[str]] = None) -> int:
                 json.dump(rep.to_dict(), fh, indent=2)
                 fh.write("\n")
     except SysFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         # load_model reports unreadable files, so this is an --out write
-        print(f"error: cannot write {exc.filename or args.out}: "
-              f"{exc.strerror}", file=sys.stderr)
+        _say(f"error: cannot write {exc.filename or args.out}: "
+             f"{exc.strerror}", sys.stderr)
         return EXIT_USAGE
 
-    try:
-        print(json.dumps(rep.to_dict(), indent=2) if args.json
-              else rep.render(), flush=True)
-    except BrokenPipeError:
-        # the reader closed stdout: the verdict stands, and the exit flush
-        # writes what is left to devnull
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    _say(json.dumps(rep.to_dict(), indent=2) if args.json else rep.render(),
+         sys.stdout)
     return rep.exit_code
+
+
+def _say(text: str, stream) -> None:
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        # the reader closed the stream: the exit code stands, and the exit
+        # flush writes what is left to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
 
 
 if __name__ == "__main__":

@@ -53,7 +53,8 @@ and the error of a one-at-a-time rng.uniform draw (see SampleDomain); they
 come back as read-only numpy columns, one per symbol, in a read-only mapping.
 evaluate() works out each distinct subtree above the leaves once per
 call, for floats or for a batch of points given as equal-length columns
-(see columns()), and keeps nothing after the call.
+(see columns()), of one tree or of a batch of trees walked together, and
+keeps nothing after the call.
 
 evaluate() never returns NaN/inf silently: division by zero, square roots
 of negative values, unbound symbols and values beyond float range raise
@@ -399,8 +400,7 @@ def _split_coefficient(term: Expr):
 
 
 def _rebuild_product(coeff: Fraction, factors: Sequence[Expr]) -> Expr:
-    if coeff == 0:
-        return ZERO
+    # every caller passes a nonzero coefficient
     if coeff != 1:
         factors = (Const(coeff),) + tuple(factors)
     return Mul(factors)
@@ -451,22 +451,12 @@ def _normalize_add(terms) -> Expr:
             continue
         prev_coeff = by_rest.get(rest)
         by_rest[rest] = coeff if prev_coeff is None else prev_coeff + coeff
+    # no normal form is a constant other than 1 times one sum (_normalize_mul
+    # distributes it), so no term collects into one either
     out = []
-    pending = []
     for rest in sorted(by_rest, key=lambda r: tuple(sort_key(f) for f in r)):
-        coeff = by_rest[rest]
-        if coeff == 0:
-            continue
-        if len(rest) == 1 and isinstance(rest[0], Add) and coeff != 1:
-            # collection built a constant multiple of a sum; distribute and
-            # remerge so the pieces can combine with sibling terms
-            for sub in rest[0].terms:
-                sc, sf = _split_coefficient(sub)
-                pending.append(_normalize_mul([Const(coeff * sc)] + list(sf)))
-        else:
-            out.append(_rebuild_product(coeff, rest))
-    if pending:
-        return _normalize_add(out + pending + [Const(const_sum)])
+        if by_rest[rest] != 0:
+            out.append(_rebuild_product(by_rest[rest], rest))
     if const_sum != 0:
         out.insert(0, Const(const_sum))
     return Add(out)
@@ -518,9 +508,6 @@ def _normalize_mul(factors) -> Expr:
             out.append(piece)
     if rerun:
         return _normalize_mul([Const(coeff)] + out + rerun)
-    # a merged constant can be 0 (e.g. sin(0) folded inside a product)
-    if coeff == 0:
-        return ZERO
     if len(out) == 1 and isinstance(out[0], Add) and coeff != 1:
         # distribute plain constants over a lone sum so that -(a+b) can
         # cancel against a and b; genuine products of sums stay factored
@@ -656,12 +643,10 @@ def _normalize_fun(name: str, args) -> Expr:
             if hit is not None:
                 return Const(hit)
         return Fun(name, (a,))
-    if name == "atan2":
-        u, v = args
-        if u == ZERO and isinstance(v, Const) and v.value > 0:
-            return ZERO
-        return Fun("atan2", (u, v))
-    return Fun(name, tuple(args))
+    u, v = args  # atan2, the one function left
+    if u == ZERO and isinstance(v, Const) and v.value > 0:
+        return ZERO
+    return Fun("atan2", (u, v))
 
 
 # per-process caches (see the module docstring): a public function that
@@ -894,25 +879,32 @@ _NUMPY_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
                     "atan2": np.arctan2}
 
 
-def evaluate(e: Expr, bindings: Mapping[str, Union[float, np.ndarray]]):
+def evaluate(e: Union[Expr, Iterable[Expr]], bindings: Mapping):
     """Float evaluation with singularity guards instead of NaN propagation.
 
     Bindings are floats or equal-length numpy columns (see columns()).  Float
-    bindings give a float; any column gives one value per point, computed in
-    one tree walk.  Each distinct subtree above the leaves is worked out
-    once per call.  Errors name the first offending point.
+    bindings give a float, any column one value per point; an iterable of
+    trees gives a fresh array of one such row per tree, each tree checked
+    before the next is taken.  Each distinct subtree above the leaves is
+    worked out once per call.  Errors name the first offending point.
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = _eval(e, bindings, {})
-    except OverflowError as exc:
-        raise EvalError(f"value does not fit a float: {exc}") from None
     column = next((v for v in bindings.values() if isinstance(v, np.ndarray)),
                   None)
-    if column is not None and not isinstance(value, np.ndarray):
-        value = np.full(column.shape, value)
-    _check(~np.isfinite(value), EvalError, "non-finite value", e, bindings)
-    return value if column is not None else float(value)
+    known, rows = {}, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in ((e,) if isinstance(e, Expr) else e):
+            try:
+                value = _eval(t, bindings, known)
+            except OverflowError as exc:
+                raise EvalError(f"value does not fit a float: {exc}") from None
+            if column is not None and not isinstance(value, np.ndarray):
+                value = np.full(column.shape, value)
+            _check(~np.isfinite(value), EvalError, "non-finite value", t,
+                   bindings)
+            rows.append(value if column is not None else float(value))
+    if isinstance(e, Expr):
+        return rows[0]
+    return np.array(rows).reshape(len(rows), *getattr(column, "shape", ()))
 
 
 def _check(bad, error, what: str, e: Expr, bindings) -> None:
@@ -1455,8 +1447,7 @@ def _compare(a: Expr, b: Expr, domain: SampleDomain, n: int, tol: float,
              seed: int) -> ComparisonResult:
     cols = domain.sample_columns(n, seed=seed)
     try:
-        va = evaluate(a, cols)
-        vb = evaluate(b, cols)
+        va, vb = evaluate((a, b), cols)
     except EvalError as exc:
         raise DomainError(f"sampling hit a singular point: {exc}") from exc
     err = np.abs(va - vb)

@@ -210,20 +210,16 @@ def bind_reduced_hamiltonian(rs: ReducedSystem,
     origin = {coord: 0.0, mom: 0.0}
     dp = differentiate(h, mom)
     dq = differentiate(h, coord)
-    checks = {
-        "constant term": evaluate(h, origin),
-        "linear zeta term": evaluate(dq, origin),
-        "linear momentum term": evaluate(dp, origin),
-        "cross term": evaluate(differentiate(dp, coord), origin),
-    }
-    for label, val in checks.items():
+    values = evaluate((h, dq, dp, differentiate(dp, coord)), origin).tolist()
+    for label, val in zip(("constant term", "linear zeta term",
+                           "linear momentum term", "cross term"), values):
         if abs(val) > 1e-12:
             raise ExprError(f"reduced Hamiltonian has a {label} ({val:.3e}); "
                             f"not of the c_p p^2 + c_q zeta^2 form")
     if not is_quadratic(h, (coord, mom)):
         raise ExprError("reduced Hamiltonian is not quadratic")
-    c_p = 0.5 * evaluate(differentiate(dp, mom), origin)
-    c_q = 0.5 * evaluate(differentiate(dq, coord), origin)
+    c_p, c_q = (0.5 * evaluate((differentiate(dp, mom),
+                                differentiate(dq, coord)), origin)).tolist()
     if c_p <= 0:
         raise ExprError(f"kinetic coefficient must be positive, got {c_p}")
     return QuadraticHamiltonian(c_p=c_p, c_q=c_q)

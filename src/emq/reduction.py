@@ -110,9 +110,8 @@ class PresymplecticForm:
         """Rank at the one point of columns from sample_columns(1, seed)."""
         dim = len(self.variables)
         f = np.zeros((dim, dim))
-        for i, row in enumerate(self.upper):
-            for j, entry in enumerate(row, start=i + 1):
-                f[i, j] = evaluate(entry, point)[0]
+        f[~np.tri(dim, dtype=bool)] = evaluate(
+            (entry for row in self.upper for entry in row), point)[:, 0]
         sv = np.linalg.svd(f - f.T, compute_uv=False)
         if len(sv) == 0:
             return 0
@@ -386,10 +385,10 @@ def _jacobi_liouville(map: CanonicalMap, c: ConstraintSpec, sys: FlowSystem,
                       {c.eliminated: c.solution})
 
     cols = sys.chart.sample_columns(n, seed=seed)
-    jac = np.empty((n, len(surface_targets), len(reduced_vars)))
-    for i, e in enumerate(surface_targets):
-        for j, v in enumerate(reduced_vars):
-            jac[:, i, j] = evaluate(differentiate(e, v), cols)
+    # lazily, so errors come in the order of a loop over the entries
+    jac = evaluate((differentiate(e, v) for e in surface_targets
+                    for v in reduced_vars), cols).T.reshape(
+        n, len(surface_targets), len(reduced_vars))
     dets = np.linalg.det(jac)
     singular = np.abs(dets) < 1e-12
     limit = max(3, n // 5)

@@ -205,6 +205,29 @@ def test_a_closed_stdout_keeps_the_exit_code(command, fmt, capsys):
     assert "Exception ignored" not in closed.stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "reduce", "propagate",
+                                     "anomaly"])
+@pytest.mark.parametrize("case", ["missing-file", "unwritable-out"])
+def test_a_closed_stderr_keeps_the_exit_code(command, case, tmp_path, capsys):
+    # the reader of stderr is gone before a usage error is printed: the run
+    # still exits 2, as it does with stderr open
+    argv = ([command, str(tmp_path / "nosuch.sys")] if case == "missing-file"
+            else [command, "harmonic", "--out", str(tmp_path / "no" / "x")])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = subprocess.run([sys.executable, "-m", "emq", *argv],
+                                stdout=subprocess.PIPE, stderr=write,
+                                text=True, env=_bare_env())
+    finally:
+        os.close(write)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (closed.returncode, closed.stdout) == (code, "")
+
+
 _HUGE = "1" + "0" * 400
 
 

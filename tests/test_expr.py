@@ -52,6 +52,24 @@ def _trees():
     return _nodes(st.recursive(_leaves(), _nodes, max_leaves=16))
 
 
+def _rich_nodes(kids):
+    # _nodes, and the shapes it does not build: square roots, atan2, sums and
+    # products of more than two parts, and a constant times a raw sum
+    return st.one_of(
+        _nodes(kids),
+        kids.map(lambda k: Fun("sqrt", (k,))),
+        st.tuples(kids, kids).map(lambda uv: Fun("atan2", uv)),
+        st.lists(kids, min_size=3, max_size=4).map(Add),
+        st.lists(kids, min_size=3, max_size=4).map(Mul),
+        st.tuples(st.integers(-3, 3), kids, kids).map(
+            lambda cuv: Mul((Const(cuv[0]), Add(cuv[1:])))),
+    )
+
+
+def _rich_trees():
+    return _rich_nodes(st.recursive(_leaves(), _rich_nodes, max_leaves=12))
+
+
 def _polys():
     return st.recursive(
         _leaves(),
@@ -130,6 +148,20 @@ def test_decimal_literals_are_exact():
     assert isinstance(milli, Const) and milli.value * 2000 == 3
 
 
+@pytest.mark.parametrize("text, folded", [
+    ("sqrt(9/4)", "3/2"),
+    ("sqrt(x)^3", "x*sqrt(x)"),
+    ("atan2(0, 2)", "0"),
+    # a zero mantissa is 0 at once: 10^400000 is never built
+    ("0e400000", "0"),
+    # two quotients over x fold to one, whose numerator sum is flattened
+    # into the outer sum
+    ("(2*x*(a+b) + y)/x - y/x", "2*a + 2*b"),
+])
+def test_exact_folds(text, folded):
+    assert parse(text, TABLE) is parse(folded, TABLE)
+
+
 def test_power_requires_integer_literal_exponent():
     with pytest.raises(ParseError):
         parse("x^(1/2)", TABLE)
@@ -168,6 +200,22 @@ def test_symbol_table_rules():
     assert t.role("q") == "coordinate"
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Sym("sin"), ValueError, "reserved function name"),
+    (lambda: Fun("tan", (Sym("x"),)), ValueError, "unknown function"),
+    (lambda: Fun("sin", (Sym("x"), Sym("y"))), ValueError,
+     "expects 1 argument"),
+    (lambda: SymbolTable().add("q", "bad"), ValueError, "unknown role"),
+    (lambda: substitute(Sym("x"), {"x": "1"}), TypeError,
+     "cannot build an expression"),
+    (lambda: normalize(5), TypeError, "not an Expr"),
+], ids=["reserved-symbol", "unknown-function", "arity", "role",
+        "string-value", "not-a-tree"])
+def test_misbuilt_input_raises_its_typed_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # normalization properties
 # ---------------------------------------------------------------------------
@@ -188,6 +236,51 @@ def test_normalize_is_idempotent(e):
                and not isinstance(p.base, (Div, Pow, Const))
                for form in forms if isinstance(form, Expr)
                for p in _subtrees(form) if isinstance(p, Pow)), forms
+
+
+def _normal_form_faults(e):
+    """The subtrees of e that break an invariant of the normal form, each
+    with the invariant it breaks."""
+    faults = []
+    for sub in _subtrees(e):
+        if isinstance(sub, (Add, Mul)):
+            parts = sub.terms if isinstance(sub, Add) else sub.factors
+            consts = [p.value for p in parts if isinstance(p, Const)]
+            if len(consts) > 1:
+                faults.append(("two constants", sub))
+            if isinstance(sub, Add) and (
+                    0 in consts or any(isinstance(p, Add) for p in parts)):
+                faults.append(("a sum holds a sum or 0", sub))
+            if isinstance(sub, Mul) and (
+                    1 in consts or any(isinstance(p, (Mul, Div))
+                                       for p in parts)):
+                faults.append(("a product holds a product, a quotient or 1",
+                               sub))
+            if isinstance(sub, Mul) and len(parts) == 2 and consts \
+                    and any(isinstance(p, Add) for p in parts):
+                faults.append(("a constant times one sum", sub))
+        if isinstance(sub, Pow) and (
+                sub.exponent < 2
+                or isinstance(sub.base, (Const, Pow, Mul, Div))):
+            faults.append(("a power below 2 or of a folding base", sub))
+        if isinstance(sub, Div) and (isinstance(sub.den, (Const, Div))
+                                     or isinstance(sub.num, Div)):
+            faults.append(("a quotient of a quotient or by a constant", sub))
+    return faults
+
+
+@given(_rich_trees())
+@example(Mul((Const(3), Add((Sym("x"), Mul((Const(-3), Sym("x"))))))))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_normal_forms_keep_the_invariants_normalize_relies_on(e):
+    # _normalize_add, _normalize_mul, _rebuild_product and _normalize_fun
+    # hold no branch for the shapes these invariants exclude
+    for form in (normalize, expand):
+        try:
+            out = form(e)
+        except (DivisionByZeroError, NegativeSqrtError):
+            continue
+        assert _normal_form_faults(out) == []
 
 
 @given(_trees())
@@ -977,6 +1070,61 @@ def test_column_errors_name_the_first_offending_point():
     assert evaluate(parse("2", TABLE), columns(pts)).tolist() == [2.0] * 3
 
 
+# sample columns with singular points: a zero in every name, a negative
+# value under a square root
+_SINGULAR_COLUMNS = columns(
+    COLUMN_POINTS[:5] + [{"a": 0.0, "b": 1.5, "x": 0.0, "y": -1.0},
+                         {"a": -1.0, "b": 0.0, "x": 1.0, "y": 0.0}]
+    + COLUMN_POINTS[5:9])
+
+
+def _per_tree(trees, bindings):
+    """The per-tree values in order, up to the first error, and that error."""
+    values = []
+    for e in trees:
+        try:
+            values.append(evaluate(e, bindings))
+        except EvalError as exc:
+            return values, exc
+    return values, None
+
+
+@given(st.lists(st.one_of(_trees(), _trees().map(lambda e: Fun("sqrt", (e,)))),
+                max_size=5))
+@example([Div(Sym("x"), Sym("y")), Fun("sqrt", (Sym("y"),))])
+@example([Fun("sqrt", (Sym("y"),)), Div(Sym("x"), Sym("y"))])
+@example([Pow(Sym("x"), 3), Div(Sym("a"), Sym("y"))])
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_batch_is_the_per_tree_calls_in_order(trees):
+    # columns, then float points: a regular one, a singular one, and one
+    # where x^3 overflows before a/y divides by zero
+    for bindings in (_SINGULAR_COLUMNS, POINT,
+                     {"a": 0.0, "b": -1.0, "x": 0.0, "y": 2.0},
+                     {"a": 1.0, "b": 2.0, "x": 1e200, "y": 0.0}):
+        values, error = _per_tree(trees, bindings)
+        if error is not None:
+            # the error the per-tree calls meet first: same class and text
+            with pytest.raises(EvalError) as info:
+                evaluate(trees, bindings)
+            assert type(info.value) is type(error)
+            assert str(info.value) == str(error)
+            continue
+        batch = evaluate(trees, bindings)
+        assert batch.shape == (len(trees),) + np.shape(bindings["x"])
+        assert batch.dtype == np.float64
+        assert [row.tobytes() for row in batch] == [
+            np.float64(v).tobytes() if isinstance(v, float) else v.tobytes()
+            for v in values]
+        # a fresh array of the caller's: no row aliases a bound column, and
+        # writing every row changes no later result
+        assert batch.flags.writeable
+        assert not any(np.shares_memory(batch, v) for v in bindings.values()
+                       if isinstance(v, np.ndarray))
+        before = batch.tobytes()
+        batch[...] = -7.0
+        assert evaluate(trees, bindings).tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # sampling and comparison
 # ---------------------------------------------------------------------------
@@ -1307,11 +1455,12 @@ def test_numeric_compare_reports_worst_point():
     dom = SampleDomain(ranges=(("x", 0.0, 1.0),))
     res = numeric_compare(parse("x", TABLE), parse("x + 0.001", TABLE), dom,
                           n=20, tol=1e-9)
-    assert not res.equal
+    assert not res.equal and not res
     assert res.worst_point is not None
     assert res.max_scaled_err > 1e-4
-    assert numeric_compare(parse("(x+1)^2", TABLE),
-                           parse("x^2 + 2*x + 1", TABLE), dom).equal
+    same = numeric_compare(parse("(x+1)^2", TABLE),
+                           parse("x^2 + 2*x + 1", TABLE), dom)
+    assert same.equal and same
 
 
 # ---------------------------------------------------------------------------

@@ -550,6 +550,17 @@ def test_trotter_slope(ho_reduced, ho_model):
     assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
 
 
+def test_trotter_slope_in_real_time(ho_reduced, ho_model):
+    # the kernel's l2 error against the closed form: the symmetric split of
+    # a genuine potential is second order in the slice width
+    cfg = replace(ho_model.lattice, mode="real", duration=1.0, n=1024,
+                  length=40.0)
+    sweep = trotter_sweep(ho_reduced, cfg, ho_model.params)
+    assert sweep["slope"] == pytest.approx(-2.0, abs=0.01)
+    errs = sweep["errors"]
+    assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
+
+
 # ---------------------------------------------------------------------------
 # path statistics
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import pytest
 
+from conftest import clear_memos
+from emq import expr
 from emq.cli import EXIT_OK, main
 from emq.reduction import run_reduction
 from emq.sysfile import loads_model
@@ -31,3 +34,28 @@ def test_one_rotation_adds_one_pair_of_terms():
     assert str(expected_h_star(1)) == (
         "1/2*a1*zeta^2 - p_s0*t0 + p_t0*s0 + 1/2*p_zeta^2/a1")
     assert str(expected_h_star(0)) == "1/2*a1*zeta^2 + 1/2*p_zeta^2/a1"
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_evaluate_calls_do_not_grow_with_the_model(command, tmp_path,
+                                                   monkeypatch, capsys):
+    # the presymplectic form, the chart Jacobian and each compared pair are
+    # one evaluate call each; at k = 20 (N = 42) a call per entry would be
+    # thousands
+    calls = []
+    evaluate = expr.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "emq" or name.startswith("emq.")) \
+                and getattr(module, "evaluate", None) is evaluate:
+            monkeypatch.setattr(module, "evaluate", counting)
+    path = tmp_path / "product20.sys"
+    path.write_text(product_model(20))
+    clear_memos()
+    assert main([command, str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert 0 < len(calls) < 50
