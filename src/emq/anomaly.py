@@ -21,7 +21,6 @@ coefficient ships as reference data in the model file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .expr import (
     Expr, Const, Sym, Add, Mul, Div, ZERO,
-    EvalError, ExprError, SampleDomain, ComparisonResult,
+    EvalError, ExprError, Record, SampleDomain, ComparisonResult,
     differentiate, evaluate, is_quadratic, normalize, numeric_compare,
     sampled_values, substitute,
 )
@@ -66,8 +65,7 @@ def increment_symbol(name: str) -> str:
 # generating function and implied relations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratingFunction:
+class GeneratingFunction(Record):
     """Mixed generating function F(old momenta, new coordinates).
 
     momentum_pairs lists (old momentum, old coordinate it determines) and
@@ -145,8 +143,7 @@ def consistency_report(gen: GeneratingFunction, map: CanonicalMap,
 # correction coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnomalyCoeffs:
+class AnomalyCoeffs(Record):
     """Per-slice correction coefficients on the target chart.
 
     A_zeta and A_z multiply the coordinate increments of the reduced pair and
@@ -227,8 +224,7 @@ def constraint_surface_vanishing(coeffs: AnomalyCoeffs, map: CanonicalMap,
 # sliced expansion of the gauge-fixed Hamiltonian
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlicedExpansionReport:
+class SlicedExpansionReport(Record):
     """derived: each term's form, keyed constant, momentum_shift,
     coordinate_shift; comparisons: the same keys against the expected
     forms, empty when none were given."""
@@ -369,8 +365,7 @@ def sliced_expansion_check(gen: GeneratingFunction, map: CanonicalMap,
 # scaling of the surviving corrections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(Record):
     widths: Tuple[float, ...]
     means: Tuple[float, ...]
     slope: float

@@ -16,13 +16,12 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import __version__
-from .expr import (Add, ComparisonResult, Const, ExprError, Mul,
+from .expr import (Add, ComparisonResult, Const, ExprError, Mul, Record,
                    numeric_compare, sampled_values)
 from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_model
 from .symplectic import poisson_bracket, split_hamiltonian, verify_charges
@@ -48,8 +47,7 @@ EXIT_USAGE = 2
 # report plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckLine:
+class CheckLine(Record):
     name: str
     ok: bool
     detail: str = ""
@@ -62,18 +60,18 @@ class CheckLine:
         return line
 
 
-@dataclass
 class RunReport:
-    command: str
-    model: str
-    seed: int
-    checks: List[CheckLine] = field(default_factory=list)
-    metrics: Dict[str, float] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-    provenance: List[str] = field(default_factory=list)
-    outputs: Dict[str, str] = field(default_factory=dict)
-    version: str = __version__
-    elapsed_s: float = 0.0
+    """One command's report, filled in as its checks run."""
+
+    def __init__(self, command: str, model: str, seed: int):
+        self.command, self.model, self.seed = command, model, seed
+        self.checks: List[CheckLine] = []
+        self.metrics: Dict[str, float] = {}
+        self.notes: List[str] = []
+        self.provenance: List[str] = []
+        self.outputs: Dict[str, str] = {}
+        self.version = __version__
+        self.elapsed_s = 0.0
 
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append(CheckLine(name, bool(ok), detail))
@@ -367,6 +365,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; pass through
         return int(exc.code or 0)
+    if args.out == "":
+        _say("error: --out needs a path, got an empty one", sys.stderr)
+        return EXIT_USAGE
     try:
         model = _load(args.file)
         rep = RunReport(args.command, model.name, args.seed)

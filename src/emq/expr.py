@@ -67,14 +67,15 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import random
 import re
 import sys
 import types
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import (Dict, Iterable, Mapping, NamedTuple, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
@@ -83,7 +84,7 @@ __all__ = [
     "ExprError", "ParseError", "UnknownIdentifierError", "EvalError",
     "UnboundSymbolError", "DivisionByZeroError", "NegativeSqrtError",
     "DomainError",
-    "SymbolTable", "SampleDomain",
+    "Record", "SymbolTable", "SampleDomain",
     "parse", "normalize", "expand", "differentiate", "is_quadratic",
     "substitute", "evaluate",
     "numeric_compare", "ComparisonResult", "columns", "sampled_check",
@@ -126,6 +127,108 @@ class NegativeSqrtError(EvalError):
 
 class DomainError(ExprError):
     """Sampling domain is malformed or overlaps a singular set."""
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """An immutable value made of named fields: the base of emq's records.
+
+    A subclass lists its fields as class annotations, in order, and gives
+    a default as a class attribute.  A record is built from its fields by
+    position, by keyword or both, then checked by the class's
+    __post_init__, if it has one.  Two records are equal when they are of
+    one class and their field tuples are equal; a record hashes its field
+    tuple on first use and keeps the hash.  Assignment and deletion raise
+    AttributeError, and replace(**changes) builds a changed copy.  The
+    fields live in the instance __dict__, so functools.cached_property
+    works on a record.  No code is compiled when a record class is made.
+    """
+
+    __slots__ = ("_hash", "__dict__")
+    _fields = ()
+    _names = frozenset()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        fields = cls._fields + own
+        cls._fields = fields
+        cls._defaults = {**cls._defaults, **{
+            name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        # the field tuple of an instance __dict__
+        cls._values = staticmethod(
+            operator.itemgetter(*fields) if len(fields) > 1
+            else lambda d: tuple(d[name] for name in fields))
+        count = len(fields)
+        names = cls._names = frozenset(fields)
+        post_init = getattr(cls, "__post_init__", None)
+
+        # one function per class, so that it reads these from its closure
+        def __init__(self, *args, **kwargs):
+            values = self.__dict__
+            if args:
+                values.update(zip(fields, args))
+            if kwargs or len(args) != count:
+                values.update(kwargs)
+                if len(args) + len(kwargs) != count or values.keys() != names:
+                    self._complete(len(args) + len(kwargs))
+            if post_init is not None:
+                post_init(self)
+
+        cls.__init__ = __init__
+
+    def _complete(self, given: int) -> None:
+        """Check the fields of a call that gave `given` values, and fill
+        in the defaults of the fields it left out."""
+        values, name = self.__dict__, type(self).__qualname__
+        # fewer fields than values: too many positions, or a field twice
+        if len(values) != given:
+            raise TypeError(f"{name}() got too many arguments or a field "
+                            f"twice")
+        for field, default in self._defaults.items():
+            values.setdefault(field, default)
+        if values.keys() != self._names:
+            raise TypeError(f"{name}() got unexpected "
+                            f"{sorted(values.keys() - self._names)} and lacks "
+                            f"{sorted(self._names - values.keys())}")
+
+    def replace(self, **changes) -> "Record":
+        """A copy with the named fields changed, checked as a new record."""
+        fields = dict(zip(self._fields, self._values(self.__dict__)))
+        return type(self)(**{**fields, **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self.__dict__) == other._values(other.__dict__)
+        return NotImplemented
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._values(self.__dict__))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self._fields, self._values(self.__dict__)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle build the record afresh: restoring the kept hash
+        # would meet __setattr__, and another process hashes differently
+        return type(self), self._values(self.__dict__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +1111,7 @@ _INT_RE = re.compile(r"[0-9]+")
 MAX_NESTING = 64
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     offset: int
@@ -1255,8 +1357,7 @@ def _wrap(text: str, prec: int, parent_prec: int) -> str:
 # sampled numeric comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleDomain:
+class SampleDomain(Record):
     """Box constraints plus guard bands; sampling rejects guard violations.
 
     ranges: (symbol, lo, hi) triples; guards: (expr, lo, hi) with the guard
@@ -1419,8 +1520,7 @@ def columns(points: Sequence[Mapping[str, float]]) -> Dict[str, np.ndarray]:
     return {name: np.array([pt[name] for pt in points]) for name in points[0]}
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(Record):
     equal: bool
     max_scaled_err: float
     worst_point: Optional[dict]

@@ -62,14 +62,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import (ExprError, differentiate, evaluate, is_quadratic,
-                   substitute)
+from .expr import (ExprError, Record, differentiate, evaluate,
+                   is_quadratic, substitute)
 from .reduction import ReducedSystem
 
 __all__ = [
@@ -109,8 +108,7 @@ MAX_GRID_POINTS = 2 ** 20
 MAX_SLICES = 2 ** 20
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
+class LatticeConfig(Record):
     """Grid and slicing for propagate_quantum.
 
     mode: 'real' (kernel column), 'imaginary' (partition trace) or
@@ -165,8 +163,7 @@ class LatticeConfig:
 # reduced quadratic Hamiltonians
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
+class QuadraticHamiltonian(Record):
     """h = c_p p^2 + c_q zeta^2 with numeric coefficients."""
 
     c_p: float
@@ -449,8 +446,7 @@ def _power_trace_and_diagonal(block: np.ndarray, power: int):
     return np.sum(diag), diag
 
 
-@dataclass(frozen=True)
-class PropagatorResult:
+class PropagatorResult(Record):
     """One lattice run.  propagate_quantum hands every caller with the same
     (H*, lattice, params) the same kept result, so a result from it is
     shared and frozen: its arrays are read-only and its metrics a read-only
@@ -508,7 +504,7 @@ def _lattice_run(rs: ReducedSystem, cfg: LatticeConfig,
     for array in (result.zeta, result.psi, result.reference):
         if array is not None:
             array.flags.writeable = False
-    return replace(result, metrics=MappingProxyType(result.metrics))
+    return result.replace(metrics=MappingProxyType(result.metrics))
 
 
 def _propagate(rs: ReducedSystem, cfg: LatticeConfig,
@@ -600,7 +596,7 @@ def trotter_sweep(rs: ReducedSystem, cfg: LatticeConfig,
     log-log slope (symmetric splitting: -2 for a genuine potential)."""
     errors = []
     for N in slice_counts:
-        res = propagate_quantum(rs, replace(cfg, slices=N), params)
+        res = propagate_quantum(rs, cfg.replace(slices=N), params)
         if cfg.mode == "real":
             errors.append(res.metrics["l2_rel_err"])
         else:

@@ -31,14 +31,13 @@ the same system, constraint and map share one pipeline run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .expr import (
     Expr, Const, Sym, Add, Mul, Div, ZERO,
-    DomainError, ExprError, SampleDomain,
+    DomainError, ExprError, Record, SampleDomain,
     ComparisonResult, differentiate, evaluate, expand, normalize,
     numeric_compare, sampled_check, substitute,
 )
@@ -67,8 +66,7 @@ def velocity_symbol(name: str) -> str:
     return name + "_dot"
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
+class ConstraintSpec(Record):
     """phi = 0 solved explicitly for one variable.
 
     phi: the constraint expression; eliminated: the solved-for symbol;
@@ -98,8 +96,7 @@ class ConstraintSpec:
                 f"phi does not depend on {self.eliminated}; cannot eliminate")
 
 
-@dataclass(frozen=True)
-class PresymplecticForm:
+class PresymplecticForm(Record):
     """The two-form of the reduced Lagrangian above the diagonal: row i of
     upper holds f_ij for j = i+1 .. dim-1, in the order of variables."""
 
@@ -118,8 +115,7 @@ class PresymplecticForm:
         return int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
 
 
-@dataclass(frozen=True)
-class ReducedLagrangian:
+class ReducedLagrangian(Record):
     """First-order Lagrangian on the constrained chart, linear in the
     velocity symbols."""
 
@@ -172,8 +168,7 @@ def eliminate_primary(sys: FlowSystem, c: ConstraintSpec):
             PresymplecticForm(reduced_vars, _two_form(L_R, reduced_vars)))
 
 
-@dataclass(frozen=True)
-class CanonicalMap:
+class CanonicalMap(Record):
     """Explicit chart to canonical pairs plus one gauge pair (z, p_z).
 
     pairs: reduced (coordinate, momentum) name pairs; gauge: (z, p_z) names;
@@ -289,8 +284,7 @@ def apply_darboux(L_R: ReducedLagrangian, map: CanonicalMap, ps: PhaseSpace,
     return H_prime
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(Record):
     """Emergent unconstrained system on the reduced pairs."""
 
     space: PhaseSpace
@@ -298,8 +292,7 @@ class ReducedSystem:
     provenance: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EliminationResult:
+class EliminationResult(Record):
     """How z left: the gauge condition chi = 0 (chi is z itself on the
     pure-gauge branch), the solved z (None there) and the reduced system."""
 
@@ -413,7 +406,8 @@ def run_reduction(sys: FlowSystem, c: ConstraintSpec, map: CanonicalMap,
 
     Memoized per process for each (sys, c, map, seed) (see sampled_check):
     the pipeline reads nothing else, and its result is a tuple of frozen
-    dataclasses that no caller changes.  A call that raises stores nothing.
+    records (see expr.Record), which no caller can change.  A call that
+    raises stores nothing.
     """
     return sampled_check(_run_reduction, sys, c, map, seed)
 

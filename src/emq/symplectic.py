@@ -18,13 +18,12 @@ rho once, on first use, and keeps them for as long as it lives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from .expr import (
     Expr, Const, Sym, Add, Mul, Pow, Div, ZERO,
     ComparisonResult, SampleDomain, differentiate, normalize, numeric_compare,
-    DomainError, ExprError,
+    DomainError, ExprError, Record,
 )
 
 __all__ = [
@@ -43,8 +42,7 @@ class RhoNotConservedError(StructureError):
     pass
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
+class PhaseSpace(Record):
     """N conjugate pairs; state ordering is momenta first, then coordinates."""
 
     coordinates: Tuple[str, ...]
@@ -107,8 +105,7 @@ def _is_momentum_free(e: Expr, ps: PhaseSpace) -> bool:
     return not (e.free_symbols() & set(ps.momenta))
 
 
-@dataclass(frozen=True)
-class FlowSystem:
+class FlowSystem(Record):
     """Momentum-linear system q-dot^a = f^a(q) with declared charges.
 
     velocities holds one expression per coordinate (the f^a, momentum-free);
@@ -162,8 +159,7 @@ def verify_charges(sys: FlowSystem, n: int = 100, tol: float = 1e-12,
             for name, C in sys.charges}
 
 
-@dataclass(frozen=True)
-class HamiltonianSplit:
+class HamiltonianSplit(Record):
     h_plus: Expr
     h_minus: Expr
     rho_bracket_err: float      # sampled max scaled |{rho, H}|

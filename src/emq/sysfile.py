@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .expr import (Expr, ExprError, SampleDomain, SymbolTable, ZERO, parse,
-                   substitute)
+from .expr import (Expr, ExprError, Record, SampleDomain, SymbolTable, ZERO,
+                   parse, substitute)
 from .symplectic import FlowSystem, PhaseSpace
 from .reduction import CanonicalMap, ConstraintSpec
 from .pathint import LatticeConfig
@@ -72,8 +71,7 @@ class SysFileError(Exception):
     """Malformed .sys content; message carries file:line context."""
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """One fully wired system: dynamics, constraint, chart and settings."""
 
     name: str

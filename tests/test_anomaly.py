@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,7 +206,7 @@ def test_sliced_expansion_needs_two_pairs_of_each_kind(ho_model):
                   {"coordinate_pairs": gen.coordinate_pairs[:1]}):
         with pytest.raises(UnsupportedPatternError, match=(
                 "sliced expansion expects two old pairs and two new pairs")):
-            sliced_expansion_check(replace(gen, **pairs), ho_model.darboux,
+            sliced_expansion_check(gen.replace(**pairs), ho_model.darboux,
                                    ho_model.system.hamiltonian, ho_model.chart)
 
 
@@ -290,12 +289,11 @@ def test_fd_partials_match_the_shipped_inverse(ho_model):
 
 
 def test_fd_partials_reject_singular_charts(free_model):
-    import dataclasses
     m = free_model.darboux
     degenerate_fwd = tuple(
         (k, m.forward_expr("zeta")) if k == "z" else (k, v)
         for k, v in m.forward)
-    broken = dataclasses.replace(m, forward=degenerate_fwd)
+    broken = m.replace(forward=degenerate_fwd)
     point = free_model.chart.sample(1, seed=0)[0]
     with pytest.raises(AnomalyError, match="singular"):
         implicit_partials_fd(broken, free_model.system.space.xi, point)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import math
 import os
@@ -438,7 +437,7 @@ def _coefficient(name, value):
     def patch(monkeypatch):
         exact = cli.anomaly_coefficients
         monkeypatch.setattr(cli, "anomaly_coefficients", lambda *args: (
-            dataclasses.replace(exact(*args), **{name: expr.Sym(value)})))
+            exact(*args).replace(**{name: expr.Sym(value)})))
     return patch
 
 
@@ -447,7 +446,7 @@ def _slope_one(monkeypatch):
     # correction, so only a patched binding fails that line
     exact = cli.correction_scaling
     monkeypatch.setattr(cli, "correction_scaling", lambda *args, **kw: (
-        dataclasses.replace(exact(*args, **kw), slope=1.0)))
+        exact(*args, **kw).replace(slope=1.0)))
 
 
 def _skewed_normal_form(monkeypatch):
@@ -713,8 +712,10 @@ def test_every_line_of_the_bundled_models_has_a_corruption_row(capsys):
 
 LOAD = ("verify", "reduce", "propagate", "anomaly")
 # special paths: model.sys is a directory or absent, or it is the unedited
-# file and --out lies in a directory that does not exist
-DIRECTORY, ABSENT, UNWRITABLE = "directory", "absent", "unwritable"
+# file and --out lies in a directory that does not exist or is empty
+DIRECTORY, ABSENT, UNWRITABLE, EMPTY_OUT = (
+    "directory", "absent", "unwritable", "empty-out")
+_SPECIAL_OUT = {UNWRITABLE: "missing/run", EMPTY_OUT: ""}
 
 
 def _usage(id, commands, name, edits, line, message):
@@ -1003,6 +1004,8 @@ USAGE_ERRORS = [
            "cannot write missing/run: No such file or directory"),
     _usage("propagate:unwritable-out", ("propagate",), "harmonic", UNWRITABLE,
            None, "cannot write missing/run.npy: No such file or directory"),
+    *(_usage(f"{command}:empty-out", (command,), "harmonic", EMPTY_OUT, None,
+             "--out needs a path, got an empty one") for command in LOAD),
 ]
 
 
@@ -1019,8 +1022,8 @@ def _check_usage_error(commands, name, edits, line, message, workdir,
         os.mkdir(path)
     elif edits != ABSENT:
         text = bundled_text(name)
-        if edits == UNWRITABLE:
-            edits, out = (), "missing/run"
+        if edits in _SPECIAL_OUT:
+            edits, out = (), _SPECIAL_OUT[edits]
         for old, new in edits:
             assert text.count(old) == 1, old
             text = text.replace(old, new)

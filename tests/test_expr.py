@@ -70,6 +70,13 @@ def _rich_trees():
     return _rich_nodes(st.recursive(_leaves(), _rich_nodes, max_leaves=12))
 
 
+# _rich_trees() seldom builds an odd power of a square root, or an atan2
+# whose first argument normalizes to 0
+_FOLDS = Add((Div(Sym("a"), Pow(Fun("sqrt", (Sym("x"),)), 3)),
+              Fun("atan2", (Add((Sym("x"), Mul((Const(-1), Sym("x"))))),
+                            Const(2)))))
+
+
 def _polys():
     return st.recursive(
         _leaves(),
@@ -85,7 +92,7 @@ def _polys():
 def _normalized_or_discard(e):
     try:
         return normalize(e)
-    except DivisionByZeroError:
+    except (DivisionByZeroError, NegativeSqrtError):
         assume(False)
 
 
@@ -220,10 +227,11 @@ def test_misbuilt_input_raises_its_typed_error(build, error, message):
 # normalization properties
 # ---------------------------------------------------------------------------
 
-@given(_trees())
+@given(st.one_of(_trees(), _rich_trees()))
 # _trees() seldom nests powers over quotients and powers
 @example(Pow(Div(Sym("x"), Add((Sym("y"), ONE))), 3))
 @example(Pow(Pow(Add((Sym("x"), Sym("y"))), 2), 3))
+@example(_FOLDS)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_normalize_is_idempotent(e):
     n = _normalized_or_discard(e)
@@ -302,7 +310,8 @@ def test_a_printed_tree_is_its_render_warm_and_cold(e):
     assert str(e) == text
 
 
-@given(_trees())
+@given(st.one_of(_trees(), _rich_trees()))
+@example(_FOLDS)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_normalize_preserves_value(e):
     n = _normalized_or_discard(e)
@@ -314,7 +323,8 @@ def test_normalize_preserves_value(e):
     assert cooked == pytest.approx(raw, rel=1e-9, abs=1e-9)
 
 
-@given(_trees())
+@given(st.one_of(_trees(), _rich_trees()))
+@example(_FOLDS)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_expand_preserves_value(e):
     n = _normalized_or_discard(e)

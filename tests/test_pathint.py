@@ -1,7 +1,6 @@
 import cmath
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,7 +239,7 @@ def test_partition_slice_closed_form_is_the_mode_product(slices):
     # many slices approach the continuum value
     assert partition_slice_closed_form(quad, 1.0, beta, 1 << 20) == \
         pytest.approx(partition_closed_form(quad, 1.0, beta), rel=1e-11)
-    free = replace(quad, c_q=0.0)
+    free = quad.replace(c_q=0.0)
     with pytest.raises(ExprError, match="confining"):
         partition_slice_closed_form(free, 1.0, beta, slices)
 
@@ -308,7 +307,7 @@ def test_potential_free_run_is_the_per_slice_loop(cfg, free_reduced,
     want = _per_slice_psi(quad, cfg, res)
     assert np.max(np.abs(res.psi - want)) <= 1e-12
     # one exact kinetic step: the slice count does not change the result
-    two = propagate_quantum(free_reduced, replace(cfg, slices=2),
+    two = propagate_quantum(free_reduced, cfg.replace(slices=2),
                             free_model.params)
     np.testing.assert_array_equal(two.psi, res.psi)
     assert res.metrics["norm_drift"] < 1e-14
@@ -332,7 +331,7 @@ def test_real_run_with_a_potential_keeps_the_slice_loop(ho_reduced,
     want = _per_slice_psi(quad, cfg, res)
     assert np.max(np.abs(res.psi - want)) <= 1e-13
     # the slices do matter here: a coarser run differs by its Trotter error
-    coarse = propagate_quantum(ho_reduced, replace(cfg, slices=8),
+    coarse = propagate_quantum(ho_reduced, cfg.replace(slices=8),
                                ho_model.params)
     assert np.max(np.abs(coarse.psi - res.psi)) > 1e-6
 
@@ -553,8 +552,8 @@ def test_trotter_slope(ho_reduced, ho_model):
 def test_trotter_slope_in_real_time(ho_reduced, ho_model):
     # the kernel's l2 error against the closed form: the symmetric split of
     # a genuine potential is second order in the slice width
-    cfg = replace(ho_model.lattice, mode="real", duration=1.0, n=1024,
-                  length=40.0)
+    cfg = ho_model.lattice.replace(mode="real", duration=1.0, n=1024,
+                                   length=40.0)
     sweep = trotter_sweep(ho_reduced, cfg, ho_model.params)
     assert sweep["slope"] == pytest.approx(-2.0, abs=0.01)
     errs = sweep["errors"]
@@ -820,7 +819,7 @@ def test_a_kept_result_is_read_only(free_reduced, free_model, ho_reduced,
 
 def test_a_run_that_raises_is_not_kept(lam_reduced, lam_model, ho_reduced,
                                        ho_model):
-    hot = replace(ho_model.lattice, duration=1e300)
+    hot = ho_model.lattice.replace(duration=1e300)
     _lattice_run.cache_clear()
     for rs, cfg, params, error in (
             (lam_reduced, lam_model.lattice, lam_model.params, CoverageError),

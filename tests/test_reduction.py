@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -162,7 +161,7 @@ def test_map_requires_all_forward_expressions(ho_model):
     m = ho_model.darboux
     trimmed = tuple(kv for kv in m.forward if kv[0] != "p_z")
     with pytest.raises(DomainError, match="p_z"):
-        dataclasses.replace(m, forward=trimmed)
+        m.replace(forward=trimmed)
 
 
 def test_canonicity_passes_and_sign_flip_fails(ho_model):
@@ -178,7 +177,7 @@ def test_canonicity_passes_and_sign_flip_fails(ho_model):
         (k, normalize(parse("-(" + str(v) + ")", ho_model.symbols)))
         if k == "zeta" else (k, v)
         for k, v in ho_model.darboux.forward)
-    broken = dataclasses.replace(ho_model.darboux, forward=flipped_fwd)
+    broken = ho_model.darboux.replace(forward=flipped_fwd)
     soft = verify_canonicity(broken, sys.space, sys.chart)
     assert not soft[("p_zeta", "zeta")].equal
     L_R, _ = eliminate_primary(sys, ho_model.constraint)
@@ -269,7 +268,7 @@ def test_jacobi_liouville_rejects_scaled_chart(free_model):
         (k, normalize(parse("2*(" + str(v) + ")", free_model.symbols)))
         if k == "zeta" else (k, v)
         for k, v in free_model.darboux.forward)
-    scaled = dataclasses.replace(free_model.darboux, forward=scaled_fwd)
+    scaled = free_model.darboux.replace(forward=scaled_fwd)
     assert not jacobi_liouville_check(scaled, free_model.constraint,
                                       free_model.system)
 
@@ -295,7 +294,7 @@ def test_jacobi_liouville_is_memoized_on_its_arguments(free_model,
     assert len(runs) == 3
     # a flat chart map has a singular Jacobian everywhere: it raises on
     # every call and stores nothing
-    flat = dataclasses.replace(m.darboux, forward=tuple(
+    flat = m.darboux.replace(forward=tuple(
         (k, ZERO if k == "zeta" else v) for k, v in m.darboux.forward))
     for count in (4, 5):
         with pytest.raises(DomainError, match="singular Jacobian"):
