@@ -57,9 +57,10 @@ call, for floats or for a batch of points given as equal-length columns
 keeps nothing after the call.
 
 evaluate() never returns NaN/inf silently: division by zero, square roots
-of negative values, unbound symbols and values beyond float range raise
-distinct exceptions naming the first bad point, so chart violations
-surface as errors, not poisoned numerics.
+of negative values, atan2 at the origin (0, 0), unbound symbols and values
+beyond float range raise distinct exceptions naming the first bad point,
+so chart violations surface as errors, not poisoned numerics.  normalize()
+keeps a constant atan2(0, 0) as a tree, which evaluates to that error.
 """
 
 from __future__ import annotations
@@ -1062,6 +1063,10 @@ def _eval(e: Expr, b, known: dict):
         if e.name == "sqrt":
             _check(vals[0] < 0.0, NegativeSqrtError, "sqrt of negative value",
                    e, b)
+        elif e.name == "atan2":
+            # the angle of the origin is undefined, not numpy's 0
+            _check((vals[0] == 0.0) & (vals[1] == 0.0), EvalError,
+                   "atan2 of (0, 0)", e, b)
         out = _NUMPY_FUNCTIONS[e.name](*vals)
     else:
         raise TypeError(f"not an Expr: {e!r}")

@@ -47,7 +47,10 @@ a seed, so propagate_quantum keeps the last four results of a process and
 hands a repeat the kept one.  Every caller shares a kept result, so its
 arrays are read-only and its metrics a read-only mapping; a run that
 raises keeps nothing.  At the grid cap one result holds 40 bytes a point,
-so the four hold at most 160 MiB.
+so the four hold at most 160 MiB.  The numeric H* that a run binds from
+H* and the parameters reads no lattice setting either, so it is bound once
+per process for each (H*, parameters) and shared by every lattice config
+(see bind_reduced_hamiltonian).
 
 Output: write_kernel stores a real- or imaginary-mode result as one NumPy
 .npy file (NEP 1) holding a structured array of n rows with the fields
@@ -196,10 +199,21 @@ def bind_reduced_hamiltonian(rs: ReducedSystem,
     the lattice machinery is only claimed for that class.  The constant,
     linear and cross terms are read at the origin, and every third partial
     in (zeta, p_zeta) must be structurally 0 (expr.is_quadratic).
+
+    The binding reads no lattice setting, so it is worked out once per
+    process for each (rs, params) and shared by every lattice run, slice
+    sweep and path statistic on them; at most 2^6 bindings are kept, and
+    a binding that raises is not kept, so it raises again.
     """
+    return _bind(rs, tuple(params.items()))
+
+
+@functools.lru_cache(maxsize=1 << 6)
+def _bind(rs: ReducedSystem,
+          params: Tuple[Tuple[str, float], ...]) -> QuadraticHamiltonian:
     coord = rs.space.coordinates[0]
     mom = rs.space.momenta[0]
-    h = substitute(rs.h_star, {k: float(v) for k, v in params.items()})
+    h = substitute(rs.h_star, {k: float(v) for k, v in params})
     extra = h.free_symbols() - {coord, mom}
     if extra:
         raise ExprError(f"unbound symbols in reduced Hamiltonian: {sorted(extra)}")

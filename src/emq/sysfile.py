@@ -31,11 +31,22 @@ a missing section or unreadable file; a test fails on a raise site that no
 row of USAGE_ERRORS in tests/test_cli.py reaches.
 
 load_model and load_bundled read and decode the file on every call, so an
-edited file is always seen.  loads_model assembles each distinct (text,
-name, path) once per process and hands the same read-only Model back after
-that; at most 2^6 models are kept, and a functools.lru_cache drops the
-least recently used one when full (its cache_info() counts the hits and
-misses).  A text that fails to load is not kept, so it fails again.
+edited file is always seen; load_model reads UTF-8 and drops a leading
+byte-order mark.  Two per-process memos, each a functools.lru_cache of at
+most 2^6 entries that drops the least recently used one when full (its
+cache_info() counts the hits and misses), stand behind loads_model.  The
+text memo assembles each distinct (text, name, path) once and hands the
+same read-only Model back after that.  Behind it, the content memo keys
+the symbolic records on what they are read from: every section but
+[lattice], with the names of [params] in file order but not their values.
+On a content hit only the [params] values and [lattice] are read, by the
+same readers and checks as in a full assembly, and the Model shares the
+system, constraint, chart map, generating function, reference data and
+symbol table of the kept one, with its own name, path, params and
+lattice; so an edit of [lattice] or of a parameter value costs only what
+changed.  A miss assembles the whole file, so an error and the line it
+names do not depend on what the process loaded before.  A text that fails
+to load is kept in neither memo, so it fails again.
 """
 
 from __future__ import annotations
@@ -61,6 +72,8 @@ BUNDLED = ("free_particle", "harmonic", "free_particle_lambda")
 _REQUIRED_SECTIONS = ("system", "charges", "rho", "params", "constraint",
                       "darboux", "domain")
 _SECTIONS = frozenset(_REQUIRED_SECTIONS + ("lattice", "anomaly"))
+# the sections that the symbolic records are read from
+_SYMBOLIC_SECTIONS = _REQUIRED_SECTIONS + ("anomaly",)
 # the one key of a section that may appear on several lines
 _REPEATABLE = {"darboux": "reduced", "domain": "guard"}
 _SLICED_KEYS = ("sliced_constant", "sliced_delta_p", "sliced_delta_q")
@@ -259,7 +272,9 @@ def _pair(text: str, full, target) -> Tuple[str, str]:
 
 def loads_model(text: str, name: str, path: Optional[str] = None) -> Model:
     """The Model of a .sys text, assembled once per process for each
-    (text, name, path); a text that raises is not kept."""
+    (text, name, path); a text that raises is not kept.  A text whose
+    sections other than [lattice] and the [params] values match an
+    assembled model's shares that model's symbolic records."""
     return _assemble(text, name, path)
 
 
@@ -270,7 +285,97 @@ def _assemble(text: str, name: str, path: Optional[str]) -> Model:
     for sec in _REQUIRED_SECTIONS:
         if sec not in sections:
             raise SysFileError(f"{where}: missing required section [{sec}]")
+    content = _Content(sections, name, path)
+    model = _records(content)
+    if content.sections is None:
+        # a miss: the model was assembled from these very sections
+        return model
+    params = _read_params(sections["params"])
+    return model.replace(name=name, path=path,
+                         params=MappingProxyType(params),
+                         lattice=_read_lattice(sections.get("lattice"),
+                                               params))
 
+
+class _Content:
+    """The key of the symbolic records: every section but [lattice], with
+    the names of [params] in file order but not their values.  It carries
+    the split sections and the file's name and path for a miss to assemble
+    from; the miss takes the sections, so a key left without them has
+    just built its own model."""
+
+    __slots__ = ("key", "hash", "sections", "name", "path")
+
+    def __init__(self, sections: Dict[str, _Section], name: str,
+                 path: Optional[str]):
+        self.sections, self.name, self.path = sections, name, path
+        key = []
+        for sec in map(sections.get, _SYMBOLIC_SECTIONS):
+            if sec is None:
+                key.append(None)
+            elif sec.name == "params":
+                key.append(tuple(sec.values))    # the names, not the values
+            else:
+                key.append((tuple(sec.values.items()),
+                            tuple([value for _, value in sec.repeats])))
+        self.key = tuple(key)
+        self.hash = hash(self.key)
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=1 << 6)
+def _records(content: _Content) -> Model:
+    sections, content.sections = content.sections, None
+    return _build(sections, content.name, content.path)
+
+
+def _read_params(par: _Section, tables=()) -> Dict[str, float]:
+    """The [params] values in file order, each name declared in tables."""
+    return {key: par.take(key, _parameter, key, tables)
+            for key in tuple(par.values)}
+
+
+def _read_lattice(lat: Optional[_Section],
+                  params: Mapping[str, float]) -> Optional[LatticeConfig]:
+    """The [lattice] settings, or None without the section."""
+    if lat is None:
+        return None
+    mode = lat.take("mode", default="real")
+    duration, other = (("beta", "time") if mode == "imaginary"
+                       else ("time", "beta"))
+    if "time" in lat.values and "beta" in lat.values:
+        raise lat.error("[lattice] sets both time and beta", other)
+    # a key the file leaves out keeps LatticeConfig's default
+    settings = {
+        "n": lat.take("n", _number, int, default=None),
+        "length": lat.take("length", _number, default=None),
+        "slices": lat.take("slices", _number, int, default=None),
+        "duration": lat.take(duration, _number),
+        "source_center": lat.take("source_center", _number, default=None),
+        "source_sigma_cells": lat.take("source_sigma_cells", _number,
+                                       default=None),
+        "tolerance": lat.take("tolerance", _number, default=None),
+    }
+    try:
+        lattice = LatticeConfig(
+            mode=mode, hbar=params.get("hbar", 1.0),
+            **{k: v for k, v in settings.items() if v is not None})
+    except ValueError as exc:
+        # the defaults are valid, so the rejected field is in the file
+        message, field = exc.args
+        key = duration if field == "duration" else field
+        raise lat.error(f"bad [lattice] settings: {message}", key) from exc
+    lat.finish()
+    return lattice
+
+
+def _build(sections: Dict[str, _Section], name: str,
+           path: Optional[str]) -> Model:
     # symbol tables: source expressions see the source chart, target
     # (inverse map) expressions the [darboux] pairs, and full expressions
     # (guards, chi, [anomaly]) both charts.  Parameters precede the pairs,
@@ -279,9 +384,7 @@ def _assemble(text: str, name: str, path: Optional[str]) -> Model:
     sysec = sections["system"]
     space = sysec.take("coordinates", _coordinates, source, full,
                        missing="[system] needs a coordinates line")
-    par = sections["params"]
-    params = {key: par.take(key, _parameter, key, (source, full, target))
-              for key in tuple(par.values)}
+    params = _read_params(sections["params"], (source, full, target))
 
     # --- [system] expressions, read before source declares the momenta, so
     # a momentum there is an unknown identifier
@@ -370,35 +473,7 @@ def _assemble(text: str, name: str, path: Optional[str]) -> Model:
                                 solution=solution, chi=chi)
 
     # --- [lattice]
-    lattice = None
-    lat = sections.get("lattice")
-    if lat is not None:
-        mode = lat.take("mode", default="real")
-        duration, other = (("beta", "time") if mode == "imaginary"
-                           else ("time", "beta"))
-        if "time" in lat.values and "beta" in lat.values:
-            raise lat.error("[lattice] sets both time and beta", other)
-        # a key the file leaves out keeps LatticeConfig's default
-        settings = {
-            "n": lat.take("n", _number, int, default=None),
-            "length": lat.take("length", _number, default=None),
-            "slices": lat.take("slices", _number, int, default=None),
-            "duration": lat.take(duration, _number),
-            "source_center": lat.take("source_center", _number, default=None),
-            "source_sigma_cells": lat.take("source_sigma_cells", _number,
-                                           default=None),
-            "tolerance": lat.take("tolerance", _number, default=None),
-        }
-        try:
-            lattice = LatticeConfig(
-                mode=mode, hbar=params.get("hbar", 1.0),
-                **{k: v for k, v in settings.items() if v is not None})
-        except ValueError as exc:
-            # the defaults are valid, so the rejected field is in the file
-            message, field = exc.args
-            key = duration if field == "duration" else field
-            raise lat.error(f"bad [lattice] settings: {message}", key) from exc
-        lat.finish()
+    lattice = _read_lattice(sections.get("lattice"), params)
 
     # --- [anomaly]
     generating_function = reference_A_z = sliced_refs = None
@@ -435,11 +510,14 @@ def load_model(path: str) -> Model:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8")
+        # a leading byte-order mark is dropped, as editors write one
+        text = data.decode("utf-8-sig")
     except OSError as exc:
         raise SysFileError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # exc.start counts from after a dropped byte-order mark
+        start = exc.start + len(data) - len(exc.object)
+        line = data.count(b"\n", 0, start) + 1
         raise SysFileError(f"{path}:{line}: not UTF-8 text") from exc
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".sys"):

@@ -19,7 +19,7 @@ from emq.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 from emq.expr import MAX_NESTING, SampleDomain, columns
 from emq.pathint import propagate_quantum
 from emq.reduction import ReducedSystem, run_reduction
-from emq.sysfile import bundled_text, load_bundled
+from emq.sysfile import bundled_names, bundled_text, load_bundled
 
 
 def _write(tmp_path, text, name="model.sys"):
@@ -1013,7 +1013,7 @@ def _check_usage_error(commands, name, edits, line, message, workdir,
                        monkeypatch, capsys):
     """Each command on the row's file, run in the new directory workdir:
     exit 2, no stdout, one stderr line with the row's message, no warning
-    and no file written."""
+    and no file written.  Returns the stderr of each command."""
     workdir.mkdir()
     monkeypatch.chdir(workdir)
     os.mkdir("out")
@@ -1032,6 +1032,7 @@ def _check_usage_error(commands, name, edits, line, message, workdir,
     if line is not None:
         lineno = len(text.splitlines()) - text.splitlines()[::-1].index(line)
         expected = f"error: {path}:{lineno}: {message}"
+    errors = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for command in commands:
@@ -1040,7 +1041,9 @@ def _check_usage_error(commands, name, edits, line, message, workdir,
             assert (code, stdout, caught) == (EXIT_USAGE, "", []), command
             assert err.startswith(expected), err
             assert err.count("\n") == 1 and err.endswith("\n"), err
+            errors.append(err)
     assert set(os.listdir()) <= {path, "out"} and os.listdir("out") == []
+    return errors
 
 
 @pytest.mark.parametrize("commands, name, edits, line, message",
@@ -1083,6 +1086,28 @@ def test_every_usage_error_raise_has_a_row(tmp_path, monkeypatch, capsys):
         sys.settrace(previous)
     assert files == {sysfile.__file__, cli.__file__}
     assert sorted(sites - ran) == []
+
+
+def test_usage_errors_do_not_depend_on_the_models_loaded_before(
+        tmp_path, monkeypatch, capsys):
+    # a row that edits only [lattice] or a [params] value of a bundled
+    # file takes the bundled records once they are kept, and must still
+    # give the message of a load with every memo emptied
+    cold = []
+    for i, row in enumerate(USAGE_ERRORS):
+        clear_memos()
+        cold.append(_check_usage_error(*row.values, tmp_path / f"cold{i}",
+                                       monkeypatch, capsys))
+    clear_memos()
+    for name in bundled_names():
+        load_bundled(name)
+    hits = sysfile._records.cache_info().hits
+    warm = [_check_usage_error(*row.values, tmp_path / f"warm{i}",
+                               monkeypatch, capsys)
+            for i, row in enumerate(USAGE_ERRORS)]
+    assert sysfile._records.cache_info().hits > hits
+    for row, cold_errors, warm_errors in zip(USAGE_ERRORS, cold, warm):
+        assert warm_errors == cold_errors, row.id
 
 
 # ---------------------------------------------------------------------------
@@ -1155,6 +1180,21 @@ def test_a_bundled_name_wins_over_a_local_path(tmp_path, monkeypatch,
     assert main(["verify", "./harmonic"]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         "error: ./harmonic: cannot read: Is a directory\n")
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_a_byte_order_mark_gives_the_bundled_report(name, tmp_path, capsys):
+    # an editor may start a UTF-8 file with U+FEFF; the copy, named like
+    # the bundled file, takes its records from the content memo
+    path = tmp_path / f"{name}.sys"
+    path.write_bytes(b"\xef\xbb\xbf" + bundled_text(name).encode("utf-8"))
+    load_bundled(name)
+    before = sysfile._records.cache_info()
+    for command in ("verify", "reduce", "propagate", "anomaly"):
+        bundled = _report_and_artifacts([command, name], capsys)
+        assert _report_and_artifacts([command, str(path)], capsys) == bundled
+    after = sysfile._records.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_missing_file_is_a_usage_error(usage_error):
@@ -1300,13 +1340,15 @@ def test_warm_and_cold_runs_give_the_same_reports(tmp_path, monkeypatch,
 def test_each_cache_keeps_its_bound():
     # a candidate stream keeps every point it accepted, a model a whole
     # file and a lattice run its grid arrays, so their caches are smaller
-    # than the symbolic ones
+    # than the symbolic ones; a bound H* is kept per (H*, params), about
+    # one per model
     bounds = {expr._parse: 1 << 16, expr._normalize_node: 1 << 16,
               expr.expand: 1 << 16, expr._differentiate: 1 << 16,
               expr._substitute: 1 << 16, expr._stream: 1 << 4,
               expr.sampled_check: 1 << 12, expr._text: 1 << 12,
-              sysfile._assemble: 1 << 6, cli._parser: 1,
-              symplectic.poisson_bracket: 1 << 12, pathint._lattice_run: 4}
+              sysfile._assemble: 1 << 6, sysfile._records: 1 << 6,
+              cli._parser: 1, symplectic.poisson_bracket: 1 << 12,
+              pathint._bind: 1 << 6, pathint._lattice_run: 4}
     assert memos() == set(bounds)
     for memo, size in bounds.items():
         assert memo.cache_parameters() == {"maxsize": size, "typed": False}
@@ -1368,9 +1410,19 @@ def test_a_second_run_hits_the_symbolic_caches_and_misses_none(capsys):
     assert sysfile._assemble.cache_info().hits == models + 2
     assert [m0 == m1 for m0, m1, _ in warm] == [True] * 4
     assert [hits > 0 for _, _, hits in warm] == [False, True, True, True]
-    # with only the model cache emptied, the file is assembled again from
-    # the kept parses, normal forms, derivatives and substitutions
+    # with only the text memo emptied, the first load takes the records
+    # from the content memo and the second the model from the text memo,
+    # so nothing is parsed either
+    records = sysfile._records.cache_info().hits
     sysfile._assemble.cache_clear()
+    shared = run()
+    assert sysfile._records.cache_info().hits == records + 1
+    assert [m0 == m1 for m0, m1, _ in shared] == [True] * 4
+    assert [hits > 0 for _, _, hits in shared] == [False, True, True, True]
+    # with both model memos emptied, the file is assembled again from the
+    # kept parses, normal forms, derivatives and substitutions
+    sysfile._assemble.cache_clear()
+    sysfile._records.cache_clear()
     again = run()
     assert [m0 == m1 and hits > 0 for m0, m1, hits in again] == [True] * 4
 

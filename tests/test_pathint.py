@@ -16,8 +16,8 @@ from emq.pathint import (
     smeared_reference, trotter_sweep, write_kernel,
 )
 from emq.pathint import (
-    PropagatorResult, _evolve, _grid, _increment_weights, _kinetic_factor,
-    _lattice_run, _mode_eigenvalues, _parity_blocks,
+    PropagatorResult, _bind, _evolve, _grid, _increment_weights,
+    _kinetic_factor, _lattice_run, _mode_eigenvalues, _parity_blocks,
     _power_trace_and_diagonal, _split_step_factors, _thermal_increment_sum,
 )
 from emq.reduction import PhaseSpace, ReducedSystem
@@ -829,6 +829,37 @@ def test_a_run_that_raises_is_not_kept(lam_reduced, lam_model, ho_reduced,
                 propagate_quantum(rs, cfg, params)
     info = _lattice_run.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+
+def test_a_slice_sweep_binds_h_star_once(ho_reduced, ho_model):
+    # the binding reads no lattice setting: runs that differ only in their
+    # slice count share one bound H*, and so does holder_slopes
+    _lattice_run.cache_clear()
+    _bind.cache_clear()
+    cfg = ho_model.lattice
+    for slices in (cfg.slices, 2 * cfg.slices):
+        propagate_quantum(ho_reduced, cfg.replace(slices=slices),
+                          ho_model.params)
+    info = _bind.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    quad = bind_reduced_hamiltonian(ho_reduced, ho_model.params)
+    assert quad is bind_reduced_hamiltonian(ho_reduced, dict(ho_model.params))
+    holder_slopes(ho_reduced, ho_model.params, n_samples=10)
+    assert _bind.cache_info().misses == 1
+    # another parameter value is another binding
+    other = {**ho_model.params, "a1": 2.0}
+    assert bind_reduced_hamiltonian(ho_reduced, other).mass == 2.0
+    assert _bind.cache_info().misses == 2
+
+
+def test_a_binding_that_raises_raises_again(ho_model):
+    _bind.cache_clear()
+    cubic = _reduced("p_zeta^2 + zeta^3", ho_model.symbols)
+    for _ in range(2):
+        with pytest.raises(ExprError, match="not quadratic"):
+            bind_reduced_hamiltonian(cubic, {})
+    info = _bind.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
 
 # ---------------------------------------------------------------------------

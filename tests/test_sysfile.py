@@ -187,3 +187,108 @@ def test_one_line_edits_load_or_name_their_line(name):
                     assert re.match(r"<t>:\d+: ", msg), f"{case}: {msg}"
             else:
                 assert loads, f"{case} loaded"
+
+
+# ---------------------------------------------------------------------------
+# the content memo: records shared by lattice and parameter-value edits
+# ---------------------------------------------------------------------------
+
+_SHARED = ("system", "constraint", "darboux", "generating_function",
+           "reference_A_z", "sliced_refs", "symbols")
+_FLIP_FROM = "zeta = -(p_x - x/alpha - a1*y)/(sqrt(2)*a1)"
+_FLIP_TO = "zeta = (p_x - x/alpha - a1*y)/(sqrt(2)*a1)"
+
+
+def _edit(text, old, new):
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+def _fields(model):
+    """Every field but the symbol table, and the table's name roles."""
+    return (model.replace(symbols=None), model.symbols._roles)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_lattice_and_parameter_edits_share_the_records(name, models,
+                                                       tmp_path):
+    bundled = load_bundled(name)
+    text = bundled_text(name)
+    slices = f"\nslices = {bundled.lattice.slices}\n"
+    edits = {"lattice": (_edit(text, slices, "\nslices = 32\n"),
+                         {}, {"slices": 32}),
+             "params": (_edit(text, "\nhbar = 1.0\n", "\nhbar = 2.0\n"),
+                        {"hbar": 2.0}, {"hbar": 2.0})}
+    for what, (edited, params, lattice) in edits.items():
+        path = tmp_path / f"{what}.sys"
+        path.write_text(edited)
+        before = sysfile._records.cache_info()
+        model = load_model(str(path))
+        after = sysfile._records.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        for field in _SHARED:
+            assert getattr(model, field) is getattr(bundled, field), field
+        assert (model.name, model.path) == (what, str(path))
+        assert dict(model.params) == {**bundled.params, **params}
+        assert model.lattice == bundled.lattice.replace(**lattice)
+        with pytest.raises(TypeError):
+            model.params["m"] = 3.0
+        # a load with every memo emptied assembles the same model
+        clear_memos()
+        assert _fields(load_model(str(path))) == _fields(model)
+        bundled = load_bundled(name)
+
+
+def test_a_changed_symbolic_line_shares_no_record(models):
+    harmonic = load_bundled("harmonic")
+    misses = sysfile._records.cache_info().misses
+    flipped = loads_model(_edit(bundled_text("harmonic"), _FLIP_FROM,
+                                _FLIP_TO), name="flipped")
+    assert sysfile._records.cache_info().misses == misses + 1
+    for field in _SHARED:
+        value = getattr(flipped, field)
+        assert value is None or value is not getattr(harmonic, field), field
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("\nn = 256\n", "\nn = 100\n",
+     "bad [lattice] settings: grid point count must be a power of two"),
+    ("\na1 = 1.0\n", "\na1 = inf\n", "parameter a1 must be finite, got inf"),
+    ("\nhbar = 1.0\n", "\nhbar = 0\n",
+     "hbar must be finite and > 0, got 0.0")],
+    ids=["n", "a1", "hbar"])
+def test_a_bad_value_after_the_bundled_loads_names_its_own_line(
+        old, new, message, models, tmp_path):
+    path = tmp_path / "model.sys"
+    text = _edit(bundled_text("harmonic"), old, new)
+    path.write_text(text)
+    line = text.splitlines().index(new.strip()) + 1
+    expected = f"{path}:{line}: {message}"
+    for name in bundled_names():
+        load_bundled(name)
+    hits = sysfile._records.cache_info().hits
+    with pytest.raises(SysFileError) as warm:
+        load_model(str(path))
+    assert sysfile._records.cache_info().hits == hits + 1
+    assert str(warm.value) == expected
+    clear_memos()
+    with pytest.raises(SysFileError) as cold:
+        load_model(str(path))
+    assert str(cold.value) == expected
+
+
+def test_a_byte_order_mark_is_dropped_and_a_bad_byte_keeps_its_line(
+        tmp_path):
+    lines = BASE.splitlines(keepends=True)
+    path = tmp_path / "model.sys"
+    path.write_bytes(b"\xef\xbb\xbf" + BASE.encode("utf-8"))
+    assert load_model(str(path)) is loads_model(BASE, name="model",
+                                                path=str(path))
+    # a byte that is not UTF-8, on line 3 after the mark
+    body = "".join(lines[:2]).encode("utf-8") + b"# \xff\n" + "".join(
+        lines[2:]).encode("utf-8")
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + body)
+        with pytest.raises(SysFileError, match=rf"^{re.escape(str(path))}:3: "
+                                               rf"not UTF-8 text$"):
+            load_model(str(path))
