@@ -339,6 +339,26 @@ def test_propagate_partition_mode(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, gate", [
+    ("harmonic", "partition_rel_err"), ("free_particle", "max_rel_err_central")])
+def test_propagate_at_half_hbar_meets_the_closed_forms(name, gate, tmp_path,
+                                                       capsys):
+    # the [params] hbar reaches every step factor and closed form: a run
+    # that dropped it from the factors, or bound 1 in its place, would miss
+    # its reference or report the hbar = 1 trace
+    text = bundled_text(name)
+    assert text.count("\nhbar = 1.0\n") == 1
+    path = _write(tmp_path, text.replace("\nhbar = 1.0\n", "\nhbar = 0.5\n"))
+    assert main(["propagate", path, "--json"]) == EXIT_OK
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics[gate] <= sysfile.load_model(path).lattice.tolerance
+    if name == "harmonic":
+        # beta = 1, omega = 1: Z = 1/(2 sinh(beta hbar omega/2))
+        assert abs(metrics["partition_ref"]
+                   - 1.0 / (2.0 * math.sinh(0.5 * 1.0 * 0.5 * 1.0))) <= 1e-12
+        assert metrics["omega"] == pytest.approx(1.0, rel=1e-14)
+
+
 def test_a_rewritten_out_report_keeps_no_tail(tmp_path, monkeypatch, capsys):
     # a report carries its elapsed time: a fixed clock makes two reports of
     # the same run byte-equal
