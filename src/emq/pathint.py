@@ -42,15 +42,15 @@ few-cell Gaussian suppresses those modes and still admits an exact
 continuum reference (the kernel convolved with the source, a single
 complex-Gaussian integral).
 
-A lattice run reads only H*, the lattice config and the parameters, never
-a seed, so propagate_quantum keeps the last four results of a process and
-hands a repeat the kept one.  Every caller shares a kept result, so its
-arrays are read-only and its metrics a read-only mapping; a run that
-raises keeps nothing.  At the grid cap one result holds 40 bytes a point,
-so the four hold at most 160 MiB.  The numeric H* that a run binds from
-H* and the parameters reads no lattice setting either, so it is bound once
-per process for each (H*, parameters) and shared by every lattice config
-(see bind_reduced_hamiltonian).
+A lattice run reads only the bound H* (c_p, c_q and the one hbar of the
+run, see bind_reduced_hamiltonian) and the grid, never a seed, so
+propagate_quantum keeps the last four results of a process and hands a
+repeat the kept one.  Every caller shares a kept result, so its arrays are
+read-only and its metrics a read-only mapping; a run that raises keeps
+nothing.  At the grid cap one result holds 40 bytes a point, so the four
+hold at most 160 MiB.  The binding reads no lattice setting, so it is
+worked out once per process for each (H*, parameters) and shared by every
+lattice config.
 
 Output: write_kernel stores a real- or imaginary-mode result as one NumPy
 .npy file (NEP 1) holding a structured array of n rows with the fields
@@ -117,9 +117,9 @@ class LatticeConfig(Record):
     mode: 'real' (kernel column), 'imaginary' (partition trace) or
     'classical' (delta-squeezed weight).  duration is T in real/classical
     mode and beta in imaginary mode.  source_sigma_cells sets the Gaussian
-    source width in units of the grid spacing.  A rejected value raises
-    ValueError(message, field name), so a file reader can point at the line
-    that set the field.
+    source width in units of the grid spacing.  hbar is not a field: the
+    bound H* carries it.  A rejected value raises ValueError(message,
+    field name), so a file reader can point at the line that set the field.
     """
 
     mode: str
@@ -127,7 +127,6 @@ class LatticeConfig(Record):
     n: int = 256
     length: float = 16.0
     slices: int = 128
-    hbar: float = 1.0
     source_center: float = 0.0
     source_sigma_cells: float = 6.0
     tolerance: float = 1e-4
@@ -142,8 +141,7 @@ class LatticeConfig(Record):
                              f"{MAX_GRID_POINTS}", "n")
         if not 2 <= self.slices <= MAX_SLICES:
             raise ValueError(f"need 2 to {MAX_SLICES} time slices", "slices")
-        for name in ("length", "duration", "hbar", "tolerance",
-                     "source_sigma_cells"):
+        for name in ("length", "duration", "tolerance", "source_sigma_cells"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 label = "duration (T or beta)" if name == "duration" else name
@@ -167,10 +165,12 @@ class LatticeConfig(Record):
 # ---------------------------------------------------------------------------
 
 class QuadraticHamiltonian(Record):
-    """h = c_p p^2 + c_q zeta^2 with numeric coefficients."""
+    """h = c_p p^2 + c_q zeta^2 with numeric coefficients, quantized with
+    hbar, the one hbar of every run on it (set by bind_reduced_hamiltonian)."""
 
     c_p: float
     c_q: float
+    hbar: float
 
     @property
     def mass(self) -> float:
@@ -190,7 +190,8 @@ class QuadraticHamiltonian(Record):
 
 def bind_reduced_hamiltonian(rs: ReducedSystem,
                              params: Mapping[str, float]) -> QuadraticHamiltonian:
-    """Numeric c_p, c_q from h_star after parameter substitution.
+    """Numeric c_p, c_q from h_star after parameter substitution, and the
+    run's one hbar: params["hbar"] (default 1), finite and > 0.
 
     Each parameter is substituted as its exact value (a float is a dyadic
     rational), so the bound h_star is exact and evaluate() rounds each
@@ -211,9 +212,13 @@ def bind_reduced_hamiltonian(rs: ReducedSystem,
 @functools.lru_cache(maxsize=1 << 6)
 def _bind(rs: ReducedSystem,
           params: Tuple[Tuple[str, float], ...]) -> QuadraticHamiltonian:
+    values = {k: float(v) for k, v in params}
+    hbar = values.get("hbar", 1.0)
+    if not (math.isfinite(hbar) and hbar > 0.0):
+        raise ExprError(f"hbar must be finite and > 0, got {hbar!r}")
     coord = rs.space.coordinates[0]
     mom = rs.space.momenta[0]
-    h = substitute(rs.h_star, {k: float(v) for k, v in params})
+    h = substitute(rs.h_star, values)
     extra = h.free_symbols() - {coord, mom}
     if extra:
         raise ExprError(f"unbound symbols in reduced Hamiltonian: {sorted(extra)}")
@@ -233,7 +238,7 @@ def _bind(rs: ReducedSystem,
                                 differentiate(dq, coord)), origin)).tolist()
     if c_p <= 0:
         raise ExprError(f"kinetic coefficient must be positive, got {c_p}")
-    return QuadraticHamiltonian(c_p=c_p, c_q=c_q)
+    return QuadraticHamiltonian(c_p=c_p, c_q=c_q, hbar=hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +268,22 @@ def _jacobi_det(quad: QuadraticHamiltonian, T: float) -> float:
     return D
 
 
-def _uv_coefficients(quad: QuadraticHamiltonian, hbar: float, T: complex):
+def _uv_coefficients(quad: QuadraticHamiltonian, T: complex):
     """Mehler parametrization: K = sqrt(v/2pi i) exp(i/2 (u(z^2+z'^2) - 2vzz'))."""
     M = quad.mass
     w = quad.omega
     if w == 0.0:
-        u = M / (hbar * T)
+        u = M / (quad.hbar * T)
         return u, u
     s = cmath.sin(w * T)
     if abs(s) < 1e-12:
         raise FocalPointError(f"reference kernel singular: sin(omega T) = {s}")
-    u = M * w * cmath.cos(w * T) / (hbar * s)
-    v = M * w / (hbar * s)
+    u = M * w * cmath.cos(w * T) / (quad.hbar * s)
+    v = M * w / (quad.hbar * s)
     return u, v
 
 
-def smeared_reference(quad: QuadraticHamiltonian, hbar: float, T: complex,
+def smeared_reference(quad: QuadraticHamiltonian, T: complex,
                       zeta: np.ndarray, center: float,
                       sigma: float) -> np.ndarray:
     """Exact evolution of exp(-(x-center)^2/(2 sigma^2)) by the kernel.
@@ -287,7 +292,7 @@ def smeared_reference(quad: QuadraticHamiltonian, hbar: float, T: complex,
     for T = -i beta hbar (heat kernel), and reduces to the bare kernel as
     sigma -> 0.
     """
-    u, v = _uv_coefficients(quad, hbar, T)
+    u, v = _uv_coefficients(quad, T)
     A = 1.0 / sigma ** 2 - 1j * u
     B = center / sigma ** 2 - 1j * v * zeta
     pref = cmath.sqrt(v / (2j * math.pi)) * cmath.sqrt(2.0 * math.pi / A)
@@ -295,23 +300,22 @@ def smeared_reference(quad: QuadraticHamiltonian, hbar: float, T: complex,
                          - center ** 2 / (2.0 * sigma ** 2))
 
 
-def bare_kernel(quad: QuadraticHamiltonian, hbar: float, T: complex,
+def bare_kernel(quad: QuadraticHamiltonian, T: complex,
                 zeta2, zeta1) -> complex:
-    u, v = _uv_coefficients(quad, hbar, T)
+    u, v = _uv_coefficients(quad, T)
     pref = cmath.sqrt(v / (2j * math.pi))
     return pref * np.exp(0.5j * (u * (zeta2 ** 2 + zeta1 ** 2)
                                  - 2.0 * v * zeta2 * zeta1))
 
 
-def partition_closed_form(quad: QuadraticHamiltonian, hbar: float,
-                          beta: float) -> float:
+def partition_closed_form(quad: QuadraticHamiltonian, beta: float) -> float:
     if quad.omega == 0.0:
         raise ExprError("partition function needs a confining quadratic term")
-    return 1.0 / (2.0 * math.sinh(0.5 * beta * hbar * quad.omega))
+    return 1.0 / (2.0 * math.sinh(0.5 * beta * quad.hbar * quad.omega))
 
 
-def partition_slice_closed_form(quad: QuadraticHamiltonian, hbar: float,
-                                beta: float, slices: int) -> float:
+def partition_slice_closed_form(quad: QuadraticHamiltonian, beta: float,
+                                slices: int) -> float:
     """Z_N = 1/(2 sinh(N theta/2)), cosh theta = 1 + (eps hbar omega)^2/2,
     eps = beta/N: the exact trace of the primitive N-slice lattice action in
     continuum space (Creutz & Freedman, Ann. Phys. 132, 427 (1981)).  It
@@ -319,7 +323,7 @@ def partition_slice_closed_form(quad: QuadraticHamiltonian, hbar: float,
     omega/2 gives theta without the cancellation in arccosh(1 + x)."""
     if quad.omega == 0.0:
         raise ExprError("partition function needs a confining quadratic term")
-    half_theta = math.asinh(0.5 * beta / slices * hbar * quad.omega)
+    half_theta = math.asinh(0.5 * beta / slices * quad.hbar * quad.omega)
     return 1.0 / (2.0 * math.sinh(slices * half_theta))
 
 
@@ -335,7 +339,7 @@ def _check_coverage(quad: QuadraticHamiltonian, cfg: LatticeConfig) -> float:
     """Raise CoverageError unless the grid holds 8 envelope widths; return
     the width, a standard deviation.  In imaginary mode it is the thermal
     one, s^2 = hbar/(2 M omega) coth(beta hbar omega/2)."""
-    hbar = cfg.hbar
+    hbar = quad.hbar
     M = quad.mass
     sigma = cfg.source_sigma_cells * cfg.dx
     if cfg.mode == "real" and quad.omega == 0.0:
@@ -361,8 +365,8 @@ def _kinetic_factor(quad: QuadraticHamiltonian, cfg: LatticeConfig,
     """Kinetic factor of one step of length eps, on the FFT wave numbers."""
     k = 2.0 * math.pi * np.fft.fftfreq(cfg.n, d=cfg.dx)
     if cfg.mode == "real":
-        return np.exp(-1j * quad.c_p * cfg.hbar * eps * k ** 2)
-    return np.exp(-eps * quad.c_p * (cfg.hbar * k) ** 2)
+        return np.exp(-1j * quad.c_p * quad.hbar * eps * k ** 2)
+    return np.exp(-eps * quad.c_p * (quad.hbar * k) ** 2)
 
 
 def _split_step_factors(quad: QuadraticHamiltonian, cfg: LatticeConfig,
@@ -370,7 +374,7 @@ def _split_step_factors(quad: QuadraticHamiltonian, cfg: LatticeConfig,
     """Kinetic and half-potential factors of one slice, cfg.epsilon."""
     eps = cfg.epsilon
     if cfg.mode == "real":
-        pot_half = np.exp(-0.5j * quad.c_q * eps * zeta ** 2 / cfg.hbar)
+        pot_half = np.exp(-0.5j * quad.c_q * eps * zeta ** 2 / quad.hbar)
     else:
         pot_half = np.exp(-0.5 * eps * quad.c_q * zeta ** 2)
     return _kinetic_factor(quad, cfg, eps), pot_half
@@ -462,7 +466,7 @@ def _power_trace_and_diagonal(block: np.ndarray, power: int):
 
 class PropagatorResult(Record):
     """One lattice run.  propagate_quantum hands every caller with the same
-    (H*, lattice, params) the same kept result, so a result from it is
+    bound H* and lattice the same kept result, so a result from it is
     shared and frozen: its arrays are read-only and its metrics a read-only
     mapping.  Copy them (np.array(res.psi), dict(res.metrics)) to edit."""
     mode: str
@@ -497,20 +501,21 @@ def propagate_quantum(rs: ReducedSystem, cfg: LatticeConfig,
     overflow, divide by zero or lose its value: the run cannot represent
     the lattice, so it fails rather than report poisoned numbers.
 
-    The result is the kept one of an earlier call with the same rs, cfg and
-    params, if the process still holds it: its arrays are read-only and its
-    metrics a read-only mapping.
+    The result is the kept one of an earlier call whose H* and params bind
+    to equal numbers (bind_reduced_hamiltonian) under an equal cfg, if the
+    process still holds it: its arrays are read-only and its metrics a
+    read-only mapping.
     """
-    return _lattice_run(rs, cfg, tuple(params.items()))
+    return _lattice_run(bind_reduced_hamiltonian(rs, params), cfg)
 
 
 @functools.lru_cache(maxsize=4)
-def _lattice_run(rs: ReducedSystem, cfg: LatticeConfig,
-                 params: Tuple[Tuple[str, float], ...]) -> PropagatorResult:
+def _lattice_run(quad: QuadraticHamiltonian,
+                 cfg: LatticeConfig) -> PropagatorResult:
     # a run that raises returns nothing, so nothing of it is kept
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            result = _propagate(rs, cfg, dict(params))
+            result = _propagate(quad, cfg)
     except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
         raise LatticeRangeError(
             f"{cfg.mode}-mode lattice leaves the float range: "
@@ -521,11 +526,8 @@ def _lattice_run(rs: ReducedSystem, cfg: LatticeConfig,
     return result.replace(metrics=MappingProxyType(result.metrics))
 
 
-def _propagate(rs: ReducedSystem, cfg: LatticeConfig,
-               params: Mapping[str, float]) -> PropagatorResult:
-    quad = bind_reduced_hamiltonian(rs, params)
-    hbar = cfg.hbar
-
+def _propagate(quad: QuadraticHamiltonian,
+               cfg: LatticeConfig) -> PropagatorResult:
     if cfg.mode == "classical":
         D = _jacobi_det(quad, cfg.duration)
         # signed: an inverted oscillator reads omega_sq < 0, not omega = 0
@@ -540,7 +542,7 @@ def _propagate(rs: ReducedSystem, cfg: LatticeConfig,
     if cfg.mode == "imaginary":
         # a free particle (omega = 0) gets the typed error here, before the
         # coverage estimate divides by omega
-        Z_ref = partition_closed_form(quad, hbar, cfg.duration)
+        Z_ref = partition_closed_form(quad, cfg.duration)
     zeta = _grid(cfg, center=cfg.source_center if cfg.mode == "real" else 0.0)
 
     if cfg.mode == "real":
@@ -558,8 +560,8 @@ def _propagate(rs: ReducedSystem, cfg: LatticeConfig,
             kin, pot_half = _split_step_factors(quad, cfg, zeta)
             psi, drift = _evolve(psi0.astype(complex), kin, pot_half,
                                  cfg.slices)
-        ref = smeared_reference(quad, hbar, cfg.duration, zeta,
-                                cfg.source_center, sigma)
+        ref = smeared_reference(quad, cfg.duration, zeta, cfg.source_center,
+                                sigma)
         max_rel, l2 = _central_errors(zeta, psi, ref, cfg.source_center,
                                       cfg.length)
         metrics = {
@@ -588,9 +590,8 @@ def _propagate(rs: ReducedSystem, cfg: LatticeConfig,
     lattice_diag[inner] = 0.5 * (lattice_diag[inner] + odd_diag)
     lattice_diag[half + 1:] = lattice_diag[half - 1:0:-1]
     lattice_diag /= cfg.dx
-    diag = bare_kernel(quad, hbar, -1j * cfg.duration * hbar, zeta, zeta).real
-    Z_slices = partition_slice_closed_form(quad, hbar, cfg.duration,
-                                           cfg.slices)
+    diag = bare_kernel(quad, -1j * cfg.duration * quad.hbar, zeta, zeta).real
+    Z_slices = partition_slice_closed_form(quad, cfg.duration, cfg.slices)
     metrics = {
         "partition_value": Z,
         "partition_ref": Z_ref,
@@ -607,14 +608,13 @@ def trotter_sweep(rs: ReducedSystem, cfg: LatticeConfig,
                   params: Mapping[str, float],
                   slice_counts: Sequence[int] = (32, 64, 128, 256, 512)):
     """Kernel error vs slice count; returns per-count errors and the
-    log-log slope (symmetric splitting: -2 for a genuine potential)."""
-    errors = []
-    for N in slice_counts:
-        res = propagate_quantum(rs, cfg.replace(slices=N), params)
-        if cfg.mode == "real":
-            errors.append(res.metrics["l2_rel_err"])
-        else:
-            errors.append(res.metrics["partition_rel_err"])
+    log-log slope (symmetric splitting: -2 for a genuine potential).  A
+    classical-mode cfg has no slicing error: an ExprError."""
+    key = {"real": "l2_rel_err", "imaginary": "partition_rel_err"}.get(cfg.mode)
+    if key is None:
+        raise ExprError(f"{cfg.mode} mode has no slicing error to sweep")
+    errors = [propagate_quantum(rs, cfg.replace(slices=N), params).metrics[key]
+              for N in slice_counts]
     slope = float(np.polyfit(np.log(np.array(slice_counts, dtype=float)),
                              np.log(np.array(errors)), 1)[0])
     return {"slice_counts": tuple(slice_counts), "errors": tuple(errors),
@@ -730,17 +730,16 @@ def holder_slopes(rs: ReducedSystem, params: Mapping[str, float],
     the deterministic reduced flow.
 
     Both halves describe the one H* bound from params: the thermal paths
-    take its mass and omega, and hbar is params["hbar"] (default 1).  The
-    paths are drawn with seed |seed|, as the charts draw their points."""
+    take its mass, omega and hbar.  The paths are drawn with seed |seed|, as
+    the charts draw their points."""
     quad = bind_reduced_hamiltonian(rs, params)
     if quad.c_q < 0:
         raise ExprError(f"thermal paths need c_q >= 0, got {quad.c_q:g}")
-    hbar = params.get("hbar", 1.0)
     rng = np.random.default_rng(abs(seed))
     eps_list, rms_list = [], []
     for N in slice_counts:
-        sq, n = _thermal_increment_sum(N, beta, quad.mass, quad.omega, hbar,
-                                       n_samples, rng)
+        sq, n = _thermal_increment_sum(N, beta, quad.mass, quad.omega,
+                                       quad.hbar, n_samples, rng)
         eps_list.append(beta / N)
         rms_list.append(math.sqrt(sq / n))
     quantum_slope = float(np.polyfit(np.log(eps_list), np.log(rms_list), 1)[0])

@@ -293,8 +293,7 @@ def _assemble(text: str, name: str, path: Optional[str]) -> Model:
     params = _read_params(sections["params"])
     return model.replace(name=name, path=path,
                          params=MappingProxyType(params),
-                         lattice=_read_lattice(sections.get("lattice"),
-                                               params))
+                         lattice=_read_lattice(sections.get("lattice")))
 
 
 class _Content:
@@ -340,8 +339,7 @@ def _read_params(par: _Section, tables=()) -> Dict[str, float]:
             for key in tuple(par.values)}
 
 
-def _read_lattice(lat: Optional[_Section],
-                  params: Mapping[str, float]) -> Optional[LatticeConfig]:
+def _read_lattice(lat: Optional[_Section]) -> Optional[LatticeConfig]:
     """The [lattice] settings, or None without the section."""
     if lat is None:
         return None
@@ -363,8 +361,7 @@ def _read_lattice(lat: Optional[_Section],
     }
     try:
         lattice = LatticeConfig(
-            mode=mode, hbar=params.get("hbar", 1.0),
-            **{k: v for k, v in settings.items() if v is not None})
+            mode=mode, **{k: v for k, v in settings.items() if v is not None})
     except ValueError as exc:
         # the defaults are valid, so the rejected field is in the file
         message, field = exc.args
@@ -473,7 +470,7 @@ def _build(sections: Dict[str, _Section], name: str,
                                 solution=solution, chi=chi)
 
     # --- [lattice]
-    lattice = _read_lattice(sections.get("lattice"), params)
+    lattice = _read_lattice(sections.get("lattice"))
 
     # --- [anomaly]
     generating_function = reference_A_z = sliced_refs = None

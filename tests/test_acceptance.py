@@ -132,12 +132,12 @@ def test_criterion_06_oscillator_spectrum(ho_model, ho_reduced):
     # real-time kernel point: two narrow sources, Richardson limit in sigma^2
     quad = bind_reduced_hamiltonian(ho_reduced, ho_model.params)
     T = math.pi / 4
-    ref = bare_kernel(quad, 1.0, T, 0.0, 0.0)
+    ref = bare_kernel(quad, T, 0.0, 0.0)
 
     def delta_limit_sample(sigma):
         n, length = 4096, 50.0
         cfg = LatticeConfig(mode="real", n=n, length=length, slices=512,
-                            duration=T, hbar=1.0,
+                            duration=T,
                             source_center=0.0,
                             source_sigma_cells=sigma / (length / n))
         out = propagate_quantum(ho_reduced, cfg, ho_model.params)

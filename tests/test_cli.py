@@ -1392,7 +1392,7 @@ def test_a_second_seed_takes_every_bracket_from_the_memo(capsys):
 
 
 def test_a_second_seed_takes_the_lattice_run_from_the_memo(capsys):
-    # a lattice run reads H*, [lattice] and [params], never the seed
+    # a lattice run reads the bound H* and [lattice], never the seed
     def run(seed):
         assert main(["propagate", "harmonic", "--json", "--seed",
                      seed]) == EXIT_OK

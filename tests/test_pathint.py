@@ -53,8 +53,7 @@ _GOOD_LATTICE = dict(mode="real", n=64, length=8.0, slices=8, duration=1.0)
 @pytest.mark.parametrize("field, value", [
     ("length", 0.0), ("length", -1.0), ("length", math.inf),
     ("duration", -1.0), ("duration", -1e-320), ("duration", math.nan),
-    ("hbar", 0.0), ("hbar", math.nan), ("tolerance", 0.0),
-    ("tolerance", math.inf), ("source_sigma_cells", 0.0),
+    ("tolerance", 0.0), ("tolerance", math.inf), ("source_sigma_cells", 0.0),
     ("source_center", math.nan), ("source_center", -math.inf),
     ("n", 2 ** 21), ("n", 2 ** 1300), ("slices", 2 ** 20 + 1),
     ("slices", 10 ** 400),
@@ -63,6 +62,12 @@ def test_lattice_config_names_the_rejected_field(field, value):
     with pytest.raises(ValueError) as info:
         LatticeConfig(**dict(_GOOD_LATTICE, **{field: value}))
     assert info.value.args[1] == field
+
+
+def test_hbar_is_no_lattice_setting():
+    # the bound H* carries hbar (bind_reduced_hamiltonian)
+    with pytest.raises(TypeError, match="hbar"):
+        LatticeConfig(**_GOOD_LATTICE, hbar=1.0)
 
 
 def test_lattice_config_accepts_its_bounds():
@@ -181,67 +186,86 @@ def test_bind_rejects_non_quadratic_forms(ho_model):
         bind_reduced_hamiltonian(_reduced("-(p_zeta^2)", t), {})
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+def test_bind_rejects_a_bad_hbar(ho_reduced, ho_model, hbar):
+    params = dict(ho_model.params, hbar=hbar)
+    with pytest.raises(ExprError, match="hbar must be finite and > 0"):
+        bind_reduced_hamiltonian(ho_reduced, params)
+
+
+def test_the_bound_h_star_carries_hbar(ho_reduced, ho_model):
+    assert bind_reduced_hamiltonian(ho_reduced, ho_model.params).hbar == 1.0
+    assert bind_reduced_hamiltonian(ho_reduced, {"a1": 1.0, "alpha": 0.5}) \
+        .hbar == 1.0
+    half = bind_reduced_hamiltonian(ho_reduced,
+                                    dict(ho_model.params, hbar=0.5))
+    assert half.hbar == 0.5
+    # at beta = 1, omega = 1: Z = 1/(2 sinh(hbar/2))
+    assert partition_closed_form(half, 1.0) == \
+        pytest.approx(1.0 / (2.0 * math.sinh(0.25)), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # closed-form kernels
 # ---------------------------------------------------------------------------
 
 def test_free_kernel_against_direct_formula():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.0)
-    hbar, T = 1.0, 1.0
+    hbar, T = 0.7, 1.0
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.0, hbar=hbar)
     for z2, z1 in ((0.4, -0.3), (1.2, 0.9), (0.0, 0.0)):
-        got = bare_kernel(quad, hbar, T, z2, z1)
+        got = bare_kernel(quad, T, z2, z1)
         want = cmath.sqrt(1.0 / (2j * math.pi * hbar * T)) * cmath.exp(
             1j * (z2 - z1) ** 2 / (2 * hbar * T))
         assert abs(got - want) < 1e-12
 
 
 def test_oscillator_kernel_against_direct_formula():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5)
-    hbar, T = 1.0, 0.7
+    hbar, T = 0.7, 0.7
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, hbar=hbar)
     s, c = math.sin(T), math.cos(T)
     for z2, z1 in ((0.4, -0.3), (1.2, 0.9)):
-        got = bare_kernel(quad, hbar, T, z2, z1)
-        want = cmath.sqrt(1.0 / (2j * math.pi * s)) * cmath.exp(
-            1j * ((z2 ** 2 + z1 ** 2) * c - 2 * z2 * z1) / (2 * s))
+        got = bare_kernel(quad, T, z2, z1)
+        want = cmath.sqrt(1.0 / (2j * math.pi * hbar * s)) * cmath.exp(
+            1j * ((z2 ** 2 + z1 ** 2) * c - 2 * z2 * z1) / (2 * hbar * s))
         assert abs(got - want) < 1e-12
 
 
 def test_smeared_reference_approaches_bare_kernel():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5)
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, hbar=1.0)
     z = np.array([0.3, -0.8])
-    tight = smeared_reference(quad, 1.0, 0.9, z, center=0.2, sigma=1e-4)
-    bare = np.array([bare_kernel(quad, 1.0, 0.9, x, 0.2) for x in z])
+    tight = smeared_reference(quad, 0.9, z, center=0.2, sigma=1e-4)
+    bare = np.array([bare_kernel(quad, 0.9, x, 0.2) for x in z])
     # the smeared column converges to kernel * (source integral)
     ratio = tight / bare
     assert np.allclose(ratio / ratio[0], 1.0, atol=1e-6)
 
 
 def test_partition_closed_form():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5)
-    val = partition_closed_form(quad, 1.0, 1.0)
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, hbar=1.0)
+    val = partition_closed_form(quad, 1.0)
     assert val == pytest.approx(1.0 / (2.0 * math.sinh(0.5)), rel=1e-12)
-    free = QuadraticHamiltonian(c_p=0.5, c_q=0.0)
+    free = QuadraticHamiltonian(c_p=0.5, c_q=0.0, hbar=1.0)
     with pytest.raises(ExprError, match="confining"):
-        partition_closed_form(free, 1.0, 1.0)
+        partition_closed_form(free, 1.0)
 
 
 @pytest.mark.parametrize("slices", [4, 64, 512])
 def test_partition_slice_closed_form_is_the_mode_product(slices):
     # the primitive N-slice action's Gaussian integral, mode by mode:
     # Z_N = prod_k sqrt(M / (eps lam_k)) over the periodic lattice spectrum
-    quad = QuadraticHamiltonian(c_p=0.5 / 1.3, c_q=0.65)
+    quad = QuadraticHamiltonian(c_p=0.5 / 1.3, c_q=0.65, hbar=1.0)
     beta = 0.9
     eps = beta / slices
     lam = _mode_eigenvalues(slices, eps, quad.mass, quad.omega)
     want = math.exp(-0.5 * float(np.sum(np.log(eps * lam / quad.mass))))
-    assert partition_slice_closed_form(quad, 1.0, beta, slices) == \
+    assert partition_slice_closed_form(quad, beta, slices) == \
         pytest.approx(want, rel=1e-12)
     # many slices approach the continuum value
-    assert partition_slice_closed_form(quad, 1.0, beta, 1 << 20) == \
-        pytest.approx(partition_closed_form(quad, 1.0, beta), rel=1e-11)
+    assert partition_slice_closed_form(quad, beta, 1 << 20) == \
+        pytest.approx(partition_closed_form(quad, beta), rel=1e-11)
     free = quad.replace(c_q=0.0)
     with pytest.raises(ExprError, match="confining"):
-        partition_slice_closed_form(free, 1.0, beta, slices)
+        partition_slice_closed_form(free, beta, slices)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +293,7 @@ def _allocating_evolve(psi, kin, pot_half, slices):
 
 
 def test_in_place_split_step_matches_the_allocating_loop():
-    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5)
+    quad = QuadraticHamiltonian(c_p=0.5, c_q=0.5, hbar=1.0)
     cfg = LatticeConfig(mode="real", n=1024, length=16.0, slices=256,
                         duration=1.0)
     zeta = np.linspace(-8.0, 8.0, cfg.n, endpoint=False)
@@ -504,8 +528,7 @@ def test_partition_matches_the_n_slice_value(ho_reduced, ho_model, n, slices):
     res = propagate_quantum(ho_reduced, cfg, ho_model.params)
     assert res.metrics["partition_slice_ref"] == \
         partition_slice_closed_form(
-            bind_reduced_hamiltonian(ho_reduced, ho_model.params), 1.0, 1.0,
-            slices)
+            bind_reduced_hamiltonian(ho_reduced, ho_model.params), 1.0, slices)
     assert res.metrics["partition_slice_rel_err"] < 1e-10
 
 
@@ -547,6 +570,12 @@ def test_trotter_slope(ho_reduced, ho_model):
     assert sweep["slope"] == pytest.approx(-2.0, abs=0.1)
     errs = sweep["errors"]
     assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
+
+
+def test_a_classical_trotter_sweep_is_a_typed_error(ho_reduced, ho_model):
+    with pytest.raises(ExprError, match="classical mode"):
+        trotter_sweep(ho_reduced, _classical(1.0), ho_model.params,
+                      slice_counts=(4, 8))
 
 
 def test_trotter_slope_in_real_time(ho_reduced, ho_model):
@@ -725,16 +754,17 @@ def test_brownian_report_is_one_increment_sum():
 
 def test_holder_rms_is_the_increment_sum(ho_reduced, ho_model):
     counts, n_samples = (16, 32, 64, 128, 256), 1500
-    params = dict(ho_model.params, a1=0.9)
+    params = dict(ho_model.params, a1=0.9, hbar=0.6)
     hs = holder_slopes(ho_reduced, params, beta=1.1, slice_counts=counts,
                        n_samples=n_samples, seed=6)
-    # the thermal half takes the bound H*: mass a1, omega 1
+    # the thermal half takes the bound H*: mass a1, omega 1, hbar 0.6
     quad = bind_reduced_hamiltonian(ho_reduced, params)
     assert (quad.mass, quad.omega) == pytest.approx((0.9, 1.0), rel=1e-14)
+    assert quad.hbar == 0.6
     # one generator across the slice counts
     rng = np.random.default_rng(6)
     for N, got in zip(counts, hs["quantum_rms"]):
-        sq, n = _thermal_increment_sum(N, 1.1, quad.mass, quad.omega, 1.0,
+        sq, n = _thermal_increment_sum(N, 1.1, quad.mass, quad.omega, 0.6,
                                        n_samples, rng)
         assert got == math.sqrt(sq / n)
 
@@ -850,6 +880,20 @@ def test_a_slice_sweep_binds_h_star_once(ho_reduced, ho_model):
     other = {**ho_model.params, "a1": 2.0}
     assert bind_reduced_hamiltonian(ho_reduced, other).mass == 2.0
     assert _bind.cache_info().misses == 2
+
+
+def test_equal_bindings_share_one_lattice_run(ho_reduced, ho_model):
+    # the lattice memo keys on the bound numbers, not on H* and params:
+    # another H* that binds to the same c_p, c_q and hbar runs once
+    twin = _reduced("p_zeta^2/2 + zeta^2/2", ho_model.symbols)
+    assert twin.h_star != ho_reduced.h_star
+    assert bind_reduced_hamiltonian(twin, {}) == \
+        bind_reduced_hamiltonian(ho_reduced, ho_model.params)
+    _lattice_run.cache_clear()
+    res = propagate_quantum(ho_reduced, ho_model.lattice, ho_model.params)
+    assert propagate_quantum(twin, ho_model.lattice, {}) is res
+    info = _lattice_run.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_a_binding_that_raises_raises_again(ho_model):

@@ -132,7 +132,7 @@ def test_post_init_checks_every_way_a_record_is_built(ho_model):
 
 
 def test_positions_keywords_and_defaults_build_the_same_record():
-    full = LatticeConfig("real", 1.0, 256, 16.0, 128, 1.0, 0.0, 6.0, 1e-4)
+    full = LatticeConfig("real", 1.0, 256, 16.0, 128, 0.0, 6.0, 1e-4)
     assert full == LatticeConfig("real", 1.0) == LatticeConfig(
         duration=1.0, mode="real") == LatticeConfig("real", duration=1.0)
     assert repr(full) == repr(LatticeConfig("real", duration=1.0))

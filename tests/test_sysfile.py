@@ -218,7 +218,7 @@ def test_lattice_and_parameter_edits_share_the_records(name, models,
     edits = {"lattice": (_edit(text, slices, "\nslices = 32\n"),
                          {}, {"slices": 32}),
              "params": (_edit(text, "\nhbar = 1.0\n", "\nhbar = 2.0\n"),
-                        {"hbar": 2.0}, {"hbar": 2.0})}
+                        {"hbar": 2.0}, {})}
     for what, (edited, params, lattice) in edits.items():
         path = tmp_path / f"{what}.sys"
         path.write_text(edited)
