@@ -117,8 +117,8 @@ class LatticeConfig(Record):
     mode: 'real' (kernel column), 'imaginary' (partition trace) or
     'classical' (delta-squeezed weight).  duration is T in real/classical
     mode and beta in imaginary mode.  source_sigma_cells sets the Gaussian
-    source width in units of the grid spacing.  hbar is not a field: the
-    bound H* carries it.  A rejected value raises ValueError(message,
+    source width in units of the grid spacing; a run's hbar is the bound
+    H*'s (QuadraticHamiltonian).  A rejected value raises ValueError(message,
     field name), so a file reader can point at the line that set the field.
     """
 
