@@ -1,10 +1,10 @@
 """Batch front end: verify, reduce, propagate and anomaly runs over .sys files.
 
-Each subcommand loads one system definition, drives the matching pipeline and
-prints a report (human text by default, JSON with --json).  Exit codes are a
-stable contract: 0 all checks passed, 1 at least one check failed, 2 the
-invocation, the file itself or the --out path was unusable.  All sampling
-is seeded, so a report is reproducible given the same file and --seed.
+`emq COMMAND FILE [--seed N] [--json] [--out PATH]`, read by one parser with
+options in any order, loads one system definition, runs the command's
+pipeline and prints a report (text, or JSON with --json).  Exit codes are a
+stable contract: 0 all checks passed, 1 a check failed, 2 the invocation, the
+file or the --out path was unusable.  All sampling is seeded by --seed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .expr import (Add, ComparisonResult, Const, ExprError, Mul, Record,
 from .sysfile import Model, SysFileError, bundled_names, load_bundled, load_model
 from .symplectic import poisson_bracket, split_hamiltonian, verify_charges
 from .reduction import jacobi_liouville_check, run_reduction, verify_canonicity
-from .pathint import propagate_quantum, write_kernel
+from .pathint import bind_reduced_hamiltonian, propagate_quantum, write_kernel
 from .anomaly import (anomaly_coefficients, consistency_report,
                       constraint_surface_vanishing, correction_scaling,
                       sliced_expansion_check)
@@ -254,10 +254,10 @@ def cmd_propagate(model: Model, rep: RunReport,
         base = out[:-4] if out.endswith(".npy") else out
         if run.zeta is not None:
             rep.outputs["kernel_npy"] = write_kernel(run, base)
-        payload = {"model": model.name, "mode": run.mode, "seed": rep.seed,
-                   "slices": cfg.slices, "n": cfg.n, "length": cfg.length,
-                   "duration": cfg.duration, "tolerance": cfg.tolerance,
-                   "metrics": rep.metrics}
+        hbar = bind_reduced_hamiltonian(result.system, model.params).hbar
+        payload = {"model": model.name, "seed": rep.seed,
+                   **{name: getattr(cfg, name) for name in cfg._fields},
+                   "hbar": hbar, "metrics": rep.metrics}
         with open(base + "_metrics.json", "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -323,33 +323,33 @@ def cmd_anomaly(model: Model, rep: RunReport) -> None:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="emq",
-        description="Verification, reduction, lattice propagation and "
-                    "slicing-correction reports for momentum-linear systems.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
+    commands = (
         ("verify", "structural checks: charges, splitting, chart, volume"),
         ("reduce", "run the elimination pipeline and print the results"),
         ("propagate", "lattice comparison against the closed-form reference"),
         ("anomaly", "slicing-correction coefficients and scaling"),
     )
-    for name, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="a bundled model name, or a path to "
-                                    "a .sys file (a bundled name wins: "
-                                    "./name reaches a local file of that "
-                                    "name)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for all sampled checks (default 0)")
-        p.add_argument("--json", action="store_true",
-                       help="print the report as JSON")
-        p.add_argument("--out", default=None,
-                       help="propagate: basename for the .npy kernel "
-                            "table and the metrics file; other commands: "
-                            "path for a JSON copy of the report")
+    parser = argparse.ArgumentParser(
+        prog="emq", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Verification, reduction, lattice propagation and "
+                    "slicing-correction reports\nfor momentum-linear systems."
+                    "\n\ncommands:\n" + "".join(f"  {name:<11}{text}\n"
+                                                for name, text in commands))
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    parser.add_argument("command", choices=[name for name, _ in commands],
+                        metavar="command", help="one of the commands above")
+    parser.add_argument("file", help="a bundled model name, or a path to a "
+                                     ".sys file (a bundled name wins: ./name "
+                                     "reaches a local file of that name)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for all sampled checks (default 0)")
+    parser.add_argument("--json", action="store_true",
+                        help="print the report as JSON")
+    parser.add_argument("--out", default=None,
+                        help="propagate: basename for the .npy kernel table "
+                             "and the metrics file; other commands: path for "
+                             "a JSON copy of the report")
     return parser
 
 

@@ -30,30 +30,30 @@ unknown or repeated key its own, a missing key its section's header) except
 a missing section or unreadable file; a test fails on a raise site that no
 row of USAGE_ERRORS in tests/test_cli.py reaches.
 
-load_model and load_bundled read and decode the file on every call, so an
-edited file is always seen; load_model reads UTF-8 and drops a leading
-byte-order mark.  Two per-process memos, each a functools.lru_cache of at
-most 2^6 entries that drops the least recently used one when full (its
-cache_info() counts the hits and misses), stand behind loads_model.  The
-text memo assembles each distinct (text, name, path) once and hands the
-same read-only Model back after that.  Behind it, the content memo keys
-the symbolic records on what they are read from: every section but
-[lattice], with the names of [params] in file order but not their values.
-On a content hit only the [params] values and [lattice] are read, by the
-same readers and checks as in a full assembly, and the Model shares the
-system, constraint, chart map, generating function, reference data and
-symbol table of the kept one, with its own name, path, params and
-lattice; so an edit of [lattice] or of a parameter value costs only what
-changed.  A miss assembles the whole file, so an error and the line it
-names do not depend on what the process loaded before.  A text that fails
-to load is kept in neither memo, so it fails again.
+load_model and load_bundled read the file on every call, so an edited file
+is always seen, through one reader: UTF-8, a leading byte-order mark
+dropped, and a bad byte reported at its line.  Two per-process memos, each
+a functools.lru_cache of at most 2^6 entries that drops the least recently
+used one when full (its cache_info() counts the hits and misses), stand
+behind loads_model.  The text memo assembles each distinct (text, name,
+path) once and hands the same read-only Model back after that.  Behind it,
+the content memo keys the symbolic records on what they are read from:
+every section but [lattice], with the names of [params] in file order but
+not their values.  On a content hit only the [params] values and [lattice]
+are read, by the same readers and checks as in a full assembly, and the
+Model shares the system, constraint, chart map, generating function,
+reference data and symbol table of the kept one, with its own name, path,
+params and lattice; so an edit of [lattice] or of a parameter value costs
+only what changed.  A miss assembles the whole file, so an error and the
+line it names do not depend on what the process loaded before.  A text that
+fails to load is kept in neither memo, so it fails again.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from importlib import resources
+import os
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -503,12 +503,11 @@ def _build(sections: Dict[str, _Section], name: str,
                  symbols=full, sliced_refs=sliced_refs, path=path)
 
 
-def load_model(path: str) -> Model:
+def _read(path: str) -> str:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        # a leading byte-order mark is dropped, as editors write one
-        text = data.decode("utf-8-sig")
+        return data.decode("utf-8-sig")    # editors may write a BOM
     except OSError as exc:
         raise SysFileError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -516,10 +515,11 @@ def load_model(path: str) -> Model:
         start = exc.start + len(data) - len(exc.object)
         line = data.count(b"\n", 0, start) + 1
         raise SysFileError(f"{path}:{line}: not UTF-8 text") from exc
-    name = path.rsplit("/", 1)[-1]
-    if name.endswith(".sys"):
-        name = name[:-4]
-    return loads_model(text, name=name, path=path)
+
+
+def load_model(path: str) -> Model:
+    name = path.rsplit("/", 1)[-1].removesuffix(".sys")
+    return loads_model(_read(path), name=name, path=path)
 
 
 def bundled_names() -> Tuple[str, ...]:
@@ -529,7 +529,7 @@ def bundled_names() -> Tuple[str, ...]:
 def bundled_text(name: str) -> str:
     if name not in BUNDLED:
         raise KeyError(f"no bundled system named {name!r}")
-    return resources.files("emq").joinpath("data", f"{name}.sys").read_text()
+    return _read(os.path.join(os.path.dirname(__file__), "data", f"{name}.sys"))
 
 
 def load_bundled(name: str) -> Model:

@@ -1,8 +1,10 @@
+import argparse
 import ast
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -357,6 +359,28 @@ def test_propagate_at_half_hbar_meets_the_closed_forms(name, gate, tmp_path,
         assert abs(metrics["partition_ref"]
                    - 1.0 / (2.0 * math.sinh(0.5 * 1.0 * 0.5 * 1.0))) <= 1e-12
         assert metrics["omega"] == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("name, hbar", [("harmonic", 0.5),
+                                        ("free_particle", 1.0)])
+def test_the_metrics_artifact_names_every_setting_of_its_run(name, hbar,
+                                                             tmp_path, capsys):
+    # the artifact carries every [lattice] setting and the run's hbar, so
+    # the hbar = 0.5 copy of a model can be told from the bundled one
+    text = bundled_text(name)
+    assert text.count("\nhbar = 1.0\n") == 1
+    path = _write(tmp_path, text.replace("\nhbar = 1.0\n", f"\nhbar = {hbar}\n"))
+    base = str(tmp_path / "run")
+    assert main(["propagate", path, "--out", base]) == EXIT_OK
+    capsys.readouterr()
+    with open(base + "_metrics.json") as fh:
+        payload = json.load(fh)
+    cfg = load_bundled(name).lattice
+    assert payload.keys() == {"model", "seed", "hbar", "metrics", *cfg._fields}
+    assert {"source_center", "source_sigma_cells"} <= payload.keys()
+    assert all(payload[field] == getattr(cfg, field) for field in cfg._fields)
+    assert (payload["model"], payload["seed"], payload["hbar"]) == (
+        "model", 0, hbar)
 
 
 def test_a_rewritten_out_report_keeps_no_tail(tmp_path, monkeypatch, capsys):
@@ -1316,6 +1340,52 @@ def test_json_anomaly_metrics(capsys):
 def test_usage_exit_for_unknown_subcommand(capsys):
     assert main(["transmogrify", "harmonic"]) == EXIT_USAGE
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_options_may_come_before_the_command(capsys):
+    reports = []
+    for argv in (["--seed", "3", "--json", "verify", "harmonic"],
+                 ["verify", "harmonic", "--seed", "3", "--json"],
+                 ["verify", "--json", "harmonic", "--seed", "3"]):
+        assert main(argv) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        report.pop("elapsed_s")
+        reports.append(report)
+    assert reports[0]["seed"] == 3
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_call_parses_its_arguments_once(monkeypatch, capsys):
+    passes = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(["reduce", "harmonic", "--seed", "2"]) == EXIT_OK
+    capsys.readouterr()
+    assert passes == ["emq"]
+
+
+def test_help_names_the_four_commands(capsys):
+    assert main(["-h"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: emq ")
+    for command in ("verify", "reduce", "propagate", "anomaly"):
+        assert re.search(rf"^ +{command} ", out, re.M), command
+
+
+def test_a_missing_file_argument_is_one_usage_error(capsys):
+    assert main(["verify"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: emq ")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == ["emq: error: the following arguments are required: "
+                      "file"]
 
 
 # ---------------------------------------------------------------------------

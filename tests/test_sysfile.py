@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -141,6 +144,38 @@ def test_a_text_that_fails_raises_again_and_is_not_kept(models):
 def test_unknown_bundled_name():
     with pytest.raises(KeyError):
         bundled_text("nope")
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_a_bundled_file_is_read_as_plain_utf8(name):
+    path = os.path.join(os.path.dirname(sysfile.__file__), "data",
+                        f"{name}.sys")
+    with open(path, "rb") as fh:
+        assert bundled_text(name) == fh.read().decode("utf-8")
+    assert load_bundled(name).path == f"emq/data/{name}.sys"
+
+
+def test_the_bundled_models_load_without_importlib_resources():
+    # the package data are plain files next to the module: a process
+    # without site-packages' start-up hooks loads and verifies them
+    # without importing importlib.resources
+    import numpy
+    src = os.path.dirname(os.path.dirname(sysfile.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (src, os.path.dirname(os.path.dirname(numpy.__file__)))))
+    script = (
+        "import sys\n"
+        "import emq.cli\n"
+        "from emq import sysfile\n"
+        "for name in sysfile.bundled_names():\n"
+        "    sysfile.load_bundled(name)\n"
+        "code = emq.cli.main(['verify', 'harmonic'])\n"
+        "print(code, 'importlib.resources' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, env=env)
+    assert run.stderr == ""
+    assert run.stdout.splitlines()[-2].startswith("result: PASS")
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 # ---------------------------------------------------------------------------
