@@ -259,8 +259,7 @@ def cmd_propagate(model: Model, rep: RunReport,
                    **{name: getattr(cfg, name) for name in cfg._fields},
                    "hbar": hbar, "metrics": rep.metrics}
         with open(base + "_metrics.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
         rep.outputs["metrics_json"] = base + "_metrics.json"
 
 
@@ -382,8 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         rep.elapsed_s = time.perf_counter() - t0
         if args.out and args.command != "propagate":
             with open(args.out, "w") as fh:
-                json.dump(rep.to_dict(), fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(rep.to_dict(), indent=2) + "\n")
     except SysFileError as exc:
         _say(f"error: {exc}", sys.stderr)
         return EXIT_USAGE

@@ -48,9 +48,10 @@ check and the reduction pipeline of emq.reduction.  str() prints each
 tree once per process (at most 2^12 texts).  Each cache counts its hits
 and misses in cache_info().
 
-One loop draws sample points in vectorized blocks, bit for bit the points
-and the error of a one-at-a-time rng.uniform draw (see SampleDomain); they
-come back as read-only numpy columns, one per symbol, in a read-only mapping.
+One loop draws sample points in vectorized blocks of at least 256
+candidates, bit for bit the points and the error of a one-at-a-time
+rng.uniform draw (see SampleDomain); they come back as read-only numpy
+columns, one per symbol, in a read-only mapping.
 evaluate() works out each distinct subtree above the leaves once per
 call, for floats or for a batch of points given as equal-length columns
 (see columns()), of one tree or of a batch of trees walked together, and
@@ -1374,9 +1375,10 @@ class SampleDomain(Record):
     the first max(1000, 200*n) candidates, at the first candidate a guard
     cannot be evaluated on (guards tried in order) if that comes first, and
     at once for n below 1.  One loop draws every candidate (see _Stream),
-    in blocks, each from one rng.getrandbits(64*k) call rebuilt into the k
-    doubles that k rng.random() calls give, so the points and the error
-    are those of a one-at-a-time draw.  A caller's rng is used only
+    in blocks of at least 256 candidates (fewer only where the attempt
+    limit ends the draw), each from one rng.getrandbits(64*k) call rebuilt
+    into the k doubles that k rng.random() calls give, so the points and
+    the error are those of a one-at-a-time draw.  A caller's rng is used only
     through getrandbits(): a random.Random, or a subclass that keeps its
     random() and getrandbits(), gives the points its uniform() would; a
     block may draw candidates past the n-th point, so the rng is not left
@@ -1480,11 +1482,12 @@ class _Stream:
             count = len(self.tries)
             # the first block is the number missing; later ones scale it by
             # the candidates drawn per accepted point so far, or double the
-            # draw while none was accepted; points drawn past n stay for
-            # later requests
+            # draw while none was accepted; a block takes at least 256
+            # candidates, so one block usually serves a request for 64, 100
+            # or 200 points, and points drawn past n stay for later requests
             take = (-(-(n - count) * self.attempts // count) if count
                     else max(n, self.attempts))
-            take = min(take, limit - self.attempts)
+            take = min(max(take, 256), limit - self.attempts)
             block, keep, error = self.domain._block(self.rng, take)
             # the text only: the error's traceback holds the whole block
             self.error = None if error is None else str(error)
@@ -1540,8 +1543,10 @@ def numeric_compare(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,
     """Sampled comparison: |a-b| <= tol*(1+|a|) at every sampled point.
 
     max_scaled_err is the largest |a-b|/(1+|a|), taken at worst_point.
-    Memoized per process (see sampled_check); each call gets its own copy
-    of worst_point.
+    A pair of constants is decided from its exact values once the points
+    are drawn, with the result the sampled formulas give.  Memoized per
+    process (see sampled_check); each call gets its own copy of
+    worst_point.
     """
     res = sampled_check(_compare, a, b, domain, n, tol, seed)
     return ComparisonResult(res.equal, res.max_scaled_err,
@@ -1550,7 +1555,22 @@ def numeric_compare(a: Expr, b: Expr, domain: SampleDomain, n: int = 64,
 
 def _compare(a: Expr, b: Expr, domain: SampleDomain, n: int, tol: float,
              seed: int) -> ComparisonResult:
+    """numeric_compare's result, worked out afresh.  The points are drawn
+    first, so a chart that cannot be sampled raises its error for any
+    pair; a pair of constants is then decided from its exact values."""
     cols = domain.sample_columns(n, seed=seed)
+    if type(a) is Const and type(b) is Const:
+        # the sampled formulas on n equal values, worst at the first point;
+        # a constant beyond float range takes the sampled path's error
+        try:
+            va, vb = float(a.value), float(b.value)
+        except OverflowError:
+            pass
+        else:
+            err, scale = abs(va - vb), 1.0 + abs(va)
+            return ComparisonResult(not err > tol * scale, err / scale,
+                                    {k: float(v[0]) for k, v in cols.items()},
+                                    n)
     try:
         va, vb = evaluate((a, b), cols)
     except EvalError as exc:

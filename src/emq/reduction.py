@@ -16,7 +16,10 @@ boundedness is the entire point of the construction.
 Both steps share one pull-back (_pull_back: each variable by its
 expression, each velocity by the chain rule) and one two-form
 (_two_form: f_ij = d_i c_j - d_j c_i of the velocity coefficients c, kept
-for i < j only, since f is antisymmetric).
+for i < j only, since f is antisymmetric).  Both are sparse: the chain
+rule sums only over the variables an expression holds, and f_ij is worked
+out only when v_i is free in c_j or v_j in c_i, every other entry being
+ZERO, so their derivatives grow with the nonzeros, not with N^2.
 
 Maps are checked, not trusted: canonicity brackets and the velocity
 two-form run on the model's sampling chart inside run_reduction, before
@@ -126,24 +129,30 @@ class ReducedLagrangian(Record):
 def _pull_back(L: Expr, exprs: Mapping[str, Expr],
                over: Sequence[str]) -> Expr:
     """L with each named variable replaced by its expression over `over`
-    and its velocity by the chain rule: sum over m of d(expr)/dm m-dot."""
+    and its velocity by the chain rule: sum over m of d(expr)/dm m-dot,
+    taken only over the m that the expression holds."""
     mapping = dict(exprs)
     for name, e in exprs.items():
+        free = e.free_symbols()
         mapping[velocity_symbol(name)] = normalize(Add(tuple(
-            Mul((differentiate(e, m), Sym(velocity_symbol(m)))) for m in over)))
+            Mul((differentiate(e, m), Sym(velocity_symbol(m))))
+            for m in over if m in free)))
     return substitute(L, mapping)
 
 
 def _two_form(L: Expr, variables: Sequence[str]
               ) -> Tuple[Tuple[Expr, ...], ...]:
     """f_ij = d_i c_j - d_j c_i of the velocity coefficients c_j of L, for
-    i < j only: row i holds j = i+1 .. dim-1."""
+    i < j only: row i holds j = i+1 .. dim-1.  An entry is worked out only
+    when v_i is free in c_j or v_j in c_i; every other one is ZERO."""
     c = [differentiate(L, velocity_symbol(v)) for v in variables]
+    free = [cj.free_symbols() for cj in c]
     return tuple(
         tuple(normalize(Add((
             differentiate(c[j], vi),
             Mul((Const(-1), differentiate(c[i], variables[j]))),
-        ))) for j in range(i + 1, len(variables)))
+        ))) if vi in free[j] or variables[j] in free[i] else ZERO
+            for j in range(i + 1, len(variables)))
         for i, vi in enumerate(variables))
 
 

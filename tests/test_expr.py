@@ -18,6 +18,7 @@ from emq.expr import (
     columns, differentiate, evaluate, expand, is_quadratic, normalize,
     numeric_compare, parse, sampled_values, sort_key, substitute,
 )
+from emq.cli import main
 from emq.pathint import bind_reduced_hamiltonian
 
 NAMES = ("a", "b", "x", "y")
@@ -1452,6 +1453,77 @@ def test_a_point_past_its_attempt_limit_is_not_served():
     assert _served(sparse, 1, seed) == message
 
 
+def test_a_fresh_stream_serves_the_usual_counts_in_few_blocks(ho_model,
+                                                              monkeypatch):
+    # a block takes at least 256 candidates, so the counts the checks ask
+    # for (64, 100 and 200 points) need one block each at most
+    chart = ho_model.system.chart
+    drawn = []
+    uniforms = expr_module._uniforms
+
+    def counting(rng, k):
+        drawn.append(k)
+        return uniforms(rng, k)
+
+    monkeypatch.setattr(expr_module, "_uniforms", counting)
+    for seed in (0, 3, 5001):
+        drawn.clear()
+        expr_module._stream.cache_clear()
+        for n in (64, 100, 200):
+            assert _served(chart, n, seed) == _drawn(chart, n, seed)
+        assert 1 <= len(drawn) <= 3
+
+
+@given(st.permutations((1, 25, 64, 100, 200)),
+       st.one_of(st.sampled_from((0, 3, -7, 2**70 + 3)),
+                 st.integers(-50, 50)))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_any_order_of_counts_gives_the_points_of_sample(ho_model, counts,
+                                                        seed):
+    for dom in (_HALVES, ho_model.system.chart):
+        expr_module._stream.cache_clear()
+        for n in counts:
+            cols = dom.sample_columns(n, seed=seed)
+            assert {k: v.tolist() for k, v in cols.items()} == {
+                k: [pt[k] for pt in dom.sample(n, seed=seed)] for k in cols}
+
+
+def test_a_sparse_guard_gives_the_rejection_text_of_a_fresh_draw():
+    # about 1 candidate in 300 passes: fewer than n points among the
+    # max(1000, 200*n) candidates a draw of n may take
+    sparse = SampleDomain(ranges=(("x", 0.0, 1.0), ("y", 0.0, 1.0)),
+                          guards=((Sym("x"), 0.0, 1.0 / 300.0),))
+    rejected = 0
+    for seed in range(4):
+        expr_module._stream.cache_clear()
+        for n in (1, 3, 5, 10, 3):
+            want = _drawn(sparse, n, seed)
+            assert _served(sparse, n, seed) == want
+            rejected += isinstance(want, str)
+            if isinstance(want, str):
+                assert want.startswith("guard rejection too high: ")
+                assert want.endswith(f" of {n} points after "
+                                     f"{max(1000, 200 * n)} attempts")
+    assert rejected > 0
+
+
+def test_a_guard_error_drawn_ahead_raises_only_when_needed():
+    # the second guard is singular only on the (n + 6)-th candidate that
+    # the first guard passes, which the first block for n draws: counts up
+    # to n + 5 are served, a larger one raises, and the smaller ones are
+    # served again after it
+    n, seed = 20, 11
+    rng = random.Random(seed)
+    candidates = [{"x": rng.uniform(0.0, 1.0), "y": rng.uniform(0.0, 1.0)}
+                  for _ in range(256)]
+    late = _singular_at([pt for pt in candidates if pt["x"] <= 0.5][n + 5])
+    expr_module._stream.cache_clear()
+    for m in (n, n + 5, 1, n + 6, n + 5, n, n + 30):
+        want = _drawn(late, m, seed)
+        assert isinstance(want, dict) == (m <= n + 5)
+        assert _served(late, m, seed) == want
+
+
 _BOX = SampleDomain(ranges=tuple((name, -2.0, 2.0) for name in NAMES))
 
 
@@ -1498,6 +1570,78 @@ def test_numeric_compare_reports_worst_point():
     same = numeric_compare(parse("(x+1)^2", TABLE),
                            parse("x^2 + 2*x + 1", TABLE), dom)
     assert same.equal and same
+
+
+def _compared_by_sampling(a, b, dom, n, tol, seed):
+    """The sampled formulas of numeric_compare on evaluate((a, b), cols):
+    (equal, max_scaled_err, worst_point, n_points), or the error's text."""
+    cols = dom.sample_columns(n, seed=seed)
+    try:
+        va, vb = evaluate((a, b), cols)
+    except EvalError as exc:
+        return f"sampling hit a singular point: {exc}"
+    err = np.abs(va - vb)
+    scale = 1.0 + np.abs(va)
+    scaled = err / scale
+    worst = int(np.argmax(scaled))
+    return (not np.any(err > tol * scale), float(scaled[worst]),
+            {k: float(v[worst]) for k, v in cols.items()}, n)
+
+
+_VALUES = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6),
+    st.floats(-1e300, 1e300, allow_nan=False).map(Fraction))
+
+
+@given(_VALUES,
+       st.sampled_from((0, 1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1.0)),
+       st.sampled_from(("plus", "minus", "negated", "next")),
+       st.sampled_from((1e-12, 1e-9, 1e-8)), st.sampled_from((1, 64, 200)),
+       st.integers(-5, 5))
+@example(Fraction(10**400), 0, "next", 1e-9, 64, 0)
+@example(Fraction(3), 0, "negated", 1e-9, 64, 0)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_pair_of_constants_is_decided_as_sampling_decides_it(
+        value, offset, how, tol, n, seed):
+    # b sits offset*(1 + |a|) either side of a, or is -a or a + 1; 10**400
+    # (past float range) beside 10**400 + 1 takes the sampled path's error
+    a = Const(value)
+    step = Fraction(offset) * (1 + abs(value))
+    b = Const({"plus": value + step, "minus": value - step,
+               "negated": -value, "next": value + 1}[how])
+    want = _compared_by_sampling(a, b, _BOX, n, tol, seed)
+    try:
+        res = expr_module._compare(a, b, _BOX, n, tol, seed)
+    except DomainError as exc:
+        got = str(exc)
+    else:
+        assert type(res.equal) is bool and type(res.max_scaled_err) is float
+        got = (res.equal, res.max_scaled_err, res.worst_point, res.n_points)
+    assert got == want
+
+
+def test_verify_compares_no_pair_of_constants_by_evaluation(monkeypatch,
+                                                            capsys):
+    # the bracket table, the velocity matrix and the constraint residual
+    # compare many constants: each pair is decided from its values
+    evaluate, compare = expr_module.evaluate, expr_module._compare.__code__
+    pairs = []
+
+    def counting(e, bindings):
+        if sys._getframe(1).f_code is compare:
+            pairs.append(tuple(e))
+        return evaluate(e, bindings)
+
+    monkeypatch.setattr(expr_module, "evaluate", counting)
+    runs = _counting_compare(monkeypatch)
+    clear_memos()
+    assert main(["verify", "harmonic", "--seed", "3", "--json"]) == 0
+    capsys.readouterr()
+    constant = [args for args in runs
+                if type(args[0]) is Const and type(args[1]) is Const]
+    assert constant and len(pairs) + len(constant) == len(runs)
+    assert not any(type(a) is Const and type(b) is Const for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
