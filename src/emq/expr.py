@@ -1575,9 +1575,11 @@ def _compare(a: Expr, b: Expr, domain: SampleDomain, n: int, tol: float,
         va, vb = evaluate((a, b), cols)
     except EvalError as exc:
         raise DomainError(f"sampling hit a singular point: {exc}") from exc
-    err = np.abs(va - vb)
-    scale = 1.0 + np.abs(va)
-    scaled = err / scale
+    with np.errstate(over="ignore"):
+        # values of opposite sign near float max differ by inf: unequal
+        err = np.abs(va - vb)
+        scale = 1.0 + np.abs(va)
+        scaled = err / scale
     worst = int(np.argmax(scaled))
     equal = not np.any(err > tol * scale)
     return ComparisonResult(equal, float(scaled[worst]),

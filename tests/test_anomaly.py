@@ -1,14 +1,17 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from conftest import clear_memos
 from emq.anomaly import (
     COEFF_NAMES, AnomalyError, ChartSingularityError, GeneratingFunction,
     anomaly_coefficients, consistency_report, constraint_surface_vanishing,
     correction_scaling, increment_symbol, sliced_expansion_check,
 )
+from emq.cli import EXIT_OK, main
 from emq.expr import (
     Add, Const, Div, Fraction, Fun, Mul, SampleDomain, Sym,
     ZERO, ONE,
@@ -225,6 +228,47 @@ def test_correction_scaling_slope(ho_model):
     fit = correction_scaling(rep, ho_model.chart)
     assert fit.slope == pytest.approx(1.5, abs=0.05)
     assert len(fit.widths) == len(fit.means) == 7
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3])
+def test_correction_scaling_is_the_closed_form_mean(ho_model, seed):
+    # width * (c_p dp + c_q dq) with dp, dq ~ N(0, width): its mean absolute
+    # value is width^(3/2) sqrt(2 (c_p^2 + c_q^2) / pi) at the first point
+    rep = sliced_expansion_check(ho_model.generating_function, ho_model.darboux,
+                                 ho_model.system.hamiltonian, ho_model.chart,
+                                 seed=seed)
+    point = ho_model.chart.sample_columns(1, seed=seed)
+    vp, vq = (float(evaluate(rep.derived[key], point)[0])
+              for key in ("momentum_shift", "coordinate_shift"))
+    fit = correction_scaling(rep, ho_model.chart, seed=seed)
+    want = [eps ** 1.5 * math.sqrt(2 * (vp ** 2 + vq ** 2) / math.pi)
+            for eps in fit.widths]
+    assert fit.means == pytest.approx(want, rel=1e-15, abs=0)
+    assert abs(fit.slope - 1.5) <= 1e-12
+
+
+def test_the_reported_slope_does_not_move_with_the_seed(capsys):
+    slopes = []
+    for seed in ("0", "7", "-3"):
+        assert main(["anomaly", "harmonic", "--json", "--seed", seed]) == EXIT_OK
+        slopes.append(json.loads(capsys.readouterr().out)
+                      ["metrics"]["correction_scaling_slope"])
+    assert slopes[0] == slopes[1] == slopes[2]
+
+
+def test_no_command_draws_from_numpys_generator(monkeypatch, capsys):
+    runs = [(command, name)
+            for name in ("harmonic", "free_particle", "free_particle_lambda")
+            for command in ("verify", "reduce", "propagate", "anomaly")]
+    codes = [main([command, name]) for command, name in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    clear_memos()
+    assert [main([command, name]) for command, name in runs] == codes
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

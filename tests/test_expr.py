@@ -1572,6 +1572,17 @@ def test_numeric_compare_reports_worst_point():
     assert same.equal and same
 
 
+def test_values_that_differ_past_float_range_compare_unequal_quietly():
+    # 2e308 overflows the subtraction; pytest's filter turns numpy's
+    # overflow RuntimeWarning into an error
+    dom = SampleDomain(ranges=(("x", 0.5, 1.0),))
+    res = numeric_compare(parse("10^308*x", TABLE), parse("-(10^308)*x", TABLE),
+                          dom, n=16, seed=1)
+    assert not res.equal
+    assert res.max_scaled_err == math.inf
+    assert 0.5 <= res.worst_point["x"] <= 1.0
+
+
 def _compared_by_sampling(a, b, dom, n, tol, seed):
     """The sampled formulas of numeric_compare on evaluate((a, b), cols):
     (equal, max_scaled_err, worst_point, n_points), or the error's text."""
